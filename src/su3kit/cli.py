@@ -20,8 +20,8 @@ import math
 import sys
 
 from .bench import REGIMES, TASKS, render_table, run_bench
-from .errors import DocumentError, InputError, NotUnitary, NumericalError
-from .expmap import exp_su3
+from .errors import DocumentError, InputError, NumericalError
+from .expmap import _check_group, exp_su3
 from .factorlog import LogBranch, branch_log, factorize, principal_log
 from .gellmann import exp_gellmann, exp_gellmann8
 from .grades import split_HS
@@ -159,11 +159,7 @@ def _require_unitary(m: ComplexMat, tol: Tolerances) -> None:
     # unitarity only: boundary elements like -1 have det -1 and must
     # still reach the log machinery, which reports them as numerical
     # failures rather than input errors
-    if m.n != 3:
-        raise NotUnitary(f"expected a 3x3 matrix, got {m.n}x{m.n}")
-    dev = (m.adjoint() @ m - ComplexMat.identity(3)).frobenius_norm()
-    if dev > tol.grp_tol:
-        raise NotUnitary(f"unitarity residual {dev:.3e} exceeds grp_tol")
+    _check_group(m.array, tol, special=False)
 
 
 def _tol_from_args(args) -> Tolerances:

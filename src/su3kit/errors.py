@@ -28,6 +28,11 @@ class DimensionMismatch(InputError):
     code = "dimension_mismatch"
 
 
+class NonFiniteEntries(InputError, ValueError):
+    """A matrix entry is NaN or infinite (also a ValueError, as numpy's are)."""
+    code = "non_finite_entries"
+
+
 class InvalidAlgebraElement(InputError):
     """Matrix is not traceless skew-Hermitian within tolerance."""
     code = "invalid_algebra_element"
@@ -55,6 +60,11 @@ class NotDiagonalizable(NumericalError):
 
 class Singular(NumericalError):
     code = "singular"
+
+
+class Overflow(NumericalError):
+    """An intermediate quantity (such as the squared norm) is not finite."""
+    code = "overflow"
 
 
 class EigenFailure(NumericalError):

@@ -6,6 +6,14 @@ element is the product of the three factors, in any order since the
 parts commute.  Scaling the parts independently sweeps out the family
 U(t1, t2, t3) of group elements that all fix the same three parts
 under conjugation.
+
+``exp_su3`` runs on plain arrays from end to end: it validates a raw
+input once as an ``AlgebraElement``, takes the part coefficients and
+eigenbasis from ``invdec._eigen_parts``, multiplies the Euler factors
+as arrays, runs the ``GroupElement`` check (``_check_group``) once on
+the product and wraps it.  ``decompose_via_eigen`` followed by
+``exp_simple`` on each part is the same computation through the public
+types, and gives the same bits.
 """
 
 from __future__ import annotations
@@ -16,8 +24,8 @@ import math
 import numpy as np
 
 from .errors import InputError, NonCommutingParts, NotUnitary
-from .invdec import AlgebraElement, SimplePart, decompose_via_eigen
-from .smallmat import ComplexMat, commutator
+from .invdec import AlgebraElement, SimplePart, _eigen_parts, _part_array, _su3_scalars
+from .smallmat import ComplexMat, _det3, _require_finite, commutator
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -28,14 +36,7 @@ class GroupElement:
 
     def __init__(self, mat, tol: Tolerances = DEFAULT_TOL) -> None:
         m = mat if isinstance(mat, ComplexMat) else ComplexMat(mat)
-        if m.n != 3:
-            raise NotUnitary(f"expected a 3x3 matrix, got {m.n}x{m.n}")
-        dev = (m.adjoint() @ m - ComplexMat.identity(3)).frobenius_norm()
-        if dev > tol.grp_tol:
-            raise NotUnitary(f"unitarity residual {dev:.3e} exceeds grp_tol")
-        det_dev = abs(m.det() - 1.0)
-        if det_dev > tol.grp_tol:
-            raise NotUnitary(f"determinant is off 1 by {det_dev:.3e}, matrix is not special")
+        _check_group(m.array, tol)
         object.__setattr__(self, "_mat", m)
 
     @property
@@ -46,6 +47,24 @@ class GroupElement:
         return f"GroupElement({self._mat.array.tolist()!r})"
 
 
+_EYE3 = np.eye(3, dtype=np.complex128)
+
+
+def _check_group(arr: np.ndarray, tol: Tolerances, special: bool = True) -> None:
+    """NotUnitary unless arr is a finite 3x3 unitary, with det 1 when special."""
+    if arr.shape != (3, 3):
+        raise NotUnitary(f"expected a 3x3 matrix, got {arr.shape[0]}x{arr.shape[1]}")
+    _require_finite(arr)
+    # "not <=" so that a residual that overflowed to NaN is refused too
+    dev = float(np.linalg.norm(arr.conj().T @ arr - _EYE3))
+    if not dev <= tol.grp_tol:
+        raise NotUnitary(f"unitarity residual {dev:.3e} exceeds grp_tol")
+    if special:
+        det_dev = abs(_det3(arr) - 1.0)
+        if not det_dev <= tol.grp_tol:
+            raise NotUnitary(f"determinant is off 1 by {det_dev:.3e}, matrix is not special")
+
+
 @dataclasses.dataclass(frozen=True)
 class EulerFactor:
     """One factor cos(beta) 1 + sin(beta) unit; unitary but only U(3)."""
@@ -54,12 +73,17 @@ class EulerFactor:
     mat: ComplexMat
 
 
+def _factor_array(unit: np.ndarray, angle: float) -> np.ndarray:
+    # scalars enter as complex, as ComplexMat's own scaling does: a real
+    # factor would give some zero entries the other sign
+    return _EYE3 * complex(math.cos(angle)) + unit * complex(math.sin(angle))
+
+
 def _factor_mat(part: SimplePart, scale: float = 1.0) -> ComplexMat:
     beta = part.beta if part.beta is not None else 0.0
     if part.unit is None:
         return ComplexMat.identity(3) * math.cos(scale * beta)
-    angle = scale * beta
-    return ComplexMat.identity(3) * math.cos(angle) + part.unit * math.sin(angle)
+    return ComplexMat._wrap(_factor_array(part.unit.array, scale * beta))
 
 
 def exp_simple(part: SimplePart) -> EulerFactor:
@@ -72,18 +96,24 @@ def exp_simple(part: SimplePart) -> EulerFactor:
 def exp_su3(b, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
     """exp(B) for B in su(3), as the product of three Euler factors.
 
-    Parts come from decompose_via_eigen; zero parts contribute the
-    identity and are skipped.  The product is validated as a special
-    unitary matrix on the way out.
+    The parts are those of decompose_via_eigen; zero parts (beta below
+    beta_zero_tol) contribute the identity and are skipped.  The product
+    is validated as a special unitary matrix on the way out.  A raw
+    input is validated once; an AlgebraElement is taken as it is.
     """
     element = b if isinstance(b, AlgebraElement) else AlgebraElement(b, tol)
-    dec = decompose_via_eigen(element.mat, tol)
-    out = ComplexMat.identity(3)
-    for part in dec.parts:
-        if part.unit is None:
+    coefs, v, vinv = _eigen_parts(element.mat.array, tol)
+    out = np.eye(3, dtype=np.complex128)
+    for i, coef in enumerate(coefs):
+        _, beta = _su3_scalars(coef)
+        if beta < tol.beta_zero_tol:
             continue
-        out = out @ _factor_mat(part)
-    return GroupElement(out, tol)
+        unit = _part_array(coef, v, vinv, i) * complex(1.0 / beta)
+        out = out @ _factor_array(unit, beta)
+    _check_group(out, tol)
+    group = object.__new__(GroupElement)
+    object.__setattr__(group, "_mat", ComplexMat._wrap(out))
+    return group
 
 
 def family_element(parts, thetas, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:

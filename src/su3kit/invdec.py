@@ -15,6 +15,15 @@ and det(B), and each part is recovered by a resolvent-style product
 (see ``decompose_closed_form``).  The closed form requires distinct
 nonzero lambdas; the eigen route works in every case and is the
 arbiter the closed form is cross-checked against.
+
+The eigen route's numeric core is ``_eigen_parts``: on a plain 3x3
+array it runs the one normality test, picks the normal or general
+eigen kernel from it, and returns the part coefficients with the
+eigenvectors and their inverse.  ``decompose_via_eigen`` builds
+``SimplePart`` objects from it, and ``expmap.exp_su3`` consumes it
+directly.  ``AlgebraElement`` is the validated boundary type; its check
+(``_su3_problem``) is the same one ``decompose_via_eigen`` uses to
+decide whether the parts carry an angle and a direction.
 """
 
 from __future__ import annotations
@@ -24,8 +33,15 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateLambdas, InvalidAlgebraElement
-from .smallmat import ComplexMat, commutator, eigen_general, eigen_normal3
+from .errors import DegenerateLambdas, DimensionMismatch, InvalidAlgebraElement
+from .smallmat import (
+    ComplexMat,
+    _eigen_general,
+    _eigen_normal3,
+    _norm_and_commutator,
+    commutator,
+    eigen_general,
+)
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -36,15 +52,9 @@ class AlgebraElement:
 
     def __init__(self, mat, tol: Tolerances = DEFAULT_TOL) -> None:
         m = mat if isinstance(mat, ComplexMat) else ComplexMat(mat)
-        if m.n != 3:
-            raise InvalidAlgebraElement(f"expected a 3x3 matrix, got {m.n}x{m.n}")
-        if abs(m.trace()) > tol.alg_tol:
-            raise InvalidAlgebraElement(f"trace {m.trace():.3e} is not zero within alg_tol")
-        skew = (m + m.adjoint()).frobenius_norm()
-        if skew > tol.alg_tol * max(1.0, m.frobenius_norm()):
-            raise InvalidAlgebraElement(
-                f"Hermitian residual {skew:.3e} exceeds alg_tol, matrix is not skew-Hermitian"
-            )
+        problem = _su3_problem(m.array, tol)
+        if problem is not None:
+            raise InvalidAlgebraElement(problem)
         object.__setattr__(self, "_mat", m)
 
     @property
@@ -100,21 +110,52 @@ def _as_mat(b) -> ComplexMat:
     return ComplexMat(b)
 
 
-def _is_su3(m: ComplexMat, tol: Tolerances) -> bool:
-    if m.n != 3 or abs(m.trace()) > tol.alg_tol:
-        return False
-    return (m + m.adjoint()).frobenius_norm() <= tol.alg_tol * max(1.0, m.frobenius_norm())
+def _su3_problem(arr: np.ndarray, tol: Tolerances) -> str | None:
+    """Why arr is not a traceless skew-Hermitian 3x3 matrix within alg_tol, or None."""
+    if arr.shape != (3, 3):
+        return f"expected a 3x3 matrix, got {arr.shape[0]}x{arr.shape[1]}"
+    trace = complex(np.trace(arr))
+    if abs(trace) > tol.alg_tol:
+        return f"trace {trace:.3e} is not zero within alg_tol"
+    skew = float(np.linalg.norm(arr + arr.conj().T))
+    if skew > tol.alg_tol * max(1.0, float(np.linalg.norm(arr))):
+        return f"Hermitian residual {skew:.3e} exceeds alg_tol, matrix is not skew-Hermitian"
+    return None
 
 
 def _nonneg_sqrt(x: float) -> float:
     return math.sqrt(x) if x > 0.0 else 0.0
 
 
-def _su3_part(mat: ComplexMat, coef: complex, tol: Tolerances) -> SimplePart:
+_EYE3 = np.eye(3)
+
+
+def _eigen_parts(arr: np.ndarray, tol: Tolerances) -> tuple[list[complex], np.ndarray, np.ndarray]:
+    """Part coefficients, eigenvectors (columns) and their inverse for a 3x3 array.
+
+    Part i is ``_part_array(coefs[i], vectors, inverse, i)``.  Normal
+    inputs go through the closed-form normal kernel, everything else
+    through the general one; NotDiagonalizable propagates from the
+    latter.
+    """
+    nrm, comm = _norm_and_commutator(arr)
+    if comm <= tol.normal_tol * nrm * nrm:
+        values, v, vinv = _eigen_normal3(arr, nrm, tol)
+    else:
+        values, v, vinv = _eigen_general(arr, tol)
+    t = complex(np.trace(arr))
+    return [(complex(x) - t) / 2.0 for x in values], v, vinv
+
+
+def _part_array(coef: complex, v: np.ndarray, vinv: np.ndarray, i: int) -> np.ndarray:
+    """coef times the involution that is +1 on eigendirection i, -1 on the others."""
+    return coef * (2.0 * np.outer(v[:, i], vinv[i, :]) - _EYE3)
+
+
+def _su3_scalars(coef: complex) -> tuple[complex, float]:
+    """lambda = coef^2 (real for su(3)) and the angle beta = sqrt(-lambda)."""
     lam = complex((coef * coef).real, 0.0)
-    beta = _nonneg_sqrt(-lam.real)
-    unit = mat * (1.0 / beta) if beta >= tol.beta_zero_tol else None
-    return SimplePart(mat=mat, lam=lam, beta=beta, unit=unit)
+    return lam, _nonneg_sqrt(-lam.real)
 
 
 def decompose_via_eigen(b, tol: Tolerances = DEFAULT_TOL) -> InvariantDecomposition:
@@ -126,23 +167,17 @@ def decompose_via_eigen(b, tol: Tolerances = DEFAULT_TOL) -> InvariantDecomposit
     general one; NotDiagonalizable propagates from the latter.
     """
     m = _as_mat(b)
-    su3 = _is_su3(m, tol)
-    arr = m.array
-    nrm = m.frobenius_norm()
-    comm = np.linalg.norm(arr @ arr.conj().T - arr.conj().T @ arr)
-    if comm <= tol.normal_tol * nrm * nrm:
-        es = eigen_normal3(m, tol)
-    else:
-        es = eigen_general(m, tol)
-    t = m.trace()
+    if m.n != 3:
+        raise DimensionMismatch(f"decompose_via_eigen needs a 3x3 matrix, got {m.n}x{m.n}")
+    su3 = _su3_problem(m.array, tol) is None
+    coefs, v, vinv = _eigen_parts(m.array, tol)
     parts = []
-    eye = np.eye(3)
-    for i in range(3):
-        coef = (es.values[i] - t) / 2.0
-        proj = np.outer(es.vectors.array[:, i], es.inverse_vectors.array[i, :])
-        mat = ComplexMat(coef * (2.0 * proj - eye))
+    for i, coef in enumerate(coefs):
+        mat = ComplexMat._wrap(_part_array(coef, v, vinv, i))
         if su3:
-            parts.append(_su3_part(mat, coef, tol))
+            lam, beta = _su3_scalars(coef)
+            unit = mat * (1.0 / beta) if beta >= tol.beta_zero_tol else None
+            parts.append(SimplePart(mat=mat, lam=lam, beta=beta, unit=unit))
         else:
             parts.append(SimplePart(mat=mat, lam=complex(coef * coef), beta=None, unit=None))
     return InvariantDecomposition(parts=tuple(parts), source=m)

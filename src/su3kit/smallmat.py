@@ -1,8 +1,15 @@
 """Small dense complex matrices (2 <= n <= 8) and their eigensolvers.
 
-Matrices are immutable values backed by numpy complex128 arrays; every
-operation returns a fresh object and validates shapes.  Two eigensolvers
-are provided:
+Two layers.  The numeric core works on plain ``complex128`` arrays and
+trusts its caller: the private kernels ``_eigen_normal3`` and
+``_eigen_general`` return (values, vectors, inverse vectors) as arrays,
+and ``_norm_and_commutator`` is the one normality test.  ``ComplexMat``
+is the boundary type: an immutable wrapper whose constructor copies its
+input and validates shape and finiteness.  Its arithmetic returns fresh
+validated objects; ``ComplexMat._wrap`` adopts an array the package has
+just built and already checked, without copying or checking it again.
+The public eigensolvers check their input once, run a kernel, and wrap
+the result:
 
 ``eigen_normal3``
     Closed form for 3x3 normal matrices.  Eigenvalues come from the
@@ -21,7 +28,8 @@ are provided:
 
 Both report eigenvalues sorted by imaginary part descending, ties broken
 by real part descending, then by modulus descending, and scale each
-eigenvector column so its largest-modulus entry is real positive.
+eigenvector column so its largest-modulus entry is real positive.  Both
+raise Overflow when the squared norm of the input is not finite.
 """
 
 from __future__ import annotations
@@ -35,8 +43,10 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EigenFailure,
+    NonFiniteEntries,
     NotDiagonalizable,
     NotNormal,
+    Overflow,
     Singular,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -56,10 +66,21 @@ class ComplexMat:
         n = a.shape[0]
         if not 2 <= n <= 8:
             raise DimensionMismatch(f"dimension must be in [2, 8], got {n}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
+        _require_finite(a)
         a.setflags(write=False)
         object.__setattr__(self, "_a", a)
+
+    @classmethod
+    def _wrap(cls, a: np.ndarray) -> "ComplexMat":
+        """Adopt a square complex128 array the package built and checked.
+
+        No copy and no validation: the caller hands over ownership and
+        must not write to the array afterwards.
+        """
+        m = object.__new__(cls)
+        a.setflags(write=False)
+        object.__setattr__(m, "_a", a)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexMat is immutable")
@@ -148,11 +169,7 @@ class ComplexMat:
         if self.n == 2:
             return complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
         if self.n == 3:
-            return complex(
-                a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-                - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-                + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-            )
+            return _det3(a)
         # LU with partial pivoting for the larger sizes
         return complex(np.linalg.det(a))
 
@@ -161,6 +178,19 @@ class ComplexMat:
         if not np.isfinite(cond) or cond > tol.inv_cond_max:
             raise Singular(f"condition estimate {cond:.3e} exceeds {tol.inv_cond_max:.1e}")
         return ComplexMat(np.linalg.inv(self._a))
+
+
+def _require_finite(a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteEntries("matrix entries must be finite")
+
+
+def _det3(a: np.ndarray) -> complex:
+    return complex(
+        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+    )
 
 
 def commutator(x: ComplexMat, y: ComplexMat) -> ComplexMat:
@@ -384,24 +414,37 @@ def _polish_normal(a: np.ndarray, v: np.ndarray, scale: float, max_sweeps: int =
     return v
 
 
-def eigen_normal3(a: ComplexMat, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
-    """Closed-form eigendecomposition of a 3x3 normal matrix.
+def _norm_and_commutator(arr: np.ndarray) -> tuple[float, float]:
+    """Frobenius norms of arr and of its commutator with its adjoint.
 
-    The returned basis is unitary; ``inverse_vectors`` is its adjoint.
-    Raises NotNormal when the commutator test fails, EigenFailure when
-    the reconstruction residual cannot be brought under eig_tol (only
-    reachable for inputs that barely pass the normality test).
+    The one normality test compares the second against normal_tol times
+    the square of the first.  Raises Overflow when that square is not
+    finite: the test is meaningless there, and the closed form would
+    only turn the infinities into math domain errors further down.
     """
-    if a.n != 3:
-        raise DimensionMismatch(f"eigen_normal3 needs a 3x3 matrix, got {a.n}x{a.n}")
-    arr = a.array
-    nrm = float(np.linalg.norm(arr))
+    nrm = _finite_norm(arr)
     comm = np.linalg.norm(arr @ arr.conj().T - arr.conj().T @ arr)
-    if comm > tol.normal_tol * nrm * nrm:
-        raise NotNormal(f"commutator residual {comm:.3e} exceeds normal_tol * norm^2")
-    ident = ComplexMat.identity(3)
+    return nrm, comm
+
+
+def _finite_norm(arr: np.ndarray) -> float:
+    nrm = float(np.linalg.norm(arr))
+    if not math.isfinite(nrm * nrm):
+        raise Overflow(f"matrix norm {nrm:.3e} is too large: its square overflows")
+    return nrm
+
+
+def _eigen_normal3(
+    arr: np.ndarray, nrm: float, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel of eigen_normal3 on a 3x3 array that passed the normality test.
+
+    ``nrm`` is its Frobenius norm.  Returns (values, vectors, inverse
+    vectors); the basis is unitary, so the inverse is its adjoint.
+    """
     if nrm == 0.0:
-        return EigenSystem((0j, 0j, 0j), ident, ident)
+        ident = np.eye(3, dtype=np.complex128)
+        return np.zeros(3, dtype=np.complex128), ident, ident
 
     h = (arr + arr.conj().T) / 2.0
     k = (arr - arr.conj().T) / 2j
@@ -422,22 +465,35 @@ def eigen_normal3(a: ComplexMat, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
         raise EigenFailure(
             f"reconstruction residual {residual:.3e} exceeds eig_tol * norm"
         )
-    vectors = ComplexMat(v)
-    return EigenSystem(tuple(complex(x) for x in d), vectors, vectors.adjoint())
+    return d, v, v.conj().T
 
 
-def eigen_general(a: ComplexMat, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
-    """Eigendecomposition of a diagonalizable matrix up to 8x8.
+def _eigen_system(values: np.ndarray, v: np.ndarray, vinv: np.ndarray) -> EigenSystem:
+    return EigenSystem(
+        tuple(complex(x) for x in values), ComplexMat._wrap(v), ComplexMat._wrap(vinv))
 
-    QR iteration on the Hessenberg form (LAPACK through numpy), then the
-    package's deterministic ordering, Gram-Schmidt within eigenvalue
-    clusters, and the real-positive-pivot phase convention.  Raises
-    NotDiagonalizable when the eigenvector matrix condition exceeds
-    diag_cond_max or the reconstruction residual exceeds eig_tol.
+
+def eigen_normal3(a: ComplexMat, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
+    """Closed-form eigendecomposition of a 3x3 normal matrix.
+
+    The returned basis is unitary; ``inverse_vectors`` is its adjoint.
+    Raises NotNormal when the commutator test fails, EigenFailure when
+    the reconstruction residual cannot be brought under eig_tol (only
+    reachable for inputs that barely pass the normality test).
     """
+    if a.n != 3:
+        raise DimensionMismatch(f"eigen_normal3 needs a 3x3 matrix, got {a.n}x{a.n}")
     arr = a.array
-    n = a.n
-    nrm = float(np.linalg.norm(arr))
+    nrm, comm = _norm_and_commutator(arr)
+    if comm > tol.normal_tol * nrm * nrm:
+        raise NotNormal(f"commutator residual {comm:.3e} exceeds normal_tol * norm^2")
+    return _eigen_system(*_eigen_normal3(arr, nrm, tol))
+
+
+def _eigen_general(arr: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel of eigen_general: (values, vectors, inverse vectors) as arrays."""
+    n = arr.shape[0]
+    nrm = _finite_norm(arr)
     w, v = np.linalg.eig(arr)
 
     idx = _order_indices(w)
@@ -477,4 +533,16 @@ def eigen_general(a: ComplexMat, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
         raise NotDiagonalizable(
             f"reconstruction residual {residual:.3e} exceeds eig_tol * norm"
         )
-    return EigenSystem(tuple(complex(x) for x in w), ComplexMat(v), ComplexMat(vinv))
+    return w, v, vinv
+
+
+def eigen_general(a: ComplexMat, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
+    """Eigendecomposition of a diagonalizable matrix up to 8x8.
+
+    QR iteration on the Hessenberg form (LAPACK through numpy), then the
+    package's deterministic ordering, Gram-Schmidt within eigenvalue
+    clusters, and the real-positive-pivot phase convention.  Raises
+    NotDiagonalizable when the eigenvector matrix condition exceeds
+    diag_cond_max or the reconstruction residual exceeds eig_tol.
+    """
+    return _eigen_system(*_eigen_general(a.array, tol))

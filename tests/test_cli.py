@@ -237,6 +237,25 @@ class TestExp:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "invalid_algebra_element"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_refused(self, bad, capsys, monkeypatch):
+        rows = np.zeros((3, 3))
+        rows[0, 0] = bad
+        text = doc_text(rows)
+        assert "NaN" in text or "Infinity" in text
+        code, out = run_cli(["exp", "-"], capsys, monkeypatch, text)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "non_finite_entries"
+
+    @pytest.mark.parametrize("argv, n", [
+        (["exp", "-"], 3), (["decompose", "-"], 3), (["decompose", "-", "--nxn"], 4)])
+    def test_overflowing_norm_is_numerical_failure(self, argv, n, capsys, monkeypatch):
+        b = np.zeros((n, n), dtype=complex)
+        b[0, 1], b[1, 0] = 1e308, -1e308
+        code, out = run_cli(argv, capsys, monkeypatch, doc_text(b))
+        assert code == 3
+        assert json.loads(out)["error"]["code"] == "overflow"
+
 
 class TestLog:
     def test_identity(self, capsys, monkeypatch):
@@ -294,6 +313,15 @@ class TestLog:
     def test_non_unitary_refused(self, capsys, monkeypatch):
         code, out = run_cli(["log", "-"], capsys, monkeypatch,
                             doc_text(np.diag([2.0, 1.0, 1.0])))
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "not_unitary"
+
+    @pytest.mark.parametrize("command", ["log", "factor"])
+    def test_overflowing_unitarity_residual_refused(self, command, capsys, monkeypatch):
+        # U^dag U has inf - inf = NaN entries; a NaN residual is not a pass
+        u = np.eye(3)
+        u[:2, :2] = [[1e308, 1e308], [1e308, -1e308]]
+        code, out = run_cli([command, "-"], capsys, monkeypatch, doc_text(u))
         assert code == 2
         assert json.loads(out)["error"]["code"] == "not_unitary"
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from su3kit.errors import InputError, NonCommutingParts, NotUnitary
+import su3kit.invdec
+from su3kit.errors import InputError, NonCommutingParts, NotUnitary, Overflow
 from su3kit.expmap import (
     GroupElement,
     exp_simple,
@@ -14,7 +15,7 @@ from su3kit.expmap import (
     invariant_combination,
 )
 from su3kit.invdec import decompose_via_eigen
-from su3kit.oracle import compare, exp_reference, random_algebra
+from su3kit.oracle import compare, exp_reference, random_algebra, random_group
 from su3kit.smallmat import ComplexMat
 
 
@@ -75,6 +76,74 @@ class TestExpSu3:
         arr = u.mat.array
         assert np.linalg.norm(arr.conj().T @ arr - np.eye(3)) < 1e-11
         assert abs(np.linalg.det(arr) - 1.0) < 1e-11
+
+
+    def test_overflowing_norm_is_numerical_error(self):
+        b = np.zeros((3, 3), dtype=complex)
+        b[0, 1], b[1, 0] = 1e308, -1e308
+        with pytest.raises(Overflow):
+            exp_su3(b)
+
+
+def _skew_with_phases(phases, seed):
+    q = random_group(seed).mat.array
+    b = q @ np.diag(1j * np.asarray(phases)) @ q.conj().T
+    return (b - b.conj().T) / 2.0
+
+
+def _nearly_normal():
+    # an su(3) element plus a traceless Hermitian perturbation of norm
+    # 1e-12: still a valid algebra element, but its commutator with its
+    # adjoint fails the normality test
+    b = random_algebra(7, scale=1e-3).mat.array
+    rng = np.random.default_rng(0)
+    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    h = (h + h.conj().T) / 2.0
+    h -= np.trace(h) / 3.0 * np.eye(3)
+    return b + h * (1e-12 / np.linalg.norm(h))
+
+
+def _public_route(b) -> ComplexMat:
+    out = ComplexMat.identity(3)
+    for part in decompose_via_eigen(b).parts:
+        if part.unit is not None:
+            out = out @ exp_simple(part).mat
+    return out
+
+
+class TestExpMatchesPublicRoute:
+    """exp_su3 on arrays gives the bits of decompose_via_eigen + exp_simple."""
+
+    @pytest.mark.parametrize("b", [
+        random_algebra(3).mat.array,
+        random_algebra(4, scale=1e-6).mat.array,
+        _skew_with_phases([0.4, 0.4 - 1e-7, -0.8 + 1e-7], 5),
+        _skew_with_phases([2 * math.pi - 1e-3, -math.pi + 0.2, -math.pi - 0.2 + 1e-3], 6),
+        np.zeros((3, 3), dtype=complex),
+    ], ids=["generic", "small", "near_degenerate", "angle_near_pi", "zero"])
+    def test_bit_identical(self, b):
+        assert exp_su3(b).mat.array.tobytes() == _public_route(b).array.tobytes()
+
+    def test_angle_near_pi_input(self):
+        b = _skew_with_phases([2 * math.pi - 1e-3, -math.pi + 0.2, -math.pi - 0.2 + 1e-3], 6)
+        betas = [p.beta for p in decompose_via_eigen(b).parts]
+        assert abs(max(betas) - math.pi) < 1e-3
+
+    def test_general_branch_bit_identical(self, monkeypatch):
+        calls = []
+        kernel = su3kit.invdec._eigen_general
+
+        def spy(arr, tol):
+            calls.append(arr)
+            return kernel(arr, tol)
+
+        monkeypatch.setattr(su3kit.invdec, "_eigen_general", spy)
+        b = _nearly_normal()
+        u = exp_su3(b)
+        assert len(calls) == 1
+        assert u.mat.array.tobytes() == _public_route(b).array.tobytes()
+        assert len(calls) == 2
+        assert compare(u.mat, exp_reference(b)) < 1e-14
 
 
 class TestFamilyElement:

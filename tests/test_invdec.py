@@ -7,6 +7,7 @@ import pytest
 
 from su3kit.errors import (
     DegenerateLambdas,
+    DimensionMismatch,
     InvalidAlgebraElement,
 )
 from su3kit.invdec import (
@@ -88,6 +89,14 @@ class TestDecomposeViaEigen:
         for p in dec.parts:
             np.testing.assert_allclose(
                 (p.unit @ p.unit).array, -np.eye(3), atol=1e-14)
+
+    @pytest.mark.parametrize("m", [
+        ComplexMat.identity(4),                # normal
+        ComplexMat([[1, 1], [0, 2]]),          # not normal
+    ], ids=["normal_4x4", "general_2x2"])
+    def test_wrong_dimension_refused(self, m):
+        with pytest.raises(DimensionMismatch):
+            decompose_via_eigen(m)
 
 
 class TestLambdaRoots:

@@ -6,6 +6,7 @@ import pytest
 from su3kit.errors import (
     DimensionMismatch,
     EigenFailure,
+    InputError,
     NotDiagonalizable,
     NotNormal,
     Singular,
@@ -45,6 +46,10 @@ class TestComplexMat:
         with pytest.raises(ValueError):
             ComplexMat([[np.inf, 0], [0, 1]])
         with pytest.raises(ValueError):
+            ComplexMat([[np.nan, 0], [0, 1]])
+
+    def test_non_finite_entries_are_input_errors(self):
+        with pytest.raises(InputError):
             ComplexMat([[np.nan, 0], [0, 1]])
 
     def test_immutable(self):

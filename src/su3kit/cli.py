@@ -21,13 +21,12 @@ import sys
 
 from .bench import REGIMES, TASKS, render_table, run_bench
 from .errors import DocumentError, InputError, NumericalError
-from .expmap import _check_group, exp_su3
+from .expmap import _check_group, _group_residuals, exp_su3
 from .factorlog import LogBranch, branch_log, factorize, principal_log
 from .gellmann import exp_gellmann, exp_gellmann8
-from .grades import split_HS
-from .invdec import AlgebraElement, decompose_nxn, decompose_via_eigen
+from .invdec import AlgebraElement, InvariantDecomposition, decompose_nxn, decompose_via_eigen
 from .oracle import compare, exp_reference, log_reference
-from .smallmat import ComplexMat, commutator
+from .smallmat import ComplexMat
 from .tolerances import DEFAULT_TOL, Tolerances, with_overrides
 
 
@@ -199,26 +198,18 @@ def cmd_decompose(args, tol: Tolerances) -> str:
     if args.require_su3:
         m = AlgebraElement(m, tol).mat
     if args.nxn:
-        parts = decompose_nxn(m, tol)
+        dec = InvariantDecomposition(parts=tuple(decompose_nxn(m, tol)), source=m)
     else:
         if m.n != 3:
             raise DocumentError(
                 f"decompose expects a 3x3 matrix (got {m.n}x{m.n}); use --nxn")
-        parts = list(decompose_via_eigen(m, tol).parts)
-    mats = [p.mat for p in parts]
-    total = mats[0]
-    for extra in mats[1:]:
-        total = total + extra
-    max_comm = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            max_comm = max(max_comm, commutator(mats[i], mats[j]).frobenius_norm())
+        dec = decompose_via_eigen(m, tol)
     doc = {
-        "parts": [matrix_document(p.mat) for p in parts],
-        "lambdas": [[p.lam.real, p.lam.imag] for p in parts],
-        "betas": [p.beta for p in parts],
-        "sum_error": (total - m).frobenius_norm(),
-        "max_commutator": max_comm,
+        "parts": [matrix_document(p.mat) for p in dec.parts],
+        "lambdas": [[p.lam.real, p.lam.imag] for p in dec.parts],
+        "betas": [p.beta for p in dec.parts],
+        "sum_error": dec.sum_residual(),
+        "max_commutator": dec.max_commutator_residual(),
     }
     return emit_json(doc)
 
@@ -235,8 +226,7 @@ def cmd_exp(args, tol: Tolerances) -> str:
         uref = exp_reference(b)
         doc["u_reference"] = matrix_document(uref)
         doc["method_distance"] = compare(u, uref)
-    doc["unitarity_residual"] = (u.adjoint() @ u - ComplexMat.identity(3)).frobenius_norm()
-    doc["det_residual"] = abs(u.det() - 1.0)
+    doc["unitarity_residual"], doc["det_residual"] = _group_residuals(u.array)
     return emit_json(doc)
 
 
@@ -268,7 +258,7 @@ def cmd_factor(args, tol: Tolerances) -> str:
     m = parse_matrix_document(_read_input(args.input))
     _require_unitary(m, tol)
     f = factorize(m, tol)
-    g = split_HS(m, tol)
+    g = f.grades
     product = f.factors[0] @ f.factors[1] @ f.factors[2]
     doc = {
         "factors": [matrix_document(x) for x in f.factors],

@@ -25,29 +25,28 @@ import numpy as np
 
 from .errors import InputError, NonCommutingParts, NotUnitary
 from .invdec import AlgebraElement, SimplePart, _eigen_parts, _part_array, _su3_scalars
-from .smallmat import ComplexMat, _det3, _require_finite, commutator
+from .smallmat import ComplexMat, Validated, _as_mat, _det3, _require_finite, commutator
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
-class GroupElement:
+class GroupElement(Validated):
     """A validated special-unitary 3x3 matrix."""
 
-    __slots__ = ("_mat",)
+    __slots__ = ()
 
     def __init__(self, mat, tol: Tolerances = DEFAULT_TOL) -> None:
-        m = mat if isinstance(mat, ComplexMat) else ComplexMat(mat)
+        m = _as_mat(mat)
         _check_group(m.array, tol)
         object.__setattr__(self, "_mat", m)
 
-    @property
-    def mat(self) -> ComplexMat:
-        return self._mat
-
-    def __repr__(self) -> str:
-        return f"GroupElement({self._mat.array.tolist()!r})"
-
 
 _EYE3 = np.eye(3, dtype=np.complex128)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _group_residuals(arr: np.ndarray) -> tuple[float, float]:
+    """||arr^dag arr - 1||_F and |det arr - 1| of a 3x3 array; NaN where they overflow."""
+    return float(np.linalg.norm(arr.conj().T @ arr - _EYE3)), abs(_det3(arr) - 1.0)
 
 
 def _check_group(arr: np.ndarray, tol: Tolerances, special: bool = True) -> None:
@@ -56,13 +55,11 @@ def _check_group(arr: np.ndarray, tol: Tolerances, special: bool = True) -> None
         raise NotUnitary(f"expected a 3x3 matrix, got {arr.shape[0]}x{arr.shape[1]}")
     _require_finite(arr)
     # "not <=" so that a residual that overflowed to NaN is refused too
-    dev = float(np.linalg.norm(arr.conj().T @ arr - _EYE3))
+    dev, det_dev = _group_residuals(arr)
     if not dev <= tol.grp_tol:
         raise NotUnitary(f"unitarity residual {dev:.3e} exceeds grp_tol")
-    if special:
-        det_dev = abs(_det3(arr) - 1.0)
-        if not det_dev <= tol.grp_tol:
-            raise NotUnitary(f"determinant is off 1 by {det_dev:.3e}, matrix is not special")
+    if special and not det_dev <= tol.grp_tol:
+        raise NotUnitary(f"determinant is off 1 by {det_dev:.3e}, matrix is not special")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,23 +70,24 @@ class EulerFactor:
     mat: ComplexMat
 
 
-def _factor_array(unit: np.ndarray, angle: float) -> np.ndarray:
+def _factor_array(unit: np.ndarray | None, angle: float) -> np.ndarray:
+    """cos(angle) 1 + sin(angle) unit; a part with no direction gives cos(angle) 1."""
     # scalars enter as complex, as ComplexMat's own scaling does: a real
     # factor would give some zero entries the other sign
-    return _EYE3 * complex(math.cos(angle)) + unit * complex(math.sin(angle))
+    scalar = _EYE3 * complex(math.cos(angle))
+    return scalar if unit is None else scalar + unit * complex(math.sin(angle))
 
 
 def _factor_mat(part: SimplePart, scale: float = 1.0) -> ComplexMat:
-    beta = part.beta if part.beta is not None else 0.0
-    if part.unit is None:
-        return ComplexMat.identity(3) * math.cos(scale * beta)
-    return ComplexMat._wrap(_factor_array(part.unit.array, scale * beta))
+    if part.beta is None:
+        raise InputError(
+            "part has no angle: only the parts of an su(3) element have an Euler factor")
+    unit = part.unit.array if part.unit is not None else None
+    return ComplexMat._wrap(_factor_array(unit, scale * part.beta))
 
 
 def exp_simple(part: SimplePart) -> EulerFactor:
-    """Exponentiate one commuting part by the Euler formula."""
-    if part.beta is None and part.unit is not None:
-        raise InputError("part has a direction but no angle")
+    """Exponentiate one commuting part of an su(3) element by the Euler formula."""
     return EulerFactor(part=part, mat=_factor_mat(part))
 
 
@@ -120,8 +118,9 @@ def family_element(parts, thetas, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
     """Product of scaled Euler factors exp(t_i b_i) over the given parts.
 
     Every matrix in this family commutes with each part and fixes it
-    under conjugation.  The parts must commute pairwise; the factors
-    are unitary but their determinants need not be 1.
+    under conjugation.  The parts must be parts of an su(3) element
+    (each has an angle) and commute pairwise; the factors are unitary
+    but their determinants need not be 1.
     """
     parts = list(parts)
     thetas = [float(t) for t in thetas]
@@ -134,8 +133,7 @@ def family_element(parts, thetas, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
             )
             if commutator(parts[i].mat, parts[j].mat).frobenius_norm() > bound:
                 raise NonCommutingParts(f"parts {i} and {j} do not commute")
-    n = parts[0].mat.n if parts else 3
-    out = ComplexMat.identity(n)
+    out = ComplexMat.identity(3)
     for part, theta in zip(parts, thetas):
         out = out @ _factor_mat(part, theta)
     return out

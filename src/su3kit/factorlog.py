@@ -15,6 +15,13 @@ every input (the scalar prefactors vanish on measure-zero sets), hence
 the cascade in `factorize`.  Signs are not corrected per factor: the
 closing factor U3 = U1^dag U2^dag U absorbs the net sign, and the
 principal log rebalances the pair of pi-complements it causes.
+
+The cascade, closing factor, sign selection and log sum run on plain
+complex128 arrays; a factor's log is (beta, unit), unit None without a
+direction.  Scalars multiply as Python complex numbers, as ``ComplexMat``
+scales, and residual gates read "not x <= tol" so NaN is refused.  Public
+functions take a ``GroupElement``, ``ComplexMat`` or raw entries and wrap
+each result once, after one finiteness check.
 """
 
 from __future__ import annotations
@@ -33,23 +40,31 @@ from .errors import (
     NumericalError,
     ZeroMatrix,
 )
-from .expmap import GroupElement, exp_simple
-from .grades import GradeDecomposition, split_HS
+from .expmap import _EYE3, _factor_array, _group_residuals
+from .grades import GradeDecomposition, _decomposition, _halves, _split_HS
 from .invdec import SimplePart
-from .smallmat import ComplexMat, scalar_residual
+from .smallmat import ComplexMat, _as_mat, _finite_mat, _inverse, _scalar_residual
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
-def rms_norm(m: ComplexMat) -> float:
+def rms_norm(m) -> float:
     """sqrt(tr(M M^dag) / 3); equals 1 for a 3x3 unitary."""
-    return m.frobenius_norm() / math.sqrt(3.0)
+    return _rms(_as_mat(m).array)
 
 
-def normalize(m: ComplexMat, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
-    nrm = rms_norm(m)
+def _rms(a: np.ndarray) -> float:
+    return float(np.linalg.norm(a)) / math.sqrt(3.0)
+
+
+def normalize(m, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
+    return _finite_mat(_normalize(_as_mat(m).array, tol))
+
+
+def _normalize(a: np.ndarray, tol: Tolerances) -> np.ndarray:
+    nrm = _rms(a)
     if nrm <= tol.norm_zero_tol:
         raise ZeroMatrix("cannot normalize a matrix with norm %.3e" % nrm)
-    return m * (1.0 / nrm)
+    return a * complex(1.0 / nrm)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,6 +72,7 @@ class Factorization:
     factors: tuple[ComplexMat, ComplexMat, ComplexMat]
     parts: tuple[SimplePart, SimplePart, SimplePart]
     routes: tuple[str, str, str]
+    grades: GradeDecomposition
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,8 +84,13 @@ class LogBranch:
             raise InputError("branch must be three integers")
 
 
-def _as_mat(u) -> ComplexMat:
-    return u.mat if isinstance(u, GroupElement) else u
+def _part_mat(beta: float, unit: np.ndarray | None) -> np.ndarray:
+    return np.zeros((3, 3), dtype=np.complex128) if unit is None else unit * complex(beta)
+
+
+def _simple_part(beta: float, unit: np.ndarray | None) -> SimplePart:
+    return SimplePart(mat=_finite_mat(_part_mat(beta, unit)), lam=complex(-beta * beta),
+                      beta=beta, unit=None if unit is None else _finite_mat(unit))
 
 
 def principal_log_factor(ui, tol: Tolerances = DEFAULT_TOL) -> SimplePart:
@@ -83,45 +104,41 @@ def principal_log_factor(ui, tol: Tolerances = DEFAULT_TOL) -> SimplePart:
     beta = pi the skew half vanishes while the direction still matters
     for any log, so that point is refused.
     """
-    m = _as_mat(ui)
-    if m.n != 3:
-        raise InputError("expected a 3x3 factor, got %dx%d" % (m.n, m.n))
-    adj = m.adjoint()
-    ccos = (m + adj) * 0.5
-    ssin = (m - adj) * 0.5
-    if scalar_residual(ccos) > tol.fact_tol * max(1.0, m.frobenius_norm()):
-        raise NotSimpleFactor(
-            "Hermitian half is not scalar (residual %.3e)" % scalar_residual(ccos))
-    c = (m.trace().real) / 3.0
-    if abs(c) > 1.0 + 1e-8:
+    a = _as_mat(ui).array
+    if a.shape[0] != 3:
+        raise InputError("expected a 3x3 factor, got %dx%d" % a.shape)
+    return _simple_part(*_log_factor(a, tol))
+
+
+def _log_factor(a: np.ndarray, tol: Tolerances) -> tuple[float, np.ndarray | None]:
+    """principal_log_factor on a 3x3 array: (beta, unit), unit None without a direction."""
+    ccos, ssin = _halves(a)
+    bound = tol.fact_tol * max(1.0, float(np.linalg.norm(a)))
+    residual = _scalar_residual(ccos)
+    if not residual <= bound:
+        raise NotSimpleFactor("Hermitian half is not scalar (residual %.3e)" % residual)
+    c = complex(np.trace(a)).real / 3.0
+    if not abs(c) <= 1.0 + 1e-8:
         raise NotSimpleFactor("cosine out of range by %.3e" % (abs(c) - 1.0))
-    sn = rms_norm(ssin)
+    sn = _rms(ssin)
     beta = math.atan2(sn, c)
     if sn <= tol.sin_zero_tol:
-        if beta <= math.pi / 2.0:
-            part = SimplePart(mat=ComplexMat.zeros(3), lam=complex(-beta * beta),
-                              beta=beta, unit=None)
-        else:
+        if beta > math.pi / 2.0:
             raise AmbiguousDirection(
                 "factor is at the antipode (beta = %.6f); direction lost" % beta)
-    else:
-        unit = ssin * (1.0 / sn)
-        part = SimplePart(mat=unit * beta, lam=complex(-beta * beta),
-                          beta=beta, unit=unit)
-    recon = exp_simple(part).mat
-    bound = tol.fact_tol * max(1.0, m.frobenius_norm())
-    if part.unit is None:
+        unit = None
         # a sub-threshold sine is discarded by design; allow exactly
         # the discarded magnitude on top of the usual bound
         bound += math.sqrt(3.0) * tol.sin_zero_tol
-    if (recon - m).frobenius_norm() > bound:
-        raise NotSimpleFactor(
-            "exp of recovered part misses the factor by %.3e"
-            % (recon - m).frobenius_norm())
-    return part
+    else:
+        unit = ssin * complex(1.0 / sn)
+    miss = float(np.linalg.norm(_factor_array(unit, beta) - a))
+    if not miss <= bound:
+        raise NotSimpleFactor("exp of recovered part misses the factor by %.3e" % miss)
+    return beta, unit
 
 
-def _route_exprs(g: GradeDecomposition, i: int, tol: Tolerances):
+def _route_exprs(g0, g6, H, S, i: int, tol: Tolerances):
     """Candidate expressions for factor i, lazily evaluated.
 
     Each constituent is a scalar times an exact involution, so a
@@ -131,47 +148,44 @@ def _route_exprs(g: GradeDecomposition, i: int, tol: Tolerances):
     below the effectively-zero floor instead of trusting the algebra.
     """
     j, k = [t for t in range(3) if t != i]
-    eye = ComplexMat.identity(3)
     floor = tol.g0_zero_tol
 
-    def usable(name: str, m: ComplexMat) -> ComplexMat:
-        if rms_norm(m) <= floor:
-            raise ZeroMatrix("%s input is effectively zero (%.3e)"
-                             % (name, rms_norm(m)))
+    def usable(name: str, m: np.ndarray) -> np.ndarray:
+        if _rms(m) <= floor:
+            raise ZeroMatrix("%s input is effectively zero (%.3e)" % (name, _rms(m)))
         return m
 
     def simple():
-        return g.g0 + g.S[i]
+        return g0 + S[i]
 
     def inv_a():
-        return eye + usable("H", g.H[k]) @ usable("S", g.S[j]).inverse(tol)
+        return _EYE3 + usable("H", H[k]) @ _inverse(usable("S", S[j]), tol)
 
     def inv_b():
-        return eye + usable("H", g.H[j]) @ usable("S", g.S[k]).inverse(tol)
+        return _EYE3 + usable("H", H[j]) @ _inverse(usable("S", S[k]), tol)
 
     def inv2():
-        return eye + usable("g6", g.g6) @ usable("H", g.H[i]).inverse(tol)
+        return _EYE3 + usable("g6", g6) @ _inverse(usable("H", H[i]), tol)
 
     return {"simple": simple, "inv_a": inv_a, "inv_b": inv_b, "inv2": inv2}
 
 
-def _factor_candidate(g: GradeDecomposition, i: int, order, tol: Tolerances):
-    exprs = _route_exprs(g, i, tol)
-    eye = np.eye(3)
+def _factor_candidate(g0, g6, H, S, i: int, order, tol: Tolerances):
+    exprs = _route_exprs(g0, g6, H, S, i, tol)
     notes = []
     ambiguous = None
     for name in order:
         try:
-            cand = normalize(exprs[name](), tol)
-        except (ZeroMatrix, NumericalError) as exc:
+            cand = _normalize(exprs[name](), tol)
+        except NumericalError as exc:
             notes.append("%s: %s" % (name, exc))
             continue
-        udev = np.linalg.norm(cand.array.conj().T @ cand.array - eye)
-        if udev > 100.0 * tol.fact_tol:
+        udev = _group_residuals(cand)[0]
+        if not udev <= 100.0 * tol.fact_tol:
             notes.append("%s: candidate not unitary (%.3e)" % (name, udev))
             continue
         try:
-            part = principal_log_factor(cand, tol)
+            part = _log_factor(cand, tol)
         except AmbiguousDirection as exc:
             ambiguous = exc
             notes.append("%s: %s" % (name, exc))
@@ -190,13 +204,20 @@ def factorize(u, tol: Tolerances = DEFAULT_TOL) -> Factorization:
     every cos(beta_i) is nonzero the direct g0 + S_i route is cheapest
     and most accurate; when g0 vanishes (some cos is zero) the inverse
     routes go first, with g0 + S_i kept as a last resort since it still
-    works when only one cosine vanishes.
+    works when only one cosine vanishes.  The grade decomposition the
+    routes used comes with the result.
     """
-    m = _as_mat(u)
-    if m.n != 3:
-        raise InputError("expected a 3x3 group element, got %dx%d" % (m.n, m.n))
-    g = split_HS(m, tol)
-    if rms_norm(g.g0) > tol.g0_zero_tol:
+    factors, parts, routes, grades = _factorize(_as_mat(u).array, tol)
+    return Factorization(factors=tuple(map(_finite_mat, factors)),
+                         parts=tuple(_simple_part(*p) for p in parts),
+                         routes=tuple(routes), grades=_decomposition(grades))
+
+
+def _factorize(a: np.ndarray, tol: Tolerances):
+    """factorize on an array: (factors, (beta, unit) parts, routes, grades), all arrays."""
+    grades = _split_HS(a, tol)
+    g0, _, _, g6, _, _, H, S = grades
+    if _rms(g0) > tol.g0_zero_tol:
         order = ("simple", "inv_a", "inv_b", "inv2")
     else:
         order = ("inv_a", "inv_b", "inv2", "simple")
@@ -205,7 +226,7 @@ def factorize(u, tol: Tolerances = DEFAULT_TOL) -> Factorization:
     routes = []
     ambiguous = None
     for i in (0, 1):
-        cand, part, name, notes, amb = _factor_candidate(g, i, order, tol)
+        cand, part, name, notes, amb = _factor_candidate(g0, g6, H, S, i, order, tol)
         ambiguous = ambiguous or amb
         if cand is None:
             if ambiguous is not None:
@@ -215,29 +236,19 @@ def factorize(u, tol: Tolerances = DEFAULT_TOL) -> Factorization:
         factors.append(cand)
         parts.append(part)
         routes.append(name)
-    u3 = factors[0].adjoint() @ factors[1].adjoint() @ m
+    u3 = factors[0].conj().T @ factors[1].conj().T @ a
     try:
-        parts.append(principal_log_factor(u3, tol))
+        parts.append(_log_factor(u3, tol))
     except NotSimpleFactor as exc:
         # the first two factors validated individually but are mutually
         # inconsistent; report as a factorization failure, not a shape error
         raise FactorizationFailed("closing factor is not simple: %s" % exc) from exc
     factors.append(u3)
     routes.append("closing")
-    return Factorization(factors=(factors[0], factors[1], factors[2]),
-                         parts=(parts[0], parts[1], parts[2]),
-                         routes=(routes[0], routes[1], routes[2]))
+    return factors, parts, routes, grades
 
 
-def _flip(part: SimplePart) -> SimplePart:
-    # principal log of -U_i instead of U_i: beta -> pi - beta, unit -> -unit
-    beta = math.pi - part.beta
-    unit = part.unit * (-1.0)
-    return SimplePart(mat=unit * beta, lam=complex(-beta * beta),
-                      beta=beta, unit=unit)
-
-
-def _canonical_parts(u, tol: Tolerances):
+def _canonical_parts(a: np.ndarray, tol: Tolerances):
     """Factor parts re-signed so their matrix logs sum to the principal log.
 
     Each factor admits two part representations, (beta, bhat) and its
@@ -252,24 +263,37 @@ def _canonical_parts(u, tol: Tolerances):
     product of the factor exponentials unchanged, and odd flip counts
     are never traceless, so the selection still multiplies out to u.
     """
-    fz = factorize(u, tol)
-    parts = list(fz.parts)
-    flippable = [i for i, p in enumerate(parts) if p.unit is not None]
+    _, parts, _, _ = _factorize(a, tol)
+    flippable = [i for i, (_, unit) in enumerate(parts) if unit is not None]
     best = None
     for mask in range(1 << len(flippable)):
         sel = list(parts)
         for bit, i in enumerate(flippable):
             if mask >> bit & 1:
-                sel[i] = _flip(parts[i])
-        if abs(sum(p.mat.trace().imag for p in sel)) > 1.0:
+                # principal log of -U_i instead of U_i: beta -> pi - beta, unit -> -unit
+                sel[i] = (math.pi - parts[i][0], parts[i][1] * complex(-1.0))
+        if not abs(sum(complex(np.trace(_part_mat(*p))).imag for p in sel)) <= 1.0:
             continue
-        cost = sum(p.beta * p.beta for p in sel)
+        cost = sum(beta * beta for beta, _ in sel)
         key = (cost, mask.bit_count(), mask)
         if best is None or key < best[0]:
             best = (key, sel)
     if best is None:
         raise FactorizationFailed("no traceless sign selection for the factor logs")
-    return best[1], fz
+    return best[1]
+
+
+def _log_sum(a: np.ndarray, k, tol: Tolerances) -> np.ndarray:
+    """Sum of the canonical part logs plus 2 pi k_i turns along part i, made skew."""
+    total = np.zeros((3, 3), dtype=np.complex128)
+    for (beta, unit), ki in zip(_canonical_parts(a, tol), k):
+        total = total + _part_mat(beta, unit)
+        if ki != 0:
+            if unit is None:
+                raise MissingDirection(
+                    "branch %d requested on a part with no direction" % ki)
+            total = total + unit * complex(2.0 * math.pi * ki)
+    return (total - total.conj().T) * complex(0.5)
 
 
 def principal_log(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
@@ -279,15 +303,11 @@ def principal_log(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
     beta_i in [0, pi] along its own direction, so the result is the
     branch whose part angles are all principal.
     """
-    parts, _ = _canonical_parts(u, tol)
-    total = ComplexMat.zeros(3)
-    for p in parts:
-        total = total + p.mat
-    total = (total - total.adjoint()) * 0.5
-    if abs(total.trace()) > tol.log_tol:
-        raise FactorizationFailed(
-            "log trace %.3e after canonicalization" % abs(total.trace()))
-    return total
+    total = _log_sum(_as_mat(u).array, (0, 0, 0), tol)
+    trace = abs(complex(np.trace(total)))
+    if not trace <= tol.log_tol:
+        raise FactorizationFailed("log trace %.3e after canonicalization" % trace)
+    return _finite_mat(total)
 
 
 def branch_log(u, branch: LogBranch, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
@@ -298,14 +318,4 @@ def branch_log(u, branch: LogBranch, tol: Tolerances = DEFAULT_TOL) -> ComplexMa
     """
     if not isinstance(branch, LogBranch):
         branch = LogBranch(k=tuple(branch))
-    parts, _ = _canonical_parts(u, tol)
-    total = ComplexMat.zeros(3)
-    for p, ki in zip(parts, branch.k):
-        total = total + p.mat
-        if ki != 0:
-            if p.unit is None:
-                raise MissingDirection(
-                    "branch %d requested on a part with no direction" % ki)
-            total = total + p.unit * (2.0 * math.pi * ki)
-    total = (total - total.adjoint()) * 0.5
-    return total
+    return _finite_mat(_log_sum(_as_mat(u).array, branch.k, tol))

@@ -17,6 +17,10 @@ decomposition: A = g2 + g4 has complex eigenvalues gamma_i + i delta_i
 on U's eigenbasis, and feeding the real and imaginary parts separately
 through the part ansatz yields exactly Hermitian H_i and exactly
 skew-Hermitian S_i with sum g4 and g2 respectively.
+
+The arithmetic runs on complex128 arrays (``_split_HS`` and helpers,
+which ``factorlog`` calls directly); public functions take a
+``GroupElement``, ``ComplexMat`` or raw entries and wrap each result.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ import dataclasses
 
 import numpy as np
 
-from .expmap import GroupElement
-from .smallmat import ComplexMat, eigen_normal3
+from .errors import DimensionMismatch
+from .smallmat import ComplexMat, _as_mat, _eigen_normal3, _finite_mat, _normal_norm
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -42,45 +46,49 @@ class GradeDecomposition:
     S: tuple[ComplexMat, ComplexMat, ComplexMat]
 
 
-def _as_mat(u) -> ComplexMat:
-    return u.mat if isinstance(u, GroupElement) else u
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    adj = a.conj().T
+    return (a + adj) * complex(0.5), (a - adj) * complex(0.5)
+
+
+def _grades(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(g0, g2, g4, g6, ccos, ssin) of a square array."""
+    ccos, ssin = _halves(a)
+    t = complex(np.trace(a))
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    g0 = eye * ((1.0 + ((t + t.conjugate()) / 2.0)) / 4.0)
+    g6 = eye * (((t - t.conjugate()) / 2.0) / 4.0)
+    return g0, ssin - g6, ccos - g0, g6, ccos, ssin
 
 
 def ccos_ssin(u) -> tuple[ComplexMat, ComplexMat]:
     """Hermitian and skew-Hermitian halves of u; they sum back to u."""
-    m = _as_mat(u)
-    adj = m.adjoint()
-    return (m + adj) * 0.5, (m - adj) * 0.5
+    return tuple(map(_finite_mat, _halves(_as_mat(u).array)))
 
 
 def grade0(u) -> ComplexMat:
-    m = _as_mat(u)
-    c = (1.0 + ((m.trace() + m.trace().conjugate()) / 2.0)) / 4.0
-    return ComplexMat.identity(m.n) * c
-
-
-def grade6(u) -> ComplexMat:
-    m = _as_mat(u)
-    s = ((m.trace() - m.trace().conjugate()) / 2.0) / 4.0
-    return ComplexMat.identity(m.n) * s
+    return _finite_mat(_grades(_as_mat(u).array)[0])
 
 
 def grade2(u) -> ComplexMat:
-    _, ssin = ccos_ssin(u)
-    return ssin - grade6(u)
+    return _finite_mat(_grades(_as_mat(u).array)[1])
 
 
 def grade4(u) -> ComplexMat:
-    ccos, _ = ccos_ssin(u)
-    return ccos - grade0(u)
+    return _finite_mat(_grades(_as_mat(u).array)[2])
 
 
-def traceless_projection(m: ComplexMat) -> ComplexMat:
+def grade6(u) -> ComplexMat:
+    return _finite_mat(_grades(_as_mat(u).array)[3])
+
+
+def traceless_projection(m) -> ComplexMat:
     """M - tr(M)/3, the projection used in lattice gauge fixing.
 
     Differs from grade2 of a group element by (1/12) tr(ssin) times the
     identity; kept for comparison, not used by the grade machinery.
     """
+    m = _as_mat(m)
     return m - ComplexMat.identity(m.n) * (m.trace() / 3.0)
 
 
@@ -94,6 +102,32 @@ def _hermitian_outer(v: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
+def _split_HS(a: np.ndarray, tol: Tolerances) -> tuple:
+    """split_HS on a 3x3 array: (g0, g2, g4, g6, ccos, ssin, H, S) as arrays."""
+    if a.shape != (3, 3):
+        raise DimensionMismatch(f"expected a 3x3 matrix, got {a.shape[0]}x{a.shape[1]}")
+    _, p, _ = _eigen_normal3(a, _normal_norm(a, tol), tol)
+    grades = _grades(a)
+    d = np.diag(p.conj().T @ (grades[1] + grades[2]) @ p)  # A = g2 + g4 on u's eigenbasis
+    gam = d.real
+    delt = d.imag
+    eye = np.eye(3)
+    hs = []
+    ss = []
+    for i in range(3):
+        invol = 2.0 * _hermitian_outer(p[:, i]) - eye
+        hs.append(0.5 * (gam[i] - gam.sum()) * invol)
+        ss.append(0.5j * (delt[i] - delt.sum()) * invol)
+    return (*grades, tuple(hs), tuple(ss))
+
+
+def _decomposition(arrays: tuple) -> GradeDecomposition:
+    """Wrap the arrays of _split_HS, each after one finiteness check."""
+    *grades, hs, ss = arrays
+    return GradeDecomposition(*map(_finite_mat, grades), tuple(map(_finite_mat, hs)),
+                              tuple(map(_finite_mat, ss)))
+
+
 def split_HS(u, tol: Tolerances = DEFAULT_TOL) -> GradeDecomposition:
     """Full grade decomposition of u, including the H_i/S_i constituents.
 
@@ -104,26 +138,4 @@ def split_HS(u, tol: Tolerances = DEFAULT_TOL) -> GradeDecomposition:
     H_i, to the i deltas alone S_i.  Built this way the H_i are exactly
     Hermitian and the S_i exactly skew.
     """
-    m = _as_mat(u)
-    ccos, ssin = ccos_ssin(m)
-    g0 = grade0(m)
-    g6 = grade6(m)
-    g2 = ssin - g6
-    g4 = ccos - g0
-    es = eigen_normal3(m, tol)
-    a = (g2 + g4).array
-    p = es.vectors.array
-    d = np.diag(p.conj().T @ a @ p)
-    gam = d.real
-    delt = d.imag
-    eye = np.eye(3)
-    hs = []
-    ss = []
-    for i in range(3):
-        invol = 2.0 * _hermitian_outer(p[:, i]) - eye
-        hs.append(ComplexMat(0.5 * (gam[i] - gam.sum()) * invol))
-        ss.append(ComplexMat(0.5j * (delt[i] - delt.sum()) * invol))
-    return GradeDecomposition(
-        g0=g0, g2=g2, g4=g4, g6=g6, ccosU=ccos, ssinU=ssin,
-        H=(hs[0], hs[1], hs[2]), S=(ss[0], ss[1], ss[2]),
-    )
+    return _decomposition(_split_HS(_as_mat(u).array, tol))

@@ -36,8 +36,11 @@ import numpy as np
 from .errors import DegenerateLambdas, DimensionMismatch, InvalidAlgebraElement
 from .smallmat import (
     ComplexMat,
+    Validated,
+    _as_mat,
     _eigen_general,
     _eigen_normal3,
+    _finite_norm,
     _norm_and_commutator,
     commutator,
     eigen_general,
@@ -45,24 +48,17 @@ from .smallmat import (
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
-class AlgebraElement:
+class AlgebraElement(Validated):
     """A validated traceless skew-Hermitian 3x3 matrix."""
 
-    __slots__ = ("_mat",)
+    __slots__ = ()
 
     def __init__(self, mat, tol: Tolerances = DEFAULT_TOL) -> None:
-        m = mat if isinstance(mat, ComplexMat) else ComplexMat(mat)
+        m = _as_mat(mat)
         problem = _su3_problem(m.array, tol)
         if problem is not None:
             raise InvalidAlgebraElement(problem)
         object.__setattr__(self, "_mat", m)
-
-    @property
-    def mat(self) -> ComplexMat:
-        return self._mat
-
-    def __repr__(self) -> str:
-        return f"AlgebraElement({self._mat.array.tolist()!r})"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,23 +98,19 @@ class InvariantDecomposition:
         return worst
 
 
-def _as_mat(b) -> ComplexMat:
-    if isinstance(b, AlgebraElement):
-        return b.mat
-    if isinstance(b, ComplexMat):
-        return b
-    return ComplexMat(b)
-
-
 def _su3_problem(arr: np.ndarray, tol: Tolerances) -> str | None:
-    """Why arr is not a traceless skew-Hermitian 3x3 matrix within alg_tol, or None."""
+    """Why arr is not a traceless skew-Hermitian 3x3 matrix within alg_tol, or None.
+
+    Overflow when the squared norm is not finite (the skew bound would be inf).
+    """
     if arr.shape != (3, 3):
         return f"expected a 3x3 matrix, got {arr.shape[0]}x{arr.shape[1]}"
+    nrm = _finite_norm(arr)
     trace = complex(np.trace(arr))
     if abs(trace) > tol.alg_tol:
         return f"trace {trace:.3e} is not zero within alg_tol"
     skew = float(np.linalg.norm(arr + arr.conj().T))
-    if skew > tol.alg_tol * max(1.0, float(np.linalg.norm(arr))):
+    if skew > tol.alg_tol * max(1.0, nrm):
         return f"Hermitian residual {skew:.3e} exceeds alg_tol, matrix is not skew-Hermitian"
     return None
 

@@ -18,18 +18,10 @@ from .errors import InputError, NotUnitary
 from .expmap import GroupElement
 from .invdec import AlgebraElement
 from .gellmann import LAMBDAS
-from .smallmat import ComplexMat, eigen_general, eigen_normal3
+from .smallmat import ComplexMat, _as_mat, eigen_general, eigen_normal3
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _TAYLOR_ORDER = 18
-
-
-def _as_array(m) -> np.ndarray:
-    if isinstance(m, (AlgebraElement, GroupElement)):
-        return m.mat.array
-    if isinstance(m, ComplexMat):
-        return m.array
-    return ComplexMat(m).array
 
 
 def _check_seed(seed: int) -> int:
@@ -47,7 +39,7 @@ def exp_reference(b) -> ComplexMat:
     (remainder below 1e-22 at that norm), and the result is squared
     back up.
     """
-    arr = _as_array(b)
+    arr = _as_mat(b).array
     n = arr.shape[0]
     nrm = float(np.linalg.norm(arr))
     squarings = max(0, math.ceil(math.log2(nrm / 0.5))) if nrm > 0.5 else 0
@@ -67,13 +59,12 @@ def log_reference(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
     and reassembled as P diag(i theta) P^{-1}, with a final projection
     onto the skew-Hermitian subspace to strip round-off.
     """
-    arr = _as_array(u)
+    arr = _as_mat(u).array
     n = arr.shape[0]
     dev = float(np.linalg.norm(arr.conj().T @ arr - np.eye(n)))
     if dev > tol.grp_tol:
         raise NotUnitary(f"unitarity residual {dev:.3e} exceeds grp_tol")
-    m = ComplexMat(arr)
-    es = eigen_normal3(m, tol) if n == 3 else eigen_general(m, tol)
+    es = eigen_normal3(arr, tol) if n == 3 else eigen_general(arr, tol)
     phases = np.array([math.atan2(v.imag, v.real) for v in es.values])
     log = es.vectors.array @ np.diag(1j * phases) @ es.inverse_vectors.array
     return ComplexMat((log - log.conj().T) / 2.0)
@@ -91,18 +82,17 @@ def random_algebra(seed: int, scale: float = 1.0, tol: Tolerances = DEFAULT_TOL)
     return AlgebraElement(ComplexMat(1j * scale * total), tol)
 
 
-def random_group(seed: int, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
-    """Haar-distributed SU(3) element.
-
-    Complex Gaussian matrix -> QR -> fix the R-diagonal phases so the
-    factor is Haar on U(3) -> divide by the cube root of the
-    determinant to land in SU(3).
-    """
-    rng = np.random.default_rng(_check_seed(seed))
+def _haar_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar U(3): complex Gaussian -> QR -> R-diagonal phases moved onto the Q factor."""
     z = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diag(r)
-    q = q @ np.diag(d / np.abs(d))
+    return q @ np.diag(d / np.abs(d))
+
+
+def random_group(seed: int, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
+    """Haar-distributed SU(3) element: _haar_unitary over the cube root of its determinant."""
+    q = _haar_unitary(np.random.default_rng(_check_seed(seed)))
     det = complex(np.linalg.det(q))
     q = q * np.exp(-1j * np.angle(det) / 3.0)
     return GroupElement(ComplexMat(q), tol)
@@ -110,7 +100,7 @@ def random_group(seed: int, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
 
 def compare(a, b) -> float:
     """Relative Frobenius distance ||a - b||_F / max(1, ||b||_F)."""
-    am, bm = _as_array(a), _as_array(b)
+    am, bm = _as_mat(a).array, _as_mat(b).array
     if am.shape != bm.shape:
         raise InputError(f"shape mismatch: {am.shape} vs {bm.shape}")
     return float(np.linalg.norm(am - bm) / max(1.0, np.linalg.norm(bm)))

@@ -8,8 +8,9 @@ is the boundary type: an immutable wrapper whose constructor copies its
 input and validates shape and finiteness.  Its arithmetic returns fresh
 validated objects; ``ComplexMat._wrap`` adopts an array the package has
 just built and already checked, without copying or checking it again.
-The public eigensolvers check their input once, run a kernel, and wrap
-the result:
+Public functions take their argument through ``_as_mat`` (a
+``Validated`` type's matrix, or raw entries validated once).  The public
+eigensolvers check their input once, run a kernel, and wrap the result:
 
 ``eigen_normal3``
     Closed form for 3x3 normal matrices.  Eigenvalues come from the
@@ -174,15 +175,45 @@ class ComplexMat:
         return complex(np.linalg.det(a))
 
     def inverse(self, tol: Tolerances = DEFAULT_TOL) -> "ComplexMat":
-        cond = np.linalg.cond(self._a)
-        if not np.isfinite(cond) or cond > tol.inv_cond_max:
-            raise Singular(f"condition estimate {cond:.3e} exceeds {tol.inv_cond_max:.1e}")
-        return ComplexMat(np.linalg.inv(self._a))
+        return ComplexMat(_inverse(self._a, tol))
+
+
+def _inverse(a: np.ndarray, tol: Tolerances) -> np.ndarray:
+    cond = np.linalg.cond(a)
+    if not np.isfinite(cond) or cond > tol.inv_cond_max:
+        raise Singular(f"condition estimate {cond:.3e} exceeds {tol.inv_cond_max:.1e}")
+    return np.linalg.inv(a)
+
+
+class Validated:
+    """Base of the validated boundary types: a ComplexMat that passed a check."""
+
+    __slots__ = ("_mat",)
+
+    @property
+    def mat(self) -> ComplexMat:
+        return self._mat
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._mat.array.tolist()!r})"
+
+
+def _as_mat(x) -> ComplexMat:
+    """The matrix of a public argument: a validated type's own, or x validated once."""
+    if isinstance(x, Validated):
+        return x._mat
+    return x if isinstance(x, ComplexMat) else ComplexMat(x)
 
 
 def _require_finite(a: np.ndarray) -> None:
     if not np.all(np.isfinite(a)):
         raise NonFiniteEntries("matrix entries must be finite")
+
+
+def _finite_mat(a: np.ndarray) -> ComplexMat:
+    """Wrap an array the package built, after its one finiteness check."""
+    _require_finite(a)
+    return ComplexMat._wrap(a)
 
 
 def _det3(a: np.ndarray) -> complex:
@@ -197,11 +228,15 @@ def commutator(x: ComplexMat, y: ComplexMat) -> ComplexMat:
     return x @ y - y @ x
 
 
-def scalar_residual(m: ComplexMat) -> float:
+def scalar_residual(m) -> float:
     """Frobenius distance of m from the span of the identity."""
-    a = m.array
-    mean = np.trace(a) / m.n
-    return float(np.linalg.norm(a - mean * np.eye(m.n)))
+    return _scalar_residual(_as_mat(m).array)
+
+
+def _scalar_residual(a: np.ndarray) -> float:
+    n = a.shape[0]
+    mean = np.trace(a) / n
+    return float(np.linalg.norm(a - mean * np.eye(n)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -414,6 +449,9 @@ def _polish_normal(a: np.ndarray, v: np.ndarray, scale: float, max_sweeps: int =
     return v
 
 
+# Huge inputs overflow here by design and are refused as Overflow or as
+# a NaN that fails its test, so numpy's RuntimeWarning is only noise.
+@np.errstate(over="ignore", invalid="ignore")
 def _norm_and_commutator(arr: np.ndarray) -> tuple[float, float]:
     """Frobenius norms of arr and of its commutator with its adjoint.
 
@@ -427,10 +465,19 @@ def _norm_and_commutator(arr: np.ndarray) -> tuple[float, float]:
     return nrm, comm
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _finite_norm(arr: np.ndarray) -> float:
     nrm = float(np.linalg.norm(arr))
     if not math.isfinite(nrm * nrm):
         raise Overflow(f"matrix norm {nrm:.3e} is too large: its square overflows")
+    return nrm
+
+
+def _normal_norm(arr: np.ndarray, tol: Tolerances) -> float:
+    """Frobenius norm of arr once it passes the normality test; NotNormal otherwise."""
+    nrm, comm = _norm_and_commutator(arr)
+    if not comm <= tol.normal_tol * nrm * nrm:
+        raise NotNormal(f"commutator residual {comm:.3e} exceeds normal_tol * norm^2")
     return nrm
 
 
@@ -473,7 +520,7 @@ def _eigen_system(values: np.ndarray, v: np.ndarray, vinv: np.ndarray) -> EigenS
         tuple(complex(x) for x in values), ComplexMat._wrap(v), ComplexMat._wrap(vinv))
 
 
-def eigen_normal3(a: ComplexMat, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
+def eigen_normal3(a, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
     """Closed-form eigendecomposition of a 3x3 normal matrix.
 
     The returned basis is unitary; ``inverse_vectors`` is its adjoint.
@@ -481,13 +528,10 @@ def eigen_normal3(a: ComplexMat, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
     the reconstruction residual cannot be brought under eig_tol (only
     reachable for inputs that barely pass the normality test).
     """
-    if a.n != 3:
-        raise DimensionMismatch(f"eigen_normal3 needs a 3x3 matrix, got {a.n}x{a.n}")
-    arr = a.array
-    nrm, comm = _norm_and_commutator(arr)
-    if comm > tol.normal_tol * nrm * nrm:
-        raise NotNormal(f"commutator residual {comm:.3e} exceeds normal_tol * norm^2")
-    return _eigen_system(*_eigen_normal3(arr, nrm, tol))
+    arr = _as_mat(a).array
+    if arr.shape[0] != 3:
+        raise DimensionMismatch("eigen_normal3 needs a 3x3 matrix, got %dx%d" % arr.shape)
+    return _eigen_system(*_eigen_normal3(arr, _normal_norm(arr, tol), tol))
 
 
 def _eigen_general(arr: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -536,7 +580,7 @@ def _eigen_general(arr: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.nda
     return w, v, vinv
 
 
-def eigen_general(a: ComplexMat, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
+def eigen_general(a, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
     """Eigendecomposition of a diagonalizable matrix up to 8x8.
 
     QR iteration on the Hessenberg form (LAPACK through numpy), then the
@@ -545,4 +589,4 @@ def eigen_general(a: ComplexMat, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
     NotDiagonalizable when the eigenvector matrix condition exceeds
     diag_cond_max or the reconstruction residual exceeds eig_tol.
     """
-    return _eigen_system(*_eigen_general(a.array, tol))
+    return _eigen_system(*_eigen_general(_as_mat(a).array, tol))

@@ -22,18 +22,12 @@ class Tolerances:
 
     # invdec
     alg_tol: float = 1e-9         # traceless / skew-Hermitian validation
-    simple_tol: float = 1e-10     # scalar-square residual of a part
     decomp_tol: float = 1e-10     # sum and commutation residuals
-    root_tol: float = 1e-9        # cubic roots vs quarter-squared eigenvalues
-    cross_tol: float = 1e-8       # closed form vs eigen path agreement
     lambda_sep_tol: float = 1e-6  # relative separation required by closed form
     beta_zero_tol: float = 1e-12  # below this angle a part has no direction
 
     # expmap
     grp_tol: float = 1e-11        # unitarity and det-1 validation
-
-    # grades
-    grade_tol: float = 1e-9       # grade identity residuals
 
     # factorlog
     fact_tol: float = 1e-10       # factor product / scalar-ccos residuals

@@ -454,6 +454,14 @@ class TestTolOverride:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "invalid_document"
 
+    @pytest.mark.parametrize("name", ["simple_tol", "root_tol", "cross_tol", "grade_tol"])
+    def test_removed_fields_are_unknown(self, name, capsys, monkeypatch):
+        # these thresholds gated nothing, so they are no longer fields
+        code, out = run_cli(["log", "-", "--tol-override", name + "=1e-9"],
+                            capsys, monkeypatch, EYE)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "invalid_document"
+
     def test_malformed_pair(self, capsys, monkeypatch):
         code, out = run_cli(["log", "-", "--tol-override", "grp_tol"],
                             capsys, monkeypatch, EYE)

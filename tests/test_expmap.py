@@ -14,9 +14,13 @@ from su3kit.expmap import (
     family_element,
     invariant_combination,
 )
-from su3kit.invdec import decompose_via_eigen
+from su3kit.invdec import decompose_nxn, decompose_via_eigen
 from su3kit.oracle import compare, exp_reference, random_algebra, random_group
 from su3kit.smallmat import ComplexMat
+
+# real symmetric, so its parts are not su(3) parts: their lambdas
+# (about 1.22, 0.157 and 2.25) are positive and they carry no angle
+NOT_SU3 = ComplexMat([[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, -3.0]])
 
 
 class TestGroupElement:
@@ -45,6 +49,12 @@ class TestExpSimple:
         for p in decompose_via_eigen(b).parts:
             f = exp_simple(p)
             assert compare(f.mat, exp_reference(p.mat)) < 1e-13
+
+    def test_part_without_angle_refused(self):
+        part = decompose_via_eigen(NOT_SU3).parts[0]
+        assert part.beta is None
+        with pytest.raises(InputError, match="no angle"):
+            exp_simple(part)
 
     def test_cos_sin_form(self):
         b = random_algebra(3, scale=0.9)
@@ -170,6 +180,21 @@ class TestFamilyElement:
         parts = decompose_via_eigen(random_algebra(5)).parts
         with pytest.raises(InputError):
             family_element(parts, (1.0, 2.0))
+
+    def test_zero_part_gives_identity(self):
+        parts = decompose_via_eigen(ComplexMat.zeros(3)).parts
+        assert parts[0].beta == 0.0 and parts[0].unit is None
+        u = family_element(parts, (1.0, 1.0, 1.0))
+        np.testing.assert_array_equal(u.array, np.eye(3))
+
+    def test_parts_without_angle_refused(self):
+        with pytest.raises(InputError, match="no angle"):
+            family_element(decompose_via_eigen(NOT_SU3).parts, (1.0, 1.0, 1.0))
+
+    def test_nxn_parts_refused_as_input(self):
+        parts = decompose_nxn(ComplexMat.diag([1.0, 2.0, 3.0, 4.0]))
+        with pytest.raises(InputError, match="no angle"):
+            family_element(parts, (1.0, 1.0, 1.0, 1.0))
 
     def test_non_commuting_refused(self):
         pa = decompose_via_eigen(random_algebra(1)).parts

@@ -9,7 +9,9 @@ from su3kit.errors import (
     AmbiguousDirection,
     FactorizationFailed,
     MissingDirection,
+    NotNormal,
     NotSimpleFactor,
+    Overflow,
     ZeroMatrix,
 )
 from su3kit.factorlog import (
@@ -237,3 +239,79 @@ class TestBranchLog:
     def test_branch_validation(self):
         with pytest.raises(Exception):
             LogBranch(k=(1, 2))
+
+
+def _bytes(*mats):
+    return b"".join(m.array.tobytes() for m in mats)
+
+
+def _grade_bytes(g):
+    return _bytes(g.g0, g.g2, g.g4, g.g6, g.ccosU, g.ssinU, *g.H, *g.S)
+
+
+class TestArrayBoundary:
+    """A raw array is validated once and gives the GroupElement's bytes."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_raw_array_same_bytes(self, seed):
+        g = random_group(seed)
+        raw = g.mat.array.copy()
+        assert _bytes(principal_log(raw)) == _bytes(principal_log(g))
+        assert _bytes(branch_log(raw, (1, 0, -1))) == _bytes(branch_log(g, (1, 0, -1)))
+        fr, fg = factorize(raw), factorize(g)
+        assert fr.routes == fg.routes
+        assert _bytes(*fr.factors) == _bytes(*fg.factors)
+        assert _bytes(*(p.mat for p in fr.parts)) == _bytes(*(p.mat for p in fg.parts))
+        assert _grade_bytes(split_HS(raw)) == _grade_bytes(split_HS(g))
+        assert _grade_bytes(fg.grades) == _grade_bytes(split_HS(g))
+        for f in fg.factors:
+            assert _bytes(principal_log_factor(f.array.copy()).mat) == \
+                _bytes(principal_log_factor(f).mat)
+
+    def test_validated_only_at_the_boundary(self, monkeypatch):
+        g = random_group(3)
+        calls = []
+        init = ComplexMat.__init__
+
+        def counting(self, entries):
+            calls.append(1)
+            init(self, entries)
+
+        monkeypatch.setattr(ComplexMat, "__init__", counting)
+        ops = (principal_log, lambda u: branch_log(u, (1, 0, 0)), factorize, split_HS)
+        for op in ops:
+            calls.clear()
+            op(g)
+            assert len(calls) == 0
+            op(g.mat.array)
+            assert len(calls) == 1
+
+
+# Outcome of s * U over Haar U (seeds 0..19).  Tiny scales lose a
+# factor or its direction; up to 1e50 the element is not special
+# unitary, so no factorization closes; at 1e100 the commutator norm of
+# the normality test overflows; from about 1e154 the squared norm does.
+_AMBIGUOUS_SEEDS = {0, 2, 4, 7, 8, 9, 10, 12, 15, 16, 19}
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-20, 0.5, 2.0, 1e50, 1e100, 1e160, 1e200])
+def test_scale_sweep(scale):
+    for seed in range(20):
+        u = scale * random_group(seed).mat.array
+        if scale <= 1e-20:
+            want = AmbiguousDirection if seed in _AMBIGUOUS_SEEDS else FactorizationFailed
+        elif scale <= 1e50:
+            want = FactorizationFailed
+        else:
+            want = NotNormal if scale == 1e100 else Overflow
+        for op in (principal_log, factorize):
+            with pytest.raises(want) as info:
+                op(u)
+            assert type(info.value) is want
+        if scale <= 1e50:
+            g = split_HS(u)
+            assert all(np.all(np.isfinite(m.array)) for m in (g.g0, g.g2, g.g4, g.g6, *g.H, *g.S))
+        else:
+            with pytest.raises(want) as info:
+                split_HS(u)
+            assert type(info.value) is want

@@ -9,6 +9,7 @@ from su3kit.errors import (
     DegenerateLambdas,
     DimensionMismatch,
     InvalidAlgebraElement,
+    Overflow,
 )
 from su3kit.invdec import (
     AlgebraElement,
@@ -42,6 +43,13 @@ class TestAlgebraElement:
     def test_rejects_traceful(self):
         with pytest.raises(InvalidAlgebraElement):
             AlgebraElement(_diag(0.1j, 0.1j, 0.1j))
+
+    def test_overflowing_norm_refused(self):
+        # the skew bound alg_tol * max(1, norm) would be inf here
+        b = np.zeros((3, 3), dtype=complex)
+        b[0, 1], b[1, 0] = 1e308, -1e308
+        with pytest.raises(Overflow):
+            AlgebraElement(b)
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(InvalidAlgebraElement):

@@ -10,14 +10,26 @@ and is ignored.  Numbers are emitted with 17 significant digits so a
 parse -> serialize round trip is bit-exact for doubles, which keeps
 golden files stable.  Exit codes: 0 success, 2 invalid input, 3
 numerical failure; error paths emit {"error": {"code", "message"}}.
+An unreadable document (not UTF-8, nested too deeply, a number too
+large for a double) and an invalid --tol-override value are invalid
+input.
+
+A call costs little beyond its math: ``main`` builds the argument
+parser once per process, on its first call, and reuses it, and
+``emit_json`` writes a document in one pass that visits each node once.
+Neither changes an output byte; the golden fixtures pin them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import re
 import sys
+
+import numpy as np
 
 from .bench import REGIMES, TASKS, render_table, run_bench
 from .errors import DocumentError, InputError, NumericalError
@@ -37,6 +49,8 @@ def parse_matrix_document(text: str) -> ComplexMat:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"input is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("input nests too deeply to parse") from exc
     if not isinstance(data, dict):
         raise DocumentError("matrix document must be a JSON object")
     for key in ("n", "entries"):
@@ -59,7 +73,10 @@ def parse_matrix_document(text: str) -> ComplexMat:
                            for v in pair)):
                 raise DocumentError(
                     f"entry ({r},{c}) must be a [re, im] pair of numbers")
-            out.append(complex(pair[0], pair[1]))
+            try:
+                out.append(complex(pair[0], pair[1]))
+            except OverflowError as exc:
+                raise DocumentError(f"entry ({r},{c}) is too large for a double") from exc
         rows.append(out)
     meta = data.get("metadata")
     if meta is not None and (not isinstance(meta, dict)
@@ -79,12 +96,17 @@ def matrix_document(m: ComplexMat) -> dict:
 # -- JSON emission ------------------------------------------------------------
 # hand-rolled so floats always carry 17 significant digits and key
 # order is exactly construction order; the stdlib encoder is only used
-# for parsing
+# for parsing.  Layout: a list whose entries are all numbers, or all
+# lists of numbers, goes on one line; every other non-empty list or
+# dict puts one entry per line, indented two spaces per level.
 
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
 
 
 def _emit_str(s: str) -> str:
+    if type(s) is str and _NEEDS_ESCAPE.search(s) is None:
+        return '"' + s + '"'
     out = ['"']
     for ch in s:
         if ch in _ESCAPES:
@@ -97,68 +119,111 @@ def _emit_str(s: str) -> str:
     return "".join(out)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _emit_number(x) -> str:
-    if isinstance(x, int):
+def _number(x) -> str | None:
+    """Text of an int or a finite float; None for anything else, bools included."""
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"cannot emit non-finite number {x!r}")
+        return format(x, ".17g")
+    if isinstance(x, int) and not isinstance(x, bool):
         return str(x)
-    if not math.isfinite(x):
-        raise ValueError(f"cannot emit non-finite number {x!r}")
-    return format(x, ".17g")
+    return None
 
 
-def _inline(xs: list) -> bool:
-    if all(_is_number(e) for e in xs):
-        return True
-    return all(isinstance(e, list) and all(_is_number(q) for q in e) for e in xs)
+def _number_row(xs: list) -> str | None:
+    """One-line text of a list of numbers; None at the first entry that is not one."""
+    texts = []
+    for e in xs:
+        text = _number(e)
+        if text is None:
+            return None
+        texts.append(text)
+    return "[" + ", ".join(texts) + "]"
 
 
 def emit_json(x, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner_pad = "  " * (indent + 1)
-    if x is None:
-        return "null"
-    if _is_number(x):
-        return _emit_number(x)
-    if isinstance(x, str):
-        return _emit_str(x)
-    if isinstance(x, (list, tuple)):
-        xs = list(x)
-        if not xs:
-            return "[]"
-        if _inline(xs):
-            return "[" + ", ".join(emit_json(e) for e in xs) + "]"
-        body = ",\n".join(inner_pad + emit_json(e, indent + 1) for e in xs)
-        return "[\n" + body + "\n" + pad + "]"
+    """JSON text of x, nested ``indent`` levels deep.
+
+    None, ints, finite floats, strings, lists, tuples and string-keyed
+    dicts only: anything else (bools included) is a TypeError, a
+    non-finite float a ValueError.
+    """
+    out: list[str] = []
+    _emit(x, indent, out)
+    return "".join(out)
+
+
+def _emit(x, indent: int, out: list[str]) -> None:
     if isinstance(x, dict):
         if not x:
-            return "{}"
-        body = ",\n".join(
-            inner_pad + _emit_str(k) + ": " + emit_json(v, indent + 1)
-            for k, v in x.items())
-        return "{\n" + body + "\n" + pad + "}"
-    raise TypeError(f"cannot emit {type(x).__name__}")
+            out.append("{}")
+            return
+        pad = "  " * (indent + 1)
+        lead = "{\n" + pad
+        for k, v in x.items():
+            out.append(lead + _emit_str(k) + ": ")
+            _emit(v, indent + 1, out)
+            lead = ",\n" + pad
+        out.append("\n" + "  " * indent + "}")
+    elif isinstance(x, (list, tuple)):
+        _emit_list(x, indent, out)
+    elif isinstance(x, str):
+        out.append(_emit_str(x))
+    elif x is None:
+        out.append("null")
+    else:
+        text = _number(x)
+        if text is None:
+            raise TypeError(f"cannot emit {type(x).__name__}")
+        out.append(text)
+
+
+def _emit_list(xs, indent: int, out: list[str]) -> None:
+    if not xs:
+        out.append("[]")
+        return
+    # one-line texts of the leading entries that are numbers or lists of
+    # numbers; a block layout reuses them, since they read the same there
+    texts = []
+    numbers = rows = False
+    for e in xs:
+        if isinstance(e, list):
+            text = _number_row(e)
+            rows = True
+        else:
+            text = _number(e)
+            numbers = True
+        if text is None:
+            break
+        texts.append(text)
+    else:
+        if not (numbers and rows):
+            out.append("[" + ", ".join(texts) + "]")
+            return
+    pad = "  " * (indent + 1)
+    lead = "[\n" + pad
+    for text in texts:
+        out.append(lead + text)
+        lead = ",\n" + pad
+    for e in xs[len(texts):]:
+        out.append(lead)
+        _emit(e, indent + 1, out)
+        lead = ",\n" + pad
+    out.append("\n" + "  " * indent + "]")
 
 
 # -- shared helpers -----------------------------------------------------------
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"input is not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-
-
-def _require_unitary(m: ComplexMat, tol: Tolerances) -> None:
-    # unitarity only: boundary elements like -1 have det -1 and must
-    # still reach the log machinery, which reports them as numerical
-    # failures rather than input errors
-    _check_group(m.array, tol, special=False)
 
 
 def _tol_from_args(args) -> Tolerances:
@@ -178,6 +243,8 @@ def _tol_from_args(args) -> Tolerances:
         return with_overrides(DEFAULT_TOL, **changes)
     except KeyError as exc:
         raise DocumentError(f"unknown tolerance field {exc.args[0]!r}") from exc
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
 
 
 def _parse_branch(text: str) -> tuple[int, int, int]:
@@ -232,8 +299,11 @@ def cmd_exp(args, tol: Tolerances) -> str:
 
 def cmd_log(args, tol: Tolerances) -> str:
     m = parse_matrix_document(_read_input(args.input))
-    _require_unitary(m, tol)
     if args.method == "reference":
+        # principal_log checks unitarity itself; the oracle's own check is
+        # kept apart from the route's, so the route's check runs here
+        # (unitarity only: -1 has det -1 and is a numerical failure)
+        _check_group(m.array, tol, special=False)
         if args.branch is not None:
             raise DocumentError("--branch applies only to the invariant method")
         log = log_reference(m, tol)
@@ -256,10 +326,9 @@ def cmd_log(args, tol: Tolerances) -> str:
 
 def cmd_factor(args, tol: Tolerances) -> str:
     m = parse_matrix_document(_read_input(args.input))
-    _require_unitary(m, tol)
     f = factorize(m, tol)
     g = f.grades
-    product = f.factors[0] @ f.factors[1] @ f.factors[2]
+    u1, u2, u3 = (x.array for x in f.factors)
     doc = {
         "factors": [matrix_document(x) for x in f.factors],
         "routes": list(f.routes),
@@ -271,7 +340,7 @@ def cmd_factor(args, tol: Tolerances) -> str:
         },
         "H": [matrix_document(x) for x in g.H],
         "S": [matrix_document(x) for x in g.S],
-        "product_residual": (product - m).frobenius_norm(),
+        "product_residual": float(np.linalg.norm(u1 @ u2 @ u3 - m.array)),
     }
     return emit_json(doc)
 
@@ -355,8 +424,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on its first call, then reused.
+
+    Parsing leaves it unchanged; the --tol-override list is copied
+    before each append, so no value carries over to the next call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         tol = _tol_from_args(args)
         out = args.handler(args, tol)

@@ -8,10 +8,11 @@ U(t1, t2, t3) of group elements that all fix the same three parts
 under conjugation.
 
 ``exp_su3`` runs on plain arrays from end to end: it validates a raw
-input once as an ``AlgebraElement``, takes the part coefficients and
-eigenbasis from ``invdec._eigen_parts``, multiplies the Euler factors
-as arrays, runs the ``GroupElement`` check (``_check_group``) once on
-the product and wraps it.  ``decompose_via_eigen`` followed by
+input once as an su(3) element, which also yields the norm the
+normality test needs, takes the part coefficients and eigenbasis from
+``invdec._eigen_parts``, multiplies the Euler factors as arrays, runs
+the ``GroupElement`` check (``_check_group``) once on the product and
+wraps it.  ``decompose_via_eigen`` followed by
 ``exp_simple`` on each part is the same computation through the public
 types, and gives the same bits.
 """
@@ -24,8 +25,23 @@ import math
 import numpy as np
 
 from .errors import InputError, NonCommutingParts, NotUnitary
-from .invdec import AlgebraElement, SimplePart, _eigen_parts, _part_array, _su3_scalars
-from .smallmat import ComplexMat, Validated, _as_mat, _det3, _require_finite, commutator
+from .invdec import (
+    AlgebraElement,
+    SimplePart,
+    _algebra_norm,
+    _eigen_parts,
+    _part_array,
+    _su3_scalars,
+)
+from .smallmat import (
+    ComplexMat,
+    Validated,
+    _as_mat,
+    _det3,
+    _finite_norm,
+    _require_finite,
+    commutator,
+)
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -43,22 +59,35 @@ class GroupElement(Validated):
 _EYE3 = np.eye(3, dtype=np.complex128)
 
 
+def _unitarity_residual(arr: np.ndarray) -> float:
+    """||arr^dag arr - 1||_F of a 3x3 array.
+
+    Runs under no np.errstate: callers either hold one or pass an array
+    whose entries are bounded, such as a normalized factor candidate.
+    """
+    return float(np.linalg.norm(arr.conj().T @ arr - _EYE3))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _group_residuals(arr: np.ndarray) -> tuple[float, float]:
     """||arr^dag arr - 1||_F and |det arr - 1| of a 3x3 array; NaN where they overflow."""
-    return float(np.linalg.norm(arr.conj().T @ arr - _EYE3)), abs(_det3(arr) - 1.0)
+    return _unitarity_residual(arr), abs(_det3(arr) - 1.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _check_group(arr: np.ndarray, tol: Tolerances, special: bool = True) -> None:
     """NotUnitary unless arr is a finite 3x3 unitary, with det 1 when special."""
     if arr.shape != (3, 3):
         raise NotUnitary(f"expected a 3x3 matrix, got {arr.shape[0]}x{arr.shape[1]}")
     _require_finite(arr)
     # "not <=" so that a residual that overflowed to NaN is refused too
-    dev, det_dev = _group_residuals(arr)
+    dev = _unitarity_residual(arr)
     if not dev <= tol.grp_tol:
         raise NotUnitary(f"unitarity residual {dev:.3e} exceeds grp_tol")
-    if special and not det_dev <= tol.grp_tol:
+    if not special:
+        return
+    det_dev = abs(_det3(arr) - 1.0)
+    if not det_dev <= tol.grp_tol:
         raise NotUnitary(f"determinant is off 1 by {det_dev:.3e}, matrix is not special")
 
 
@@ -99,8 +128,13 @@ def exp_su3(b, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
     is validated as a special unitary matrix on the way out.  A raw
     input is validated once; an AlgebraElement is taken as it is.
     """
-    element = b if isinstance(b, AlgebraElement) else AlgebraElement(b, tol)
-    coefs, v, vinv = _eigen_parts(element.mat.array, tol)
+    if isinstance(b, AlgebraElement):
+        arr = b.mat.array
+        nrm = _finite_norm(arr)
+    else:
+        arr = _as_mat(b).array
+        nrm = _algebra_norm(arr, tol)
+    coefs, v, vinv = _eigen_parts(arr, nrm, tol)
     out = np.eye(3, dtype=np.complex128)
     for i, coef in enumerate(coefs):
         _, beta = _su3_scalars(coef)

@@ -21,7 +21,10 @@ complex128 arrays; a factor's log is (beta, unit), unit None without a
 direction.  Scalars multiply as Python complex numbers, as ``ComplexMat``
 scales, and residual gates read "not x <= tol" so NaN is refused.  Public
 functions take a ``GroupElement``, ``ComplexMat`` or raw entries and wrap
-each result once, after one finiteness check.
+each result once, after one finiteness check.  ``factorize``,
+``principal_log`` and ``branch_log`` check any input but a
+``GroupElement`` for unitarity once, on entry (``_unitary_array``), so a
+non-unitary input is refused as ``NotUnitary`` before the cascade runs.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import (
     NumericalError,
     ZeroMatrix,
 )
-from .expmap import _EYE3, _factor_array, _group_residuals
+from .expmap import _EYE3, GroupElement, _check_group, _factor_array, _unitarity_residual
 from .grades import GradeDecomposition, _decomposition, _halves, _split_HS
 from .invdec import SimplePart
 from .smallmat import ComplexMat, _as_mat, _finite_mat, _inverse, _scalar_residual
@@ -82,6 +85,20 @@ class LogBranch:
     def __post_init__(self):
         if len(self.k) != 3 or not all(isinstance(x, int) for x in self.k):
             raise InputError("branch must be three integers")
+
+
+def _unitary_array(u, tol: Tolerances) -> np.ndarray:
+    """The array of a public argument, checked unitary unless it is a GroupElement.
+
+    Unitarity only, as the CLI's check: boundary elements such as -1
+    have det -1 and still reach the cascade, which reports them as
+    numerical failures.
+    """
+    if isinstance(u, GroupElement):
+        return u.mat.array
+    arr = _as_mat(u).array
+    _check_group(arr, tol, special=False)
+    return arr
 
 
 def _part_mat(beta: float, unit: np.ndarray | None) -> np.ndarray:
@@ -180,7 +197,7 @@ def _factor_candidate(g0, g6, H, S, i: int, order, tol: Tolerances):
         except NumericalError as exc:
             notes.append("%s: %s" % (name, exc))
             continue
-        udev = _group_residuals(cand)[0]
+        udev = _unitarity_residual(cand)
         if not udev <= 100.0 * tol.fact_tol:
             notes.append("%s: candidate not unitary (%.3e)" % (name, udev))
             continue
@@ -207,7 +224,7 @@ def factorize(u, tol: Tolerances = DEFAULT_TOL) -> Factorization:
     works when only one cosine vanishes.  The grade decomposition the
     routes used comes with the result.
     """
-    factors, parts, routes, grades = _factorize(_as_mat(u).array, tol)
+    factors, parts, routes, grades = _factorize(_unitary_array(u, tol), tol)
     return Factorization(factors=tuple(map(_finite_mat, factors)),
                          parts=tuple(_simple_part(*p) for p in parts),
                          routes=tuple(routes), grades=_decomposition(grades))
@@ -303,7 +320,7 @@ def principal_log(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
     beta_i in [0, pi] along its own direction, so the result is the
     branch whose part angles are all principal.
     """
-    total = _log_sum(_as_mat(u).array, (0, 0, 0), tol)
+    total = _log_sum(_unitary_array(u, tol), (0, 0, 0), tol)
     trace = abs(complex(np.trace(total)))
     if not trace <= tol.log_tol:
         raise FactorizationFailed("log trace %.3e after canonicalization" % trace)
@@ -318,4 +335,4 @@ def branch_log(u, branch: LogBranch, tol: Tolerances = DEFAULT_TOL) -> ComplexMa
     """
     if not isinstance(branch, LogBranch):
         branch = LogBranch(k=tuple(branch))
-    return _finite_mat(_log_sum(_as_mat(u).array, branch.k, tol))
+    return _finite_mat(_log_sum(_unitary_array(u, tol), branch.k, tol))

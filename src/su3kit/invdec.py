@@ -17,13 +17,16 @@ nonzero lambdas; the eigen route works in every case and is the
 arbiter the closed form is cross-checked against.
 
 The eigen route's numeric core is ``_eigen_parts``: on a plain 3x3
-array it runs the one normality test, picks the normal or general
-eigen kernel from it, and returns the part coefficients with the
-eigenvectors and their inverse.  ``decompose_via_eigen`` builds
+array and its norm it runs the one normality test, picks the normal or
+general eigen kernel from it, and returns the part coefficients with
+the eigenvectors and their inverse.  ``decompose_via_eigen`` builds
 ``SimplePart`` objects from it, and ``expmap.exp_su3`` consumes it
-directly.  ``AlgebraElement`` is the validated boundary type; its check
-(``_su3_problem``) is the same one ``decompose_via_eigen`` uses to
-decide whether the parts carry an angle and a direction.
+directly.  ``decompose_nxn`` runs the general kernel on arrays as well,
+and the residuals of ``InvariantDecomposition`` are array arithmetic.
+``AlgebraElement`` is the validated boundary type; its check
+(``_algebra_norm``, built on ``_su3_problem``) is the same one
+``decompose_via_eigen`` uses to decide whether the parts carry an angle
+and a direction.
 """
 
 from __future__ import annotations
@@ -38,12 +41,12 @@ from .smallmat import (
     ComplexMat,
     Validated,
     _as_mat,
+    _commutator_norm,
     _eigen_general,
     _eigen_normal3,
+    _finite_mat,
     _finite_norm,
-    _norm_and_commutator,
-    commutator,
-    eigen_general,
+    _require_finite,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -55,9 +58,7 @@ class AlgebraElement(Validated):
 
     def __init__(self, mat, tol: Tolerances = DEFAULT_TOL) -> None:
         m = _as_mat(mat)
-        problem = _su3_problem(m.array, tol)
-        if problem is not None:
-            raise InvalidAlgebraElement(problem)
+        _algebra_norm(m.array, tol)
         object.__setattr__(self, "_mat", m)
 
 
@@ -83,29 +84,58 @@ class InvariantDecomposition:
     parts: tuple[SimplePart, ...]
     source: ComplexMat
 
+    # overflowing residuals are refused below, so numpy's warnings are noise
+    @np.errstate(over="ignore", invalid="ignore")
     def sum_residual(self) -> float:
-        total = self.parts[0].mat
+        total = self.parts[0].mat.array
         for p in self.parts[1:]:
-            total = total + p.mat
-        return (total - self.source).frobenius_norm()
+            total = total + p.mat.array
+        return _residual_norm(total - self.source.array)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def max_commutator_residual(self) -> float:
         worst = 0.0
-        ps = self.parts
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                worst = max(worst, commutator(ps[i].mat, ps[j].mat).frobenius_norm())
+        arrs = [p.mat.array for p in self.parts]
+        for i in range(len(arrs)):
+            for j in range(i + 1, len(arrs)):
+                x, y = arrs[i], arrs[j]
+                worst = max(worst, _residual_norm(x @ y - y @ x))
         return worst
 
 
-def _su3_problem(arr: np.ndarray, tol: Tolerances) -> str | None:
-    """Why arr is not a traceless skew-Hermitian 3x3 matrix within alg_tol, or None.
+def _residual_norm(a: np.ndarray) -> float:
+    """Frobenius norm of a residual array; NonFiniteEntries if an entry overflowed.
 
-    Overflow when the squared norm is not finite (the skew bound would be inf).
+    A finite norm proves every entry finite, so the entries are only
+    scanned when it is not.  An inf or NaN in any intermediate sum or
+    product survives into ``a``, so this one check refuses what a
+    check on every intermediate would.
+    """
+    nrm = float(np.linalg.norm(a))
+    if not math.isfinite(nrm):
+        _require_finite(a)
+    return nrm
+
+
+def _algebra_norm(arr: np.ndarray, tol: Tolerances) -> float:
+    """Frobenius norm of arr once it passes as an su(3) element.
+
+    InvalidAlgebraElement when arr is not a traceless skew-Hermitian
+    3x3 matrix within alg_tol; Overflow when its squared norm is not
+    finite (the skew bound would be inf).
     """
     if arr.shape != (3, 3):
-        return f"expected a 3x3 matrix, got {arr.shape[0]}x{arr.shape[1]}"
+        raise InvalidAlgebraElement(
+            f"expected a 3x3 matrix, got {arr.shape[0]}x{arr.shape[1]}")
     nrm = _finite_norm(arr)
+    problem = _su3_problem(arr, nrm, tol)
+    if problem is not None:
+        raise InvalidAlgebraElement(problem)
+    return nrm
+
+
+def _su3_problem(arr: np.ndarray, nrm: float, tol: Tolerances) -> str | None:
+    """Why a 3x3 arr with Frobenius norm nrm is not traceless skew-Hermitian, or None."""
     trace = complex(np.trace(arr))
     if abs(trace) > tol.alg_tol:
         return f"trace {trace:.3e} is not zero within alg_tol"
@@ -122,15 +152,17 @@ def _nonneg_sqrt(x: float) -> float:
 _EYE3 = np.eye(3)
 
 
-def _eigen_parts(arr: np.ndarray, tol: Tolerances) -> tuple[list[complex], np.ndarray, np.ndarray]:
+def _eigen_parts(
+    arr: np.ndarray, nrm: float, tol: Tolerances
+) -> tuple[list[complex], np.ndarray, np.ndarray]:
     """Part coefficients, eigenvectors (columns) and their inverse for a 3x3 array.
 
-    Part i is ``_part_array(coefs[i], vectors, inverse, i)``.  Normal
-    inputs go through the closed-form normal kernel, everything else
-    through the general one; NotDiagonalizable propagates from the
-    latter.
+    ``nrm`` is ``_finite_norm(arr)``.  Part i is
+    ``_part_array(coefs[i], vectors, inverse, i)``.  Normal inputs go
+    through the closed-form normal kernel, everything else through the
+    general one; NotDiagonalizable propagates from the latter.
     """
-    nrm, comm = _norm_and_commutator(arr)
+    comm = _commutator_norm(arr)
     if comm <= tol.normal_tol * nrm * nrm:
         values, v, vinv = _eigen_normal3(arr, nrm, tol)
     else:
@@ -161,8 +193,9 @@ def decompose_via_eigen(b, tol: Tolerances = DEFAULT_TOL) -> InvariantDecomposit
     m = _as_mat(b)
     if m.n != 3:
         raise DimensionMismatch(f"decompose_via_eigen needs a 3x3 matrix, got {m.n}x{m.n}")
-    su3 = _su3_problem(m.array, tol) is None
-    coefs, v, vinv = _eigen_parts(m.array, tol)
+    nrm = _finite_norm(m.array)
+    su3 = _su3_problem(m.array, nrm, tol) is None
+    coefs, v, vinv = _eigen_parts(m.array, nrm, tol)
     parts = []
     for i, coef in enumerate(coefs):
         mat = ComplexMat._wrap(_part_array(coef, v, vinv, i))
@@ -188,14 +221,13 @@ def decompose_nxn(b, tol: Tolerances = DEFAULT_TOL) -> list[SimplePart]:
         raise InvalidAlgebraElement(f"decompose_nxn needs n >= 3, got {n}")
     if n == 3:
         return list(decompose_via_eigen(m, tol).parts)
-    es = eigen_general(m, tol)
+    values, v, vinv = _eigen_general(m.array, tol)
     t = m.trace()
     eye = np.eye(n)
     parts = []
     for i in range(n):
-        coef = (es.values[i] - t / (n - 2)) / 2.0
-        proj = np.outer(es.vectors.array[:, i], es.inverse_vectors.array[i, :])
-        mat = ComplexMat(coef * (2.0 * proj - eye))
+        coef = (complex(values[i]) - t / (n - 2)) / 2.0
+        mat = _finite_mat(coef * (2.0 * np.outer(v[:, i], vinv[i, :]) - eye))
         parts.append(SimplePart(mat=mat, lam=complex(coef * coef), beta=None, unit=None))
     return parts
 

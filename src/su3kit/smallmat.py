@@ -3,9 +3,9 @@
 Two layers.  The numeric core works on plain ``complex128`` arrays and
 trusts its caller: the private kernels ``_eigen_normal3`` and
 ``_eigen_general`` return (values, vectors, inverse vectors) as arrays,
-and ``_norm_and_commutator`` is the one normality test.  ``ComplexMat``
-is the boundary type: an immutable wrapper whose constructor copies its
-input and validates shape and finiteness.  Its arithmetic returns fresh
+and ``_commutator_norm`` against ``_finite_norm`` is the one normality
+test.  ``ComplexMat`` is the boundary type: an immutable wrapper whose
+constructor copies its input and validates shape and finiteness.  Its arithmetic returns fresh
 validated objects; ``ComplexMat._wrap`` adopts an array the package has
 just built and already checked, without copying or checking it again.
 Public functions take their argument through ``_as_mat`` (a
@@ -452,21 +452,22 @@ def _polish_normal(a: np.ndarray, v: np.ndarray, scale: float, max_sweeps: int =
 # Huge inputs overflow here by design and are refused as Overflow or as
 # a NaN that fails its test, so numpy's RuntimeWarning is only noise.
 @np.errstate(over="ignore", invalid="ignore")
-def _norm_and_commutator(arr: np.ndarray) -> tuple[float, float]:
-    """Frobenius norms of arr and of its commutator with its adjoint.
+def _commutator_norm(arr: np.ndarray):
+    """Frobenius norm of the commutator of arr with its adjoint.
 
-    The one normality test compares the second against normal_tol times
-    the square of the first.  Raises Overflow when that square is not
-    finite: the test is meaningless there, and the closed form would
-    only turn the infinities into math domain errors further down.
+    The one normality test compares it against normal_tol times the
+    square of ``_finite_norm(arr)``, which the caller computes first.
     """
-    nrm = _finite_norm(arr)
-    comm = np.linalg.norm(arr @ arr.conj().T - arr.conj().T @ arr)
-    return nrm, comm
+    return np.linalg.norm(arr @ arr.conj().T - arr.conj().T @ arr)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _finite_norm(arr: np.ndarray) -> float:
+    """Frobenius norm of arr; Overflow when its square is not finite.
+
+    The normality test is meaningless there, and the closed form would
+    only turn the infinities into math domain errors further down.
+    """
     nrm = float(np.linalg.norm(arr))
     if not math.isfinite(nrm * nrm):
         raise Overflow(f"matrix norm {nrm:.3e} is too large: its square overflows")
@@ -475,7 +476,8 @@ def _finite_norm(arr: np.ndarray) -> float:
 
 def _normal_norm(arr: np.ndarray, tol: Tolerances) -> float:
     """Frobenius norm of arr once it passes the normality test; NotNormal otherwise."""
-    nrm, comm = _norm_and_commutator(arr)
+    nrm = _finite_norm(arr)
+    comm = _commutator_norm(arr)
     if not comm <= tol.normal_tol * nrm * nrm:
         raise NotNormal(f"commutator residual {comm:.3e} exceeds normal_tol * norm^2")
     return nrm

@@ -8,6 +8,7 @@ state.  Functions take a ``tol`` keyword defaulting to ``DEFAULT_TOL``.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,8 +45,17 @@ FIELD_NAMES = tuple(f.name for f in dataclasses.fields(Tolerances))
 
 
 def with_overrides(tol: Tolerances, **changes: float) -> Tolerances:
-    """Return a copy of ``tol`` with the given named thresholds replaced."""
+    """Return a copy of ``tol`` with the given named thresholds replaced.
+
+    KeyError for an unknown name.  ValueError for a value that is NaN,
+    infinite or negative: the gates read "x > tol", so a NaN threshold
+    would switch its gate off without a word.
+    """
     for key in changes:
         if key not in FIELD_NAMES:
             raise KeyError(f"unknown tolerance {key!r}")
-    return dataclasses.replace(tol, **{k: float(v) for k, v in changes.items()})
+    values = {k: float(v) for k, v in changes.items()}
+    for key, value in values.items():
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"tolerance {key} must be finite and non-negative, got {value!r}")
+    return dataclasses.replace(tol, **values)

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from su3kit import cli, expmap, factorlog
 from su3kit.cli import (
     emit_json,
     main,
@@ -16,8 +17,10 @@ from su3kit.cli import (
     parse_matrix_document,
 )
 from su3kit.errors import DocumentError
+from su3kit.factorlog import factorize
 from su3kit.oracle import exp_reference, random_group
 from su3kit.smallmat import ComplexMat
+from su3kit.tolerances import DEFAULT_TOL, with_overrides
 
 
 def doc_text(rows) -> str:
@@ -199,6 +202,42 @@ class TestDecompose:
         assert json.loads(out)["error"]["code"] == "invalid_document"
 
 
+class TestUnreadableDocument:
+    """Bytes that do not read as a document are invalid_document, from a file or stdin."""
+
+    @staticmethod
+    def run_bytes(source, data, capsys, monkeypatch, tmp_path):
+        if source == "file":
+            path = tmp_path / "doc.json"
+            path.write_bytes(data)
+            code, out = run_cli(["decompose", str(path)], capsys)
+        else:
+            stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+            monkeypatch.setattr("sys.stdin", stdin)
+            code, out = run_cli(["decompose", "-"], capsys)
+        assert code == 2
+        return json.loads(out)["error"]
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_not_utf8(self, source, capsys, monkeypatch, tmp_path):
+        err = self.run_bytes(source, b"\xff\xfe", capsys, monkeypatch, tmp_path)
+        assert err["code"] == "invalid_document"
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_integer_too_large_for_a_double(self, source, capsys, monkeypatch, tmp_path):
+        entries = [[[0, 0]] * 3 for _ in range(3)]
+        entries[1][2] = [10**400, 0]
+        data = json.dumps({"n": 3, "entries": entries}).encode()
+        err = self.run_bytes(source, data, capsys, monkeypatch, tmp_path)
+        assert err == {"code": "invalid_document",
+                       "message": "entry (1,2) is too large for a double"}
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_nested_too_deeply(self, source, capsys, monkeypatch, tmp_path):
+        err = self.run_bytes(source, b"[" * 200_000, capsys, monkeypatch, tmp_path)
+        assert err["code"] == "invalid_document"
+
+
 class TestExp:
     def test_zero_gives_identity(self, capsys, monkeypatch):
         code, out = run_cli(["exp", "-"], capsys, monkeypatch, ZERO)
@@ -370,6 +409,37 @@ class TestFactor:
         assert code == 3
         assert json.loads(out)["error"]["code"] == "ambiguous_direction"
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_product_residual_same_bits_as_complexmat(self, seed, capsys, monkeypatch):
+        u = random_group(seed).mat
+        code, out = run_cli(["factor", "-"], capsys, monkeypatch, doc_text(u.array))
+        assert code == 0
+        f = factorize(u)
+        want = (f.factors[0] @ f.factors[1] @ f.factors[2] - u).frobenius_norm()
+        assert json.loads(out)["product_residual"].hex() == want.hex()
+
+
+class TestUnitarityCheck:
+    """log and factor check their input for unitarity exactly once."""
+
+    @pytest.mark.parametrize("argv", [
+        ["log", "-"], ["log", "-", "--branch", "1,0,-1"], ["factor", "-"],
+        ["log", "-", "--method", "reference"],
+    ])
+    def test_one_check_per_call(self, argv, capsys, monkeypatch):
+        calls = []
+        check = expmap._check_group
+
+        def counting(arr, tol, special=True):
+            calls.append(special)
+            check(arr, tol, special)
+
+        monkeypatch.setattr(cli, "_check_group", counting)
+        monkeypatch.setattr(factorlog, "_check_group", counting)
+        code, _ = run_cli(argv, capsys, monkeypatch, doc_text(random_group(4).mat.array))
+        assert code == 0
+        assert calls == [False]
+
 
 class TestBench:
     @staticmethod
@@ -471,6 +541,58 @@ class TestTolOverride:
         code, out = run_cli(["log", "-", "--tol-override", "grp_tol=big"],
                             capsys, monkeypatch, EYE)
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_non_finite_or_negative_refused(self, value, capsys, monkeypatch):
+        # a NaN alg_tol switched the su(3) gate off: this Hermitian entry
+        # passed it and failed later as not_unitary
+        hermitian_entry = doc_text(np.diag([5.0, 0.0, 0.0]))
+        code, out = run_cli(["exp", "-", "--tol-override", "alg_tol=" + value],
+                            capsys, monkeypatch, hermitian_entry)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "invalid_document"
+        with pytest.raises(ValueError):
+            with_overrides(DEFAULT_TOL, alg_tol=float(value))
+
+    def test_zero_accepted(self):
+        assert with_overrides(DEFAULT_TOL, grp_tol=0).grp_tol == 0.0
+
+
+class TestParserReuse:
+    def test_built_once_across_calls(self, capsys, monkeypatch):
+        calls = []
+        build = cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(4):
+                run_cli(["gellmann", "--a", "3"], capsys)
+                run_cli(["exp", "-"], capsys, monkeypatch, ZERO)
+                run_cli(["log", "-", "--tol-override", "grp_tol=1e-3"], capsys, monkeypatch, EYE)
+        finally:
+            cli._parser.cache_clear()
+        assert len(calls) == 1
+
+    def test_override_list_not_shared(self):
+        # argparse copies an append action's list before appending, so the
+        # default [] of the one parser stays empty from call to call
+        first = cli._parser().parse_args(
+            ["log", "-", "--tol-override", "grp_tol=1e-3", "--tol-override", "log_tol=1"])
+        assert first.tol_override == ["grp_tol=1e-3", "log_tol=1"]
+        assert cli._parser().parse_args(["log", "-"]).tol_override == []
+
+    def test_not_built_at_import(self):
+        r = subprocess.run(
+            [sys.executable, "-c",
+             "import su3kit.cli as c; print(c._parser.cache_info().currsize)"],
+            capture_output=True, text=True)
+        assert r.returncode == 0
+        assert r.stdout.strip() == "0"
 
 
 class TestStability:

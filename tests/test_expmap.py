@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import su3kit.expmap
 import su3kit.invdec
 from su3kit.errors import InputError, NonCommutingParts, NotUnitary, Overflow
 from su3kit.expmap import (
@@ -138,6 +139,21 @@ class TestExpMatchesPublicRoute:
         b = _skew_with_phases([2 * math.pi - 1e-3, -math.pi + 0.2, -math.pi - 0.2 + 1e-3], 6)
         betas = [p.beta for p in decompose_via_eigen(b).parts]
         assert abs(max(betas) - math.pi) < 1e-3
+
+    @pytest.mark.parametrize("validated", [False, True])
+    def test_norm_computed_once(self, validated, monkeypatch):
+        b = random_algebra(3)
+        calls = []
+        norm = su3kit.invdec._finite_norm
+
+        def counting(arr):
+            calls.append(1)
+            return norm(arr)
+
+        monkeypatch.setattr(su3kit.invdec, "_finite_norm", counting)
+        monkeypatch.setattr(su3kit.expmap, "_finite_norm", counting)
+        exp_su3(b if validated else b.mat.array)
+        assert len(calls) == 1
 
     def test_general_branch_bit_identical(self, monkeypatch):
         calls = []

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from su3kit import factorlog
 from su3kit.errors import (
     AmbiguousDirection,
     FactorizationFailed,
     MissingDirection,
     NotNormal,
     NotSimpleFactor,
+    NotUnitary,
     Overflow,
     ZeroMatrix,
 )
@@ -287,31 +289,60 @@ class TestArrayBoundary:
             assert len(calls) == 1
 
 
-# Outcome of s * U over Haar U (seeds 0..19).  Tiny scales lose a
-# factor or its direction; up to 1e50 the element is not special
-# unitary, so no factorization closes; at 1e100 the commutator norm of
-# the normality test overflows; from about 1e154 the squared norm does.
-_AMBIGUOUS_SEEDS = {0, 2, 4, 7, 8, 9, 10, 12, 15, 16, 19}
+class TestUnitarityOnEntry:
+    """Anything but a GroupElement is checked for unitarity once, on entry."""
+
+    OPS = (principal_log, lambda u: branch_log(u, (1, 0, -1)), factorize)
+
+    @pytest.mark.parametrize("wrap", [np.asarray, ComplexMat], ids=["array", "ComplexMat"])
+    def test_non_unitary_refused(self, wrap):
+        u = wrap(0.5 * random_group(1).mat.array)
+        for op in self.OPS:
+            with pytest.raises(NotUnitary, match="unitarity residual"):
+                op(u)
+
+    def test_det_minus_one_reaches_the_cascade(self):
+        for op in self.OPS:
+            with pytest.raises(AmbiguousDirection):
+                op(-np.eye(3, dtype=complex))
+
+    def test_group_element_not_checked_again(self, monkeypatch):
+        calls = []
+        check = factorlog._check_group
+
+        def counting(arr, tol, special=True):
+            calls.append(special)
+            check(arr, tol, special)
+
+        monkeypatch.setattr(factorlog, "_check_group", counting)
+        g = random_group(2)
+        for op in self.OPS:
+            calls.clear()
+            op(g)
+            assert calls == []
+            op(g.mat)
+            assert calls == [False]
 
 
+# Outcome of s * U over Haar U (seeds 0..19).  principal_log and
+# factorize check a raw input for unitarity on entry, so every scale is
+# refused there as not unitary, overflowing residuals included.
+# split_HS does not check: up to 1e50 its grades stay finite, at 1e100
+# the commutator norm of the normality test overflows, and from about
+# 1e154 the squared norm does.
 @pytest.mark.parametrize("scale", [1e-300, 1e-20, 0.5, 2.0, 1e50, 1e100, 1e160, 1e200])
 def test_scale_sweep(scale):
     for seed in range(20):
         u = scale * random_group(seed).mat.array
-        if scale <= 1e-20:
-            want = AmbiguousDirection if seed in _AMBIGUOUS_SEEDS else FactorizationFailed
-        elif scale <= 1e50:
-            want = FactorizationFailed
-        else:
-            want = NotNormal if scale == 1e100 else Overflow
         for op in (principal_log, factorize):
-            with pytest.raises(want) as info:
+            with pytest.raises(NotUnitary) as info:
                 op(u)
-            assert type(info.value) is want
+            assert type(info.value) is NotUnitary
         if scale <= 1e50:
             g = split_HS(u)
             assert all(np.all(np.isfinite(m.array)) for m in (g.g0, g.g2, g.g4, g.g6, *g.H, *g.S))
         else:
+            want = NotNormal if scale == 1e100 else Overflow
             with pytest.raises(want) as info:
                 split_HS(u)
             assert type(info.value) is want

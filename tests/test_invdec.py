@@ -9,17 +9,20 @@ from su3kit.errors import (
     DegenerateLambdas,
     DimensionMismatch,
     InvalidAlgebraElement,
+    NonFiniteEntries,
     Overflow,
 )
 from su3kit.invdec import (
     AlgebraElement,
+    InvariantDecomposition,
+    SimplePart,
     decompose_closed_form,
     decompose_nxn,
     decompose_via_eigen,
     lambda_roots,
 )
 from su3kit.oracle import random_algebra
-from su3kit.smallmat import ComplexMat, commutator, scalar_residual
+from su3kit.smallmat import ComplexMat, commutator, eigen_general, scalar_residual
 
 
 def _diag(*vals):
@@ -192,3 +195,78 @@ class TestDecomposeNxn:
     def test_too_small(self):
         with pytest.raises(InvalidAlgebraElement):
             decompose_nxn(ComplexMat(np.diag([1.0 + 0j, 2.0])))
+
+
+# The ComplexMat arithmetic that the array residuals and the array
+# decompose_nxn replaced; the array versions must give the same bits.
+
+def _complexmat_sum_residual(dec):
+    total = dec.parts[0].mat
+    for p in dec.parts[1:]:
+        total = total + p.mat
+    return (total - dec.source).frobenius_norm()
+
+
+def _complexmat_max_commutator(dec):
+    worst = 0.0
+    ps = dec.parts
+    for i in range(len(ps)):
+        for j in range(i + 1, len(ps)):
+            worst = max(worst, commutator(ps[i].mat, ps[j].mat).frobenius_norm())
+    return worst
+
+
+def _complexmat_nxn_parts(m):
+    n = m.n
+    es = eigen_general(m)
+    t = m.trace()
+    parts = []
+    for i in range(n):
+        coef = (es.values[i] - t / (n - 2)) / 2.0
+        proj = np.outer(es.vectors.array[:, i], es.inverse_vectors.array[i, :])
+        parts.append((ComplexMat(coef * (2.0 * proj - np.eye(n))), complex(coef * coef)))
+    return parts
+
+
+def _diagonalizable(rng, n):
+    p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    d = np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return ComplexMat(p @ d @ np.linalg.inv(p))
+
+
+class TestArrayResiduals:
+    """Array residuals and decompose_nxn parts match the ComplexMat arithmetic bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nxn_same_bits(self, n, seed):
+        m = _diagonalizable(np.random.default_rng(1000 * n + seed), n)
+        parts = decompose_nxn(m)
+        dec = InvariantDecomposition(parts=tuple(parts), source=m)
+        assert dec.sum_residual().hex() == _complexmat_sum_residual(dec).hex()
+        assert dec.max_commutator_residual().hex() == _complexmat_max_commutator(dec).hex()
+        if n > 3:
+            want = _complexmat_nxn_parts(m)
+            assert [p.mat.array.tobytes() for p in parts] == [w.array.tobytes() for w, _ in want]
+            assert [p.lam for p in parts] == [lam for _, lam in want]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_su3_same_bits(self, seed):
+        dec = decompose_via_eigen(random_algebra(seed))
+        assert dec.sum_residual().hex() == _complexmat_sum_residual(dec).hex()
+        assert dec.max_commutator_residual().hex() == _complexmat_max_commutator(dec).hex()
+
+    def test_overflowing_residuals_refused(self):
+        # finite parts whose sum and products overflow: refused as the
+        # ComplexMat arithmetic refuses them, not returned as inf or NaN
+        x = ComplexMat([[1e308, 1e200], [0, 0]])
+        y = ComplexMat([[1e308, 0], [1e200, 0]])
+        parts = tuple(SimplePart(mat=p, lam=0j, beta=None, unit=None) for p in (x, y))
+        dec = InvariantDecomposition(parts=parts, source=ComplexMat.zeros(2))
+        for array_way, complexmat_way in ((dec.sum_residual, _complexmat_sum_residual),
+                                          (dec.max_commutator_residual, _complexmat_max_commutator)):
+            # the ComplexMat arithmetic also warns on the way
+            with pytest.raises(NonFiniteEntries), np.errstate(over="ignore", invalid="ignore"):
+                complexmat_way(dec)
+            with pytest.raises(NonFiniteEntries):
+                array_way()

@@ -262,15 +262,15 @@ def _parse_branch(text: str) -> tuple[int, int, int]:
 
 def cmd_decompose(args, tol: Tolerances) -> str:
     m = parse_matrix_document(_read_input(args.input))
-    if args.require_su3:
-        m = AlgebraElement(m, tol).mat
+    # an AlgebraElement is taken as su(3) without a second check
+    b = AlgebraElement(m, tol) if args.require_su3 else m
     if args.nxn:
-        dec = InvariantDecomposition(parts=tuple(decompose_nxn(m, tol)), source=m)
+        dec = InvariantDecomposition(parts=tuple(decompose_nxn(b, tol)), source=m)
     else:
         if m.n != 3:
             raise DocumentError(
                 f"decompose expects a 3x3 matrix (got {m.n}x{m.n}); use --nxn")
-        dec = decompose_via_eigen(m, tol)
+        dec = decompose_via_eigen(b, tol)
     doc = {
         "parts": [matrix_document(p.mat) for p in dec.parts],
         "lambdas": [[p.lam.real, p.lam.imag] for p in dec.parts],

@@ -30,10 +30,11 @@ from .invdec import (
     SimplePart,
     _algebra_norm,
     _eigen_parts,
+    _nonneg_sqrt,
     _part_array,
-    _su3_scalars,
 )
 from .smallmat import (
+    _EYE3,
     ComplexMat,
     Validated,
     _as_mat,
@@ -54,9 +55,6 @@ class GroupElement(Validated):
         m = _as_mat(mat)
         _check_group(m.array, tol)
         object.__setattr__(self, "_mat", m)
-
-
-_EYE3 = np.eye(3, dtype=np.complex128)
 
 
 def _unitarity_residual(arr: np.ndarray) -> float:
@@ -137,7 +135,7 @@ def exp_su3(b, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
     coefs, v, vinv = _eigen_parts(arr, nrm, tol)
     out = np.eye(3, dtype=np.complex128)
     for i, coef in enumerate(coefs):
-        _, beta = _su3_scalars(coef)
+        beta = _nonneg_sqrt(-(coef * coef).real)
         if beta < tol.beta_zero_tol:
             continue
         unit = _part_array(coef, v, vinv, i) * complex(1.0 / beta)

@@ -43,10 +43,10 @@ from .errors import (
     NumericalError,
     ZeroMatrix,
 )
-from .expmap import _EYE3, GroupElement, _check_group, _factor_array, _unitarity_residual
+from .expmap import GroupElement, _check_group, _factor_array, _unitarity_residual
 from .grades import GradeDecomposition, _decomposition, _halves, _split_HS
 from .invdec import SimplePart
-from .smallmat import ComplexMat, _as_mat, _finite_mat, _inverse, _scalar_residual
+from .smallmat import _EYE3, ComplexMat, _as_mat, _finite_mat, _inverse, _scalar_residual
 from .tolerances import DEFAULT_TOL, Tolerances
 
 

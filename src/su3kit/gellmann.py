@@ -42,25 +42,28 @@ LAMBDA8 = ComplexMat(np.diag([1, 1, -2]) / _SQRT3)  # lambda_8
 
 LAMBDAS = (LAMBDA1, LAMBDA2, LAMBDA3, LAMBDA4, LAMBDA5, LAMBDA6, LAMBDA7, LAMBDA8)
 
-# diagonal unit completing each generator to an involution
-_COMPLETION = {
-    1: ComplexMat.diag([0, 0, 1]),
-    2: ComplexMat.diag([0, 0, 1]),
-    3: ComplexMat.diag([0, 0, 1]),
-    4: ComplexMat.diag([0, 1, 0]),
-    5: ComplexMat.diag([0, 1, 0]),
-    6: ComplexMat.diag([1, 0, 0]),
-    7: ComplexMat.diag([1, 0, 0]),
-}
-
 RHO0 = ComplexMat.diag([1, 1, -1])  # rho_0
+
+
+def equilibrium_point(a: int) -> ComplexMat:
+    """The projector 1 - lambda_a^2 fixed by the subgroup of lambda_a.
+
+    Equals (1 - rho_{+a} rho_{-a}) / 2, the axis both involutions of
+    the pair leave in place.
+    """
+    if not 1 <= a <= 7:
+        raise InputError(f"equilibrium_point covers a = 1..7, got {a}")
+    g = LAMBDAS[a - 1]
+    return ComplexMat.identity(3) - g @ g
 
 
 def _build_rhos() -> Mapping[int, ComplexMat]:
     rhos: dict[int, ComplexMat] = {0: RHO0}
     for a in range(1, 8):
-        rhos[a] = LAMBDAS[a - 1] + _COMPLETION[a]
-        rhos[-a] = LAMBDAS[a - 1] - _COMPLETION[a]
+        # the diagonal unit 1 - lambda_a^2 completes lambda_a to an involution
+        e = equilibrium_point(a)
+        rhos[a] = LAMBDAS[a - 1] + e
+        rhos[-a] = LAMBDAS[a - 1] - e
     return MappingProxyType(rhos)
 
 
@@ -122,15 +125,3 @@ def exp_gellmann8(theta: float, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
         [np.exp(1j * phase), np.exp(1j * phase), np.exp(-2j * phase)]
     )
     return GroupElement(mat, tol)
-
-
-def equilibrium_point(a: int) -> ComplexMat:
-    """The projector 1 - lambda_a^2 fixed by the subgroup of lambda_a.
-
-    Equals (1 - rho_{+a} rho_{-a}) / 2, the axis both involutions of
-    the pair leave in place.
-    """
-    if not 1 <= a <= 7:
-        raise InputError(f"equilibrium_point covers a = 1..7, got {a}")
-    g = LAMBDAS[a - 1]
-    return ComplexMat.identity(3) - g @ g

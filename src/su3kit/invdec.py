@@ -16,17 +16,19 @@ and det(B), and each part is recovered by a resolvent-style product
 nonzero lambdas; the eigen route works in every case and is the
 arbiter the closed form is cross-checked against.
 
-The eigen route's numeric core is ``_eigen_parts``: on a plain 3x3
-array and its norm it runs the one normality test, picks the normal or
-general eigen kernel from it, and returns the part coefficients with
-the eigenvectors and their inverse.  ``decompose_via_eigen`` builds
-``SimplePart`` objects from it, and ``expmap.exp_su3`` consumes it
-directly.  ``decompose_nxn`` runs the general kernel on arrays as well,
-and the residuals of ``InvariantDecomposition`` are array arithmetic.
-``AlgebraElement`` is the validated boundary type; its check
-(``_algebra_norm``, built on ``_su3_problem``) is the same one
-``decompose_via_eigen`` uses to decide whether the parts carry an angle
-and a direction.
+Everything runs on plain arrays.  The eigen route's numeric core is
+``_eigen_parts``: for an n x n array (3 <= n <= 8) and its norm it
+returns the part coefficients with the eigenvectors and their inverse,
+from the closed-form normal kernel when the input is a normal 3x3
+matrix (the one normality test decides) and from the general kernel
+otherwise.  ``_decompose`` builds the ``SimplePart`` objects from it for
+both ``decompose_via_eigen`` and ``decompose_nxn``, and
+``expmap.exp_su3`` consumes it directly.  The closed form runs on
+arrays too, and both routes give an su(3) part its angle and direction
+through ``_su3_part``.  ``AlgebraElement`` is the validated boundary
+type; its check (``_algebra_norm``, built on ``_su3_problem``) decides
+whether the parts of a raw input carry an angle and a direction, and
+an ``AlgebraElement`` argument is taken as su(3) without a second check.
 """
 
 from __future__ import annotations
@@ -38,14 +40,17 @@ import numpy as np
 
 from .errors import DegenerateLambdas, DimensionMismatch, InvalidAlgebraElement
 from .smallmat import (
+    _EYE3,
     ComplexMat,
     Validated,
     _as_mat,
-    _commutator_norm,
+    _det3,
     _eigen_general,
     _eigen_normal3,
     _finite_mat,
     _finite_norm,
+    _inverse,
+    _normal_problem,
     _require_finite,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -149,37 +154,65 @@ def _nonneg_sqrt(x: float) -> float:
     return math.sqrt(x) if x > 0.0 else 0.0
 
 
-_EYE3 = np.eye(3)
+# identities by size, built once
+_EYES = tuple(np.eye(n) for n in range(9))
 
 
 def _eigen_parts(
     arr: np.ndarray, nrm: float, tol: Tolerances
 ) -> tuple[list[complex], np.ndarray, np.ndarray]:
-    """Part coefficients, eigenvectors (columns) and their inverse for a 3x3 array.
+    """Part coefficients, eigenvectors (columns) and their inverse for an n x n array.
 
     ``nrm`` is ``_finite_norm(arr)``.  Part i is
-    ``_part_array(coefs[i], vectors, inverse, i)``.  Normal inputs go
-    through the closed-form normal kernel, everything else through the
-    general one; NotDiagonalizable propagates from the latter.
+    ``_part_array(coefs[i], vectors, inverse, i)`` with coefficient
+    (alpha_i - tr/(n - 2))/2.  A normal 3x3 input goes through the
+    closed-form normal kernel, everything else through the general
+    one; NotDiagonalizable propagates from the latter.
     """
-    comm = _commutator_norm(arr)
-    if comm <= tol.normal_tol * nrm * nrm:
+    n = arr.shape[0]
+    if n == 3 and _normal_problem(arr, nrm, tol) is None:
         values, v, vinv = _eigen_normal3(arr, nrm, tol)
     else:
         values, v, vinv = _eigen_general(arr, tol)
     t = complex(np.trace(arr))
-    return [(complex(x) - t) / 2.0 for x in values], v, vinv
+    # dividing a complex by 1 can flip the sign of a zero
+    shift = t if n == 3 else t / (n - 2)
+    return [(complex(x) - shift) / 2.0 for x in values], v, vinv
 
 
 def _part_array(coef: complex, v: np.ndarray, vinv: np.ndarray, i: int) -> np.ndarray:
     """coef times the involution that is +1 on eigendirection i, -1 on the others."""
-    return coef * (2.0 * np.outer(v[:, i], vinv[i, :]) - _EYE3)
+    return coef * (2.0 * np.outer(v[:, i], vinv[i, :]) - _EYES[v.shape[0]])
 
 
-def _su3_scalars(coef: complex) -> tuple[complex, float]:
-    """lambda = coef^2 (real for su(3)) and the angle beta = sqrt(-lambda)."""
-    lam = complex((coef * coef).real, 0.0)
-    return lam, _nonneg_sqrt(-lam.real)
+def _su3_part(mat: ComplexMat, lam: float, tol: Tolerances) -> SimplePart:
+    """The part of an su(3) element whose matrix is mat and whose real lambda is lam.
+
+    beta = sqrt(-lam), and the unit direction mat / beta is None when
+    beta is below beta_zero_tol, where it is 0/0.
+    """
+    beta = _nonneg_sqrt(-lam)
+    unit = _finite_mat(mat.array * complex(1.0 / beta)) if beta >= tol.beta_zero_tol else None
+    return SimplePart(mat=mat, lam=complex(lam), beta=beta, unit=unit)
+
+
+def _decompose(b, m: ComplexMat, tol: Tolerances) -> tuple[SimplePart, ...]:
+    """The eigen-route parts of m, the matrix of the public argument b.
+
+    The parts carry an angle and a direction when m is an su(3)
+    element: b is an AlgebraElement, or a 3x3 m passes ``_su3_problem``.
+    Each part is wrapped once, after one finiteness check.
+    """
+    arr = m.array
+    nrm = _finite_norm(arr)
+    su3 = isinstance(b, AlgebraElement) or (m.n == 3 and _su3_problem(arr, nrm, tol) is None)
+    coefs, v, vinv = _eigen_parts(arr, nrm, tol)
+    parts = []
+    for i, coef in enumerate(coefs):
+        mat = _finite_mat(_part_array(coef, v, vinv, i))
+        lam = coef * coef
+        parts.append(_su3_part(mat, lam.real, tol) if su3 else SimplePart(mat, lam, None, None))
+    return tuple(parts)
 
 
 def decompose_via_eigen(b, tol: Tolerances = DEFAULT_TOL) -> InvariantDecomposition:
@@ -188,48 +221,25 @@ def decompose_via_eigen(b, tol: Tolerances = DEFAULT_TOL) -> InvariantDecomposit
     Each part is (alpha_i - tr b)/2 times the involution that is +1 on
     the i-th eigendirection and -1 on the others.  Normal inputs go
     through the closed-form normal solver, everything else through the
-    general one; NotDiagonalizable propagates from the latter.
+    general one; NotDiagonalizable propagates from the latter.  An
+    AlgebraElement is taken as su(3) without a second check.
     """
     m = _as_mat(b)
     if m.n != 3:
         raise DimensionMismatch(f"decompose_via_eigen needs a 3x3 matrix, got {m.n}x{m.n}")
-    nrm = _finite_norm(m.array)
-    su3 = _su3_problem(m.array, nrm, tol) is None
-    coefs, v, vinv = _eigen_parts(m.array, nrm, tol)
-    parts = []
-    for i, coef in enumerate(coefs):
-        mat = ComplexMat._wrap(_part_array(coef, v, vinv, i))
-        if su3:
-            lam, beta = _su3_scalars(coef)
-            unit = mat * (1.0 / beta) if beta >= tol.beta_zero_tol else None
-            parts.append(SimplePart(mat=mat, lam=lam, beta=beta, unit=unit))
-        else:
-            parts.append(SimplePart(mat=mat, lam=complex(coef * coef), beta=None, unit=None))
-    return InvariantDecomposition(parts=tuple(parts), source=m)
+    return InvariantDecomposition(parts=_decompose(b, m, tol), source=m)
 
 
 def decompose_nxn(b, tol: Tolerances = DEFAULT_TOL) -> list[SimplePart]:
     """Commuting-part split of a diagonalizable n x n matrix, 3 <= n <= 8.
 
     The scalar in front of each involution is (alpha_i - tr b/(n-2))/2;
-    at n = 3 this is the 3x3 construction exactly, so that case defers
-    to decompose_via_eigen.
+    at n = 3 this is the 3x3 construction of decompose_via_eigen.
     """
     m = _as_mat(b)
-    n = m.n
-    if n < 3:
-        raise InvalidAlgebraElement(f"decompose_nxn needs n >= 3, got {n}")
-    if n == 3:
-        return list(decompose_via_eigen(m, tol).parts)
-    values, v, vinv = _eigen_general(m.array, tol)
-    t = m.trace()
-    eye = np.eye(n)
-    parts = []
-    for i in range(n):
-        coef = (complex(values[i]) - t / (n - 2)) / 2.0
-        mat = _finite_mat(coef * (2.0 * np.outer(v[:, i], vinv[i, :]) - eye))
-        parts.append(SimplePart(mat=mat, lam=complex(coef * coef), beta=None, unit=None))
-    return parts
+    if m.n < 3:
+        raise InvalidAlgebraElement(f"decompose_nxn needs n >= 3, got {m.n}")
+    return list(_decompose(b, m, tol))
 
 
 def lambda_roots(b, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float, float]:
@@ -244,12 +254,11 @@ def lambda_roots(b, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float, float]
     traceless skew-Hermitian input, all roots are real and nonpositive,
     and tiny imaginary residue is clamped rather than surfaced.
     """
-    m = b.mat if isinstance(b, AlgebraElement) else AlgebraElement(b, tol).mat
-    arr = m.array
+    arr = b.mat.array if isinstance(b, AlgebraElement) else AlgebraElement(b, tol).mat.array
     a = -0.25 * np.trace(arr @ arr).real
     if a <= 0.0:
         return (0.0, 0.0, 0.0)
-    c = -((m.det() / 8.0) ** 2).real
+    c = -((_det3(arr) / 8.0) ** 2).real
     chi = 1.0 - 108.0 * c / (a * a * a)
     chi = min(1.0, max(-1.0, chi))
     theta = math.acos(chi)
@@ -290,17 +299,19 @@ def decompose_closed_form(b, lambdas, tol: Tolerances = DEFAULT_TOL) -> Invarian
                     f"lambdas {lams[i]:.6e} and {lams[j]:.6e} are not separated"
                 )
     arr = m.array
-    det = m.det()
+    det = _det3(arr)
     sq = arr @ arr
-    dev = ComplexMat(sq - (0.25 * np.trace(sq)) * np.eye(3))
-    eye = ComplexMat.identity(3)
+    dev = sq - (0.25 * np.trace(sq)) * _EYES[3]
     parts = []
-    for lam in lams:
-        num = ComplexMat(arr + (det / (8.0 * lam)) * np.eye(3))
-        den = eye + dev * (1.0 / (2.0 * lam))
-        raw = num @ den.inverse(tol)
-        mat = (raw - raw.adjoint()) * 0.5
-        beta = _nonneg_sqrt(-lam)
-        unit = mat * (1.0 / beta) if beta >= tol.beta_zero_tol else None
-        parts.append(SimplePart(mat=mat, lam=complex(lam), beta=beta, unit=unit))
+    # overflowing entries are refused below, so numpy's warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam in lams:
+            num = arr + (det / (8.0 * lam)) * _EYES[3]
+            den = _EYE3 + dev * complex(1.0 / (2.0 * lam))
+            # checked here: the inverse would report a non-finite den as Singular
+            _require_finite(num)
+            _require_finite(den)
+            raw = num @ _inverse(den, tol)
+            mat = _finite_mat((raw - raw.conj().T) * complex(0.5))
+            parts.append(_su3_part(mat, lam, tol))
     return InvariantDecomposition(parts=tuple(parts), source=m)

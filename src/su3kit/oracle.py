@@ -61,8 +61,10 @@ def log_reference(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
     """
     arr = _as_mat(u).array
     n = arr.shape[0]
-    dev = float(np.linalg.norm(arr.conj().T @ arr - np.eye(n)))
-    if dev > tol.grp_tol:
+    # "not <=" so that a residual that overflowed to NaN is refused too
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = float(np.linalg.norm(arr.conj().T @ arr - np.eye(n)))
+    if not dev <= tol.grp_tol:
         raise NotUnitary(f"unitarity residual {dev:.3e} exceeds grp_tol")
     es = eigen_normal3(arr, tol) if n == 3 else eigen_general(arr, tol)
     phases = np.array([math.atan2(v.imag, v.real) for v in es.values])

@@ -3,9 +3,9 @@
 Two layers.  The numeric core works on plain ``complex128`` arrays and
 trusts its caller: the private kernels ``_eigen_normal3`` and
 ``_eigen_general`` return (values, vectors, inverse vectors) as arrays,
-and ``_commutator_norm`` against ``_finite_norm`` is the one normality
-test.  ``ComplexMat`` is the boundary type: an immutable wrapper whose
-constructor copies its input and validates shape and finiteness.  Its arithmetic returns fresh
+and ``_normal_problem`` is the one normality test.  ``ComplexMat`` is
+the boundary type: an immutable wrapper whose constructor copies its
+input and validates shape and finiteness.  Its arithmetic returns fresh
 validated objects; ``ComplexMat._wrap`` adopts an array the package has
 just built and already checked, without copying or checking it again.
 Public functions take their argument through ``_as_mat`` (a
@@ -21,6 +21,10 @@ eigensolvers check their input once, run a kernel, and wrap the result:
     then pushes the reconstruction residual to machine precision, which
     a single cubic + null-space pass cannot guarantee near eigenvalue
     clusters.  Final eigenvalues are Rayleigh quotients in that basis.
+    The normality test and this kernel square quantities of the size of
+    the input norm, so for a norm outside [2^-100, 2^100] both run on
+    the input scaled by a power of two (``_scaled``) and the eigenvalues
+    are scaled back; inside that range nothing is scaled.
 
 ``eigen_general``
     LAPACK QR iteration on the Hessenberg form (via numpy) for any
@@ -53,6 +57,9 @@ from .errors import (
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _EPS = float(np.finfo(np.float64).eps)
+
+_EYE3 = np.eye(3, dtype=np.complex128)
+_EYE3.setflags(write=False)
 
 
 class ComplexMat:
@@ -313,12 +320,7 @@ def _eigh3_values(h: np.ndarray) -> np.ndarray:
     if p2 <= 0.0:
         return np.array([q, q, q])
     p = math.sqrt(p2 / 6.0)
-    detb = (
-        h0[0, 0] * (h0[1, 1] * h0[2, 2] - h0[1, 2] * h0[2, 1])
-        - h0[0, 1] * (h0[1, 0] * h0[2, 2] - h0[1, 2] * h0[2, 0])
-        + h0[0, 2] * (h0[1, 0] * h0[2, 1] - h0[1, 1] * h0[2, 0])
-    ).real
-    r = detb / (2.0 * p * p * p)
+    r = _det3(h0).real / (2.0 * p * p * p)
     r = min(1.0, max(-1.0, r))
     phi = math.acos(r) / 3.0
     big = q + 2.0 * p * math.cos(phi)
@@ -413,10 +415,7 @@ def _pair_rotation(t: np.ndarray, i: int, j: int, stop: float) -> np.ndarray | N
     v1 = np.array([t[i, j], sq - delta], dtype=np.complex128)
     v2 = np.array([sq + delta, t[j, i]], dtype=np.complex128)
     u = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-    nu = np.linalg.norm(u)
-    if nu <= stop:
-        return None
-    u = u / nu
+    u = u / np.linalg.norm(u)
     return np.array([[u[0], -np.conj(u[1])], [u[1], np.conj(u[0])]], dtype=np.complex128)
 
 
@@ -431,7 +430,7 @@ def _polish_normal(a: np.ndarray, v: np.ndarray, scale: float, max_sweeps: int =
     input's distance from exact normality, which no unitary removes),
     or at the sweep cap.  The caller's residual check has the final word.
     """
-    stop = 8.0 * _EPS * max(scale, 1e-300)
+    stop = 8.0 * _EPS * scale  # scale >= 2^-100: _eigen_normal3 runs on _scaled input
     n = a.shape[0]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     prev = math.inf
@@ -449,16 +448,45 @@ def _polish_normal(a: np.ndarray, v: np.ndarray, scale: float, max_sweeps: int =
     return v
 
 
-# Huge inputs overflow here by design and are refused as Overflow or as
-# a NaN that fails its test, so numpy's RuntimeWarning is only noise.
-@np.errstate(over="ignore", invalid="ignore")
-def _commutator_norm(arr: np.ndarray):
-    """Frobenius norm of the commutator of arr with its adjoint.
+# Inside [2^-100, 2^100] a norm, its square and the products of entries
+# the normal kernel forms neither overflow nor underflow, so the
+# normality test and the kernel run on the input as it is.
+_PLAIN_NORMS = (2.0**-100, 2.0**100)
 
-    The one normality test compares it against normal_tol times the
-    square of ``_finite_norm(arr)``, which the caller computes first.
+
+def _scaled(arr: np.ndarray, nrm: float) -> tuple[np.ndarray, float, int]:
+    """(arr * 2^k, its Frobenius norm, k) for arr of Frobenius norm nrm.
+
+    k is 0 when nrm is inside ``_PLAIN_NORMS``.  Otherwise it brings the
+    largest entry modulus into [0.5, 1), and the norm is computed again
+    on the scaled array: the squares behind nrm may have underflowed.
+    Scaling by a power of two is exact.
     """
-    return np.linalg.norm(arr @ arr.conj().T - arr.conj().T @ arr)
+    if _PLAIN_NORMS[0] <= nrm <= _PLAIN_NORMS[1]:
+        return arr, nrm, 0
+    k = -math.frexp(np.max(np.abs(arr)))[1]
+    arr = _ldexp(arr, k)
+    return arr, float(np.linalg.norm(arr)), k
+
+
+def _ldexp(a: np.ndarray, k: int) -> np.ndarray:
+    """a * 2^k for a complex array, real and imaginary parts apart so zeros keep their sign."""
+    return np.ldexp(np.ascontiguousarray(a).view(np.float64), k).view(np.complex128)
+
+
+def _normal_problem(arr: np.ndarray, nrm: float, tol: Tolerances) -> str | None:
+    """Why arr, of Frobenius norm nrm, fails the one normality test, or None.
+
+    The test is ||arr arr^H - arr^H arr||_F <= normal_tol * nrm^2, run
+    on ``_scaled(arr, nrm)``.  nrm is ``_finite_norm(arr)``, which the
+    caller computes first.
+    """
+    arr, nrm, k = _scaled(arr, nrm)
+    comm = np.linalg.norm(arr @ arr.conj().T - arr.conj().T @ arr)
+    if comm <= tol.normal_tol * nrm * nrm:
+        return None
+    scale = f" at scale 2^{k}" if k else ""
+    return f"commutator residual {comm:.3e}{scale} exceeds normal_tol * norm^2"
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -477,9 +505,9 @@ def _finite_norm(arr: np.ndarray) -> float:
 def _normal_norm(arr: np.ndarray, tol: Tolerances) -> float:
     """Frobenius norm of arr once it passes the normality test; NotNormal otherwise."""
     nrm = _finite_norm(arr)
-    comm = _commutator_norm(arr)
-    if not comm <= tol.normal_tol * nrm * nrm:
-        raise NotNormal(f"commutator residual {comm:.3e} exceeds normal_tol * norm^2")
+    problem = _normal_problem(arr, nrm, tol)
+    if problem is not None:
+        raise NotNormal(problem)
     return nrm
 
 
@@ -489,8 +517,11 @@ def _eigen_normal3(
     """Kernel of eigen_normal3 on a 3x3 array that passed the normality test.
 
     ``nrm`` is its Frobenius norm.  Returns (values, vectors, inverse
-    vectors); the basis is unitary, so the inverse is its adjoint.
+    vectors); the basis is unitary, so the inverse is its adjoint.  The
+    kernel runs on ``_scaled(arr, nrm)``, and the eigenvalues are scaled
+    back.
     """
+    arr, nrm, e = _scaled(arr, nrm)
     if nrm == 0.0:
         ident = np.eye(3, dtype=np.complex128)
         return np.zeros(3, dtype=np.complex128), ident, ident
@@ -514,7 +545,7 @@ def _eigen_normal3(
         raise EigenFailure(
             f"reconstruction residual {residual:.3e} exceeds eig_tol * norm"
         )
-    return d, v, v.conj().T
+    return (_ldexp(d, -e) if e else d), v, v.conj().T
 
 
 def _eigen_system(values: np.ndarray, v: np.ndarray, vinv: np.ndarray) -> EigenSystem:

@@ -16,7 +16,6 @@ class Tolerances:
     # smallmat
     eig_tol: float = 1e-10        # relative eigendecomposition residual
     normal_tol: float = 1e-10     # commutator test, relative to norm^2
-    inv_tol: float = 1e-9         # inverse residual (test-level)
     inv_cond_max: float = 1e12    # refuse inversion above this condition
     diag_cond_max: float = 1e10   # refuse eigenbasis above this condition
     cluster_gap: float = 1e-8     # relative gap below which eigenvalues cluster

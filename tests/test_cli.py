@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from su3kit import cli, expmap, factorlog
+from su3kit import cli, expmap, factorlog, invdec
 from su3kit.cli import (
     emit_json,
     main,
@@ -18,7 +18,7 @@ from su3kit.cli import (
 )
 from su3kit.errors import DocumentError
 from su3kit.factorlog import factorize
-from su3kit.oracle import exp_reference, random_group
+from su3kit.oracle import exp_reference, random_algebra, random_group
 from su3kit.smallmat import ComplexMat
 from su3kit.tolerances import DEFAULT_TOL, with_overrides
 
@@ -200,6 +200,25 @@ class TestDecompose:
         code, out = run_cli(["decompose", "-"], capsys, monkeypatch, "{}")
         assert code == 2
         assert json.loads(out)["error"]["code"] == "invalid_document"
+
+    @pytest.mark.parametrize("nxn", [[], ["--nxn"]])
+    def test_require_su3_checks_once(self, nxn, capsys, monkeypatch):
+        calls = []
+        check = invdec._su3_problem
+
+        def counting(arr, nrm, tol):
+            calls.append(1)
+            return check(arr, nrm, tol)
+
+        monkeypatch.setattr(invdec, "_su3_problem", counting)
+        text = doc_text(random_algebra(5).mat.array)
+        code, plain = run_cli(["decompose", "-"] + nxn, capsys, monkeypatch, text)
+        assert code == 0
+        calls.clear()
+        code, out = run_cli(["decompose", "-", "--require-su3"] + nxn, capsys, monkeypatch, text)
+        assert code == 0
+        assert calls == [1]
+        assert out == plain
 
 
 class TestUnreadableDocument:
@@ -524,7 +543,7 @@ class TestTolOverride:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "invalid_document"
 
-    @pytest.mark.parametrize("name", ["simple_tol", "root_tol", "cross_tol", "grade_tol"])
+    @pytest.mark.parametrize("name", ["simple_tol", "root_tol", "cross_tol", "grade_tol", "inv_tol"])
     def test_removed_fields_are_unknown(self, name, capsys, monkeypatch):
         # these thresholds gated nothing, so they are no longer fields
         code, out = run_cli(["log", "-", "--tol-override", name + "=1e-9"],

@@ -1,9 +1,12 @@
 """Invariant decomposition: frozen examples and property sweeps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su3kit.errors import (
     DegenerateLambdas,
@@ -21,7 +24,8 @@ from su3kit.invdec import (
     decompose_via_eigen,
     lambda_roots,
 )
-from su3kit.oracle import random_algebra
+from su3kit.expmap import exp_su3
+from su3kit.oracle import compare, exp_reference, random_algebra
 from su3kit.smallmat import ComplexMat, commutator, eigen_general, scalar_residual
 
 
@@ -270,3 +274,66 @@ class TestArrayResiduals:
                 complexmat_way(dec)
             with pytest.raises(NonFiniteEntries):
                 array_way()
+
+
+def _unit_algebra(seed):
+    """A random su(3) element of Frobenius norm 1 (up to rounding)."""
+    b = random_algebra(seed).mat.array
+    return b / np.linalg.norm(b)
+
+
+class TestScaleFree:
+    """Tiny and huge su(3) elements: the normal kernel runs on a power-of-two rescaling."""
+
+    # norms are taken as 10^e, since np.linalg.norm underflows below about 1e-154
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-300.0, 3.0))
+    def test_property_over_norms(self, seed, e):
+        b = _unit_algebra(seed) * 10.0**e
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert compare(exp_su3(b), exp_reference(b)) <= 1e-10
+            parts = decompose_via_eigen(b).parts
+        total = sum(p.mat.array for p in parts)
+        assert np.linalg.norm((total - b) * 10.0**-e) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decomposes_at_every_norm(self, seed):
+        bh = _unit_algebra(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e in range(-320, 154):
+                decompose_via_eigen(bh * 10.0**e)
+
+    def test_squared_norm_overflow_still_refused(self):
+        with pytest.raises(Overflow):
+            decompose_via_eigen(_unit_algebra(0) * 1e155)
+
+
+class TestArrayClosedForm:
+    def _count_constructions(self, monkeypatch):
+        calls = []
+        init = ComplexMat.__init__
+
+        def counting(self, entries):
+            calls.append(1)
+            init(self, entries)
+
+        monkeypatch.setattr(ComplexMat, "__init__", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_no_validated_arithmetic(self, seed, monkeypatch):
+        b = random_algebra(seed)
+        lams = lambda_roots(b)
+        calls = self._count_constructions(monkeypatch)
+        assert lambda_roots(b) == lams
+        dec = decompose_closed_form(b, lams)
+        assert calls == []
+        assert len(dec.parts) == 3 and all(p.unit is not None for p in dec.parts)
+
+    def test_overflowing_shift_refused(self):
+        # det(B) / (8 lambda) overflows for lambdas this small: refused
+        # as non-finite, without numpy's RuntimeWarning
+        with pytest.raises(NonFiniteEntries):
+            decompose_closed_form(B_EXAMPLE, (-1e-320, -2e-320, -3e-320))

@@ -1,6 +1,7 @@
 """Reference algorithms and samplers. These anchor every other test."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,16 @@ class TestLogReference:
     def test_skew_hermitian_output(self):
         l = log_reference(random_group(3).mat).array
         np.testing.assert_allclose(l, -l.conj().T, atol=0)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_overflowing_residual_refused(self, scale):
+        # the unitarity residual overflows to NaN, which must not pass the gate
+        u = scale * random_group(1).mat.array
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnitary) as info:
+                log_reference(u)
+        assert type(info.value) is NotUnitary
 
 
 class TestRandomAlgebra:

@@ -1,5 +1,7 @@
 """Matrix value type and the two eigensolvers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from su3kit.errors import (
     NotNormal,
     Singular,
 )
+from su3kit.grades import split_HS
 from su3kit.smallmat import (
     ComplexMat,
     EigenSystem,
+    _scaled,
     commutator,
     eigen_general,
     eigen_normal3,
@@ -109,7 +113,7 @@ class TestComplexMat:
         for _ in range(25):
             m = ComplexMat(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
             prod = (m @ m.inverse()).array
-            assert np.linalg.norm(prod - np.eye(3)) < DEFAULT_TOL.inv_tol
+            assert np.linalg.norm(prod - np.eye(3)) < 1e-9
 
     def test_inverse_singular(self):
         with pytest.raises(Singular):
@@ -283,3 +287,38 @@ class TestEigenGeneral:
 
     def test_returns_eigensystem(self):
         assert isinstance(eigen_general(ComplexMat.diag([1, 2])), EigenSystem)
+
+
+class TestScaleFree:
+    """The normality test and the normal kernel run on the input scaled by 2^k
+    when its norm is outside [2^-100, 2^100], and on the input itself inside."""
+
+    @pytest.mark.parametrize("nrm", [2.0**-99, 1e-20, 1.0, 1e20, 2.0**99])
+    def test_plain_range_not_scaled(self, nrm):
+        arr = random_unitary3(np.random.default_rng(4)) * (nrm / np.sqrt(3.0))
+        scaled, snrm, k = _scaled(arr, np.linalg.norm(arr))
+        assert scaled is arr and k == 0
+
+    @pytest.mark.parametrize("nrm", [1e-320, 1e-200, 2.0**-101, 2.0**101, 1e150])
+    def test_scaled_exactly(self, nrm):
+        arr = random_unitary3(np.random.default_rng(5)) * (nrm / np.sqrt(3.0))
+        scaled, snrm, k = _scaled(arr, float(np.linalg.norm(arr)))
+        assert 0.5 <= np.max(np.abs(scaled)) < 1.0
+        assert snrm == np.linalg.norm(scaled)
+        np.testing.assert_array_equal(np.ldexp(scaled.real, -k), arr.real)
+        np.testing.assert_array_equal(np.ldexp(scaled.imag, -k), arr.imag)
+
+    def test_zero_matrix(self):
+        scaled, snrm, k = _scaled(np.zeros((3, 3), dtype=np.complex128), 0.0)
+        assert not scaled.any() and snrm == 0.0 and k == 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_unitary_at_every_scale(self, seed):
+        u = random_unitary3(np.random.default_rng(seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e in range(-300, 151, 10):
+                s = 10.0**e
+                es = eigen_normal3(u * s)
+                np.testing.assert_allclose(np.abs(es.values), s, rtol=1e-12)
+                assert all(np.all(np.isfinite(m.array)) for m in split_HS(u * s).H)

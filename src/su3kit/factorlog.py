@@ -16,20 +16,48 @@ the cascade in `factorize`.  Signs are not corrected per factor: the
 closing factor U3 = U1^dag U2^dag U absorbs the net sign, and the
 principal log rebalances the pair of pi-complements it causes.
 
-The cascade, closing factor, sign selection and log sum run on plain
-complex128 arrays; a factor's log is (beta, unit), unit None without a
-direction.  Scalars multiply as Python complex numbers, as ``ComplexMat``
-scales, and residual gates read "not x <= tol" so NaN is refused.  Public
-functions take a ``GroupElement``, ``ComplexMat`` or raw entries and wrap
-each result once, after one finiteness check.  ``factorize``,
-``principal_log`` and ``branch_log`` check any input but a
-``GroupElement`` for unitarity once, on entry (``_unitary_array``), so a
-non-unitary input is refused as ``NotUnitary`` before the cascade runs.
+The cascade runs on U's eigenbasis.  ``grades._eigenbasis`` diagonalizes
+U once, U = P diag(e) P^H, and on P every constituent is a scalar times
+the involution 2 p_i p_i^H - 1, the sign pattern sigma_i = 2 e_i - 1:
+g0 and g6 are scalars, H_i = (gamma_i - sum gamma)/2 sigma_i and
+S_i = i (delta_i - sum delta)/2 sigma_i.  So every route expression,
+normalization and gate acts on the 3-vector x of diagonal entries: an
+inverse is a division, the unitarity residual is || |x|^2 - 1 ||,
+"Hermitian half is scalar" is ||Re x - mean Re x||, and the closing
+factor is conj(x1) conj(x2) e.  A factor's log is (beta, w) with unit
+i diag(w) on P, w the signs of Im x (a unit squares to -1); the part
+has a direction where sin(beta) exceeds sin_zero_tol.  Matrices are built only for output: a unit is
+P diag(i w) P^H, a factor cos(beta) 1 + sin(beta) unit, a log
+P diag(i t) P^H.
+
+When the cascade finds no factor (FactorizationFailed; an
+AmbiguousDirection or MissingDirection is final), the ``eigen`` route
+takes the paper's invariant decomposition of log U instead: the
+least-norm traceless selection theta of U's eigenphases shifted by
+2 pi k, k in {-1, 0, 1}^3, gives the parts (i theta_i / 2)(2 P_i - 1).
+Where that selection is not unique (equal eigenvalues it would set
+2 pi apart, such as two at -1) it refuses with AmbiguousDirection, and
+its factors must multiply back to U within fact_tol.  The principal
+log applies the same selection to the product of the recovered factors
+on P, which picks the signs of the factors' logs, so both routes share
+one definition of the principal branch; the factors fix the branch, and
+U's own eigenphases the angles.
+
+Scalars multiply as Python complex numbers, and residual gates read
+"not x <= tol" so NaN is refused.  Public functions take a
+``GroupElement``, ``ComplexMat`` or raw entries and wrap each result
+once, after one finiteness check.  ``factorize``, ``principal_log`` and
+``branch_log`` check any input but a ``GroupElement`` for unitarity
+once, on entry (``_unitary_array``), so a non-unitary input is refused
+as ``NotUnitary`` before the cascade runs.  ``principal_log_factor``,
+``normalize`` and ``rms_norm`` act on matrices.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -43,11 +71,18 @@ from .errors import (
     NumericalError,
     ZeroMatrix,
 )
-from .expmap import GroupElement, _check_group, _factor_array, _unitarity_residual
-from .grades import GradeDecomposition, _decomposition, _halves, _split_HS
+from .expmap import GroupElement, _check_group, _factor_array
+from .grades import GradeDecomposition, _decomposition, _eigenbasis, _halves
 from .invdec import SimplePart
-from .smallmat import _EYE3, ComplexMat, _as_mat, _finite_mat, _inverse, _scalar_residual
+from .smallmat import ComplexMat, _as_mat, _finite_mat, _scalar_residual
 from .tolerances import DEFAULT_TOL, Tolerances
+
+_SQRT3 = math.sqrt(3.0)
+# sigma_i = 2 e_i - 1: the involution 2 p_i p_i^H - 1 on U's eigenbasis P
+_SIGMA = ((1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0))
+# the shifts k in {-1, 0, 1}^3 by their sum
+_SHIFTS = {n: [k for k in itertools.product((-1, 0, 1), repeat=3) if sum(k) == n]
+           for n in range(-3, 4)}
 
 
 def rms_norm(m) -> float:
@@ -56,18 +91,15 @@ def rms_norm(m) -> float:
 
 
 def _rms(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a)) / math.sqrt(3.0)
+    return float(np.linalg.norm(a)) / _SQRT3
 
 
 def normalize(m, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
-    return _finite_mat(_normalize(_as_mat(m).array, tol))
-
-
-def _normalize(a: np.ndarray, tol: Tolerances) -> np.ndarray:
+    a = _as_mat(m).array
     nrm = _rms(a)
     if nrm <= tol.norm_zero_tol:
         raise ZeroMatrix("cannot normalize a matrix with norm %.3e" % nrm)
-    return a * complex(1.0 / nrm)
+    return _finite_mat(a * complex(1.0 / nrm))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,13 +133,37 @@ def _unitary_array(u, tol: Tolerances) -> np.ndarray:
     return arr
 
 
-def _part_mat(beta: float, unit: np.ndarray | None) -> np.ndarray:
-    return np.zeros((3, 3), dtype=np.complex128) if unit is None else unit * complex(beta)
-
-
 def _simple_part(beta: float, unit: np.ndarray | None) -> SimplePart:
-    return SimplePart(mat=_finite_mat(_part_mat(beta, unit)), lam=complex(-beta * beta),
+    mat = np.zeros((3, 3), dtype=np.complex128) if unit is None else unit * complex(beta)
+    return SimplePart(mat=_finite_mat(mat), lam=complex(-beta * beta),
                       beta=beta, unit=None if unit is None else _finite_mat(unit))
+
+
+def _factor_angle(residual: float, c: float, sn: float, size: float, tol: Tolerances):
+    """(beta, miss bound, has a direction) of a factor whose Hermitian half is c + dev.
+
+    residual is ||dev||, sn the rms of the skew half and size the
+    factor's Frobenius norm.  Refuses a Hermitian half that is not
+    scalar, a cosine out of range and a factor at the antipode.
+    """
+    bound = tol.fact_tol * max(1.0, size)
+    if not residual <= bound:
+        raise NotSimpleFactor("Hermitian half is not scalar (residual %.3e)" % residual)
+    if not abs(c) <= 1.0 + 1e-8:
+        raise NotSimpleFactor("cosine out of range by %.3e" % (abs(c) - 1.0))
+    beta = math.atan2(sn, c)
+    if sn > tol.sin_zero_tol:
+        return beta, bound, True
+    if beta > math.pi / 2.0:
+        raise AmbiguousDirection("factor is at the antipode (beta = %.6f); direction lost" % beta)
+    # a sub-threshold sine is discarded by design; allow exactly the
+    # discarded magnitude on top of the usual bound
+    return beta, bound + _SQRT3 * tol.sin_zero_tol, False
+
+
+def _check_miss(miss: float, bound: float) -> None:
+    if not miss <= bound:
+        raise NotSimpleFactor("exp of recovered part misses the factor by %.3e" % miss)
 
 
 def principal_log_factor(ui, tol: Tolerances = DEFAULT_TOL) -> SimplePart:
@@ -124,207 +180,260 @@ def principal_log_factor(ui, tol: Tolerances = DEFAULT_TOL) -> SimplePart:
     a = _as_mat(ui).array
     if a.shape[0] != 3:
         raise InputError("expected a 3x3 factor, got %dx%d" % a.shape)
-    return _simple_part(*_log_factor(a, tol))
-
-
-def _log_factor(a: np.ndarray, tol: Tolerances) -> tuple[float, np.ndarray | None]:
-    """principal_log_factor on a 3x3 array: (beta, unit), unit None without a direction."""
     ccos, ssin = _halves(a)
-    bound = tol.fact_tol * max(1.0, float(np.linalg.norm(a)))
-    residual = _scalar_residual(ccos)
-    if not residual <= bound:
-        raise NotSimpleFactor("Hermitian half is not scalar (residual %.3e)" % residual)
-    c = complex(np.trace(a)).real / 3.0
-    if not abs(c) <= 1.0 + 1e-8:
-        raise NotSimpleFactor("cosine out of range by %.3e" % (abs(c) - 1.0))
     sn = _rms(ssin)
-    beta = math.atan2(sn, c)
-    if sn <= tol.sin_zero_tol:
-        if beta > math.pi / 2.0:
-            raise AmbiguousDirection(
-                "factor is at the antipode (beta = %.6f); direction lost" % beta)
-        unit = None
-        # a sub-threshold sine is discarded by design; allow exactly
-        # the discarded magnitude on top of the usual bound
-        bound += math.sqrt(3.0) * tol.sin_zero_tol
-    else:
-        unit = ssin * complex(1.0 / sn)
-    miss = float(np.linalg.norm(_factor_array(unit, beta) - a))
-    if not miss <= bound:
-        raise NotSimpleFactor("exp of recovered part misses the factor by %.3e" % miss)
-    return beta, unit
+    beta, bound, direction = _factor_angle(_scalar_residual(ccos), complex(np.trace(a)).real / 3.0,
+                                           sn, float(np.linalg.norm(a)), tol)
+    unit = ssin * complex(1.0 / sn) if direction else None
+    _check_miss(float(np.linalg.norm(_factor_array(unit, beta) - a)), bound)
+    return _simple_part(beta, unit)
 
 
-def _route_exprs(g0, g6, H, S, i: int, tol: Tolerances):
-    """Candidate expressions for factor i, lazily evaluated.
+def _norm(x) -> float:
+    """Euclidean norm of a 3-vector, the Frobenius norm of P diag(x) P^H."""
+    return math.hypot(*map(abs, x))
 
+
+def _log_entries(x, tol: Tolerances):
+    """principal_log_factor of P diag(x) P^H: (beta, w), its unit i diag(w) on P.
+
+    A unit squares to -1, so w holds the signs of Im x.  The signs are
+    kept below sin_zero_tol too, so the factor keeps its small sine;
+    whether the part has a direction is ``_directed(beta)``.
+    """
+    c = sum(v.real for v in x) / 3.0
+    beta, bound, _ = _factor_angle(math.hypot(*(v.real - c for v in x)), c,
+                                   math.hypot(*(v.imag for v in x)) / _SQRT3, _norm(x), tol)
+    w = [math.copysign(1.0, v.imag) for v in x]
+    _check_miss(_norm([z - v for z, v in zip(_euler_entries(beta, w), x)]), bound)
+    return beta, w
+
+
+def _euler_entries(beta: float, w) -> list:
+    """cos(beta) + i sin(beta) w: the Euler factor on the eigenbasis."""
+    c, s = math.cos(beta), math.sin(beta)
+    return [complex(c, s * y) for y in w]
+
+
+def _directed(beta: float, tol: Tolerances) -> bool:
+    """Whether a part of angle beta has a direction, as in principal_log_factor."""
+    return math.sin(beta) > tol.sin_zero_tol
+
+
+def _candidate(name: str, i: int, g0: complex, g6: complex, h, s, tol: Tolerances) -> list:
+    """Route ``name``'s candidate for factor i on the eigenbasis, normalized and unitary.
+
+    H_i = h_i sigma_i and S_i = s_i sigma_i, sigma_i is its own inverse
+    and sigma_k sigma_j = sigma_i, so every route gives a + b sigma_i.
     Each constituent is a scalar times an exact involution, so a
     constituent that is numerically zero still inverts cleanly and the
     dirt/dirt ratio yields a well-formed but wrong factor that passes
     every shape check.  Routes therefore refuse inputs whose norm is
     below the effectively-zero floor instead of trusting the algebra.
+    A nonzero constituent has condition number 1, so its inverse needs
+    no further check.
     """
     j, k = [t for t in range(3) if t != i]
-    floor = tol.g0_zero_tol
-
-    def usable(name: str, m: np.ndarray) -> np.ndarray:
-        if _rms(m) <= floor:
-            raise ZeroMatrix("%s input is effectively zero (%.3e)" % (name, _rms(m)))
-        return m
-
-    def simple():
-        return g0 + S[i]
-
-    def inv_a():
-        return _EYE3 + usable("H", H[k]) @ _inverse(usable("S", S[j]), tol)
-
-    def inv_b():
-        return _EYE3 + usable("H", H[j]) @ _inverse(usable("S", S[k]), tol)
-
-    def inv2():
-        return _EYE3 + usable("g6", g6) @ _inverse(usable("H", H[i]), tol)
-
-    return {"simple": simple, "inv_a": inv_a, "inv_b": inv_b, "inv2": inv2}
+    if name == "simple":
+        a, b = g0, s[i]
+    else:
+        terms = {"inv_a": (("H", h[k]), ("S", s[j])), "inv_b": (("H", h[j]), ("S", s[k])),
+                 "inv2": (("g6", g6), ("H", h[i]))}[name]
+        for label, coef in terms:
+            if abs(coef) <= tol.g0_zero_tol:
+                raise ZeroMatrix("%s input is effectively zero (%.3e)" % (label, abs(coef)))
+        a, b = 1.0, terms[0][1] / terms[1][1]
+    x = [a + b * y for y in _SIGMA[i]]
+    nrm = _norm(x) / _SQRT3
+    if nrm <= tol.norm_zero_tol:
+        raise ZeroMatrix("cannot normalize a matrix with norm %.3e" % nrm)
+    cand = [v * (1.0 / nrm) for v in x]
+    udev = math.hypot(*(abs(v) ** 2 - 1.0 for v in cand))
+    if not udev <= 100.0 * tol.fact_tol:
+        raise NotSimpleFactor("candidate not unitary (%.3e)" % udev)
+    return cand
 
 
-def _factor_candidate(g0, g6, H, S, i: int, order, tol: Tolerances):
-    exprs = _route_exprs(g0, g6, H, S, i, tol)
-    notes = []
-    ambiguous = None
-    for name in order:
-        try:
-            cand = _normalize(exprs[name](), tol)
-        except NumericalError as exc:
-            notes.append("%s: %s" % (name, exc))
-            continue
-        udev = _unitarity_residual(cand)
-        if not udev <= 100.0 * tol.fact_tol:
-            notes.append("%s: candidate not unitary (%.3e)" % (name, udev))
-            continue
-        try:
-            part = _log_factor(cand, tol)
-        except AmbiguousDirection as exc:
-            ambiguous = exc
-            notes.append("%s: %s" % (name, exc))
-            continue
-        except NotSimpleFactor as exc:
-            notes.append("%s: %s" % (name, exc))
-            continue
-        return cand, part, name, notes, ambiguous
-    return None, None, None, notes, ambiguous
-
-
-def factorize(u, tol: Tolerances = DEFAULT_TOL) -> Factorization:
-    """Split u into three commuting Euler factors.
+def _cascade(e, g0, g6, gam, delt, tol: Tolerances):
+    """The paper's route cascade on the eigenbasis: the parts (beta, w) and their routes.
 
     Route order depends on whether the scalar grade is usable: when
     every cos(beta_i) is nonzero the direct g0 + S_i route is cheapest
     and most accurate; when g0 vanishes (some cos is zero) the inverse
     routes go first, with g0 + S_i kept as a last resort since it still
-    works when only one cosine vanishes.  The grade decomposition the
-    routes used comes with the result.
+    works when only one cosine vanishes.  A factor no route recovers is
+    an AmbiguousDirection if some route found it at the antipode.
     """
-    factors, parts, routes, grades = _factorize(_unitary_array(u, tol), tol)
-    return Factorization(factors=tuple(map(_finite_mat, factors)),
-                         parts=tuple(_simple_part(*p) for p in parts),
-                         routes=tuple(routes), grades=_decomposition(grades))
-
-
-def _factorize(a: np.ndarray, tol: Tolerances):
-    """factorize on an array: (factors, (beta, unit) parts, routes, grades), all arrays."""
-    grades = _split_HS(a, tol)
-    g0, _, _, g6, _, _, H, S = grades
-    if _rms(g0) > tol.g0_zero_tol:
+    h = [0.5 * (g - sum(gam)) for g in gam]
+    s = [0.5j * (d - sum(delt)) for d in delt]
+    if abs(g0) > tol.g0_zero_tol:
         order = ("simple", "inv_a", "inv_b", "inv2")
     else:
         order = ("inv_a", "inv_b", "inv2", "simple")
-    factors = []
+    cands = []
     parts = []
     routes = []
     ambiguous = None
     for i in (0, 1):
-        cand, part, name, notes, amb = _factor_candidate(g0, g6, H, S, i, order, tol)
-        ambiguous = ambiguous or amb
-        if cand is None:
-            if ambiguous is not None:
-                raise ambiguous
-            raise FactorizationFailed(
+        notes = []
+        amb = None
+        for name in order:
+            try:
+                cand = _candidate(name, i, g0, g6, h, s, tol)
+                parts.append(_log_entries(cand, tol))
+            except NumericalError as exc:
+                if isinstance(exc, AmbiguousDirection):
+                    amb = exc
+                notes.append("%s: %s" % (name, exc))
+                continue
+            cands.append(cand)
+            routes.append(name)
+            break
+        else:
+            raise ambiguous or amb or FactorizationFailed(
                 "no route recovered factor %d: %s" % (i + 1, "; ".join(notes)))
-        factors.append(cand)
-        parts.append(part)
-        routes.append(name)
-    u3 = factors[0].conj().T @ factors[1].conj().T @ a
+        ambiguous = ambiguous or amb
+    # U3 = U1^dag U2^dag U
+    x3 = [a.conjugate() * b.conjugate() * v for a, b, v in zip(*cands, e)]
     try:
-        parts.append(_log_factor(u3, tol))
+        parts.append(_log_entries(x3, tol))
     except NotSimpleFactor as exc:
         # the first two factors validated individually but are mutually
         # inconsistent; report as a factorization failure, not a shape error
         raise FactorizationFailed("closing factor is not simple: %s" % exc) from exc
-    factors.append(u3)
     routes.append("closing")
-    return factors, parts, routes, grades
+    return parts, routes
 
 
-def _canonical_parts(a: np.ndarray, tol: Tolerances):
-    """Factor parts re-signed so their matrix logs sum to the principal log.
+def _least_norm_phases(z) -> tuple[list, float] | None:
+    """The least-norm traceless log phases of P diag(z) P^H, |z| = 1, and their margin.
 
-    Each factor admits two part representations, (beta, bhat) and its
-    pi-complement (pi - beta, -bhat); the recovered factors carry
-    arbitrary signs, so the raw sum of part logs may not be traceless
-    (flips come in pairs and each pair shifts the trace by 0 or
-    +-2 pi i), and even a traceless raw sum need not be the principal
-    branch.  A single flip shifts the trace by pi in magnitude, so the
-    traceless selections are cleanly separated: enumerate all sign
-    choices, keep the traceless ones, and take the one of least norm,
-    i.e. least sum of squared part angles.  Pairs of flips leave the
-    product of the factor exponentials unchanged, and odd flip counts
-    are never traceless, so the selection still multiplies out to u.
+    The phases of z shifted by 2 pi k, k in {-1, 0, 1}^3: the selection
+    theta of least norm whose sum is within 1 of 0.  Two traceless
+    selections differ by +2 pi on one phase and -2 pi on another, and
+    their squared norms by 4 pi (2 pi - theta_b + theta_a), so they tie
+    only where two equal entries of z get phases 2 pi apart, as two
+    entries at -1 do.  The margin is how much larger the next
+    selection's squared norm is.  None when no selection is traceless
+    (the product of z is not 1).
     """
-    _, parts, _, _ = _factorize(a, tol)
-    flippable = [i for i, (_, unit) in enumerate(parts) if unit is not None]
-    best = None
-    for mask in range(1 << len(flippable)):
-        sel = list(parts)
-        for bit, i in enumerate(flippable):
-            if mask >> bit & 1:
-                # principal log of -U_i instead of U_i: beta -> pi - beta, unit -> -unit
-                sel[i] = (math.pi - parts[i][0], parts[i][1] * complex(-1.0))
-        if not abs(sum(complex(np.trace(_part_mat(*p))).imag for p in sel)) <= 1.0:
-            continue
-        cost = sum(beta * beta for beta, _ in sel)
-        key = (cost, mask.bit_count(), mask)
-        if best is None or key < best[0]:
-            best = (key, sel)
-    if best is None:
-        raise FactorizationFailed("no traceless sign selection for the factor logs")
-    return best[1]
+    phi = [cmath.phase(v) for v in z]
+    # a selection's trace is sum(phi) + 2 pi sum(k): at most one sum(k) brings it within 1 of 0
+    turns = round(sum(phi) / (2.0 * math.pi))
+    if not abs(sum(phi) - 2.0 * math.pi * turns) <= 1.0:
+        return None
+    thetas = ([f + 2.0 * math.pi * k for f, k in zip(phi, ks)] for ks in _SHIFTS[-turns])
+    sels = sorted((sum(t * t for t in theta), theta) for theta in thetas)
+    return sels[0][1], sels[1][0] - sels[0][0] if len(sels) > 1 else math.inf
 
 
-def _log_sum(a: np.ndarray, k, tol: Tolerances) -> np.ndarray:
-    """Sum of the canonical part logs plus 2 pi k_i turns along part i, made skew."""
-    total = np.zeros((3, 3), dtype=np.complex128)
-    for (beta, unit), ki in zip(_canonical_parts(a, tol), k):
-        total = total + _part_mat(beta, unit)
-        if ki != 0:
-            if unit is None:
-                raise MissingDirection(
-                    "branch %d requested on a part with no direction" % ki)
-            total = total + unit * complex(2.0 * math.pi * ki)
-    return (total - total.conj().T) * complex(0.5)
+def _phase_parts(theta) -> list:
+    """The parts (|theta_i| / 2, sign(theta_i) sigma_i) of P diag(i theta) P^H: (i theta_i / 2)(2 P_i - 1)."""
+    return [(abs(t) / 2.0, [math.copysign(1.0, t) * x for x in sigma])
+            for t, sigma in zip(theta, _SIGMA)]
+
+
+def _factor_arrays(p: np.ndarray, parts) -> tuple[list, list]:
+    """The units P diag(i w) P^H and the Euler factors."""
+    ph = p.conj().T
+    units = [(p * (1j * np.array(w))) @ ph for _, w in parts]
+    return units, [_factor_array(unit, beta) for unit, (beta, _) in zip(units, parts)]
+
+
+def _factor_parts(a: np.ndarray, tol: Tolerances):
+    """(eigenbasis, parts, routes) of a: the cascade, else the ``eigen`` route.
+
+    The eigen route, the invariant decomposition of log U, runs only
+    after the cascade's FactorizationFailed, and its factors must
+    multiply back to a within fact_tol.
+    """
+    basis = _eigenbasis(a, tol)
+    p, e, g0, g6, gam, delt, _ = basis
+    e = e.tolist()
+    try:
+        parts, routes = _cascade(e, g0, g6, gam.tolist(), delt.tolist(), tol)
+    except FactorizationFailed as exc:
+        theta, margin = _least_norm_phases(e) or (None, math.inf)
+        # equal eigenvalues split 2 pi apart: within 2 sin_zero_tol of a tie, no log is principal
+        if margin <= 8.0 * math.pi * tol.sin_zero_tol:
+            raise AmbiguousDirection(
+                "equal eigenvalues at phases 2 pi apart: the traceless log is not unique") from exc
+        routes = ["eigen"] * 3
+        parts = None if theta is None else _phase_parts(theta)
+        miss = math.inf
+        if parts is not None:
+            f1, f2, f3 = _factor_arrays(p, parts)[1]
+            miss = float(np.linalg.norm(f1 @ f2 @ f3 - a))
+        if not miss <= tol.fact_tol:
+            raise FactorizationFailed(
+                "%s; eigen route: factors miss u by %.3e" % (exc, miss)) from exc
+    return basis, parts, routes
+
+
+def factorize(u, tol: Tolerances = DEFAULT_TOL) -> Factorization:
+    """Split u into three commuting Euler factors.
+
+    The paper's route cascade runs first (see ``_cascade``); when it
+    finds no factor, the ``eigen`` route.  Each factor is
+    cos(beta) 1 + sin(beta) unit.  The grade decomposition the routes
+    used comes with the result.
+    """
+    basis, parts, routes = _factor_parts(_unitary_array(u, tol), tol)
+    units, factors = _factor_arrays(basis[0], parts)
+    return Factorization(
+        factors=tuple(map(_finite_mat, factors)),
+        parts=tuple(_simple_part(beta, unit if _directed(beta, tol) else None)
+                    for unit, (beta, _) in zip(units, parts)),
+        routes=tuple(routes), grades=_decomposition(basis))
+
+
+def _log_sum(a: np.ndarray, k, tol: Tolerances) -> tuple[np.ndarray, list]:
+    """(P, t): the principal part logs plus 2 pi k_i turns along part i are P diag(i t) P^H.
+
+    A recovered factor carries an arbitrary sign, and the log of -U_i
+    is the pi-complement (pi - beta, -w) of that of U_i.  The least-norm
+    traceless selection over the phases of the factors' product z on
+    the eigenbasis is the one re-signing of the factor logs that is the
+    principal branch.  The factors fix the branch, the multiple of
+    2 pi each phase takes; the phases themselves are taken from U's
+    eigenvalues e, which z matches only to the cascade's accuracy
+    (about 1e-10 where a cos(beta_i) nearly vanishes).
+    """
+    basis, parts, _ = _factor_parts(a, tol)
+    z = [1.0, 1.0, 1.0]
+    for part in parts:
+        z = [x * y for x, y in zip(z, _euler_entries(*part))]
+    selection = _least_norm_phases(z)
+    if selection is None:
+        raise FactorizationFailed("no traceless selection for the factor logs")
+    theta = [t + cmath.phase(v * x.conjugate())
+             for t, v, x in zip(selection[0], basis[1].tolist(), z)]
+    t = [0.0, 0.0, 0.0]
+    for (beta, w), ki in zip(_phase_parts(theta), k):
+        if ki != 0 and not _directed(beta, tol):
+            raise MissingDirection("branch %d requested on a part with no direction" % ki)
+        turn = beta + 2.0 * math.pi * ki
+        t = [x + turn * y for x, y in zip(t, w)]
+    return basis[0], t
+
+
+def _log_array(p: np.ndarray, t) -> np.ndarray:
+    """P diag(i t) P^H, made exactly skew."""
+    m = (p * (1j * np.array(t))) @ p.conj().T
+    return (m - m.conj().T) * complex(0.5)
 
 
 def principal_log(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
     """Principal matrix log of u as a traceless anti-Hermitian matrix.
 
-    Sum of the canonicalized factor logs.  Each factor contributes
-    beta_i in [0, pi] along its own direction, so the result is the
-    branch whose part angles are all principal.
+    Sum of the principal part logs: among the logs of u that sum logs
+    of its factors, the traceless one of least norm.
     """
-    total = _log_sum(_unitary_array(u, tol), (0, 0, 0), tol)
-    trace = abs(complex(np.trace(total)))
+    p, t = _log_sum(_unitary_array(u, tol), (0, 0, 0), tol)
+    trace = abs(sum(t))
     if not trace <= tol.log_tol:
         raise FactorizationFailed("log trace %.3e after canonicalization" % trace)
-    return _finite_mat(total)
+    return _finite_mat(_log_array(p, t))
 
 
 def branch_log(u, branch: LogBranch, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
@@ -335,4 +444,4 @@ def branch_log(u, branch: LogBranch, tol: Tolerances = DEFAULT_TOL) -> ComplexMa
     """
     if not isinstance(branch, LogBranch):
         branch = LogBranch(k=tuple(branch))
-    return _finite_mat(_log_sum(_unitary_array(u, tol), branch.k, tol))
+    return _finite_mat(_log_array(*_log_sum(_unitary_array(u, tol), branch.k, tol)))

@@ -18,8 +18,10 @@ on U's eigenbasis, and feeding the real and imaginary parts separately
 through the part ansatz yields exactly Hermitian H_i and exactly
 skew-Hermitian S_i with sum g4 and g2 respectively.
 
-The arithmetic runs on complex128 arrays (``_split_HS`` and helpers,
-which ``factorlog`` calls directly); public functions take a
+The arithmetic runs on complex128 arrays.  ``_eigenbasis`` diagonalizes
+U once and returns what ``factorlog`` runs on: the eigenbasis, the
+eigenvalues, the scalars of g0 and g6, and gamma, delta; the grade
+matrices are built from it for output only.  Public functions take a
 ``GroupElement``, ``ComplexMat`` or raw entries and wrap each result.
 """
 
@@ -102,30 +104,33 @@ def _hermitian_outer(v: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
-def _split_HS(a: np.ndarray, tol: Tolerances) -> tuple:
-    """split_HS on a 3x3 array: (g0, g2, g4, g6, ccos, ssin, H, S) as arrays."""
+def _eigenbasis(a: np.ndarray, tol: Tolerances) -> tuple:
+    """(P, e, g0, g6, gamma, delta, grades) of a 3x3 unitary array.
+
+    P and e are U's eigenbasis and eigenvalues as the normal kernel
+    returns them, g0 and g6 the scalars of the grades of that name,
+    gamma + i delta the diagonal of A = g2 + g4 on P, and grades the
+    arrays (g0, g2, g4, g6, ccos, ssin).
+    """
     if a.shape != (3, 3):
         raise DimensionMismatch(f"expected a 3x3 matrix, got {a.shape[0]}x{a.shape[1]}")
-    _, p, _ = _eigen_normal3(a, _normal_norm(a, tol), tol)
+    e, p, _ = _eigen_normal3(a, _normal_norm(a, tol), tol)
     grades = _grades(a)
-    d = np.diag(p.conj().T @ (grades[1] + grades[2]) @ p)  # A = g2 + g4 on u's eigenbasis
-    gam = d.real
-    delt = d.imag
+    d = np.diag(p.conj().T @ (grades[1] + grades[2]) @ p)
+    return p, e, complex(grades[0][0, 0]), complex(grades[3][0, 0]), d.real, d.imag, grades
+
+
+def _decomposition(basis: tuple) -> GradeDecomposition:
+    """The grade decomposition from the result of _eigenbasis, each array wrapped once."""
+    p, _, _, _, gam, delt, grades = basis
     eye = np.eye(3)
     hs = []
     ss = []
     for i in range(3):
         invol = 2.0 * _hermitian_outer(p[:, i]) - eye
-        hs.append(0.5 * (gam[i] - gam.sum()) * invol)
-        ss.append(0.5j * (delt[i] - delt.sum()) * invol)
-    return (*grades, tuple(hs), tuple(ss))
-
-
-def _decomposition(arrays: tuple) -> GradeDecomposition:
-    """Wrap the arrays of _split_HS, each after one finiteness check."""
-    *grades, hs, ss = arrays
-    return GradeDecomposition(*map(_finite_mat, grades), tuple(map(_finite_mat, hs)),
-                              tuple(map(_finite_mat, ss)))
+        hs.append(_finite_mat(0.5 * (gam[i] - gam.sum()) * invol))
+        ss.append(_finite_mat(0.5j * (delt[i] - delt.sum()) * invol))
+    return GradeDecomposition(*map(_finite_mat, grades), tuple(hs), tuple(ss))
 
 
 def split_HS(u, tol: Tolerances = DEFAULT_TOL) -> GradeDecomposition:
@@ -138,4 +143,4 @@ def split_HS(u, tol: Tolerances = DEFAULT_TOL) -> GradeDecomposition:
     H_i, to the i deltas alone S_i.  Built this way the H_i are exactly
     Hermitian and the S_i exactly skew.
     """
-    return _decomposition(_split_HS(_as_mat(u).array, tol))
+    return _decomposition(_eigenbasis(_as_mat(u).array, tol))

@@ -52,6 +52,7 @@ from .smallmat import (
     _inverse,
     _normal_problem,
     _require_finite,
+    _scaled,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -140,12 +141,18 @@ def _algebra_norm(arr: np.ndarray, tol: Tolerances) -> float:
 
 
 def _su3_problem(arr: np.ndarray, nrm: float, tol: Tolerances) -> str | None:
-    """Why a 3x3 arr with Frobenius norm nrm is not traceless skew-Hermitian, or None."""
+    """Why a 3x3 arr with Frobenius norm nrm is not traceless skew-Hermitian, or None.
+
+    Both gates are relative above norm 1, alg_tol * max(1, nrm): an
+    element built in floating point carries trace round-off in
+    proportion to its norm.
+    """
+    bound = tol.alg_tol * max(1.0, nrm)
     trace = complex(np.trace(arr))
-    if abs(trace) > tol.alg_tol:
+    if abs(trace) > bound:
         return f"trace {trace:.3e} is not zero within alg_tol"
     skew = float(np.linalg.norm(arr + arr.conj().T))
-    if skew > tol.alg_tol * max(1.0, nrm):
+    if skew > bound:
         return f"Hermitian residual {skew:.3e} exceeds alg_tol, matrix is not skew-Hermitian"
     return None
 
@@ -252,9 +259,13 @@ def lambda_roots(b, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float, float]
 
     solved trigonometrically.  Both coefficients are real for a
     traceless skew-Hermitian input, all roots are real and nonpositive,
-    and tiny imaginary residue is clamped rather than surfaced.
+    and tiny imaginary residue is clamped rather than surfaced.  The
+    cubic is solved for b * 2^k (``smallmat._scaled``, k = 0 for norms
+    inside [2^-100, 2^100]) and the roots scaled back by 4^-k, so no
+    coefficient overflows or underflows.
     """
     arr = b.mat.array if isinstance(b, AlgebraElement) else AlgebraElement(b, tol).mat.array
+    arr, _, shift = _scaled(arr, _finite_norm(arr))
     a = -0.25 * np.trace(arr @ arr).real
     if a <= 0.0:
         return (0.0, 0.0, 0.0)
@@ -266,7 +277,7 @@ def lambda_roots(b, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float, float]
         (float((a / 3.0) * math.cos((theta - 2.0 * math.pi * k) / 3.0) - a / 3.0) for k in range(3)),
         reverse=True,
     )
-    return (roots[0], roots[1], roots[2])
+    return tuple(math.ldexp(r, -2 * shift) for r in roots)
 
 
 def decompose_closed_form(b, lambdas, tol: Tolerances = DEFAULT_TOL) -> InvariantDecomposition:

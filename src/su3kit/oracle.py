@@ -18,7 +18,7 @@ from .errors import InputError, NotUnitary
 from .expmap import GroupElement
 from .invdec import AlgebraElement
 from .gellmann import LAMBDAS
-from .smallmat import ComplexMat, _as_mat, eigen_general, eigen_normal3
+from .smallmat import ComplexMat, _as_mat, eigen_general
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _TAYLOR_ORDER = 18
@@ -57,7 +57,10 @@ def log_reference(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
 
     Eigenvalues are unit-modulus; their phases are taken in (-pi, pi]
     and reassembled as P diag(i theta) P^{-1}, with a final projection
-    onto the skew-Hermitian subspace to strip round-off.
+    onto the skew-Hermitian subspace to strip round-off.  The
+    eigensystem comes from ``eigen_general`` (LAPACK) at every size, so
+    the log it checks, which runs on the closed-form normal kernel,
+    shares no kernel with it.
     """
     arr = _as_mat(u).array
     n = arr.shape[0]
@@ -66,7 +69,7 @@ def log_reference(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
         dev = float(np.linalg.norm(arr.conj().T @ arr - np.eye(n)))
     if not dev <= tol.grp_tol:
         raise NotUnitary(f"unitarity residual {dev:.3e} exceeds grp_tol")
-    es = eigen_normal3(arr, tol) if n == 3 else eigen_general(arr, tol)
+    es = eigen_general(arr, tol)
     phases = np.array([math.atan2(v.imag, v.real) for v in es.values])
     log = es.vectors.array @ np.diag(1j * phases) @ es.inverse_vectors.array
     return ComplexMat((log - log.conj().T) / 2.0)

@@ -7,12 +7,19 @@ Run from the repository root:
 Every fixture's output is validated against an independent expectation
 (hand-derived matrices or the series-based reference exponential)
 before its bytes are frozen.  Regeneration is only needed when the
-output document format itself changes; the stored bytes are otherwise
-stable because all inputs are fixed seeds or exact constants.
+output document format or the numeric method changes; the stored bytes
+are otherwise stable because all inputs are fixed seeds or exact
+constants.
+
+For each factor- and log- fixture that succeeds, the script prints the
+distance of the stored output and of the regenerated one to the
+independent oracle (see ``oracle_distance``), so a method change shows
+whether it moved its outputs closer or further.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -26,8 +33,8 @@ sys.path.insert(0, str(HERE.parent))
 from golden_util import run_cli_capture  # noqa: E402
 
 from su3kit.cli import emit_json, matrix_document  # noqa: E402
-from su3kit.oracle import exp_reference, random_group  # noqa: E402
-from su3kit.smallmat import ComplexMat  # noqa: E402
+from su3kit.oracle import compare, exp_reference, log_reference, random_group  # noqa: E402
+from su3kit.smallmat import ComplexMat, eigen_general  # noqa: E402
 
 
 def doc(arr) -> str:
@@ -180,12 +187,59 @@ FIXTURES = [
 ]
 
 
+def oracle_factors(u: np.ndarray) -> list[np.ndarray]:
+    """exp of the parts of u's least-norm traceless log, from the LAPACK eigensystem.
+
+    Part i is (i theta_i / 2)(2 q_i q_i^dag - 1) for eigenvector q_i, so
+    its exponential is cos(theta_i / 2) 1 + i sin(theta_i / 2)(2 q_i q_i^dag - 1).
+    """
+    es = eigen_general(u)
+    phases = np.angle(np.array(es.values))
+    thetas = [phases + 2.0 * math.pi * np.array(k)
+              for k in itertools.product((-1, 0, 1), repeat=3)]
+    theta = min((t for t in thetas if abs(t.sum()) < 1.0), key=lambda t: float(t @ t))
+    q = es.vectors.array
+    return [math.cos(t / 2.0) * np.eye(3)
+            + 1j * math.sin(t / 2.0) * (2.0 * np.outer(q[:, i], q[:, i].conj()) - np.eye(3))
+            for i, t in enumerate(theta)]
+
+
+def oracle_distance(argv, stdin_text, out: str) -> str | None:
+    """How far a factor or log output is from the oracle; None for other fixtures.
+
+    factor: the largest distance of a factor from the oracle factor of
+    the same index, up to its sign (a factor and its pi-complement differ
+    by sign), and the product residual.  log: the distance to
+    log_reference for the principal branch, the round trip through
+    exp_reference for another branch.
+    """
+    if argv[0] not in ("factor", "log"):
+        return None
+    doc_out = json.loads(out)
+    if "error" in doc_out:
+        return None
+    u = mat_of(json.loads(stdin_text))
+    if argv[0] == "factor":
+        fs = [mat_of(f) for f in doc_out["factors"]]
+        dist = max(min(compare(f, o), compare(f, -o)) for f, o in zip(fs, oracle_factors(u)))
+        return f"{dist:.3e} (product {compare(fs[0] @ fs[1] @ fs[2], u):.3e})"
+    log = mat_of(doc_out["log"])
+    if doc_out["branch"] not in (None, [0, 0, 0]):
+        return f"{compare(exp_reference(log), u):.3e} (round trip)"
+    return f"{compare(log, log_reference(u)):.3e}"
+
+
 def main() -> int:
     for name, argv, stdin_text, want_exit, validate in FIXTURES:
         code, out = run_cli_capture(argv, stdin_text)
         assert code == want_exit, f"{name}: exit {code}, want {want_exit}"
         parsed, _ = json.JSONDecoder().raw_decode(out)
         validate(parsed)
+        new = oracle_distance(argv, stdin_text, out)
+        stored = HERE / f"{name}.out"
+        if new is not None and stored.exists():
+            old = oracle_distance(argv, stdin_text, stored.read_text())
+            print(f"{name}: oracle distance stored {old}, regenerated {new}")
         cmd = {"argv": argv, "stdin": stdin_text, "exit": want_exit}
         (HERE / f"{name}.json").write_text(json.dumps(cmd, indent=2) + "\n")
         (HERE / f"{name}.out").write_text(out)

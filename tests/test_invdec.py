@@ -14,6 +14,7 @@ from su3kit.errors import (
     InvalidAlgebraElement,
     NonFiniteEntries,
     Overflow,
+    Su3KitError,
 )
 from su3kit.invdec import (
     AlgebraElement,
@@ -26,7 +27,7 @@ from su3kit.invdec import (
 )
 from su3kit.expmap import exp_su3
 from su3kit.oracle import compare, exp_reference, random_algebra
-from su3kit.smallmat import ComplexMat, commutator, eigen_general, scalar_residual
+from su3kit.smallmat import ComplexMat, _det3, commutator, eigen_general, scalar_residual
 
 
 def _diag(*vals):
@@ -337,3 +338,48 @@ class TestArrayClosedForm:
         # as non-finite, without numpy's RuntimeWarning
         with pytest.raises(NonFiniteEntries):
             decompose_closed_form(B_EXAMPLE, (-1e-320, -2e-320, -3e-320))
+
+
+class TestRelativeTraceGate:
+    """The trace gate is alg_tol * max(1, ||B||), like the skew gate."""
+
+    def test_large_elements_accepted(self):
+        # trace round-off grows with the norm: about half of these were refused
+        for seed in range(200):
+            b = _unit_algebra(seed) * 1e8
+            AlgebraElement(b)
+            assert all(p.beta is not None for p in decompose_via_eigen(b).parts)
+
+    def test_unit_norm_trace_still_refused(self):
+        b = _unit_algebra(0) + (1e-8j / 3.0) * np.eye(3)
+        with pytest.raises(InvalidAlgebraElement, match="trace"):
+            AlgebraElement(b)
+
+
+class TestLambdaRootsScaleFree:
+    """The cubic runs on a power-of-two rescaling: no overflow up to the norm limit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sweep_norms(self, seed):
+        bh = _unit_algebra(seed)
+        ref = np.array(lambda_roots(bh))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e in range(154):
+                try:
+                    roots = np.array(lambda_roots(bh * 10.0**e))
+                except Su3KitError:
+                    continue
+                assert np.all(np.isfinite(roots))
+                assert np.max(np.abs(roots * 10.0 ** (-2 * e) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_same_bits_inside_the_plain_range(self):
+        """Inside [2^-100, 2^100] the cubic is solved for B itself, bit for bit."""
+        for scale in (2.0**-99, 1.0, 2.0**99):
+            b = _unit_algebra(3) * scale
+            a = -0.25 * np.trace(b @ b).real
+            c = -((_det3(b) / 8.0) ** 2).real
+            theta = math.acos(min(1.0, max(-1.0, 1.0 - 108.0 * c / (a * a * a))))
+            want = sorted((float((a / 3.0) * math.cos((theta - 2.0 * math.pi * k) / 3.0) - a / 3.0)
+                           for k in range(3)), reverse=True)
+            assert lambda_roots(b) == tuple(want)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from su3kit import smallmat
 from su3kit.errors import InputError, NotUnitary
 from su3kit.oracle import (
     compare,
@@ -88,6 +89,19 @@ class TestLogReference:
     def test_skew_hermitian_output(self):
         l = log_reference(random_group(3).mat).array
         np.testing.assert_allclose(l, -l.conj().T, atol=0)
+
+    def test_shares_no_kernel_with_the_log(self, monkeypatch):
+        """The closed-form normal kernel may fail: the oracle never calls it."""
+
+        def broken(*args):
+            raise AssertionError("the oracle called the normal kernel")
+
+        monkeypatch.setattr(smallmat, "_eigen_normal3", broken)
+        for seed in range(5):
+            u = random_group(seed).mat
+            assert compare(exp_reference(log_reference(u)), u) < 1e-11
+        with pytest.raises(AssertionError):
+            smallmat.eigen_normal3(random_group(0).mat)
 
     @pytest.mark.parametrize("scale", [1e160, 1e200])
     def test_overflowing_residual_refused(self, scale):

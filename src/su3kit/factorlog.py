@@ -26,22 +26,26 @@ inverse is a division, the unitarity residual is || |x|^2 - 1 ||,
 "Hermitian half is scalar" is ||Re x - mean Re x||, and the closing
 factor is conj(x1) conj(x2) e.  A factor's log is (beta, w) with unit
 i diag(w) on P, w the signs of Im x (a unit squares to -1); the part
-has a direction where sin(beta) exceeds sin_zero_tol.  Matrices are built only for output: a unit is
-P diag(i w) P^H, a factor cos(beta) 1 + sin(beta) unit, a log
-P diag(i t) P^H.
+has a direction where sin(beta) exceeds sin_zero_tol.  Matrices are
+built only for output: a unit is P diag(i w) P^H, a factor
+cos(beta) 1 + sin(beta) unit, a log P diag(i t) P^H.
 
 When the cascade finds no factor (FactorizationFailed; an
-AmbiguousDirection or MissingDirection is final), the ``eigen`` route
-takes the paper's invariant decomposition of log U instead: the
-least-norm traceless selection theta of U's eigenphases shifted by
-2 pi k, k in {-1, 0, 1}^3, gives the parts (i theta_i / 2)(2 P_i - 1).
-Where that selection is not unique (equal eigenvalues it would set
-2 pi apart, such as two at -1) it refuses with AmbiguousDirection, and
-its factors must multiply back to U within fact_tol.  The principal
-log applies the same selection to the product of the recovered factors
-on P, which picks the signs of the factors' logs, so both routes share
-one definition of the principal branch; the factors fix the branch, and
-U's own eigenphases the angles.
+AmbiguousDirection is final), the ``eigen`` route takes the paper's
+invariant decomposition of log U instead: the least-norm traceless
+selection theta of U's eigenphases shifted by 2 pi k, k in
+{-1, 0, 1}^3, gives the parts (i theta_i / 2)(2 P_i - 1).  Where that
+selection is not unique (equal eigenvalues it would set 2 pi apart,
+such as two at -1) it refuses with AmbiguousDirection, and its factors
+must multiply back to U within fact_tol.
+
+The cascade's factors match U's eigenphases only to its own accuracy
+(about 1e-10 where a cos(beta_i) nearly vanishes), so their angles are
+moved onto U's eigenphases along their own units (``_pinned``): the
+factors then multiply to U up to the eigenbasis' own error.  The
+principal log re-signs the factors' logs to the least-norm traceless
+sum, which for such factors is the eigen route's selection over U's
+eigenphases.
 
 Scalars multiply as Python complex numbers, and residual gates read
 "not x <= tol" so NaN is refused.  Public functions take a
@@ -327,6 +331,21 @@ def _least_norm_phases(z) -> tuple[list, float] | None:
     return sels[0][1], sels[1][0] - sels[0][0] if len(sels) > 1 else math.inf
 
 
+def _pinned(parts, e) -> list:
+    """The cascade's parts with their angles moved so the factors multiply to diag(e).
+
+    The factors' product on P is exp(i theta), theta = sum_i beta_i w_i,
+    which matches U's eigenphases only to the cascade's accuracy (about
+    1e-10 where a cos(beta_i) nearly vanishes).  Each phase is moved onto
+    e's and theta split again on the sign patterns: c_i =
+    (theta_i - sum theta)/2 solves sum_i c_i sigma_i = theta.  A factor
+    keeps its route, and its angle moves by the cascade's error.
+    """
+    theta = [sum(beta * w[m] for beta, w in parts) for m in range(3)]
+    theta = [t + cmath.phase(v * cmath.exp(-1j * t)) for t, v in zip(theta, e)]
+    return _phase_parts([t - sum(theta) for t in theta])
+
+
 def _phase_parts(theta) -> list:
     """The parts (|theta_i| / 2, sign(theta_i) sigma_i) of P diag(i theta) P^H: (i theta_i / 2)(2 P_i - 1)."""
     return [(abs(t) / 2.0, [math.copysign(1.0, t) * x for x in sigma])
@@ -352,6 +371,7 @@ def _factor_parts(a: np.ndarray, tol: Tolerances):
     e = e.tolist()
     try:
         parts, routes = _cascade(e, g0, g6, gam.tolist(), delt.tolist(), tol)
+        parts = _pinned(parts, e)
     except FactorizationFailed as exc:
         theta, margin = _least_norm_phases(e) or (None, math.inf)
         # equal eigenvalues split 2 pi apart: within 2 sin_zero_tol of a tie, no log is principal
@@ -391,25 +411,19 @@ def _log_sum(a: np.ndarray, k, tol: Tolerances) -> tuple[np.ndarray, list]:
     """(P, t): the principal part logs plus 2 pi k_i turns along part i are P diag(i t) P^H.
 
     A recovered factor carries an arbitrary sign, and the log of -U_i
-    is the pi-complement (pi - beta, -w) of that of U_i.  The least-norm
-    traceless selection over the phases of the factors' product z on
-    the eigenbasis is the one re-signing of the factor logs that is the
-    principal branch.  The factors fix the branch, the multiple of
-    2 pi each phase takes; the phases themselves are taken from U's
-    eigenvalues e, which z matches only to the cascade's accuracy
-    (about 1e-10 where a cos(beta_i) nearly vanishes).
+    is the pi-complement (pi - beta, -w) of that of U_i; the principal
+    log is the re-signing of the factor logs whose sum is the
+    least-norm traceless one.  The factors multiply to diag(e) on P
+    (``_pinned``), so that re-signing is the least-norm traceless
+    selection over U's eigenphases.  The factorization still decides
+    which inputs have a log: an antipode is AmbiguousDirection.
     """
-    basis, parts, _ = _factor_parts(a, tol)
-    z = [1.0, 1.0, 1.0]
-    for part in parts:
-        z = [x * y for x, y in zip(z, _euler_entries(*part))]
-    selection = _least_norm_phases(z)
+    basis, _, _ = _factor_parts(a, tol)
+    selection = _least_norm_phases(basis[1].tolist())
     if selection is None:
         raise FactorizationFailed("no traceless selection for the factor logs")
-    theta = [t + cmath.phase(v * x.conjugate())
-             for t, v, x in zip(selection[0], basis[1].tolist(), z)]
     t = [0.0, 0.0, 0.0]
-    for (beta, w), ki in zip(_phase_parts(theta), k):
+    for (beta, w), ki in zip(_phase_parts(selection[0]), k):
         if ki != 0 and not _directed(beta, tol):
             raise MissingDirection("branch %d requested on a part with no direction" % ki)
         turn = beta + 2.0 * math.pi * ki

@@ -21,12 +21,14 @@ from hypothesis import strategies as st
 from su3kit import factorlog
 from su3kit.errors import (
     AmbiguousDirection,
+    EigenFailure,
     FactorizationFailed,
+    MissingDirection,
     NotSimpleFactor,
     NumericalError,
     ZeroMatrix,
 )
-from su3kit.expmap import _unitarity_residual
+from su3kit.expmap import GroupElement, _unitarity_residual
 from su3kit.factorlog import (
     LogBranch,
     branch_log,
@@ -37,7 +39,7 @@ from su3kit.factorlog import (
     rms_norm,
 )
 from su3kit.grades import split_HS
-from su3kit.oracle import compare, exp_reference, random_group
+from su3kit.oracle import compare, exp_reference, random_algebra, random_group
 from su3kit.smallmat import _EYE3, _inverse
 from su3kit.tolerances import DEFAULT_TOL
 
@@ -220,10 +222,16 @@ def test_near_cos_zero_round_trips(exponent, side, seed):
 
 
 def test_fixed_near_cos_zero_stream():
-    """All 100 inputs of the formerly failing band return, by the cascade or the eigen route."""
+    """All 100 inputs of the formerly failing band return, by the cascade or the eigen route.
+
+    The log's phases are U's own eigenphases, so it round-trips far
+    inside the 1e-9 level even where the cascade's factors carry 1e-10
+    errors.
+    """
     routes = []
     for u in near_cos_zero_stream():
         fz = _round_trips(u)
+        assert compare(exp_reference(principal_log(u)), u) <= 1e-13
         assert fz.routes in (("eigen",) * 3, ("simple", "simple", "closing"))
         routes.append(fz.routes[0])
         try:
@@ -270,3 +278,42 @@ def test_eigen_parts_are_the_invariant_decomposition():
     assert compare(total, principal_log(u)) < 1e-12
     for p in fz.parts:
         assert np.linalg.norm(p.unit.array @ p.unit.array + np.eye(3)) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-10, 1e-12])
+def test_near_identity(scale):
+    """A factor whose sine is below sin_zero_tol keeps it: the factors still multiply back.
+
+    Its part has no direction, so a winding along it is refused, and no
+    log of these inputs fails at the log trace gate.
+    """
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        a, b = rng.standard_normal(2)
+        u = _from_phases(scale * np.array([a, b, -a - b]), rng)
+        fz = _round_trips(u)
+        if any(p.unit is None for p in fz.parts):
+            with pytest.raises(MissingDirection):
+                branch_log(u, LogBranch(tuple(int(p.unit is None) for p in fz.parts)))
+
+
+def test_center_element_keeps_a_log():
+    """omega 1 has a continuum of least-norm logs; the log path picks one, as before."""
+    u = np.exp(2j * math.pi / 3) * np.eye(3)
+    assert compare(exp_reference(principal_log(u)), u) <= 1e-13
+
+
+def test_tiny_logs_pass_the_trace_gate():
+    """Logs of exp(B), ||B|| about 1e-9, no longer fail at the log trace gate.
+
+    The normal kernel still refuses some of them (EigenFailure), a
+    limit of its conditioning that this test leaves open.
+    """
+    rng = np.random.default_rng(3)
+    for seed in range(200):
+        b = random_algebra(seed).mat.array
+        b = b / np.linalg.norm(b) * 10.0 ** rng.uniform(-9.5, -8.5)
+        try:
+            principal_log(GroupElement(exp_reference(b)))
+        except EigenFailure:
+            continue

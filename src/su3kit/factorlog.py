@@ -160,8 +160,8 @@ def _factor_angle(residual: float, c: float, sn: float, size: float, tol: Tolera
         return beta, bound, True
     if beta > math.pi / 2.0:
         raise AmbiguousDirection("factor is at the antipode (beta = %.6f); direction lost" % beta)
-    # a sub-threshold sine is discarded by design; allow exactly the
-    # discarded magnitude on top of the usual bound
+    # principal_log_factor discards a sub-threshold sine by design;
+    # allow exactly the discarded magnitude on top of the usual bound
     return beta, bound + _SQRT3 * tol.sin_zero_tol, False
 
 
@@ -209,14 +209,9 @@ def _log_entries(x, tol: Tolerances):
     beta, bound, _ = _factor_angle(math.hypot(*(v.real - c for v in x)), c,
                                    math.hypot(*(v.imag for v in x)) / _SQRT3, _norm(x), tol)
     w = [math.copysign(1.0, v.imag) for v in x]
-    _check_miss(_norm([z - v for z, v in zip(_euler_entries(beta, w), x)]), bound)
+    cb, sb = math.cos(beta), math.sin(beta)
+    _check_miss(_norm([complex(cb, sb * y) - v for y, v in zip(w, x)]), bound)
     return beta, w
-
-
-def _euler_entries(beta: float, w) -> list:
-    """cos(beta) + i sin(beta) w: the Euler factor on the eigenbasis."""
-    c, s = math.cos(beta), math.sin(beta)
-    return [complex(c, s * y) for y in w]
 
 
 def _directed(beta: float, tol: Tolerances) -> bool:

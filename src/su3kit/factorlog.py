@@ -275,23 +275,21 @@ def _cascade(e, g0, g6, gam, delt, tol: Tolerances):
     ambiguous = None
     for i in (0, 1):
         notes = []
-        amb = None
         for name in order:
             try:
                 cand = _candidate(name, i, g0, g6, h, s, tol)
                 parts.append(_log_entries(cand, tol))
             except NumericalError as exc:
                 if isinstance(exc, AmbiguousDirection):
-                    amb = exc
+                    ambiguous = ambiguous or exc
                 notes.append("%s: %s" % (name, exc))
                 continue
             cands.append(cand)
             routes.append(name)
             break
         else:
-            raise ambiguous or amb or FactorizationFailed(
+            raise ambiguous or FactorizationFailed(
                 "no route recovered factor %d: %s" % (i + 1, "; ".join(notes)))
-        ambiguous = ambiguous or amb
     # U3 = U1^dag U2^dag U
     x3 = [a.conjugate() * b.conjugate() * v for a, b, v in zip(*cands, e)]
     try:
@@ -304,23 +302,20 @@ def _cascade(e, g0, g6, gam, delt, tol: Tolerances):
     return parts, routes
 
 
-def _least_norm_phases(z) -> tuple[list, float] | None:
+def _least_norm_phases(z) -> tuple[list, float]:
     """The least-norm traceless log phases of P diag(z) P^H, |z| = 1, and their margin.
 
-    The phases of z shifted by 2 pi k, k in {-1, 0, 1}^3: the selection
-    theta of least norm whose sum is within 1 of 0.  Two traceless
-    selections differ by +2 pi on one phase and -2 pi on another, and
-    their squared norms by 4 pi (2 pi - theta_b + theta_a), so they tie
-    only where two equal entries of z get phases 2 pi apart, as two
-    entries at -1 do.  The margin is how much larger the next
-    selection's squared norm is.  None when no selection is traceless
-    (the product of z is not 1).
+    The phases of z shifted by 2 pi k, k in {-1, 0, 1}^3: among the
+    selections whose sum is nearest 0 (exactly 0 when the product of z
+    is 1), the one of least norm.  Two traceless selections differ by
+    +2 pi on one phase and -2 pi on another, and their squared norms by
+    4 pi (2 pi - theta_b + theta_a), so they tie only where two equal
+    entries of z get phases 2 pi apart, as two entries at -1 do.  The
+    margin is how much larger the next selection's squared norm is.
     """
     phi = [cmath.phase(v) for v in z]
-    # a selection's trace is sum(phi) + 2 pi sum(k): at most one sum(k) brings it within 1 of 0
+    # a selection's trace is sum(phi) + 2 pi sum(k)
     turns = round(sum(phi) / (2.0 * math.pi))
-    if not abs(sum(phi) - 2.0 * math.pi * turns) <= 1.0:
-        return None
     thetas = ([f + 2.0 * math.pi * k for f, k in zip(phi, ks)] for ks in _SHIFTS[-turns])
     sels = sorted((sum(t * t for t in theta), theta) for theta in thetas)
     return sels[0][1], sels[1][0] - sels[0][0] if len(sels) > 1 else math.inf
@@ -368,17 +363,16 @@ def _factor_parts(a: np.ndarray, tol: Tolerances):
         parts, routes = _cascade(e, g0, g6, gam.tolist(), delt.tolist(), tol)
         parts = _pinned(parts, e)
     except FactorizationFailed as exc:
-        theta, margin = _least_norm_phases(e) or (None, math.inf)
+        theta, margin = _least_norm_phases(e)
         # equal eigenvalues split 2 pi apart: within 2 sin_zero_tol of a tie, no log is principal
         if margin <= 8.0 * math.pi * tol.sin_zero_tol:
             raise AmbiguousDirection(
                 "equal eigenvalues at phases 2 pi apart: the traceless log is not unique") from exc
         routes = ["eigen"] * 3
-        parts = None if theta is None else _phase_parts(theta)
-        miss = math.inf
-        if parts is not None:
-            f1, f2, f3 = _factor_arrays(p, parts)[1]
-            miss = float(np.linalg.norm(f1 @ f2 @ f3 - a))
+        parts = _phase_parts(theta)
+        # a det other than 1 leaves the selection's trace, and so this miss, nonzero
+        f1, f2, f3 = _factor_arrays(p, parts)[1]
+        miss = float(np.linalg.norm(f1 @ f2 @ f3 - a))
         if not miss <= tol.fact_tol:
             raise FactorizationFailed(
                 "%s; eigen route: factors miss u by %.3e" % (exc, miss)) from exc
@@ -414,11 +408,8 @@ def _log_sum(a: np.ndarray, k, tol: Tolerances) -> tuple[np.ndarray, list]:
     which inputs have a log: an antipode is AmbiguousDirection.
     """
     basis, _, _ = _factor_parts(a, tol)
-    selection = _least_norm_phases(basis[1].tolist())
-    if selection is None:
-        raise FactorizationFailed("no traceless selection for the factor logs")
     t = [0.0, 0.0, 0.0]
-    for (beta, w), ki in zip(_phase_parts(selection[0]), k):
+    for (beta, w), ki in zip(_phase_parts(_least_norm_phases(basis[1].tolist())[0]), k):
         if ki != 0 and not _directed(beta, tol):
             raise MissingDirection("branch %d requested on a part with no direction" % ki)
         turn = beta + 2.0 * math.pi * ki

@@ -19,7 +19,7 @@ arbiter the closed form is cross-checked against.
 Everything runs on plain arrays.  The eigen route's numeric core is
 ``_eigen_parts``: for an n x n array (3 <= n <= 8) and its norm it
 returns the part coefficients with the eigenvectors and their inverse,
-from the closed-form normal kernel when the input is a normal 3x3
+from the normal 3x3 kernel when the input is a normal 3x3
 matrix (the one normality test decides) and from the general kernel
 otherwise.  ``_decompose`` builds the ``SimplePart`` objects from it for
 both ``decompose_via_eigen`` and ``decompose_nxn``, and
@@ -173,7 +173,7 @@ def _eigen_parts(
     ``nrm`` is ``_finite_norm(arr)``.  Part i is
     ``_part_array(coefs[i], vectors, inverse, i)`` with coefficient
     (alpha_i - tr/(n - 2))/2.  A normal 3x3 input goes through the
-    closed-form normal kernel, everything else through the general
+    normal 3x3 kernel, everything else through the general
     one; NotDiagonalizable propagates from the latter.
     """
     n = arr.shape[0]
@@ -227,7 +227,7 @@ def decompose_via_eigen(b, tol: Tolerances = DEFAULT_TOL) -> InvariantDecomposit
 
     Each part is (alpha_i - tr b)/2 times the involution that is +1 on
     the i-th eigendirection and -1 on the others.  Normal inputs go
-    through the closed-form normal solver, everything else through the
+    through the normal 3x3 kernel, everything else through the
     general one; NotDiagonalizable propagates from the latter.  An
     AlgebraElement is taken as su(3) without a second check.
     """

@@ -58,9 +58,9 @@ def log_reference(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
     Eigenvalues are unit-modulus; their phases are taken in (-pi, pi]
     and reassembled as P diag(i theta) P^{-1}, with a final projection
     onto the skew-Hermitian subspace to strip round-off.  The
-    eigensystem comes from ``eigen_general`` (LAPACK) at every size, so
-    the log it checks, which runs on the closed-form normal kernel,
-    shares no kernel with it.
+    eigensystem comes from ``eigen_general`` (LAPACK's general solver)
+    at every size, so the log it checks, which runs on the normal 3x3
+    kernel and its Hermitian seed, shares no kernel with it.
     """
     arr = _as_mat(u).array
     n = arr.shape[0]

@@ -13,14 +13,16 @@ Public functions take their argument through ``_as_mat`` (a
 eigensolvers check their input once, run a kernel, and wrap the result:
 
 ``eigen_normal3``
-    Closed form for 3x3 normal matrices.  Eigenvalues come from the
-    characteristic cubic of the Hermitian part (trigonometric method),
-    eigenvectors from adjugate null-space extraction with the largest
-    column as pivot, degenerate clusters from an orthonormal complement.
-    A short deterministic sweep of 2x2 rotations on the original matrix
-    then pushes the reconstruction residual to machine precision, which
-    a single cubic + null-space pass cannot guarantee near eigenvalue
-    clusters.  Final eigenvalues are Rayleigh quotients in that basis.
+    3x3 normal matrices.  A normal matrix shares its eigenvectors with
+    its Hermitian halves H = (a + a^H)/2 and K = (a - a^H)/2i; the seed
+    basis is LAPACK's Hermitian eigensolver (``numpy.linalg.eigh``) on
+    the half whose spectrum is more spread out, brought to unitary by
+    one Newton-Schulz step.  Where that half has a (near-)double
+    eigenvalue the seed is arbitrary inside the cluster, so a short
+    deterministic sweep of 2x2 rotations on the matrix itself then
+    pushes the off-diagonal of v^H a v to the rounding floor, and one
+    first-order Rayleigh-Ritz step removes what the sweep leaves under
+    its stop.  Final eigenvalues are Rayleigh quotients in that basis.
     The normality test and this kernel square quantities of the size of
     the input norm, so for a norm outside [2^-100, 2^100] both run on
     the input scaled by a power of two (``_scaled``) and the eigenvalues
@@ -264,14 +266,14 @@ def _order_indices(values: np.ndarray) -> list[int]:
 
 
 def _phase_fix_columns(v: np.ndarray) -> np.ndarray:
-    v = v.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        k = int(np.argmax(np.abs(col)))
-        mag = abs(col[k])
-        if mag > 0.0:
-            v[:, j] = col * (col[k].conjugate() / mag)
-    return v
+    """v with each column turned so its first largest-modulus entry is real positive.
+
+    A zero column is left as it is.
+    """
+    pivot = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
+    # hypot is what abs() of one complex computes; np.abs on an array may round otherwise
+    mag = np.hypot(pivot.real, pivot.imag)
+    return v * (pivot.conj() / np.where(mag > 0.0, mag, 1.0))
 
 
 def _gram_schmidt_inplace(v: np.ndarray, cols: Sequence[int]) -> None:
@@ -283,116 +285,6 @@ def _gram_schmidt_inplace(v: np.ndarray, cols: Sequence[int]) -> None:
         nrm = np.linalg.norm(col)
         if nrm > 0.0:
             v[:, j] = col / nrm
-
-
-# -- closed-form 3x3 machinery ------------------------------------------------
-
-
-def _adjugate3(m: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [
-                m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1],
-                m[0, 2] * m[2, 1] - m[0, 1] * m[2, 2],
-                m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1],
-            ],
-            [
-                m[1, 2] * m[2, 0] - m[1, 0] * m[2, 2],
-                m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0],
-                m[0, 2] * m[1, 0] - m[0, 0] * m[1, 2],
-            ],
-            [
-                m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0],
-                m[0, 1] * m[2, 0] - m[0, 0] * m[2, 1],
-                m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0],
-            ],
-        ],
-        dtype=np.complex128,
-    )
-
-
-def _eigh3_values(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a 3x3 Hermitian matrix, ascending, trigonometric method."""
-    q = np.trace(h).real / 3.0
-    h0 = h - q * np.eye(3)
-    p1 = abs(h0[0, 1]) ** 2 + abs(h0[0, 2]) ** 2 + abs(h0[1, 2]) ** 2
-    p2 = h0[0, 0].real ** 2 + h0[1, 1].real ** 2 + h0[2, 2].real ** 2 + 2.0 * p1
-    if p2 <= 0.0:
-        return np.array([q, q, q])
-    p = math.sqrt(p2 / 6.0)
-    r = _det3(h0).real / (2.0 * p * p * p)
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    big = q + 2.0 * p * math.cos(phi)
-    small = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    mid = 3.0 * q - big - small
-    return np.array([small, mid, big])
-
-
-def _null_vector3(m: np.ndarray, avoid: list[np.ndarray]) -> np.ndarray:
-    """Unit null vector of a (numerically) rank-2 3x3 matrix.
-
-    Uses the adjugate column with the largest norm; falls back to the
-    basis vector least represented in ``avoid`` when the adjugate is
-    too small to trust (near-degenerate pivot).
-    """
-    adj = _adjugate3(m)
-    norms = np.linalg.norm(adj, axis=0)
-    k = int(np.argmax(norms))
-    scale2 = float(np.linalg.norm(m)) ** 2
-    if norms[k] > 1e3 * _EPS * max(scale2, 1e-300):
-        return adj[:, k] / norms[k]
-    # degenerate pivot: pick the coordinate direction most orthogonal to
-    # the vectors found so far; later orthonormalization finishes the job
-    best, best_overlap = 0, math.inf
-    for j in range(3):
-        e = np.zeros(3, dtype=np.complex128)
-        e[j] = 1.0
-        overlap = sum(abs(np.vdot(u, e)) for u in avoid)
-        if overlap < best_overlap:
-            best, best_overlap = j, overlap
-    e = np.zeros(3, dtype=np.complex128)
-    e[best] = 1.0
-    for u in avoid:
-        e -= np.vdot(u, e) * u
-    nrm = np.linalg.norm(e)
-    return e / nrm if nrm > 0.0 else e
-
-
-def _complement_pair(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal basis of the plane orthogonal to unit u."""
-    k = int(np.argmin(np.abs(u)))
-    e = np.zeros(3, dtype=np.complex128)
-    e[k] = 1.0
-    v1 = e - np.vdot(u, e) * u
-    v1 = v1 / np.linalg.norm(v1)
-    v2 = np.conj(np.cross(u, v1))
-    v2 = v2 / np.linalg.norm(v2)
-    return v1, v2
-
-
-def _eigh3_vectors(h: np.ndarray, w: np.ndarray, thr: float) -> np.ndarray:
-    """Initial eigenbasis for Hermitian h with ascending eigenvalues w."""
-    gap01 = w[1] - w[0]
-    gap12 = w[2] - w[1]
-    v = np.zeros((3, 3), dtype=np.complex128)
-    if w[2] - w[0] <= thr:
-        return np.eye(3, dtype=np.complex128)
-    if gap01 <= thr:  # {0,1} cluster, 2 isolated
-        v2 = _null_vector3(h - w[2] * np.eye(3), [])
-        a, b = _complement_pair(v2)
-        v[:, 0], v[:, 1], v[:, 2] = a, b, v2
-    elif gap12 <= thr:  # 0 isolated, {1,2} cluster
-        v0 = _null_vector3(h - w[0] * np.eye(3), [])
-        a, b = _complement_pair(v0)
-        v[:, 0], v[:, 1], v[:, 2] = v0, a, b
-    else:
-        found: list[np.ndarray] = []
-        for i in range(3):
-            found.append(_null_vector3(h - w[i] * np.eye(3), found))
-        v[:, 0], v[:, 1], v[:, 2] = found
-    _gram_schmidt_inplace(v, [0, 1, 2])
-    return v
 
 
 def _pair_rotation(t: np.ndarray, i: int, j: int, stop: float) -> np.ndarray | None:
@@ -419,8 +311,10 @@ def _pair_rotation(t: np.ndarray, i: int, j: int, stop: float) -> np.ndarray | N
     return np.array([[u[0], -np.conj(u[1])], [u[1], np.conj(u[0])]], dtype=np.complex128)
 
 
-def _polish_normal(a: np.ndarray, v: np.ndarray, scale: float, max_sweeps: int = 24) -> np.ndarray:
-    """Drive off-diagonals of v^H a v to machine precision.
+def _polish_normal(
+    a: np.ndarray, v: np.ndarray, scale: float, max_sweeps: int = 24
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drive off-diagonals of v^H a v to machine precision; (v, v^H a v).
 
     Cyclic Jacobi sweeps of exact 2x2 block diagonalizations.  Tight
     eigenvalue clusters start in the linear-convergence regime (the
@@ -445,7 +339,9 @@ def _polish_normal(a: np.ndarray, v: np.ndarray, scale: float, max_sweeps: int =
             r = _pair_rotation(t, i, j, stop)
             if r is not None:
                 v[:, [i, j]] = v[:, [i, j]] @ r
-    return v
+    else:
+        t = v.conj().T @ a @ v
+    return v, t
 
 
 # Inside [2^-100, 2^100] a norm, its square and the products of entries
@@ -493,8 +389,8 @@ def _normal_problem(arr: np.ndarray, nrm: float, tol: Tolerances) -> str | None:
 def _finite_norm(arr: np.ndarray) -> float:
     """Frobenius norm of arr; Overflow when its square is not finite.
 
-    The normality test is meaningless there, and the closed form would
-    only turn the infinities into math domain errors further down.
+    The normality test is meaningless there, and the kernels would
+    only turn the infinities into NaNs further down.
     """
     nrm = float(np.linalg.norm(arr))
     if not math.isfinite(nrm * nrm):
@@ -509,6 +405,18 @@ def _normal_norm(arr: np.ndarray, tol: Tolerances) -> float:
     if problem is not None:
         raise NotNormal(problem)
     return nrm
+
+
+def _spread2(g: np.ndarray) -> float:
+    """||g - (tr g / 3) 1||_F^2 for a 3x3 Hermitian g.
+
+    Summed entry by entry: the equal form ||g||^2 - (tr g)^2 / 3 cancels
+    to rounding noise when g is near a multiple of the identity.
+    """
+    (d0, p, q), (_, d1, r), (_, _, d2) = g.tolist()
+    mean = (d0.real + d1.real + d2.real) / 3.0
+    dev = (d0.real - mean) ** 2 + (d1.real - mean) ** 2 + (d2.real - mean) ** 2
+    return 2.0 * (abs(p) ** 2 + abs(q) ** 2 + abs(r) ** 2) + dev
 
 
 def _eigen_normal3(
@@ -526,16 +434,25 @@ def _eigen_normal3(
         ident = np.eye(3, dtype=np.complex128)
         return np.zeros(3, dtype=np.complex128), ident, ident
 
-    h = (arr + arr.conj().T) / 2.0
-    k = (arr - arr.conj().T) / 2j
-    spread_h = float(np.linalg.norm(h - (np.trace(h).real / 3.0) * np.eye(3)))
-    spread_k = float(np.linalg.norm(k - (np.trace(k).real / 3.0) * np.eye(3)))
-    g = h if spread_h >= spread_k else k
-    w = _eigh3_values(g)
-    v = _eigh3_vectors(g, w, thr=1e-5 * nrm)
-    v = _polish_normal(arr, v, nrm)
+    adj = arr.conj().T
+    h = (arr + adj) / 2.0
+    k = (arr - adj) / 2j
+    g = h if _spread2(h) >= _spread2(k) else k
+    v = np.linalg.eigh(g)[1]
+    # one Newton-Schulz step: LAPACK's basis is unitary to a few eps, this
+    # brings it to the rounding floor before the polish and the residual gate
+    v = v @ (1.5 * _EYE3 - 0.5 * (v.conj().T @ v))
+    v, t = _polish_normal(arr, v, nrm)
+    d = np.diag(t)
+    # One first-order Rayleigh-Ritz step.  A basis exp(X) off the true one
+    # has v^H a v = diag(d) + [diag(d), X] to first order, so X_ij =
+    # t_ij / (d_i - d_j).  It removes the tens of eps the polish leaves under
+    # its stop, which a log multiplies by its phase gaps.  Only the skew part
+    # of X is a rotation; a pair where X would not be small stays as it is.
+    gaps = d[:, None] - d
+    x = t / np.where(np.abs(t) < 1e-8 * np.abs(gaps), gaps, np.inf)
+    v = v - v @ ((x - x.conj().T) * 0.5)
 
-    d = np.diag(v.conj().T @ arr @ v).copy()
     idx = _order_indices(d)
     d = d[idx]
     v = _phase_fix_columns(v[:, idx])
@@ -554,7 +471,7 @@ def _eigen_system(values: np.ndarray, v: np.ndarray, vinv: np.ndarray) -> EigenS
 
 
 def eigen_normal3(a, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
-    """Closed-form eigendecomposition of a 3x3 normal matrix.
+    """Eigendecomposition of a 3x3 normal matrix with a unitary basis.
 
     The returned basis is unitary; ``inverse_vectors`` is its adjoint.
     Raises NotNormal when the commutator test fails, EigenFailure when

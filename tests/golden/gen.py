@@ -11,10 +11,10 @@ output document format or the numeric method changes; the stored bytes
 are otherwise stable because all inputs are fixed seeds or exact
 constants.
 
-For each factor- and log- fixture that succeeds, the script prints the
-distance of the stored output and of the regenerated one to the
-independent oracle (see ``oracle_distance``), so a method change shows
-whether it moved its outputs closer or further.
+For each exp-, factor-, log- and bench- fixture that succeeds, the
+script prints the distance of the stored output and of the regenerated
+one to the independent oracle (see ``oracle_distance``), so a method
+change shows whether it moved its outputs closer or further.
 """
 
 from __future__ import annotations
@@ -205,20 +205,26 @@ def oracle_factors(u: np.ndarray) -> list[np.ndarray]:
 
 
 def oracle_distance(argv, stdin_text, out: str) -> str | None:
-    """How far a factor or log output is from the oracle; None for other fixtures.
+    """How far an exp, factor, log or bench output is from the oracle; None for others.
 
-    factor: the largest distance of a factor from the oracle factor of
-    the same index, up to its sign (a factor and its pi-complement differ
-    by sign), and the product residual.  log: the distance to
+    exp: the distance to exp_reference of the input.  factor: the
+    largest distance of a factor from the oracle factor of the same
+    index, up to its sign (a factor and its pi-complement differ by
+    sign), and the product residual.  log: the distance to
     log_reference for the principal branch, the round trip through
-    exp_reference for another branch.
+    exp_reference for another branch.  bench: its own max_rel_err,
+    measured against the oracle.
     """
-    if argv[0] not in ("factor", "log"):
+    if argv[0] not in ("exp", "factor", "log", "bench"):
         return None
-    doc_out = json.loads(out)
+    doc_out, _ = json.JSONDecoder().raw_decode(out)
     if "error" in doc_out:
         return None
+    if argv[0] == "bench":
+        return f"{doc_out['max_rel_err']:.3e} (max_rel_err)"
     u = mat_of(json.loads(stdin_text))
+    if argv[0] == "exp":
+        return f"{compare(mat_of(doc_out['u']), exp_reference(u)):.3e}"
     if argv[0] == "factor":
         fs = [mat_of(f) for f in doc_out["factors"]]
         dist = max(min(compare(f, o), compare(f, -o)) for f, o in zip(fs, oracle_factors(u)))

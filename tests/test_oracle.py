@@ -91,7 +91,7 @@ class TestLogReference:
         np.testing.assert_allclose(l, -l.conj().T, atol=0)
 
     def test_shares_no_kernel_with_the_log(self, monkeypatch):
-        """The closed-form normal kernel may fail: the oracle never calls it."""
+        """The normal kernel may fail: the oracle never calls it."""
 
         def broken(*args):
             raise AssertionError("the oracle called the normal kernel")
@@ -100,6 +100,20 @@ class TestLogReference:
         for seed in range(5):
             u = random_group(seed).mat
             assert compare(exp_reference(log_reference(u)), u) < 1e-11
+        with pytest.raises(AssertionError):
+            smallmat.eigen_normal3(random_group(0).mat)
+
+    def test_shares_no_hermitian_solver_with_the_log(self, monkeypatch):
+        """The normal kernel's seed is LAPACK's Hermitian solver; the oracle runs without it."""
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the oracle called numpy.linalg.eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", broken)
+        for seed in range(5):
+            b = random_algebra(seed, scale=0.3).mat
+            u = exp_reference(b)
+            assert compare(log_reference(u), b) < 1e-13
         with pytest.raises(AssertionError):
             smallmat.eigen_normal3(random_group(0).mat)
 

@@ -13,10 +13,13 @@ from su3kit.errors import (
     NotNormal,
     Singular,
 )
+from su3kit.factorlog import principal_log
 from su3kit.grades import split_HS
+from su3kit.oracle import compare, exp_reference
 from su3kit.smallmat import (
     ComplexMat,
     EigenSystem,
+    _phase_fix_columns,
     _scaled,
     commutator,
     eigen_general,
@@ -239,6 +242,79 @@ class TestEigenNormal3:
         a = ComplexMat(sk)
         for val in eigen_normal3(a).values:
             assert abs(val.real) < 1e-13
+
+
+_EPS = float(np.finfo(np.float64).eps)
+_OMEGA = np.exp(2j * np.pi / 3)
+
+
+def _clustered_phases(kind, a):
+    """Eigenvalues of a unitary whose spectrum has the named cluster."""
+    phases = {
+        "h-double": [a, -a, 0.0],  # cos a twice: the Hermitian half H is double
+        "k-double": [a, np.pi - a, -np.pi],  # sin a twice: K is double
+        "double": [a, a, -2.0 * a],
+        "near-double": [a, a + 1e-9, -2.0 * a - 1e-9],
+    }
+    if kind == "omega":
+        return np.full(3, _OMEGA)
+    return np.exp(1j * np.array(phases[kind]))
+
+
+class TestClusteredSpectra:
+    """The LAPACK seed plus polish on spectra where the seed's Hermitian half
+    or U itself has a double or near-double eigenvalue.
+
+    The polish stops once the off-diagonal mass is under 60 eps ||a||, so
+    the reconstruction is checked at 100 eps; the basis is unitary to a few
+    eps whatever the spectrum.
+    """
+
+    @staticmethod
+    def _check_kernel(a):
+        es = eigen_normal3(a)
+        v = es.vectors.array
+        assert np.linalg.norm(v.conj().T @ v - np.eye(3)) <= 16 * _EPS
+        rec = v @ np.diag(es.values) @ es.inverse_vectors.array
+        assert np.linalg.norm(rec - a) <= 100 * _EPS * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("kind", ["h-double", "k-double", "double", "near-double", "omega"])
+    def test_unitary(self, kind):
+        rng = np.random.default_rng(91)
+        for _ in range(40):
+            q = random_unitary3(rng)
+            u = q @ np.diag(_clustered_phases(kind, rng.uniform(0.01, np.pi - 0.01))) @ q.conj().T
+            self._check_kernel(u)
+            assert compare(exp_reference(principal_log(u)), u) <= 100 * _EPS
+
+    @pytest.mark.parametrize("scale", [2.0**120, 2.0**-120])
+    def test_scaled_haar(self, scale):
+        rng = np.random.default_rng(92)
+        for _ in range(40):
+            self._check_kernel(random_unitary3(rng) * scale)
+
+
+def _phase_fix_loop(v):
+    """The column-by-column phase convention that _phase_fix_columns vectorizes."""
+    v = v.copy()
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        k = int(np.argmax(np.abs(col)))
+        mag = abs(col[k])
+        if mag > 0.0:
+            v[:, j] = col * (col[k].conjugate() / mag)
+    return v
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_phase_fix_matches_the_loop_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        v[1] = v[0] if rng.random() < 0.2 else v[1]  # ties for the pivot
+        v[:, 0] = 0.0 if rng.random() < 0.2 else v[:, 0]
+        v = v * 10.0 ** rng.integers(-300, 300)
+        assert _phase_fix_columns(v).tobytes() == _phase_fix_loop(v).tobytes()
 
 
 class TestEigenGeneral:

@@ -13,8 +13,7 @@ Each right-hand side is a scalar multiple of a unitary, so normalizing
 by the 1/3-weighted norm recovers U_i up to sign.  No route works for
 every input (the scalar prefactors vanish on measure-zero sets), hence
 the cascade in `factorize`.  Signs are not corrected per factor: the
-closing factor U3 = U1^dag U2^dag U absorbs the net sign, and the
-principal log rebalances the pair of pi-complements it causes.
+closing factor U3 = U1^dag U2^dag U absorbs the net sign.
 
 The cascade runs on U's eigenbasis.  ``grades._eigenbasis`` diagonalizes
 U once, U = P diag(e) P^H, and on P every constituent is a scalar times
@@ -34,18 +33,21 @@ When the cascade finds no factor (FactorizationFailed; an
 AmbiguousDirection is final), the ``eigen`` route takes the paper's
 invariant decomposition of log U instead: the least-norm traceless
 selection theta of U's eigenphases shifted by 2 pi k, k in
-{-1, 0, 1}^3, gives the parts (i theta_i / 2)(2 P_i - 1).  Where that
-selection is not unique (equal eigenvalues it would set 2 pi apart,
-such as two at -1) it refuses with AmbiguousDirection, and its factors
-must multiply back to U within fact_tol.
+{-1, 0, 1}^3, gives the parts (i theta_i / 2)(2 P_i - 1).  Two
+eigenvalues within sin_zero_tol of -1 make it refuse with
+AmbiguousDirection (see ``_least_norm_phases``), and its factors must
+multiply back to U within fact_tol.
 
 The cascade's factors match U's eigenphases only to its own accuracy
 (about 1e-10 where a cos(beta_i) nearly vanishes), so their angles are
 moved onto U's eigenphases along their own units (``_pinned``): the
-factors then multiply to U up to the eigenbasis' own error.  The
-principal log re-signs the factors' logs to the least-norm traceless
-sum, which for such factors is the eigen route's selection over U's
-eigenphases.
+factors then multiply to U up to the eigenbasis' own error.
+
+The logs do not run the cascade.  Re-signing the pinned factors' logs
+to their least-norm traceless sum gives the eigen route's selection
+over U's eigenphases, so ``principal_log`` is the sum of the eigen
+route's parts and ``branch_log`` adds 2 pi k_i turns along part i.
+U's eigenvalues alone decide which U have a log (see ``_log_sum``).
 
 Scalars multiply as Python complex numbers, and residual gates read
 "not x <= tol" so NaN is refused.  Public functions take a
@@ -53,7 +55,7 @@ Scalars multiply as Python complex numbers, and residual gates read
 once, after one finiteness check.  ``factorize``, ``principal_log`` and
 ``branch_log`` check any input but a ``GroupElement`` for unitarity
 once, on entry (``_unitary_array``), so a non-unitary input is refused
-as ``NotUnitary`` before the cascade runs.  ``principal_log_factor``,
+as ``NotUnitary`` before its eigenbasis is taken.  ``principal_log_factor``,
 ``normalize`` and ``rms_norm`` act on matrices.
 """
 
@@ -78,7 +80,8 @@ from .errors import (
 from .expmap import GroupElement, _check_group, _factor_array
 from .grades import GradeDecomposition, _decomposition, _eigenbasis, _halves
 from .invdec import SimplePart
-from .smallmat import ComplexMat, _as_mat, _finite_mat, _scalar_residual
+from .smallmat import (ComplexMat, _as_mat, _eigen_normal3, _finite_mat, _normal_norm,
+                       _scalar_residual)
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _SQRT3 = math.sqrt(3.0)
@@ -119,16 +122,16 @@ class LogBranch:
     k: tuple[int, int, int]
 
     def __post_init__(self):
-        if len(self.k) != 3 or not all(isinstance(x, int) for x in self.k):
-            raise InputError("branch must be three integers")
+        if len(self.k) != 3 or not all(isinstance(x, int) and abs(x) <= 2**53 for x in self.k):
+            raise InputError("branch must be three integers of magnitude at most 2**53")
 
 
 def _unitary_array(u, tol: Tolerances) -> np.ndarray:
     """The array of a public argument, checked unitary unless it is a GroupElement.
 
     Unitarity only, as the CLI's check: boundary elements such as -1
-    have det -1 and still reach the cascade, which reports them as
-    numerical failures.
+    have det -1 and still reach the cascade or the logs' eigenvalue
+    rules, which report them as numerical failures.
     """
     if isinstance(u, GroupElement):
         return u.mat.array
@@ -302,23 +305,29 @@ def _cascade(e, g0, g6, gam, delt, tol: Tolerances):
     return parts, routes
 
 
-def _least_norm_phases(z) -> tuple[list, float]:
-    """The least-norm traceless log phases of P diag(z) P^H, |z| = 1, and their margin.
+def _least_norm_phases(z, tol: Tolerances) -> list:
+    """The least-norm traceless log phases of P diag(z) P^H, |z| = 1.
 
     The phases of z shifted by 2 pi k, k in {-1, 0, 1}^3: among the
     selections whose sum is nearest 0 (exactly 0 when the product of z
-    is 1), the one of least norm.  Two traceless selections differ by
-    +2 pi on one phase and -2 pi on another, and their squared norms by
-    4 pi (2 pi - theta_b + theta_a), so they tie only where two equal
-    entries of z get phases 2 pi apart, as two entries at -1 do.  The
-    margin is how much larger the next selection's squared norm is.
+    is 1), the one of least norm, ties broken by the phases themselves.
+    Two traceless selections differ by +2 pi on one phase and -2 pi on
+    another, and their squared norms by 4 pi (2 pi - theta_b + theta_a),
+    so they tie only where two equal entries of z get phases 2 pi apart:
+    a double eigenvalue on the far side of the circle, whose split
+    between +pi and -pi the eigenbasis picks, as for omega 1.  Within
+    sin_zero_tol of -1 rounding picks the sides of the phases too, so
+    two such entries are refused as AmbiguousDirection.
     """
+    if sum(abs(v + 1.0) <= tol.sin_zero_tol for v in z) >= 2:
+        raise AmbiguousDirection(
+            "equal eigenvalues at phases 2 pi apart: the traceless log is not unique")
     phi = [cmath.phase(v) for v in z]
     # a selection's trace is sum(phi) + 2 pi sum(k)
     turns = round(sum(phi) / (2.0 * math.pi))
-    thetas = ([f + 2.0 * math.pi * k for f, k in zip(phi, ks)] for ks in _SHIFTS[-turns])
-    sels = sorted((sum(t * t for t in theta), theta) for theta in thetas)
-    return sels[0][1], sels[1][0] - sels[0][0] if len(sels) > 1 else math.inf
+    return min((sum(t * t for t in theta), theta)
+               for theta in ([f + 2.0 * math.pi * k for f, k in zip(phi, ks)]
+                             for ks in _SHIFTS[-turns]))[1]
 
 
 def _pinned(parts, e) -> list:
@@ -363,13 +372,8 @@ def _factor_parts(a: np.ndarray, tol: Tolerances):
         parts, routes = _cascade(e, g0, g6, gam.tolist(), delt.tolist(), tol)
         parts = _pinned(parts, e)
     except FactorizationFailed as exc:
-        theta, margin = _least_norm_phases(e)
-        # equal eigenvalues split 2 pi apart: within 2 sin_zero_tol of a tie, no log is principal
-        if margin <= 8.0 * math.pi * tol.sin_zero_tol:
-            raise AmbiguousDirection(
-                "equal eigenvalues at phases 2 pi apart: the traceless log is not unique") from exc
         routes = ["eigen"] * 3
-        parts = _phase_parts(theta)
+        parts = _phase_parts(_least_norm_phases(e, tol))
         # a det other than 1 leaves the selection's trace, and so this miss, nonzero
         f1, f2, f3 = _factor_arrays(p, parts)[1]
         miss = float(np.linalg.norm(f1 @ f2 @ f3 - a))
@@ -399,22 +403,26 @@ def factorize(u, tol: Tolerances = DEFAULT_TOL) -> Factorization:
 def _log_sum(a: np.ndarray, k, tol: Tolerances) -> tuple[np.ndarray, list]:
     """(P, t): the principal part logs plus 2 pi k_i turns along part i are P diag(i t) P^H.
 
-    A recovered factor carries an arbitrary sign, and the log of -U_i
-    is the pi-complement (pi - beta, -w) of that of U_i; the principal
-    log is the re-signing of the factor logs whose sum is the
-    least-norm traceless one.  The factors multiply to diag(e) on P
-    (``_pinned``), so that re-signing is the least-norm traceless
-    selection over U's eigenphases.  The factorization still decides
-    which inputs have a log: an antipode is AmbiguousDirection.
+    The principal parts are (i theta_i / 2)(2 P_i - 1), theta the
+    least-norm traceless selection of U's eigenphases, so U's
+    eigenvalues alone decide whether it has a log.  Two within
+    sin_zero_tol of -1 are AmbiguousDirection (``_least_norm_phases``).
+    A selection with trace sum(theta) gives factors that miss U by
+    sqrt(3)/2 |sum theta|, which is held to fact_tol, as the eigen route
+    holds its product: a det other than 1 is FactorizationFailed.
     """
-    basis, _, _ = _factor_parts(a, tol)
+    e, p, _ = _eigen_normal3(a, _normal_norm(a, tol), tol)
+    theta = _least_norm_phases(e.tolist(), tol)
+    miss = 0.5 * _SQRT3 * abs(sum(theta))
+    if not miss <= tol.fact_tol:
+        raise FactorizationFailed("det u is not 1: the log's factors miss u by %.3e" % miss)
     t = [0.0, 0.0, 0.0]
-    for (beta, w), ki in zip(_phase_parts(_least_norm_phases(basis[1].tolist())[0]), k):
+    for (beta, w), ki in zip(_phase_parts(theta), k):
         if ki != 0 and not _directed(beta, tol):
             raise MissingDirection("branch %d requested on a part with no direction" % ki)
         turn = beta + 2.0 * math.pi * ki
         t = [x + turn * y for x, y in zip(t, w)]
-    return basis[0], t
+    return p, t
 
 
 def _log_array(p: np.ndarray, t) -> np.ndarray:
@@ -426,14 +434,10 @@ def _log_array(p: np.ndarray, t) -> np.ndarray:
 def principal_log(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
     """Principal matrix log of u as a traceless anti-Hermitian matrix.
 
-    Sum of the principal part logs: among the logs of u that sum logs
-    of its factors, the traceless one of least norm.
+    The traceless log of least norm, taken from u's eigenphases (see
+    ``_log_sum``); the sum of the parts of the eigen route.
     """
-    p, t = _log_sum(_unitary_array(u, tol), (0, 0, 0), tol)
-    trace = abs(sum(t))
-    if not trace <= tol.log_tol:
-        raise FactorizationFailed("log trace %.3e after canonicalization" % trace)
-    return _finite_mat(_log_array(p, t))
+    return _finite_mat(_log_array(*_log_sum(_unitary_array(u, tol), (0, 0, 0), tol)))
 
 
 def branch_log(u, branch: LogBranch, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:

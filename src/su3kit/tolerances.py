@@ -34,7 +34,6 @@ class Tolerances:
     g0_zero_tol: float = 1e-8     # grade-0 norm deciding the factor route
     sin_zero_tol: float = 1e-9    # sin(beta) below this: direction unrecoverable
     norm_zero_tol: float = 1e-14  # normalize() refuses below this norm
-    log_tol: float = 1e-9         # logarithm round-trip / tracelessness
 
 
 DEFAULT_TOL = Tolerances()

@@ -11,6 +11,11 @@ output document format or the numeric method changes; the stored bytes
 are otherwise stable because all inputs are fixed seeds or exact
 constants.
 
+A bench- fixture stores timings, which differ from run to run; its
+.out is rewritten only when its accuracy fields
+(``golden_util.BENCH_ACCURACY_FIELDS``, the ones the golden test
+compares) change, so a regeneration's diff holds method changes only.
+
 For each exp-, factor-, log- and bench- fixture that succeeds, the
 script prints the distance of the stored output and of the regenerated
 one to the independent oracle (see ``oracle_distance``), so a method
@@ -30,7 +35,7 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from golden_util import run_cli_capture  # noqa: E402
+from golden_util import bench_accuracy, run_cli_capture  # noqa: E402
 
 from su3kit.cli import emit_json, matrix_document  # noqa: E402
 from su3kit.oracle import compare, exp_reference, log_reference, random_group  # noqa: E402
@@ -248,9 +253,13 @@ def main() -> int:
             print(f"{name}: oracle distance stored {old}, regenerated {new}")
         cmd = {"argv": argv, "stdin": stdin_text, "exit": want_exit}
         (HERE / f"{name}.json").write_text(json.dumps(cmd, indent=2) + "\n")
-        (HERE / f"{name}.out").write_text(out)
+        if name.startswith("bench") and stored.exists() and want_exit == 0 \
+                and bench_accuracy(out) == bench_accuracy(stored.read_text()):
+            print(f"kept {name}: accuracy fields unchanged")
+            continue
+        stored.write_text(out)
         print(f"wrote {name} ({len(out)} bytes)")
-    print(f"{len(FIXTURES)} fixtures written")
+    print(f"{len(FIXTURES)} fixtures validated")
     return 0
 
 

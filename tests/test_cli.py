@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,18 @@ class TestLog:
                             capsys, monkeypatch, EYE)
         assert code == 2
 
+    @pytest.mark.parametrize("k", [10**309, 10**308, 10**20], ids=["1e309", "1e308", "1e20"])
+    def test_branch_beyond_2_53_refused(self, k, capsys, monkeypatch):
+        # 10**309 raised a bare OverflowError in the log; 10**308 and
+        # 10**20 warned and ended as non_finite_entries
+        text = doc_text(random_group(42).mat.array)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(["log", "-", "--branch", "%d,0,0" % k],
+                                capsys, monkeypatch, text)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "invalid_input"
+
     def test_method_reference(self, capsys, monkeypatch):
         code, out = run_cli(["log", "-", "--method", "reference"],
                             capsys, monkeypatch, U_DIAG)
@@ -543,7 +556,8 @@ class TestTolOverride:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "invalid_document"
 
-    @pytest.mark.parametrize("name", ["simple_tol", "root_tol", "cross_tol", "grade_tol", "inv_tol"])
+    @pytest.mark.parametrize(
+        "name", ["simple_tol", "root_tol", "cross_tol", "grade_tol", "inv_tol", "log_tol"])
     def test_removed_fields_are_unknown(self, name, capsys, monkeypatch):
         # these thresholds gated nothing, so they are no longer fields
         code, out = run_cli(["log", "-", "--tol-override", name + "=1e-9"],
@@ -601,8 +615,8 @@ class TestParserReuse:
         # argparse copies an append action's list before appending, so the
         # default [] of the one parser stays empty from call to call
         first = cli._parser().parse_args(
-            ["log", "-", "--tol-override", "grp_tol=1e-3", "--tol-override", "log_tol=1"])
-        assert first.tol_override == ["grp_tol=1e-3", "log_tol=1"]
+            ["log", "-", "--tol-override", "grp_tol=1e-3", "--tol-override", "fact_tol=1"])
+        assert first.tol_override == ["grp_tol=1e-3", "fact_tol=1"]
         assert cli._parser().parse_args(["log", "-"]).tol_override == []
 
     def test_not_built_at_import(self):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su3kit import factorlog
+from su3kit import factorlog, grades
 from su3kit.errors import (
     AmbiguousDirection,
     FactorizationFailed,
@@ -346,3 +346,66 @@ def test_log_round_trip_at_every_norm(seed, exponent):
 )
 def test_log_round_trip_pinned(seed, exponent):
     assert _round_trip_constant(seed, 10.0**exponent) <= 8.0
+
+
+# -- the logs read U's eigenvalues only -------------------------------------------
+
+
+def test_logs_never_run_the_factorization(monkeypatch):
+    """principal_log and branch_log return without the cascade, its pinning or the grades."""
+
+    def refuse(*args):
+        raise AssertionError("a log ran the factorization")
+
+    for name in ("_factor_parts", "_cascade", "_pinned", "_eigenbasis"):
+        monkeypatch.setattr(factorlog, name, refuse)
+    monkeypatch.setattr(grades, "_grades", refuse)
+    us = [random_group(seed).mat.array for seed in range(20)] + near_cos_zero_stream()[:10]
+    us += [u for name in ("boundary", "cos_zero", "vanishing_g0")
+           for u in itertools.islice(_family(name), 10)]
+    for u in us:
+        assert compare(exp_reference(principal_log(u)), u) <= 1e-13
+        assert compare(exp_reference(branch_log(u, LogBranch((1, 0, -1)))), u) <= 1e-13
+
+
+def _double_near_minus_one(eps, rng):
+    """An exact double eigenvalue e^{i(pi - eps)} and e^{2 i eps} in a Haar basis."""
+    return _from_phases([math.pi - eps, math.pi - eps, 2.0 * eps], rng)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 10.0**-3.5, 1e-3])
+def test_double_eigenvalue_near_minus_one_has_a_log(eps):
+    """Every basis gets a log and a factorization, round-tripping to 1e-13.
+
+    The cascade's refusals here depended on the basis: at 10^-3.5 it
+    refused almost every one, at 1e-3 a few, at 1e-8 all of them.
+    """
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        u = _double_near_minus_one(eps, rng)
+        f1, f2, f3 = (f.array for f in factorize(u).factors)
+        assert compare(f1 @ f2 @ f3, u) <= 1e-13
+        assert compare(exp_reference(principal_log(u)), u) <= 1e-13
+        for k in _WINDINGS:
+            assert compare(exp_reference(branch_log(u, LogBranch(k))), u) <= 1e-13
+
+
+@pytest.mark.parametrize("eps", [10.0**-9.5, 1e-12, 0.0])
+def test_double_eigenvalue_at_minus_one_is_ambiguous(eps):
+    """Within sin_zero_tol of -1 every basis is refused, by both logs and factorize."""
+    rng = np.random.default_rng(62)
+    for _ in range(20):
+        u = _double_near_minus_one(eps, rng)
+        for op in (principal_log, lambda u: branch_log(u, LogBranch((0, 1, 0))), factorize):
+            with pytest.raises(AmbiguousDirection):
+                op(u)
+
+
+def test_log_refuses_det_other_than_one():
+    """det u = e^{i phi}: the traceless log misses u by sqrt(3)/2 phi, held to fact_tol."""
+    for seed in range(10):
+        u = random_group(seed).mat.array
+        for op in (principal_log, lambda u: branch_log(u, LogBranch((1, 0, 0)))):
+            op(np.exp(1e-10j / 3.0) * u)
+            with pytest.raises(FactorizationFailed, match="det u is not 1"):
+                op(np.exp(1e-9j / 3.0) * u)

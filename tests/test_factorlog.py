@@ -9,6 +9,7 @@ from su3kit import factorlog
 from su3kit.errors import (
     AmbiguousDirection,
     FactorizationFailed,
+    InputError,
     MissingDirection,
     NotSimpleFactor,
     NotUnitary,
@@ -206,7 +207,7 @@ class TestPrincipalLog:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_boundary_raises_ambiguous(self):
-        # -1 is unitary (though not special) and sits exactly at the antipode
+        # -1 is unitary (though not special), with all three eigenvalues at -1
         with pytest.raises(AmbiguousDirection):
             principal_log(ComplexMat(-np.eye(3, dtype=complex)))
 
@@ -240,6 +241,13 @@ class TestBranchLog:
     def test_branch_validation(self):
         with pytest.raises(Exception):
             LogBranch(k=(1, 2))
+
+    def test_winding_bounded_by_2_53(self):
+        # beyond 2**53 a winding is not exact as a float, and 2 pi k overflows from 1e308
+        assert LogBranch(k=(2**53, 0, -2**53)).k == (2**53, 0, -2**53)
+        for k in (2**53 + 1, -2**53 - 1, 10**309):
+            with pytest.raises(InputError, match="2\\*\\*53"):
+                LogBranch(k=(0, k, 0))
 
 
 def _bytes(*mats):

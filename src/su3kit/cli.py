@@ -34,7 +34,7 @@ import numpy as np
 from .bench import REGIMES, TASKS, render_table, run_bench
 from .errors import DocumentError, InputError, NumericalError
 from .expmap import _check_group, _group_residuals, exp_su3
-from .factorlog import LogBranch, branch_log, factorize, principal_log
+from .factorlog import LogBranch, branch_log, factorize
 from .gellmann import exp_gellmann, exp_gellmann8
 from .invdec import AlgebraElement, InvariantDecomposition, decompose_nxn, decompose_via_eigen
 from .oracle import compare, exp_reference, log_reference
@@ -300,7 +300,7 @@ def cmd_exp(args, tol: Tolerances) -> str:
 def cmd_log(args, tol: Tolerances) -> str:
     m = parse_matrix_document(_read_input(args.input))
     if args.method == "reference":
-        # principal_log checks unitarity itself; the oracle's own check is
+        # branch_log checks unitarity itself; the oracle's own check is
         # kept apart from the route's, so the route's check runs here
         # (unitarity only: -1 has det -1 and is a numerical failure)
         _check_group(m.array, tol, special=False)
@@ -310,10 +310,8 @@ def cmd_log(args, tol: Tolerances) -> str:
         branch = None
     else:
         ks = _parse_branch(args.branch) if args.branch is not None else (0, 0, 0)
-        if ks == (0, 0, 0):
-            log = principal_log(m, tol)
-        else:
-            log = branch_log(m, LogBranch(ks), tol)
+        # at k = (0, 0, 0) branch_log runs principal_log's path
+        log = branch_log(m, LogBranch(ks), tol)
         branch = list(ks)
     doc = {
         "method": args.method,

@@ -35,19 +35,30 @@ invariant decomposition of log U instead: the least-norm traceless
 selection theta of U's eigenphases shifted by 2 pi k, k in
 {-1, 0, 1}^3, gives the parts (i theta_i / 2)(2 P_i - 1).  Two
 eigenvalues within sin_zero_tol of -1 make it refuse with
-AmbiguousDirection (see ``_least_norm_phases``), and its factors must
-multiply back to U within fact_tol.
+AmbiguousDirection (see ``_least_norm_phases``).
 
 The cascade's factors match U's eigenphases only to its own accuracy
 (about 1e-10 where a cos(beta_i) nearly vanishes), so their angles are
 moved onto U's eigenphases along their own units (``_pinned``): the
-factors then multiply to U up to the eigenbasis' own error.
+factors then multiply to U up to the eigenbasis' own error.  The moved
+phases are not U's principal phases.  Where an eigenphase sits at
++-pi, the cascade's angles pick its side, and principal phases would
+flip the signs of two factors, as they do on 20 of the 50 engineered
+vanishing-g0 inputs of the tests, each with an eigenphase at +-pi.
+
+One rule on det U (``_det_one``) decides for both routes and for the
+logs, after any AmbiguousDirection: phases theta of U's eigenvalues
+give a traceless log that misses U by sqrt(3)/2 |sum theta|, the sum
+taken modulo 2 pi (the cascade's phases may sum to +-2 pi), and a miss
+above fact_tol is FactorizationFailed.  So factorize and the logs
+accept the same U.
 
 The logs do not run the cascade.  Re-signing the pinned factors' logs
 to their least-norm traceless sum gives the eigen route's selection
 over U's eigenphases, so ``principal_log`` is the sum of the eigen
 route's parts and ``branch_log`` adds 2 pi k_i turns along part i.
-U's eigenvalues alone decide which U have a log (see ``_log_sum``).
+U's eigenvalues alone decide which U have a log (see ``_log_sum``); a
+winding whose turns carry more rounding than fact_tol is refused.
 
 Scalars multiply as Python complex numbers, and residual gates read
 "not x <= tol" so NaN is refused.  Public functions take a
@@ -63,6 +74,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -80,7 +92,7 @@ from .errors import (
 from .expmap import GroupElement, _check_group, _factor_array
 from .grades import GradeDecomposition, _decomposition, _eigenbasis, _halves
 from .invdec import SimplePart
-from .smallmat import (ComplexMat, _as_mat, _eigen_normal3, _finite_mat, _normal_norm,
+from .smallmat import (_EPS, ComplexMat, _as_mat, _eigen_normal3, _finite_mat, _normal_norm,
                        _scalar_residual)
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -111,10 +123,21 @@ def normalize(m, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
 
 @dataclasses.dataclass(frozen=True)
 class Factorization:
+    """The factors of ``factorize``, their parts and routes, and U's grades.
+
+    ``grades``, the grade decomposition the routes read, is built on
+    first access from the eigenbasis ``factorize`` already holds, so a
+    caller that never reads it never pays for its twelve matrices.
+    """
+
     factors: tuple[ComplexMat, ComplexMat, ComplexMat]
     parts: tuple[SimplePart, SimplePart, SimplePart]
     routes: tuple[str, str, str]
-    grades: GradeDecomposition
+    _basis: tuple = dataclasses.field(repr=False, compare=False)
+
+    @functools.cached_property
+    def grades(self) -> GradeDecomposition:
+        return _decomposition(self._basis)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -331,18 +354,32 @@ def _least_norm_phases(z, tol: Tolerances) -> list:
 
 
 def _pinned(parts, e) -> list:
-    """The cascade's parts with their angles moved so the factors multiply to diag(e).
+    """The phases of the cascade's factors' product on P, moved onto e's.
 
     The factors' product on P is exp(i theta), theta = sum_i beta_i w_i,
     which matches U's eigenphases only to the cascade's accuracy (about
     1e-10 where a cos(beta_i) nearly vanishes).  Each phase is moved onto
-    e's and theta split again on the sign patterns: c_i =
-    (theta_i - sum theta)/2 solves sum_i c_i sigma_i = theta.  A factor
-    keeps its route, and its angle moves by the cascade's error.
+    e's; ``_phase_parts`` of theta_i - sum theta splits it again on the
+    sign patterns, since c_i = (theta_i - sum theta)/2 solves
+    sum_i c_i sigma_i = theta.  A factor keeps its route, and its angle
+    moves by the cascade's error.  The cascade's angles, not principal
+    phases, pick the side of a phase at +-pi.
     """
     theta = [sum(beta * w[m] for beta, w in parts) for m in range(3)]
-    theta = [t + cmath.phase(v * cmath.exp(-1j * t)) for t, v in zip(theta, e)]
-    return _phase_parts([t - sum(theta) for t in theta])
+    return [t + cmath.phase(v * cmath.exp(-1j * t)) for t, v in zip(theta, e)]
+
+
+def _det_one(theta, tol: Tolerances, what: str = "det u is not 1: the log's") -> None:
+    """The one rule on det u, for the logs and both routes of ``factorize``.
+
+    theta are phases of U's eigenvalues, so sum theta is arg det u
+    modulo 2 pi.  A traceless log of those phases misses u by
+    sqrt(3)/2 |sum theta|, taken modulo 2 pi (the cascade's phases may
+    sum to +-2 pi), and that miss is held to fact_tol.
+    """
+    miss = 0.5 * _SQRT3 * abs(math.remainder(sum(theta), 2.0 * math.pi))
+    if not miss <= tol.fact_tol:
+        raise FactorizationFailed("%s factors miss u by %.3e" % (what, miss))
 
 
 def _phase_parts(theta) -> list:
@@ -351,36 +388,26 @@ def _phase_parts(theta) -> list:
             for t, sigma in zip(theta, _SIGMA)]
 
 
-def _factor_arrays(p: np.ndarray, parts) -> tuple[list, list]:
-    """The units P diag(i w) P^H and the Euler factors."""
-    ph = p.conj().T
-    units = [(p * (1j * np.array(w))) @ ph for _, w in parts]
-    return units, [_factor_array(unit, beta) for unit, (beta, _) in zip(units, parts)]
-
-
 def _factor_parts(a: np.ndarray, tol: Tolerances):
     """(eigenbasis, parts, routes) of a: the cascade, else the ``eigen`` route.
 
     The eigen route, the invariant decomposition of log U, runs only
-    after the cascade's FactorizationFailed, and its factors must
-    multiply back to a within fact_tol.
+    after the cascade's FactorizationFailed.  Either route's phases
+    then meet ``_det_one``, so an AmbiguousDirection of the cascade or
+    the selection comes first.
     """
     basis = _eigenbasis(a, tol)
-    p, e, g0, g6, gam, delt, _ = basis
+    _, e, g0, g6, gam, delt, _ = basis
     e = e.tolist()
     try:
         parts, routes = _cascade(e, g0, g6, gam.tolist(), delt.tolist(), tol)
-        parts = _pinned(parts, e)
     except FactorizationFailed as exc:
-        routes = ["eigen"] * 3
-        parts = _phase_parts(_least_norm_phases(e, tol))
-        # a det other than 1 leaves the selection's trace, and so this miss, nonzero
-        f1, f2, f3 = _factor_arrays(p, parts)[1]
-        miss = float(np.linalg.norm(f1 @ f2 @ f3 - a))
-        if not miss <= tol.fact_tol:
-            raise FactorizationFailed(
-                "%s; eigen route: factors miss u by %.3e" % (exc, miss)) from exc
-    return basis, parts, routes
+        theta = _least_norm_phases(e, tol)
+        _det_one(theta, tol, "%s; eigen route:" % exc)
+        return basis, _phase_parts(theta), ["eigen"] * 3
+    theta = _pinned(parts, e)
+    _det_one(theta, tol)
+    return basis, _phase_parts([t - sum(theta) for t in theta]), routes
 
 
 def factorize(u, tol: Tolerances = DEFAULT_TOL) -> Factorization:
@@ -388,45 +415,45 @@ def factorize(u, tol: Tolerances = DEFAULT_TOL) -> Factorization:
 
     The paper's route cascade runs first (see ``_cascade``); when it
     finds no factor, the ``eigen`` route.  Each factor is
-    cos(beta) 1 + sin(beta) unit.  The grade decomposition the routes
-    used comes with the result.
+    cos(beta) 1 + sin(beta) unit, its unit P diag(i w) P^H.  The grade
+    decomposition the routes used is built when ``grades`` is read.
     """
     basis, parts, routes = _factor_parts(_unitary_array(u, tol), tol)
-    units, factors = _factor_arrays(basis[0], parts)
+    p, ph = basis[0], basis[0].conj().T
+    units = [(p * (1j * np.array(w))) @ ph for _, w in parts]
     return Factorization(
-        factors=tuple(map(_finite_mat, factors)),
+        factors=tuple(_finite_mat(_factor_array(unit, beta))
+                      for unit, (beta, _) in zip(units, parts)),
         parts=tuple(_simple_part(beta, unit if _directed(beta, tol) else None)
                     for unit, (beta, _) in zip(units, parts)),
-        routes=tuple(routes), grades=_decomposition(basis))
+        routes=tuple(routes), _basis=basis)
 
 
-def _log_sum(a: np.ndarray, k, tol: Tolerances) -> tuple[np.ndarray, list]:
-    """(P, t): the principal part logs plus 2 pi k_i turns along part i are P diag(i t) P^H.
+def _log_sum(a: np.ndarray, k, tol: Tolerances) -> np.ndarray:
+    """The principal part logs plus 2 pi k_i turns along part i, made exactly skew.
 
     The principal parts are (i theta_i / 2)(2 P_i - 1), theta the
     least-norm traceless selection of U's eigenphases, so U's
     eigenvalues alone decide whether it has a log.  Two within
-    sin_zero_tol of -1 are AmbiguousDirection (``_least_norm_phases``).
-    A selection with trace sum(theta) gives factors that miss U by
-    sqrt(3)/2 |sum theta|, which is held to fact_tol, as the eigen route
-    holds its product: a det other than 1 is FactorizationFailed.
+    sin_zero_tol of -1 are AmbiguousDirection (``_least_norm_phases``),
+    and a det other than 1 is FactorizationFailed (``_det_one``).  A
+    turn of 2 pi k_i carries an absolute error of about 2 pi |k_i| eps,
+    which exp of the log passes on to u, so a winding whose error
+    passes fact_tol is FactorizationFailed too.
     """
     e, p, _ = _eigen_normal3(a, _normal_norm(a, tol), tol)
     theta = _least_norm_phases(e.tolist(), tol)
-    miss = 0.5 * _SQRT3 * abs(sum(theta))
+    _det_one(theta, tol)
+    miss = 2.0 * math.pi * max(map(abs, k)) * _EPS
     if not miss <= tol.fact_tol:
-        raise FactorizationFailed("det u is not 1: the log's factors miss u by %.3e" % miss)
+        raise FactorizationFailed("branch %s is past double precision: the log's factors "
+                                  "miss u by up to %.3e" % (list(k), miss))
     t = [0.0, 0.0, 0.0]
     for (beta, w), ki in zip(_phase_parts(theta), k):
         if ki != 0 and not _directed(beta, tol):
             raise MissingDirection("branch %d requested on a part with no direction" % ki)
         turn = beta + 2.0 * math.pi * ki
         t = [x + turn * y for x, y in zip(t, w)]
-    return p, t
-
-
-def _log_array(p: np.ndarray, t) -> np.ndarray:
-    """P diag(i t) P^H, made exactly skew."""
     m = (p * (1j * np.array(t))) @ p.conj().T
     return (m - m.conj().T) * complex(0.5)
 
@@ -437,7 +464,7 @@ def principal_log(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
     The traceless log of least norm, taken from u's eigenphases (see
     ``_log_sum``); the sum of the parts of the eigen route.
     """
-    return _finite_mat(_log_array(*_log_sum(_unitary_array(u, tol), (0, 0, 0), tol)))
+    return _finite_mat(_log_sum(_unitary_array(u, tol), (0, 0, 0), tol))
 
 
 def branch_log(u, branch: LogBranch, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
@@ -448,4 +475,4 @@ def branch_log(u, branch: LogBranch, tol: Tolerances = DEFAULT_TOL) -> ComplexMa
     """
     if not isinstance(branch, LogBranch):
         branch = LogBranch(k=tuple(branch))
-    return _finite_mat(_log_array(*_log_sum(_unitary_array(u, tol), branch.k, tol)))
+    return _finite_mat(_log_sum(_unitary_array(u, tol), branch.k, tol))

@@ -372,6 +372,13 @@ class TestLog:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "invalid_input"
 
+    def test_branch_past_double_precision_refused(self, capsys, monkeypatch):
+        # the log came back with roundtrip_error 2.9e-9 and exit 0
+        text = doc_text(random_group(3).mat.array)
+        code, out = run_cli(["log", "-", "--branch", "1000000,0,0"], capsys, monkeypatch, text)
+        assert code == 3
+        assert json.loads(out)["error"]["code"] == "factorization_failed"
+
     def test_method_reference(self, capsys, monkeypatch):
         code, out = run_cli(["log", "-", "--method", "reference"],
                             capsys, monkeypatch, U_DIAG)

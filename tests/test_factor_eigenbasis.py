@@ -409,3 +409,84 @@ def test_log_refuses_det_other_than_one():
             op(np.exp(1e-10j / 3.0) * u)
             with pytest.raises(FactorizationFailed, match="det u is not 1"):
                 op(np.exp(1e-9j / 3.0) * u)
+
+
+@pytest.mark.parametrize("exponent", [-11.0 + 0.25 * i for i in range(11)])
+def test_factorize_and_logs_accept_the_same_det(exponent):
+    """det u = e^{i phi}: factorize succeeds exactly where principal_log does.
+
+    Before the two shared one det rule, the cascade's closing factor
+    absorbed a det error the logs refuse, at phi = 10^-9.5 and 10^-9.75.
+    """
+    for seed in range(20):
+        u = np.exp(1j * 10.0**exponent / 3.0) * random_group(seed).mat.array
+        accepted = []
+        for op in (principal_log, factorize):
+            try:
+                op(u)
+                accepted.append(True)
+            except FactorizationFailed:
+                accepted.append(False)
+        assert accepted[0] == accepted[1]
+
+
+# -- eigenphases at the branch cut ------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    delta=st.floats(min_value=0.0, max_value=1e-12),
+    phi=st.floats(min_value=0.1, max_value=math.pi - 0.1),
+    side=st.sampled_from((-1.0, 1.0)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    k=st.sampled_from(_WINDINGS),
+)
+def test_eigenphases_within_1e_12_of_pi(delta, phi, side, seed, k):
+    """Eigenphases (pi - delta, phi, -pi + delta - phi) in a Haar basis.
+
+    Where the matrix cascade succeeds, factorize takes its routes and
+    its factors within 1e-12: the cascade's angles, which ``_pinned``
+    keeps, pick the side of the phase at pi (U's principal phases would
+    flip two factors).  The factors multiply back and both logs
+    round-trip.
+    """
+    phi *= side
+    u = _from_phases([math.pi - delta, phi, -math.pi + delta - phi], np.random.default_rng(seed))
+    fz = factorize(u)
+    try:
+        want, routes = matrix_factorize(u)
+    except NumericalError:
+        pass
+    else:
+        assert fz.routes == tuple(routes)
+        for f, w in zip(fz.factors, want):
+            assert np.linalg.norm(f.array - w) < 1e-12
+    f1, f2, f3 = (f.array for f in fz.factors)
+    assert compare(f1 @ f2 @ f3, u) <= 1e-10
+    assert compare(exp_reference(principal_log(u)), u) <= 1e-9
+    assert compare(exp_reference(branch_log(u, LogBranch(k))), u) <= 1e-9
+
+
+# -- the grades are output only ---------------------------------------------------
+
+
+def _grade_bytes(g):
+    mats = (g.g0, g.g2, g.g4, g.g6, g.ccosU, g.ssinU, *g.H, *g.S)
+    return b"".join(m.array.tobytes() for m in mats)
+
+
+def test_grades_built_only_on_request(monkeypatch):
+    """factorize returns without the grade decomposition; reading .grades gives split_HS's bytes."""
+
+    def refuse(*args):
+        raise AssertionError("factorize built the grades")
+
+    monkeypatch.setattr(factorlog, "_decomposition", refuse)
+    us = [random_group(seed).mat.array for seed in range(10)] + near_cos_zero_stream()[:10]
+    us += list(itertools.islice(_family("vanishing_g0"), 10))
+    fzs = [factorize(u) for u in us]
+    assert ("eigen",) * 3 in [fz.routes for fz in fzs]
+    monkeypatch.undo()
+    for u, fz in zip(us, fzs):
+        assert _grade_bytes(fz.grades) == _grade_bytes(split_HS(u))
+        assert fz.grades is fz.grades

@@ -249,6 +249,20 @@ class TestBranchLog:
             with pytest.raises(InputError, match="2\\*\\*53"):
                 LogBranch(k=(0, k, 0))
 
+    def test_winding_within_double_precision_round_trips(self):
+        u = random_group(3).mat
+        for k in ((10**4, 0, 0), (0, -10**4, 0)):
+            assert compare(exp_reference(branch_log(u, LogBranch(k=k))), u) <= 1e-9
+
+    @pytest.mark.parametrize("k", [10**5, 10**6, 2**52])
+    def test_winding_past_double_precision_refused(self, k):
+        # 2 pi k eps passes fact_tol from |k| of about 7.2e4; unrefused,
+        # the log round-tripped to 3.3e-10 at 1e5, 2.9e-9 at 1e6 and 74 at 2**52
+        u = random_group(3).mat
+        for ks in ((k, 0, 0), (0, 0, -k)):
+            with pytest.raises(FactorizationFailed, match="the log's factors miss u by"):
+                branch_log(u, LogBranch(k=ks))
+
 
 def _bytes(*mats):
     return b"".join(m.array.tobytes() for m in mats)

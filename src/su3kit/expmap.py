@@ -7,18 +7,24 @@ parts commute.  Scaling the parts independently sweeps out the family
 U(t1, t2, t3) of group elements that all fix the same three parts
 under conjugation.
 
-``exp_su3`` runs on plain arrays from end to end: it validates a raw
-input once as an su(3) element, which also yields the norm the
-normality test needs, takes the part coefficients and eigenbasis from
-``invdec._eigen_parts``, multiplies the Euler factors as arrays, runs
-the ``GroupElement`` check (``_check_group``) once on the product and
-wraps it.  ``decompose_via_eigen`` followed by
-``exp_simple`` on each part is the same computation through the public
-types, and gives the same bits.
+Multiplied out, the product of the three factors is a polynomial of
+degree 2 in B, exp(B) = f0 1 - i f1 B - f2 B^2, whose coefficients
+depend only on the invariants ||B||^2/2 and -Im det B.  ``exp_su3``
+evaluates it directly, with the coefficient formulas of Morningstar
+and Peardon (Phys. Rev. D 69, 054501 (2004), hep-lat/0311018, section
+III), which stay stable where two parts have the same angle.  It
+validates a raw input once as an su(3) element, which also yields the
+norm, solves the characteristic cubic with ``invdec._cubic_roots``,
+computes the coefficients on Python scalars, forms B^2 once, runs the
+``GroupElement`` check (``_check_group``) once on the result and wraps
+it.  No eigensolver runs.  ``decompose_via_eigen`` followed by
+``exp_simple`` on each part is the same identity through the public
+types; the two agree to a few eps max(1, ||B||), not bit for bit.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 
@@ -29,9 +35,7 @@ from .invdec import (
     AlgebraElement,
     SimplePart,
     _algebra_norm,
-    _eigen_parts,
-    _nonneg_sqrt,
-    _part_array,
+    _cubic_roots,
 )
 from .smallmat import (
     _EYE3,
@@ -41,6 +45,7 @@ from .smallmat import (
     _det3,
     _finite_norm,
     _require_finite,
+    _scaled,
     commutator,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -118,13 +123,50 @@ def exp_simple(part: SimplePart) -> EulerFactor:
     return EulerFactor(part=part, mat=_factor_mat(part))
 
 
-def exp_su3(b, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
-    """exp(B) for B in su(3), as the product of three Euler factors.
+def _exp_coefficients(u: float, w: float, scale: float) -> tuple[complex, complex, complex]:
+    """The coefficients of exp(iQ) = f0 + f1 Q + f2 Q^2 as f0, f1 scale and f2 scale^2.
 
-    The parts are those of decompose_via_eigen; zero parts (beta below
-    beta_zero_tol) contribute the identity and are skipped.  The product
-    is validated as a special unitary matrix on the way out.  A raw
-    input is validated once; an AlgebraElement is taken as it is.
+    Q = scale * Qs is traceless Hermitian, and Qs has the eigenvalues
+    2u, w - u and -u - w of ``invdec._cubic_roots`` (its c0 >= 0).
+    Returning f1 scale and f2 scale^2 lets the caller weigh the powers
+    of Qs, which neither overflow nor underflow.  The formulas are
+    those of Morningstar and Peardon (hep-lat/0311018, section III),
+    f_j = h_j / (9u^2 - w^2), with a series for sin(w)/w below 0.05.
+    For c0 >= 0, 9u^2 - w^2 >= 2 c1 stays away from zero.
+    """
+    up, wp = scale * u, scale * w
+    if abs(wp) < 0.05:
+        x = wp * wp
+        sinc = 1.0 - x / 6.0 * (1.0 - x / 20.0 * (1.0 - x / 42.0))
+    else:
+        sinc = math.sin(wp) / wp
+    cos_w = math.cos(wp)
+    e2 = cmath.exp(2j * up)
+    e1 = cmath.exp(-1j * up)
+    uu, ww = u * u, w * w
+    den = 9.0 * uu - ww
+    h0 = (uu - ww) * e2 + e1 * (8.0 * uu * cos_w + 2j * up * (3.0 * uu + ww) * sinc)
+    h1 = 2.0 * u * e2 - e1 * (2.0 * u * cos_w - 1j * scale * (3.0 * uu - ww) * sinc)
+    h2 = e2 - e1 * (cos_w + 3j * up * sinc)
+    return h0 / den, h1 / den, h2 / den
+
+
+def exp_su3(b, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
+    """exp(B) for B in su(3), in closed form as f0 1 - i f1 B - f2 B^2.
+
+    Multiplied out, the product of the three commuting Euler factors
+    is this degree-2 polynomial in B, whose coefficients depend only on
+    c1 = ||B||^2/2 and c0 = -Im det B, the invariants of Q = -iB
+    (Morningstar and Peardon, hep-lat/0311018, section III).  The roots
+    of Q's characteristic cubic come from ``invdec._cubic_roots`` for
+    |c0|; for c0 < 0 the coefficients follow from
+    f_j(-c0) = (-1)^j conj(f_j(c0)).  The invariants are those of
+    B * 2^k (``smallmat._scaled``, exact), so no norm overflows or
+    underflows them.  No eigensolver runs and no angle is cut off.
+
+    A raw input is validated once as an su(3) element; an
+    AlgebraElement is taken as it is.  The result is validated as a
+    special unitary matrix on the way out.
     """
     if isinstance(b, AlgebraElement):
         arr = b.mat.array
@@ -132,14 +174,17 @@ def exp_su3(b, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
     else:
         arr = _as_mat(b).array
         nrm = _algebra_norm(arr, tol)
-    coefs, v, vinv = _eigen_parts(arr, nrm, tol)
-    out = np.eye(3, dtype=np.complex128)
-    for i, coef in enumerate(coefs):
-        beta = _nonneg_sqrt(-(coef * coef).real)
-        if beta < tol.beta_zero_tol:
-            continue
-        unit = _part_array(coef, v, vinv, i) * complex(1.0 / beta)
-        out = out @ _factor_array(unit, beta)
+    # the squares behind nrm may underflow to 0; the rescaled norm is 0 only for B = 0
+    arr, nrm, k = _scaled(arr, nrm)
+    if nrm == 0.0:
+        out = np.eye(3, dtype=np.complex128)
+    else:
+        c0 = -_det3(arr).imag
+        q1, q2, q3 = _cubic_roots(0.5 * nrm * nrm, abs(c0))
+        f0, f1, f2 = _exp_coefficients(0.5 * q1, 0.5 * (q2 - q3), math.ldexp(1.0, -k))
+        if c0 < 0.0:
+            f0, f1, f2 = f0.conjugate(), -f1.conjugate(), f2.conjugate()
+        out = (arr @ arr) * -f2 + arr * (-1j * f1) + _EYE3 * f0
     _check_group(out, tol)
     group = object.__new__(GroupElement)
     object.__setattr__(group, "_mat", ComplexMat._wrap(out))

@@ -22,13 +22,15 @@ returns the part coefficients with the eigenvectors and their inverse,
 from the normal 3x3 kernel when the input is a normal 3x3
 matrix (the one normality test decides) and from the general kernel
 otherwise.  ``_decompose`` builds the ``SimplePart`` objects from it for
-both ``decompose_via_eigen`` and ``decompose_nxn``, and
-``expmap.exp_su3`` consumes it directly.  The closed form runs on
-arrays too, and both routes give an su(3) part its angle and direction
-through ``_su3_part``.  ``AlgebraElement`` is the validated boundary
-type; its check (``_algebra_norm``, built on ``_su3_problem``) decides
-whether the parts of a raw input carry an angle and a direction, and
-an ``AlgebraElement`` argument is taken as su(3) without a second check.
+both ``decompose_via_eigen`` and ``decompose_nxn``.  The closed form
+runs on arrays too, and both routes give an su(3) part its angle and
+direction through ``_su3_part``.  The one cubic solver,
+``_cubic_roots``, serves ``lambda_roots`` and ``expmap.exp_su3``, which
+needs the roots only and no part.  ``AlgebraElement`` is the validated
+boundary type; its check (``_algebra_norm``, built on ``_su3_problem``)
+decides whether the parts of a raw input carry an angle and a
+direction, and an ``AlgebraElement`` argument is taken as su(3)
+without a second check.
 """
 
 from __future__ import annotations
@@ -157,10 +159,6 @@ def _su3_problem(arr: np.ndarray, nrm: float, tol: Tolerances) -> str | None:
     return None
 
 
-def _nonneg_sqrt(x: float) -> float:
-    return math.sqrt(x) if x > 0.0 else 0.0
-
-
 # identities by size, built once
 _EYES = tuple(np.eye(n) for n in range(9))
 
@@ -198,7 +196,7 @@ def _su3_part(mat: ComplexMat, lam: float, tol: Tolerances) -> SimplePart:
     beta = sqrt(-lam), and the unit direction mat / beta is None when
     beta is below beta_zero_tol, where it is 0/0.
     """
-    beta = _nonneg_sqrt(-lam)
+    beta = math.sqrt(-lam) if lam < 0.0 else 0.0
     unit = _finite_mat(mat.array * complex(1.0 / beta)) if beta >= tol.beta_zero_tol else None
     return SimplePart(mat=mat, lam=complex(lam), beta=beta, unit=unit)
 
@@ -249,35 +247,54 @@ def decompose_nxn(b, tol: Tolerances = DEFAULT_TOL) -> list[SimplePart]:
     return list(_decompose(b, m, tol))
 
 
+def _cubic_roots(c1: float, c0: float) -> tuple[float, float, float]:
+    """The roots 2u >= w - u >= -u - w of q^3 - c1 q - c0, for c1 > 0 and c0 >= 0.
+
+    They are the eigenvalues of a traceless Hermitian Q with
+    c1 = tr(Q^2)/2 and c0 = det Q, solved trigonometrically as in
+    Morningstar and Peardon (hep-lat/0311018, section III):
+
+        theta = acos(c0 / c0_max),   c0_max = 2 (c1/3)^(3/2),
+        u = sqrt(c1/3) cos(theta/3),   w = sqrt(c1) sin(theta/3).
+
+    Each root then takes one Newton step, kept only when it does not
+    raise |p|: near a double root the step divides round-off by a
+    vanishing derivative.
+    """
+    c0_max = 2.0 * (c1 / 3.0) * math.sqrt(c1 / 3.0)
+    theta = math.acos(min(1.0, c0 / c0_max))
+    u = math.sqrt(c1 / 3.0) * math.cos(theta / 3.0)
+    w = math.sqrt(c1) * math.sin(theta / 3.0)
+    roots = []
+    for q in (2.0 * u, w - u, -u - w):
+        p = q * (q * q - c1) - c0
+        dp = 3.0 * q * q - c1
+        if dp != 0.0:
+            step = q - p / dp
+            if abs(step * (step * step - c1) - c0) <= abs(p):
+                q = step
+        roots.append(q)
+    return tuple(roots)
+
+
 def lambda_roots(b, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float, float]:
     """The three scalars lambda_i of an su(3) element, sorted descending.
 
-    They are the roots of the real cubic
-
-        x^3 + a x^2 + (a^2/4) x + c = 0,
-        a = -tr(b^2)/4 >= 0,   c = -(det b / 8)^2 >= 0,
-
-    solved trigonometrically.  Both coefficients are real for a
-    traceless skew-Hermitian input, all roots are real and nonpositive,
-    and tiny imaginary residue is clamped rather than surfaced.  The
-    cubic is solved for b * 2^k (``smallmat._scaled``, k = 0 for norms
-    inside [2^-100, 2^100]) and the roots scaled back by 4^-k, so no
-    coefficient overflows or underflows.
+    With Q = -i b, each lambda is -q^2/4 for a root q of the
+    characteristic polynomial q^3 - c1 q - c0 of Q, where
+    c1 = ||b||^2/2 and c0 = det Q = -Im det b; all are real and
+    nonpositive.  The sign of c0 only negates the roots, so the cubic
+    is solved for |c0| (``_cubic_roots``).  It is solved for b * 2^k
+    (``smallmat._scaled``, k = 0 for norms inside [2^-100, 2^100]) and
+    the lambdas scaled back by 4^-k, so no coefficient overflows or
+    underflows.
     """
     arr = b.mat.array if isinstance(b, AlgebraElement) else AlgebraElement(b, tol).mat.array
-    arr, _, shift = _scaled(arr, _finite_norm(arr))
-    a = -0.25 * np.trace(arr @ arr).real
-    if a <= 0.0:
+    arr, nrm, shift = _scaled(arr, _finite_norm(arr))
+    if nrm == 0.0:
         return (0.0, 0.0, 0.0)
-    c = -((_det3(arr) / 8.0) ** 2).real
-    chi = 1.0 - 108.0 * c / (a * a * a)
-    chi = min(1.0, max(-1.0, chi))
-    theta = math.acos(chi)
-    roots = sorted(
-        (float((a / 3.0) * math.cos((theta - 2.0 * math.pi * k) / 3.0) - a / 3.0) for k in range(3)),
-        reverse=True,
-    )
-    return tuple(math.ldexp(r, -2 * shift) for r in roots)
+    roots = _cubic_roots(0.5 * nrm * nrm, abs(_det3(arr).imag))
+    return tuple(sorted((math.ldexp(-0.25 * q * q, -2 * shift) for q in roots), reverse=True))
 
 
 def decompose_closed_form(b, lambdas, tol: Tolerances = DEFAULT_TOL) -> InvariantDecomposition:

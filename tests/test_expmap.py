@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import su3kit.expmap
 import su3kit.invdec
@@ -15,6 +17,7 @@ from su3kit.expmap import (
     family_element,
     invariant_combination,
 )
+from su3kit.factorlog import principal_log
 from su3kit.invdec import decompose_nxn, decompose_via_eigen
 from su3kit.oracle import compare, exp_reference, random_algebra, random_group
 from su3kit.smallmat import ComplexMat
@@ -122,8 +125,21 @@ def _public_route(b) -> ComplexMat:
     return out
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _factor_product_gap(u: ComplexMat, b: np.ndarray) -> float:
+    """||u - product of the Euler factors of b|| in units of eps max(1, ||b||)."""
+    scale = _EPS * max(1.0, float(np.linalg.norm(b)))
+    return float(np.linalg.norm(u.array - _public_route(b).array)) / scale
+
+
 class TestExpMatchesPublicRoute:
-    """exp_su3 on arrays gives the bits of decompose_via_eigen + exp_simple."""
+    """exp_su3 is the product of the Euler factors of decompose_via_eigen + exp_simple.
+
+    The closed form and the factor product are two roundings of the
+    same identity, so they agree to 8 eps max(1, ||B||), not bit for bit.
+    """
 
     @pytest.mark.parametrize("b", [
         random_algebra(3).mat.array,
@@ -133,7 +149,7 @@ class TestExpMatchesPublicRoute:
         np.zeros((3, 3), dtype=complex),
     ], ids=["generic", "small", "near_degenerate", "angle_near_pi", "zero"])
     def test_bit_identical(self, b):
-        assert exp_su3(b).mat.array.tobytes() == _public_route(b).array.tobytes()
+        assert _factor_product_gap(exp_su3(b).mat, b) <= 8.0
 
     def test_angle_near_pi_input(self):
         b = _skew_with_phases([2 * math.pi - 1e-3, -math.pi + 0.2, -math.pi - 0.2 + 1e-3], 6)
@@ -156,6 +172,7 @@ class TestExpMatchesPublicRoute:
         assert len(calls) == 1
 
     def test_general_branch_bit_identical(self, monkeypatch):
+        """A nearly normal input: its parts come from the general kernel, its exp from none."""
         calls = []
         kernel = su3kit.invdec._eigen_general
 
@@ -166,10 +183,73 @@ class TestExpMatchesPublicRoute:
         monkeypatch.setattr(su3kit.invdec, "_eigen_general", spy)
         b = _nearly_normal()
         u = exp_su3(b)
+        assert len(calls) == 0
+        assert _factor_product_gap(u.mat, b) <= 8.0
         assert len(calls) == 1
-        assert u.mat.array.tobytes() == _public_route(b).array.tobytes()
-        assert len(calls) == 2
         assert compare(u.mat, exp_reference(b)) < 1e-14
+
+
+class TestClosedForm:
+    """The closed form needs no eigensolver and no cut-off at small angles."""
+
+    def test_runs_no_eigensolver(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exp_su3 ran an eigensolver")
+
+        for name in ("_eigen_normal3", "_eigen_general", "_eigen_parts"):
+            monkeypatch.setattr(su3kit.invdec, name, refuse)
+        for b in (random_algebra(3).mat.array, _nearly_normal(), _skew_with_phases([0.4, 0.4, -0.8], 5)):
+            assert compare(exp_su3(b).mat, exp_reference(b)) < 1e-14
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_finite_norm_gives_a_group_element(self, seed):
+        """From 1e-320 up to 1e154, where the squared norm still is finite."""
+        b = random_algebra(seed).mat.array
+        b = b / np.linalg.norm(b)
+        off = ~np.eye(3, dtype=bool)
+        for e in range(-320, 155, 3):
+            x = b * 10.0**e
+            u = exp_su3(x).mat.array
+            if e <= -17:
+                # exp(B) is 1 + B in double precision; off the diagonal, B to the last bits
+                assert np.max(np.abs(u - np.eye(3) - x)) <= _EPS
+                if e >= -300:
+                    assert np.max(np.abs((u - x)[off])) <= 4.0 * _EPS * 10.0**e
+
+
+def _exp_round_trip_constant(seed, norm):
+    """C in ||principal_log(exp_su3(B)) - B|| / ||B|| = C eps max(1, 1 / ||B||).
+
+    B is random_algebra(seed) scaled to norm.
+    """
+    b = random_algebra(seed).mat.array
+    b = b * (norm / np.linalg.norm(b))
+    log = principal_log(exp_su3(b)).array
+    return np.linalg.norm(log - b) / norm / (_EPS * max(1.0, 1.0 / norm))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    exponent=st.floats(min_value=-12.0, max_value=math.log10(math.pi)),
+)
+def test_exp_log_round_trip_at_every_norm(seed, exponent):
+    """exp_su3 then the principal log gives B back to 8 eps, relative above norm 1."""
+    assert _exp_round_trip_constant(seed, 10.0**exponent) <= 8.0
+
+
+@pytest.mark.parametrize(
+    "seed, exponent",
+    [
+        # failing draws while exp_su3 skipped parts of angle below 1e-12
+        (0, -12.0),  # C = 4504: the result was the identity
+        (1, -11.0),  # C = 3154
+        (12, -10.0),  # C = 429
+        (12, -9.0),  # C = 4290
+    ],
+)
+def test_exp_log_round_trip_pinned(seed, exponent):
+    assert _exp_round_trip_constant(seed, 10.0**exponent) <= 8.0
 
 
 class TestFamilyElement:

@@ -1,6 +1,5 @@
 """Invariant decomposition: frozen examples and property sweeps."""
 
-import math
 import warnings
 
 import numpy as np
@@ -20,6 +19,7 @@ from su3kit.invdec import (
     AlgebraElement,
     InvariantDecomposition,
     SimplePart,
+    _cubic_roots,
     decompose_closed_form,
     decompose_nxn,
     decompose_via_eigen,
@@ -377,9 +377,7 @@ class TestLambdaRootsScaleFree:
         """Inside [2^-100, 2^100] the cubic is solved for B itself, bit for bit."""
         for scale in (2.0**-99, 1.0, 2.0**99):
             b = _unit_algebra(3) * scale
-            a = -0.25 * np.trace(b @ b).real
-            c = -((_det3(b) / 8.0) ** 2).real
-            theta = math.acos(min(1.0, max(-1.0, 1.0 - 108.0 * c / (a * a * a))))
-            want = sorted((float((a / 3.0) * math.cos((theta - 2.0 * math.pi * k) / 3.0) - a / 3.0)
-                           for k in range(3)), reverse=True)
+            nrm = float(np.linalg.norm(b))
+            roots = _cubic_roots(0.5 * nrm * nrm, abs(_det3(b).imag))
+            want = sorted((-0.25 * q * q for q in roots), reverse=True)
             assert lambda_roots(b) == tuple(want)

@@ -82,10 +82,12 @@ def _check_group(arr: np.ndarray, tol: Tolerances, special: bool = True) -> None
     """NotUnitary unless arr is a finite 3x3 unitary, with det 1 when special."""
     if arr.shape != (3, 3):
         raise NotUnitary(f"expected a 3x3 matrix, got {arr.shape[0]}x{arr.shape[1]}")
-    _require_finite(arr)
-    # "not <=" so that a residual that overflowed to NaN is refused too
+    # "not <=" so that a residual that overflowed to NaN is refused too; a
+    # finite residual within grp_tol bounds every entry, so only a refused
+    # matrix can have entries that are not finite
     dev = _unitarity_residual(arr)
     if not dev <= tol.grp_tol:
+        _require_finite(arr)
         raise NotUnitary(f"unitarity residual {dev:.3e} exceeds grp_tol")
     if not special:
         return

@@ -125,6 +125,15 @@ def normalize(m, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
 class Factorization:
     """The factors of ``factorize``, their parts and routes, and U's grades.
 
+    ``parts`` sum to P diag(i theta) P^H on U's eigenbasis P, and which
+    selection theta is depends on the route.  Under the ``eigen`` route
+    theta is the least-norm traceless selection of U's eigenphases, so
+    the parts sum to ``principal_log(U)``.  Under the cascade's routes
+    theta are the cascade's phases pinned to U's eigenvalues
+    (``_pinned``).  Their sum may be +-2 pi (on 8 of the first 300
+    seeded Haar U), and then the parts sum to a log of U of trace
+    +-2 pi i, not to the principal log.
+
     ``grades``, the grade decomposition the routes read, is built on
     first access from the eigenbasis ``factorize`` already holds, so a
     caller that never reads it never pays for its twelve matrices.
@@ -348,9 +357,10 @@ def _least_norm_phases(z, tol: Tolerances) -> list:
     phi = [cmath.phase(v) for v in z]
     # a selection's trace is sum(phi) + 2 pi sum(k)
     turns = round(sum(phi) / (2.0 * math.pi))
-    return min((sum(t * t for t in theta), theta)
-               for theta in ([f + 2.0 * math.pi * k for f, k in zip(phi, ks)]
-                             for ks in _SHIFTS[-turns]))[1]
+    # each phase shifted by 2 pi k, listed so that k itself is the index
+    f0, f1, f2 = ([f + 2.0 * math.pi * k for k in (0, 1, -1)] for f in phi)
+    return list(min((a * a + b * b + c * c, a, b, c)
+                    for a, b, c in ((f0[i], f1[j], f2[k]) for i, j, k in _SHIFTS[-turns]))[1:])
 
 
 def _pinned(parts, e) -> list:
@@ -441,7 +451,7 @@ def _log_sum(a: np.ndarray, k, tol: Tolerances) -> np.ndarray:
     which exp of the log passes on to u, so a winding whose error
     passes fact_tol is FactorizationFailed too.
     """
-    e, p, _ = _eigen_normal3(a, _normal_norm(a, tol), tol)
+    e, p, ph = _eigen_normal3(a, _normal_norm(a, tol), tol)
     theta = _least_norm_phases(e.tolist(), tol)
     _det_one(theta, tol)
     miss = 2.0 * math.pi * max(map(abs, k)) * _EPS
@@ -454,7 +464,7 @@ def _log_sum(a: np.ndarray, k, tol: Tolerances) -> np.ndarray:
             raise MissingDirection("branch %d requested on a part with no direction" % ki)
         turn = beta + 2.0 * math.pi * ki
         t = [x + turn * y for x, y in zip(t, w)]
-    m = (p * (1j * np.array(t))) @ p.conj().T
+    m = (p * (1j * np.array(t))) @ ph
     return (m - m.conj().T) * complex(0.5)
 
 

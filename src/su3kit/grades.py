@@ -114,9 +114,9 @@ def _eigenbasis(a: np.ndarray, tol: Tolerances) -> tuple:
     """
     if a.shape != (3, 3):
         raise DimensionMismatch(f"expected a 3x3 matrix, got {a.shape[0]}x{a.shape[1]}")
-    e, p, _ = _eigen_normal3(a, _normal_norm(a, tol), tol)
+    e, p, ph = _eigen_normal3(a, _normal_norm(a, tol), tol)
     grades = _grades(a)
-    d = np.diag(p.conj().T @ (grades[1] + grades[2]) @ p)
+    d = np.diag(ph @ (grades[1] + grades[2]) @ p)
     return p, e, complex(grades[0][0, 0]), complex(grades[3][0, 0]), d.real, d.imag, grades
 
 

@@ -20,9 +20,11 @@ eigensolvers check their input once, run a kernel, and wrap the result:
     one Newton-Schulz step.  Where that half has a (near-)double
     eigenvalue the seed is arbitrary inside the cluster, so a short
     deterministic sweep of 2x2 rotations on the matrix itself then
-    pushes the off-diagonal of v^H a v to the rounding floor, and one
-    first-order Rayleigh-Ritz step removes what the sweep leaves under
-    its stop.  Final eigenvalues are Rayleigh quotients in that basis.
+    pushes the off-diagonal of v^H a v to the rounding floor.  The
+    sweep runs only when that off-diagonal is above its stop, which a
+    seed almost never is outside such a cluster.  One first-order
+    Rayleigh-Ritz step removes what is left under the stop.  Final
+    eigenvalues are Rayleigh quotients in that basis.
     The normality test and this kernel square quantities of the size of
     the input norm, so for a norm outside [2^-100, 2^100] both run on
     the input scaled by a power of two (``_scaled``) and the eigenvalues
@@ -215,7 +217,7 @@ def _as_mat(x) -> ComplexMat:
 
 
 def _require_finite(a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteEntries("matrix entries must be finite")
 
 
@@ -226,11 +228,9 @@ def _finite_mat(a: np.ndarray) -> ComplexMat:
 
 
 def _det3(a: np.ndarray) -> complex:
-    return complex(
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
+    return complex(a00 * (a11 * a22 - a12 * a21) - a01 * (a10 * a22 - a12 * a20)
+                   + a02 * (a10 * a21 - a11 * a20))
 
 
 def commutator(x: ComplexMat, y: ComplexMat) -> ComplexMat:
@@ -270,10 +270,10 @@ def _phase_fix_columns(v: np.ndarray) -> np.ndarray:
 
     A zero column is left as it is.
     """
-    pivot = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
-    # hypot is what abs() of one complex computes; np.abs on an array may round otherwise
-    mag = np.hypot(pivot.real, pivot.imag)
-    return v * (pivot.conj() / np.where(mag > 0.0, mag, 1.0))
+    pivots = [v.item(i, j) for j, i in enumerate(np.abs(v).argmax(axis=0).tolist())]
+    # abs() of one complex is hypot; np.abs on an array may round otherwise
+    mags = [abs(p) or 1.0 for p in pivots]
+    return v * (np.array([p.conjugate() for p in pivots]) / np.array(mags))
 
 
 def _gram_schmidt_inplace(v: np.ndarray, cols: Sequence[int]) -> None:
@@ -311,35 +311,50 @@ def _pair_rotation(t: np.ndarray, i: int, j: int, stop: float) -> np.ndarray | N
     return np.array([[u[0], -np.conj(u[1])], [u[1], np.conj(u[0])]], dtype=np.complex128)
 
 
+def _polish_stop(scale: float) -> float:
+    """The polish's stop on the off-diagonal norm of v^H a v, a of norm scale.
+
+    2.5 n times the rounding floor 8 eps scale of one entry, n = 3.
+    """
+    return 2.5 * 3 * (8.0 * _EPS * scale)
+
+
+# 0 on the diagonal: t * _OFF3 has the moduli of t - diag(t), so the same norm
+_OFF3 = 1.0 - np.eye(3)
+_OFF3.setflags(write=False)
+
+
+def _off_norm(t: np.ndarray) -> float:
+    """Frobenius norm of the off-diagonal of a 3x3 array."""
+    return float(np.linalg.norm(t * _OFF3))
+
+
 def _polish_normal(
-    a: np.ndarray, v: np.ndarray, scale: float, max_sweeps: int = 24
+    a: np.ndarray, v: np.ndarray, t: np.ndarray, scale: float, max_sweeps: int = 24
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Drive off-diagonals of v^H a v to machine precision; (v, v^H a v).
+    """Drive off-diagonals of t = v^H a v to machine precision; (v, v^H a v).
 
     Cyclic Jacobi sweeps of exact 2x2 block diagonalizations.  Tight
     eigenvalue clusters start in the linear-convergence regime (the
     off-diagonal mass is comparable to the gaps), so progress per sweep
     can be modest before turning quadratic; the loop only gives up at
-    the rounding floor, on an outright stall (the leftover then is the
-    input's distance from exact normality, which no unitary removes),
-    or at the sweep cap.  The caller's residual check has the final word.
+    the rounding floor (``_polish_stop``), on an outright stall (the
+    leftover then is the input's distance from exact normality, which
+    no unitary removes), or at the sweep cap.  The caller's residual
+    check has the final word.
     """
     stop = 8.0 * _EPS * scale  # scale >= 2^-100: _eigen_normal3 runs on _scaled input
-    n = a.shape[0]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     prev = math.inf
     for _ in range(max_sweeps):
-        t = v.conj().T @ a @ v
-        offn = float(np.linalg.norm(t - np.diag(np.diag(t))))
-        if offn <= 2.5 * n * stop or offn >= 0.98 * prev:
+        offn = _off_norm(t)
+        if offn <= _polish_stop(scale) or offn >= 0.98 * prev:
             break
         prev = offn
-        for (i, j) in pairs:
+        for (i, j) in ((0, 1), (0, 2), (1, 2)):
             t = v.conj().T @ a @ v
             r = _pair_rotation(t, i, j, stop)
             if r is not None:
                 v[:, [i, j]] = v[:, [i, j]] @ r
-    else:
         t = v.conj().T @ a @ v
     return v, t
 
@@ -378,7 +393,8 @@ def _normal_problem(arr: np.ndarray, nrm: float, tol: Tolerances) -> str | None:
     caller computes first.
     """
     arr, nrm, k = _scaled(arr, nrm)
-    comm = np.linalg.norm(arr @ arr.conj().T - arr.conj().T @ arr)
+    adj = arr.conj().T
+    comm = np.linalg.norm(arr @ adj - adj @ arr)
     if comm <= tol.normal_tol * nrm * nrm:
         return None
     scale = f" at scale 2^{k}" if k else ""
@@ -442,27 +458,32 @@ def _eigen_normal3(
     # one Newton-Schulz step: LAPACK's basis is unitary to a few eps, this
     # brings it to the rounding floor before the polish and the residual gate
     v = v @ (1.5 * _EYE3 - 0.5 * (v.conj().T @ v))
-    v, t = _polish_normal(arr, v, nrm)
-    d = np.diag(t)
+    t = v.conj().T @ arr @ v
+    # the polish's first stop test; below it the polish returns (v, t) unchanged
+    if not _off_norm(t) <= _polish_stop(nrm):
+        v, t = _polish_normal(arr, v, t, nrm)
+    d = t.diagonal()
     # One first-order Rayleigh-Ritz step.  A basis exp(X) off the true one
     # has v^H a v = diag(d) + [diag(d), X] to first order, so X_ij =
     # t_ij / (d_i - d_j).  It removes the tens of eps the polish leaves under
     # its stop, which a log multiplies by its phase gaps.  Only the skew part
     # of X is a rotation; a pair where X would not be small stays as it is.
     gaps = d[:, None] - d
-    x = t / np.where(np.abs(t) < 1e-8 * np.abs(gaps), gaps, np.inf)
+    x = np.divide(t, gaps, out=np.zeros((3, 3), dtype=np.complex128),
+                  where=np.abs(t) < 1e-8 * np.abs(gaps))
     v = v - v @ ((x - x.conj().T) * 0.5)
 
-    idx = _order_indices(d)
+    idx = _order_indices(d.tolist())
     d = d[idx]
     v = _phase_fix_columns(v[:, idx])
+    vh = v.conj().T
 
-    residual = float(np.linalg.norm(v @ np.diag(d) @ v.conj().T - arr))
+    residual = float(np.linalg.norm((v * d) @ vh - arr))
     if residual > tol.eig_tol * nrm:
         raise EigenFailure(
             f"reconstruction residual {residual:.3e} exceeds eig_tol * norm"
         )
-    return (_ldexp(d, -e) if e else d), v, v.conj().T
+    return (_ldexp(d, -e) if e else d), v, vh
 
 
 def _eigen_system(values: np.ndarray, v: np.ndarray, vinv: np.ndarray) -> EigenSystem:

@@ -1,6 +1,7 @@
 """Exponential map: Euler factors, group validation, commuting families."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 import su3kit.expmap
 import su3kit.invdec
-from su3kit.errors import InputError, NonCommutingParts, NotUnitary, Overflow
+from su3kit.errors import InputError, NonCommutingParts, NonFiniteEntries, NotUnitary, Overflow
 from su3kit.expmap import (
+    _check_group,
     GroupElement,
     exp_simple,
     exp_su3,
@@ -20,7 +22,8 @@ from su3kit.expmap import (
 from su3kit.factorlog import principal_log
 from su3kit.invdec import decompose_nxn, decompose_via_eigen
 from su3kit.oracle import compare, exp_reference, random_algebra, random_group
-from su3kit.smallmat import ComplexMat
+from su3kit.smallmat import ComplexMat, _det3
+from su3kit.tolerances import DEFAULT_TOL
 
 # real symmetric, so its parts are not su(3) parts: their lambdas
 # (about 1.22, 0.157 and 2.25) are positive and they carry no angle
@@ -39,6 +42,53 @@ class TestGroupElement:
         # unitary, but det = -1
         with pytest.raises(NotUnitary):
             GroupElement(ComplexMat(np.diag([1.0, 1.0, -1.0]).astype(complex)))
+
+
+class TestCheckGroup:
+    """The outcomes of _check_group, which reads the unitarity residual before finiteness."""
+
+    @pytest.mark.parametrize("special", [True, False])
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf), -np.inf])
+    def test_non_finite_entries(self, bad, special):
+        a = np.eye(3, dtype=np.complex128)
+        a[1, 2] = bad
+        with pytest.raises(NonFiniteEntries):
+            _check_group(a, DEFAULT_TOL, special)
+
+    @pytest.mark.parametrize("special", [True, False])
+    def test_huge_entries_are_not_unitary_without_a_warning(self, special):
+        # the residual overflows to NaN, which "not <=" refuses
+        a = np.full((3, 3), 1e200, dtype=np.complex128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnitary, match="unitarity residual nan exceeds grp_tol"):
+                _check_group(a, DEFAULT_TOL, special)
+
+    def test_det_minus_one_needs_special(self):
+        a = np.diag([1.0, 1.0, -1.0]).astype(np.complex128)
+        with pytest.raises(NotUnitary, match="determinant is off 1 by 2.000e"):
+            _check_group(a, DEFAULT_TOL)
+        _check_group(a, DEFAULT_TOL, special=False)
+
+    def test_det3_equals_the_numpy_scalar_form(self):
+        def numpy_scalars(a):
+            return complex(
+                a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+                - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+                + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+            )
+
+        rng = np.random.default_rng(13)
+        for _ in range(10_000):
+            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            a = a * 10.0 ** rng.integers(-90, 90)
+            # exact and signed zeros, as on diagonal and permutation inputs
+            a[rng.random((3, 3)) < 0.2] = 0.0
+            a.imag[rng.random((3, 3)) < 0.2] = -0.0
+            want = numpy_scalars(a)
+            got = _det3(a)
+            assert type(got) is complex
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestExpSimple:

@@ -11,7 +11,9 @@ return a factorization and logs within the acceptance levels.
 """
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from su3kit.factorlog import (
 )
 from su3kit.grades import split_HS
 from su3kit.oracle import compare, exp_reference, random_algebra, random_group
-from su3kit.smallmat import _EYE3, _inverse
+from su3kit.smallmat import _EYE3, _inverse, eigen_normal3
 from su3kit.tolerances import DEFAULT_TOL
 
 # -- the specification ----------------------------------------------------------
@@ -277,6 +279,45 @@ def test_eigen_parts_are_the_invariant_decomposition():
     assert compare(total, principal_log(u)) < 1e-12
     for p in fz.parts:
         assert np.linalg.norm(p.unit.array @ p.unit.array + np.eye(3)) < 1e-12
+
+
+def _parts_selection(u):
+    """(routes, theta, sum of parts, principal log) of u; the parts sum to P diag(i theta) P^H."""
+    fz = factorize(u)
+    total = sum(p.mat.array for p in fz.parts)
+    p = eigen_normal3(u).vectors.array
+    on_p = p.conj().T @ total @ p
+    assert np.linalg.norm(on_p - np.diag(np.diag(on_p))) < 1e-12
+    assert np.linalg.norm(np.diag(on_p).real) < 1e-12
+    assert compare(exp_reference(total), u) < 1e-12
+    return fz.routes, np.diag(on_p).imag, total, principal_log(u).array
+
+
+def _vanishing_g0_fixture():
+    doc = json.loads((Path(__file__).parent / "golden" / "factor-vanishing-g0.json").read_text())
+    return np.array([[complex(*x) for x in row] for row in json.loads(doc["stdin"])["entries"]])
+
+
+def test_parts_are_the_eigen_route_selection_or_the_pinned_phases():
+    """The eigen route's parts sum to principal_log; the cascade's phases may sum to +-2 pi."""
+    routes, theta, total, log = _parts_selection(near_cos_zero_stream()[0])
+    assert routes == ("eigen",) * 3
+    assert abs(theta.sum()) < 1e-12 and compare(total, log) < 1e-12
+    routes, theta, total, log = _parts_selection(_vanishing_g0_fixture())
+    assert routes == ("inv_b", "inv_b", "closing")
+    assert abs(theta.sum()) < 1e-12 and compare(total, log) < 1e-12
+    windings = []
+    for seed in range(300):
+        routes, theta, total, log = _parts_selection(random_group(seed).mat.array)
+        assert "eigen" not in routes
+        turns = theta.sum() / (2.0 * math.pi)
+        assert abs(turns - round(turns)) < 1e-12 and abs(round(turns)) <= 1
+        if round(turns) == 0:
+            assert compare(total, log) < 1e-12
+        else:
+            windings.append(seed)
+            assert compare(total, log) > 1.0
+    assert windings == [61, 76, 138, 147, 179, 216, 240, 263]
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-10, 1e-12])

@@ -1,9 +1,13 @@
 """Matrix value type and the two eigensolvers."""
 
+import hashlib
+import platform
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su3kit.errors import (
     DimensionMismatch,
@@ -13,9 +17,9 @@ from su3kit.errors import (
     NotNormal,
     Singular,
 )
-from su3kit.factorlog import principal_log
+from su3kit.factorlog import factorize, principal_log
 from su3kit.grades import split_HS
-from su3kit.oracle import compare, exp_reference
+from su3kit.oracle import compare, exp_reference, random_algebra, random_group
 from su3kit.smallmat import (
     ComplexMat,
     EigenSystem,
@@ -292,6 +296,108 @@ class TestClusteredSpectra:
         rng = np.random.default_rng(92)
         for _ in range(40):
             self._check_kernel(random_unitary3(rng) * scale)
+
+
+def _clustered_inputs():
+    """The inputs of TestClusteredSpectra, in its order."""
+    out = []
+    for kind in ["h-double", "k-double", "double", "near-double", "omega"]:
+        rng = np.random.default_rng(91)
+        for _ in range(40):
+            q = random_unitary3(rng)
+            out.append(q @ np.diag(_clustered_phases(kind, rng.uniform(0.01, np.pi - 0.01)))
+                       @ q.conj().T)
+    for scale in [2.0**120, 2.0**-120]:
+        rng = np.random.default_rng(92)
+        out += [random_unitary3(rng) * scale for _ in range(40)]
+    return out
+
+
+def _sha256(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _eigen_bytes(inputs):
+    for a in inputs:
+        es = eigen_normal3(a)
+        yield np.array(es.values)
+        yield es.vectors.array
+
+
+def _digests():
+    haar = [random_group(seed).mat.array for seed in range(200)]
+    algebra = [random_algebra(seed, scale=1.5).mat.array for seed in range(200)]
+    return {
+        "eigen_normal3 haar": _sha256(_eigen_bytes(haar)),
+        "eigen_normal3 algebra": _sha256(_eigen_bytes(algebra)),
+        "eigen_normal3 clustered": _sha256(_eigen_bytes(_clustered_inputs())),
+        "principal_log haar": _sha256(principal_log(u).array for u in haar),
+        "factorize haar": _sha256(f.array for u in haar for f in factorize(u).factors),
+    }
+
+
+def _build():
+    try:  # numpy < 1.26 has no mode argument; a build may list no LAPACK
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except (TypeError, KeyError):
+        return f"numpy {np.__version__}, unknown LAPACK"
+    return f"numpy {np.__version__}, {lapack['name']} {lapack['version']}, {platform.machine()}"
+
+
+# LAPACK's eigh and the BLAS products round as the build and the CPU's BLAS
+# kernels do, so the digests hold only for the build they were recorded with.
+_DIGEST_BUILD = "numpy 2.4.6, scipy-openblas 0.3.31.188.0, x86_64"
+_DIGESTS = {
+    "eigen_normal3 haar": "fc6182f552179c6d548ddfdcbae934c22dfa7eb69e596eb65027fa04787621c2",
+    "eigen_normal3 algebra": "b8eb6f230b2875385eb6ccb2c60f785336911b2e428860ea018a0ed952189fcb",
+    "eigen_normal3 clustered": "76d1a1b5268b3bbd08908959090bc9daa8933b1239eccfe74d94b6016f6cad07",
+    "principal_log haar": "dc0d40e5afe58b747bd4de841f0037a6a7cbba17f05f7ec45c3dd751297fb0bd",
+    "factorize haar": "3837b1bee72c6451cfa3fe4e5949de9d9810f87048a879f8318e16f4b31ec1b9",
+}
+
+
+@pytest.mark.skipif(_build() != _DIGEST_BUILD, reason="digests recorded with " + _DIGEST_BUILD)
+def test_kernel_and_log_bytes_pinned():
+    """The normal kernel's (values, vectors), the principal log and the factors, bit for bit.
+
+    Any change to the arithmetic of the kernel or the log path shows
+    up here; a change that means to move bits records new digests.
+    """
+    assert _digests() == _DIGESTS
+
+
+def _nearly_normal(seed, eps, kind):
+    """A normal 3x3 matrix plus eps times a complex Gaussian matrix."""
+    rng = np.random.default_rng(seed)
+    q = random_unitary3(rng)
+    d = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    if kind == "unitary":
+        d = d / np.abs(d)
+    elif kind == "double":
+        d[1] = d[0]
+    elif kind == "near-double":
+        d[1] = d[0] + 1e-9
+    a = (q * d) @ q.conj().T
+    return a + eps * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-16.0, -6.0),
+       kind=st.sampled_from(["generic", "unitary", "double", "near-double"]))
+def test_nearly_normal_input_is_solved_or_refused(seed, exponent, kind):
+    """A unitary basis that reconstructs to eig_tol, or NotNormal / EigenFailure; nothing else."""
+    a = _nearly_normal(seed, 10.0**exponent, kind)
+    try:
+        es = eigen_normal3(a)
+    except (NotNormal, EigenFailure):
+        return
+    v = es.vectors.array
+    assert np.linalg.norm(v.conj().T @ v - np.eye(3)) <= 1e-14
+    rec = (v * np.array(es.values)) @ es.inverse_vectors.array
+    assert np.linalg.norm(rec - a) <= DEFAULT_TOL.eig_tol * np.linalg.norm(a)
 
 
 def _phase_fix_loop(v):

@@ -17,9 +17,10 @@ validates a raw input once as an su(3) element, which also yields the
 norm, solves the characteristic cubic with ``invdec._cubic_roots``,
 computes the coefficients on Python scalars, forms B^2 once, runs the
 ``GroupElement`` check (``_check_group``) once on the result and wraps
-it.  No eigensolver runs.  ``decompose_via_eigen`` followed by
-``exp_simple`` on each part is the same identity through the public
-types; the two agree to a few eps max(1, ||B||), not bit for bit.
+it with the unitarity residual that check measured.  No eigensolver
+runs.  ``decompose_via_eigen`` followed by ``exp_simple`` on each part
+is the same identity through the public types; the two agree to a few
+eps max(1, ||B||), not bit for bit.
 """
 
 from __future__ import annotations
@@ -52,14 +53,20 @@ from .tolerances import DEFAULT_TOL, Tolerances
 
 
 class GroupElement(Validated):
-    """A validated special-unitary 3x3 matrix."""
+    """A validated special-unitary 3x3 matrix.
 
-    __slots__ = ()
+    It keeps the unitarity residual ||U^H U - 1||_F that its check
+    measured.  The logs and ``factorize`` read U's normality from it
+    (``smallmat._normal_norm``) instead of testing the commutator again.
+    """
+
+    __slots__ = ("_dev",)
 
     def __init__(self, mat, tol: Tolerances = DEFAULT_TOL) -> None:
         m = _as_mat(mat)
-        _check_group(m.array, tol)
+        dev = _check_group(m.array, tol)
         object.__setattr__(self, "_mat", m)
+        object.__setattr__(self, "_dev", dev)
 
 
 def _unitarity_residual(arr: np.ndarray) -> float:
@@ -78,8 +85,11 @@ def _group_residuals(arr: np.ndarray) -> tuple[float, float]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _check_group(arr: np.ndarray, tol: Tolerances, special: bool = True) -> None:
-    """NotUnitary unless arr is a finite 3x3 unitary, with det 1 when special."""
+def _check_group(arr: np.ndarray, tol: Tolerances, special: bool = True) -> float:
+    """NotUnitary unless arr is a finite 3x3 unitary, with det 1 when special.
+
+    Returns the unitarity residual ||arr^H arr - 1||_F it measured.
+    """
     if arr.shape != (3, 3):
         raise NotUnitary(f"expected a 3x3 matrix, got {arr.shape[0]}x{arr.shape[1]}")
     # "not <=" so that a residual that overflowed to NaN is refused too; a
@@ -89,11 +99,11 @@ def _check_group(arr: np.ndarray, tol: Tolerances, special: bool = True) -> None
     if not dev <= tol.grp_tol:
         _require_finite(arr)
         raise NotUnitary(f"unitarity residual {dev:.3e} exceeds grp_tol")
-    if not special:
-        return
-    det_dev = abs(_det3(arr) - 1.0)
-    if not det_dev <= tol.grp_tol:
-        raise NotUnitary(f"determinant is off 1 by {det_dev:.3e}, matrix is not special")
+    if special:
+        det_dev = abs(_det3(arr) - 1.0)
+        if not det_dev <= tol.grp_tol:
+            raise NotUnitary(f"determinant is off 1 by {det_dev:.3e}, matrix is not special")
+    return dev
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,9 +197,10 @@ def exp_su3(b, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
         if c0 < 0.0:
             f0, f1, f2 = f0.conjugate(), -f1.conjugate(), f2.conjugate()
         out = (arr @ arr) * -f2 + arr * (-1j * f1) + _EYE3 * f0
-    _check_group(out, tol)
+    dev = _check_group(out, tol)
     group = object.__new__(GroupElement)
     object.__setattr__(group, "_mat", ComplexMat._wrap(out))
+    object.__setattr__(group, "_dev", dev)
     return group
 
 

@@ -62,12 +62,18 @@ winding whose turns carry more rounding than fact_tol is refused.
 
 Scalars multiply as Python complex numbers, and residual gates read
 "not x <= tol" so NaN is refused.  Public functions take a
-``GroupElement``, ``ComplexMat`` or raw entries and wrap each result
-once, after one finiteness check.  ``factorize``, ``principal_log`` and
-``branch_log`` check any input but a ``GroupElement`` for unitarity
-once, on entry (``_unitary_array``), so a non-unitary input is refused
-as ``NotUnitary`` before its eigenbasis is taken.  ``principal_log_factor``,
-``normalize`` and ``rms_norm`` act on matrices.
+``GroupElement``, ``ComplexMat`` or raw entries.  ``factorize``,
+``principal_log`` and ``branch_log`` check any input but a
+``GroupElement`` for unitarity once, on entry (``_unitary_array``), so
+a non-unitary input is refused as ``NotUnitary`` before its eigenbasis
+is taken; a ``GroupElement`` brings the unitarity residual its own
+check measured.  That residual stands in for the normality test
+(``smallmat._normal_norm``).  The normal kernel's residual gate proves
+U's eigenbasis and eigenvalues finite, so what the three build from
+them is wrapped with no further check.  ``factorize`` forms its three
+units as one stacked product.
+``principal_log_factor``, ``normalize`` and ``rms_norm`` act on
+matrices.
 """
 
 from __future__ import annotations
@@ -99,6 +105,8 @@ from .tolerances import DEFAULT_TOL, Tolerances
 _SQRT3 = math.sqrt(3.0)
 # sigma_i = 2 e_i - 1: the involution 2 p_i p_i^H - 1 on U's eigenbasis P
 _SIGMA = ((1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0))
+# the indices j, k other than i
+_OTHERS = ((1, 2), (0, 2), (0, 1))
 # the shifts k in {-1, 0, 1}^3 by their sum
 _SHIFTS = {n: [k for k in itertools.product((-1, 0, 1), repeat=3) if sum(k) == n]
            for n in range(-3, 4)}
@@ -158,24 +166,29 @@ class LogBranch:
             raise InputError("branch must be three integers of magnitude at most 2**53")
 
 
-def _unitary_array(u, tol: Tolerances) -> np.ndarray:
-    """The array of a public argument, checked unitary unless it is a GroupElement.
+def _unitary_array(u, tol: Tolerances) -> tuple[np.ndarray, float]:
+    """(array, unitarity residual) of a public argument, checked unless it is a GroupElement.
 
+    A GroupElement brings the residual its own check measured.
     Unitarity only, as the CLI's check: boundary elements such as -1
     have det -1 and still reach the cascade or the logs' eigenvalue
     rules, which report them as numerical failures.
     """
     if isinstance(u, GroupElement):
-        return u.mat.array
+        return u.mat.array, u._dev
     arr = _as_mat(u).array
-    _check_group(arr, tol, special=False)
-    return arr
+    return arr, _check_group(arr, tol, special=False)
 
 
 def _simple_part(beta: float, unit: np.ndarray | None) -> SimplePart:
+    """The part of angle beta along unit; unit None is a part with no direction.
+
+    No array is checked: every caller has passed a gate (the kernel's
+    residual, a factor's miss) that a non-finite unit fails.
+    """
     mat = np.zeros((3, 3), dtype=np.complex128) if unit is None else unit * complex(beta)
-    return SimplePart(mat=_finite_mat(mat), lam=complex(-beta * beta),
-                      beta=beta, unit=None if unit is None else _finite_mat(unit))
+    return SimplePart(mat=ComplexMat._wrap(mat), lam=complex(-beta * beta),
+                      beta=beta, unit=None if unit is None else ComplexMat._wrap(unit))
 
 
 def _factor_angle(residual: float, c: float, sn: float, size: float, tol: Tolerances):
@@ -240,12 +253,15 @@ def _log_entries(x, tol: Tolerances):
     kept below sin_zero_tol too, so the factor keeps its small sine;
     whether the part has a direction is ``_directed(beta)``.
     """
-    c = sum(v.real for v in x) / 3.0
-    beta, bound, _ = _factor_angle(math.hypot(*(v.real - c for v in x)), c,
-                                   math.hypot(*(v.imag for v in x)) / _SQRT3, _norm(x), tol)
-    w = [math.copysign(1.0, v.imag) for v in x]
+    x0, x1, x2 = x
+    # 0.0 + ...: sum()'s order, and its rule for signed zeros
+    c = (0.0 + x0.real + x1.real + x2.real) / 3.0
+    beta, bound, _ = _factor_angle(math.hypot(x0.real - c, x1.real - c, x2.real - c), c,
+                                   math.hypot(x0.imag, x1.imag, x2.imag) / _SQRT3, _norm(x), tol)
+    w = [math.copysign(1.0, x0.imag), math.copysign(1.0, x1.imag), math.copysign(1.0, x2.imag)]
     cb, sb = math.cos(beta), math.sin(beta)
-    _check_miss(_norm([complex(cb, sb * y) - v for y, v in zip(w, x)]), bound)
+    _check_miss(_norm((complex(cb, sb * w[0]) - x0, complex(cb, sb * w[1]) - x1,
+                       complex(cb, sb * w[2]) - x2)), bound)
     return beta, w
 
 
@@ -267,22 +283,24 @@ def _candidate(name: str, i: int, g0: complex, g6: complex, h, s, tol: Tolerance
     A nonzero constituent has condition number 1, so its inverse needs
     no further check.
     """
-    j, k = [t for t in range(3) if t != i]
     if name == "simple":
         a, b = g0, s[i]
     else:
+        j, k = _OTHERS[i]
         terms = {"inv_a": (("H", h[k]), ("S", s[j])), "inv_b": (("H", h[j]), ("S", s[k])),
                  "inv2": (("g6", g6), ("H", h[i]))}[name]
         for label, coef in terms:
             if abs(coef) <= tol.g0_zero_tol:
                 raise ZeroMatrix("%s input is effectively zero (%.3e)" % (label, abs(coef)))
         a, b = 1.0, terms[0][1] / terms[1][1]
-    x = [a + b * y for y in _SIGMA[i]]
+    y0, y1, y2 = _SIGMA[i]
+    x = (a + b * y0, a + b * y1, a + b * y2)
     nrm = _norm(x) / _SQRT3
     if nrm <= tol.norm_zero_tol:
         raise ZeroMatrix("cannot normalize a matrix with norm %.3e" % nrm)
-    cand = [v * (1.0 / nrm) for v in x]
-    udev = math.hypot(*(abs(v) ** 2 - 1.0 for v in cand))
+    r = 1.0 / nrm
+    cand = [x[0] * r, x[1] * r, x[2] * r]
+    udev = math.hypot(abs(cand[0]) ** 2 - 1.0, abs(cand[1]) ** 2 - 1.0, abs(cand[2]) ** 2 - 1.0)
     if not udev <= 100.0 * tol.fact_tol:
         raise NotSimpleFactor("candidate not unitary (%.3e)" % udev)
     return cand
@@ -398,16 +416,16 @@ def _phase_parts(theta) -> list:
             for t, sigma in zip(theta, _SIGMA)]
 
 
-def _factor_parts(a: np.ndarray, tol: Tolerances):
-    """(eigenbasis, parts, routes) of a: the cascade, else the ``eigen`` route.
+def _factor_parts(a: np.ndarray, dev: float, tol: Tolerances):
+    """(eigenbasis, parts, routes) of a, of unitarity residual dev: the cascade, else ``eigen``.
 
     The eigen route, the invariant decomposition of log U, runs only
     after the cascade's FactorizationFailed.  Either route's phases
     then meet ``_det_one``, so an AmbiguousDirection of the cascade or
     the selection comes first.
     """
-    basis = _eigenbasis(a, tol)
-    _, e, g0, g6, gam, delt, _ = basis
+    basis = _eigenbasis(a, tol, dev)
+    _, _, e, g0, g6, gam, delt, _ = basis
     e = e.tolist()
     try:
         parts, routes = _cascade(e, g0, g6, gam.tolist(), delt.tolist(), tol)
@@ -428,18 +446,18 @@ def factorize(u, tol: Tolerances = DEFAULT_TOL) -> Factorization:
     cos(beta) 1 + sin(beta) unit, its unit P diag(i w) P^H.  The grade
     decomposition the routes used is built when ``grades`` is read.
     """
-    basis, parts, routes = _factor_parts(_unitary_array(u, tol), tol)
-    p, ph = basis[0], basis[0].conj().T
-    units = [(p * (1j * np.array(w))) @ ph for _, w in parts]
+    basis, parts, routes = _factor_parts(*_unitary_array(u, tol), tol)
+    # the three units P diag(i w) P^H as one stacked product
+    units = (basis[0] * (1j * np.array([w for _, w in parts]))[:, None, :]) @ basis[1]
     return Factorization(
-        factors=tuple(_finite_mat(_factor_array(unit, beta))
+        factors=tuple(ComplexMat._wrap(_factor_array(unit, beta))
                       for unit, (beta, _) in zip(units, parts)),
         parts=tuple(_simple_part(beta, unit if _directed(beta, tol) else None)
                     for unit, (beta, _) in zip(units, parts)),
         routes=tuple(routes), _basis=basis)
 
 
-def _log_sum(a: np.ndarray, k, tol: Tolerances) -> np.ndarray:
+def _log_sum(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.ndarray:
     """The principal part logs plus 2 pi k_i turns along part i, made exactly skew.
 
     The principal parts are (i theta_i / 2)(2 P_i - 1), theta the
@@ -449,9 +467,10 @@ def _log_sum(a: np.ndarray, k, tol: Tolerances) -> np.ndarray:
     and a det other than 1 is FactorizationFailed (``_det_one``).  A
     turn of 2 pi k_i carries an absolute error of about 2 pi |k_i| eps,
     which exp of the log passes on to u, so a winding whose error
-    passes fact_tol is FactorizationFailed too.
+    passes fact_tol is FactorizationFailed too.  dev is a's measured
+    unitarity residual (``_normal_norm``).
     """
-    e, p, ph = _eigen_normal3(a, _normal_norm(a, tol), tol)
+    e, p, ph = _eigen_normal3(a, _normal_norm(a, tol, dev), tol)
     theta = _least_norm_phases(e.tolist(), tol)
     _det_one(theta, tol)
     miss = 2.0 * math.pi * max(map(abs, k)) * _EPS
@@ -474,7 +493,7 @@ def principal_log(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
     The traceless log of least norm, taken from u's eigenphases (see
     ``_log_sum``); the sum of the parts of the eigen route.
     """
-    return _finite_mat(_log_sum(_unitary_array(u, tol), (0, 0, 0), tol))
+    return ComplexMat._wrap(_log_sum(*_unitary_array(u, tol), (0, 0, 0), tol))
 
 
 def branch_log(u, branch: LogBranch, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
@@ -485,4 +504,4 @@ def branch_log(u, branch: LogBranch, tol: Tolerances = DEFAULT_TOL) -> ComplexMa
     """
     if not isinstance(branch, LogBranch):
         branch = LogBranch(k=tuple(branch))
-    return _finite_mat(_log_sum(_unitary_array(u, tol), branch.k, tol))
+    return ComplexMat._wrap(_log_sum(*_unitary_array(u, tol), branch.k, tol))

@@ -104,33 +104,39 @@ def _hermitian_outer(v: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
-def _eigenbasis(a: np.ndarray, tol: Tolerances) -> tuple:
-    """(P, e, g0, g6, gamma, delta, grades) of a 3x3 unitary array.
+def _eigenbasis(a: np.ndarray, tol: Tolerances, dev: float | None = None) -> tuple:
+    """(P, P^H, e, g0, g6, gamma, delta, grades) of a 3x3 unitary array.
 
-    P and e are U's eigenbasis and eigenvalues as the normal kernel
-    returns them, g0 and g6 the scalars of the grades of that name,
-    gamma + i delta the diagonal of A = g2 + g4 on P, and grades the
-    arrays (g0, g2, g4, g6, ccos, ssin).
+    P, P^H and e are U's eigenbasis, its adjoint and U's eigenvalues as
+    the normal kernel returns them, g0 and g6 the scalars of the grades
+    of that name, gamma + i delta the diagonal of A = g2 + g4 on P, and
+    grades the arrays (g0, g2, g4, g6, ccos, ssin).  dev is a's
+    measured unitarity residual, if a was checked (``_normal_norm``).
     """
     if a.shape != (3, 3):
         raise DimensionMismatch(f"expected a 3x3 matrix, got {a.shape[0]}x{a.shape[1]}")
-    e, p, ph = _eigen_normal3(a, _normal_norm(a, tol), tol)
+    e, p, ph = _eigen_normal3(a, _normal_norm(a, tol, dev), tol)
     grades = _grades(a)
     d = np.diag(ph @ (grades[1] + grades[2]) @ p)
-    return p, e, complex(grades[0][0, 0]), complex(grades[3][0, 0]), d.real, d.imag, grades
+    return p, ph, e, complex(grades[0][0, 0]), complex(grades[3][0, 0]), d.real, d.imag, grades
 
 
 def _decomposition(basis: tuple) -> GradeDecomposition:
-    """The grade decomposition from the result of _eigenbasis, each array wrapped once."""
-    p, _, _, _, gam, delt, grades = basis
+    """The grade decomposition from the result of _eigenbasis.
+
+    Every array is finite without a check: the grades are sums of a's
+    entries, whose squared norm is finite, and P, gamma and delta passed
+    the kernel's residual gate.
+    """
+    p, _, _, _, _, gam, delt, grades = basis
     eye = np.eye(3)
     hs = []
     ss = []
     for i in range(3):
         invol = 2.0 * _hermitian_outer(p[:, i]) - eye
-        hs.append(_finite_mat(0.5 * (gam[i] - gam.sum()) * invol))
-        ss.append(_finite_mat(0.5j * (delt[i] - delt.sum()) * invol))
-    return GradeDecomposition(*map(_finite_mat, grades), tuple(hs), tuple(ss))
+        hs.append(ComplexMat._wrap(0.5 * (gam[i] - gam.sum()) * invol))
+        ss.append(ComplexMat._wrap(0.5j * (delt[i] - delt.sum()) * invol))
+    return GradeDecomposition(*map(ComplexMat._wrap, grades), tuple(hs), tuple(ss))
 
 
 def split_HS(u, tol: Tolerances = DEFAULT_TOL) -> GradeDecomposition:

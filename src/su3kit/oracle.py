@@ -44,9 +44,10 @@ def exp_reference(b) -> ComplexMat:
     nrm = float(np.linalg.norm(arr))
     squarings = max(0, math.ceil(math.log2(nrm / 0.5))) if nrm > 0.5 else 0
     t = arr / (2.0**squarings)
+    eye = np.eye(n)
     out = np.eye(n, dtype=np.complex128)
     for k in range(_TAYLOR_ORDER, 0, -1):
-        out = np.eye(n) + (t / k) @ out
+        out = eye + (t / k) @ out
     for _ in range(squarings):
         out = out @ out
     return ComplexMat(out)

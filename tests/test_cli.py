@@ -471,7 +471,7 @@ class TestUnitarityCheck:
 
         def counting(arr, tol, special=True):
             calls.append(special)
-            check(arr, tol, special)
+            return check(arr, tol, special)
 
         monkeypatch.setattr(cli, "_check_group", counting)
         monkeypatch.setattr(factorlog, "_check_group", counting)

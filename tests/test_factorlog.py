@@ -333,7 +333,7 @@ class TestUnitarityOnEntry:
 
         def counting(arr, tol, special=True):
             calls.append(special)
-            check(arr, tol, special)
+            return check(arr, tol, special)
 
         monkeypatch.setattr(factorlog, "_check_group", counting)
         g = random_group(2)

@@ -1,5 +1,6 @@
 """Matrix value type and the two eigensolvers."""
 
+import dataclasses
 import hashlib
 import platform
 import warnings
@@ -9,20 +10,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from su3kit import factorlog, smallmat
 from su3kit.errors import (
     DimensionMismatch,
     EigenFailure,
     InputError,
     NotDiagonalizable,
     NotNormal,
+    NotUnitary,
     Singular,
+    Su3KitError,
 )
-from su3kit.factorlog import factorize, principal_log
+from su3kit.expmap import _check_group
+from su3kit.factorlog import Factorization, LogBranch, branch_log, factorize, principal_log
 from su3kit.grades import split_HS
 from su3kit.oracle import compare, exp_reference, random_algebra, random_group
 from su3kit.smallmat import (
+    _EPS,
     ComplexMat,
     EigenSystem,
+    _finite_norm,
+    _normal_problem,
     _phase_fix_columns,
     _scaled,
     commutator,
@@ -316,7 +324,7 @@ def _clustered_inputs():
 def _sha256(arrays):
     h = hashlib.sha256()
     for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
+        h.update(a if isinstance(a, bytes) else np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
 
 
@@ -327,15 +335,81 @@ def _eigen_bytes(inputs):
         yield es.vectors.array
 
 
+def _hard_phases(family, rng):
+    """Three phases summing to zero from one of the four hard families of the benchmark."""
+    s = rng.choice((-1.0, 1.0))
+    if family == "near_degenerate":
+        a = rng.uniform(0.4, 1.2)
+        eps = rng.uniform(1.0, 4.0) * 2e-7 / a
+        return (s * a, s * (a + eps), -s * (2.0 * a + eps))
+    if family == "boundary":
+        p1 = s * (2.0 * np.pi - 2.0 * rng.uniform(1e-6, 1e-3))
+    elif family == "cos_zero":
+        p1 = s * np.pi
+    else:  # near_cos_zero
+        off = 10.0 ** rng.uniform(np.log10(5e-8), np.log10(5e-6))
+        p1 = s * (np.pi + 2.0 * off * rng.choice((-1.0, 1.0)))
+    p2 = -s * rng.uniform(0.3, 1.5)
+    return (p1, p2, -p1 - p2)
+
+
+def _hard_inputs():
+    """50 unitaries P diag(e^{i phases}) P^H of each hard family, P Haar."""
+    out = []
+    for i, family in enumerate(["near_degenerate", "boundary", "cos_zero", "near_cos_zero"]):
+        rng = np.random.default_rng(60 + i)
+        for _ in range(50):
+            ph = np.array(_hard_phases(family, rng))
+            p = random_unitary3(rng)
+            out.append((p * np.exp(1j * ph)) @ p.conj().T)
+    return out
+
+
+def _outcome(f, *args):
+    """f's result as bytes, or its error's class and message."""
+    try:
+        return f(*args)
+    except Su3KitError as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+
+
+def _factorization_bytes(fz):
+    if isinstance(fz, bytes):
+        yield fz
+        return
+    for f in fz.factors:
+        yield f.array
+    for part in fz.parts:
+        yield part.mat.array
+        yield np.array([part.beta, part.lam])
+        yield b"-" if part.unit is None else part.unit.array
+    yield " ".join(fz.routes).encode()
+    g = fz.grades
+    for m in (g.g0, g.g2, g.g4, g.g6, g.ccosU, g.ssinU, *g.H, *g.S):
+        yield m.array
+
+
+def _log_bytes(m):
+    return m if isinstance(m, bytes) else m.array
+
+
 def _digests():
     haar = [random_group(seed).mat.array for seed in range(200)]
     algebra = [random_algebra(seed, scale=1.5).mat.array for seed in range(200)]
+    hard = _hard_inputs()
     return {
         "eigen_normal3 haar": _sha256(_eigen_bytes(haar)),
         "eigen_normal3 algebra": _sha256(_eigen_bytes(algebra)),
         "eigen_normal3 clustered": _sha256(_eigen_bytes(_clustered_inputs())),
         "principal_log haar": _sha256(principal_log(u).array for u in haar),
         "factorize haar": _sha256(f.array for u in haar for f in factorize(u).factors),
+        "factorize parts, routes and grades haar": _sha256(
+            b for u in haar for b in _factorization_bytes(factorize(u))),
+        "branch_log (1, 0, -1) haar": _sha256(
+            _log_bytes(_outcome(branch_log, u, LogBranch((1, 0, -1)))) for u in haar),
+        "principal_log hard": _sha256(_log_bytes(_outcome(principal_log, u)) for u in hard),
+        "factorize hard": _sha256(
+            b for u in hard for b in _factorization_bytes(_outcome(factorize, u))),
     }
 
 
@@ -356,12 +430,22 @@ _DIGESTS = {
     "eigen_normal3 clustered": "76d1a1b5268b3bbd08908959090bc9daa8933b1239eccfe74d94b6016f6cad07",
     "principal_log haar": "dc0d40e5afe58b747bd4de841f0037a6a7cbba17f05f7ec45c3dd751297fb0bd",
     "factorize haar": "3837b1bee72c6451cfa3fe4e5949de9d9810f87048a879f8318e16f4b31ec1b9",
+    "factorize parts, routes and grades haar":
+        "f31d74591b2fb5134214ce63d79811c02a6b34b301cc20c03cc02d90bc7a6c4f",
+    "branch_log (1, 0, -1) haar":
+        "dc0dbe4163e2b588e93dba84fe64855184379caa4f495d32f375f4c3ef290207",
+    "principal_log hard": "a58db23f64e90c7bca3aa9fd03df85459576bb5efa68d600ecdb1c1e3b4b1d4e",
+    "factorize hard": "008aa2cb3331d2a58d9020459b95bf505dc1aff0849d3485e8d7e0a644759352",
 }
 
 
 @pytest.mark.skipif(_build() != _DIGEST_BUILD, reason="digests recorded with " + _DIGEST_BUILD)
 def test_kernel_and_log_bytes_pinned():
-    """The normal kernel's (values, vectors), the principal log and the factors, bit for bit.
+    """The normal kernel, both logs and factorize's whole output, bit for bit.
+
+    factorize's output is its factors, its parts (matrix, angle,
+    eigenvalue, unit), its routes and the grades it builds when read;
+    on the four hard families a refusal counts by its class and message.
 
     Any change to the arithmetic of the kernel or the log path shows
     up here; a change that means to move bits records new digests.
@@ -398,6 +482,130 @@ def test_nearly_normal_input_is_solved_or_refused(seed, exponent, kind):
     assert np.linalg.norm(v.conj().T @ v - np.eye(3)) <= 1e-14
     rec = (v * np.array(es.values)) @ es.inverse_vectors.array
     assert np.linalg.norm(rec - a) <= DEFAULT_TOL.eig_tol * np.linalg.norm(a)
+
+
+def _special_unitary3(rng):
+    q = random_unitary3(rng)
+    return q * np.exp(-1j * np.angle(np.linalg.det(q)) / 3.0)
+
+
+def _near_unitary(seed, target, kind):
+    """A special unitary perturbed to a unitarity residual of about target.
+
+    "general" adds a complex Gaussian direction.  "worst" is
+    V diag(sqrt(1 + s), sqrt(1 - s), 1) (V r)^H, where
+    ||a a^H - a^H a|| = 2 ||a^H a - 1|| exactly: the bound the normality
+    shortcut rests on, met with equality.
+    """
+    rng = np.random.default_rng(seed)
+    u = _special_unitary3(rng)
+    if kind == "worst":
+        s = target / np.sqrt(2.0)
+        phi = rng.uniform(0.3, 2.5)
+        # r diag(s, -s, 0) r^H = diag(-s, s, 0), det r = 1, and a's eigenvalues
+        # are those of r^H, +-e^{i phi / 2} and -e^{-i phi}
+        r = np.array([[0.0, 1.0, 0.0], [np.exp(-1j * phi), 0.0, 0.0], [0.0, 0.0, -np.exp(1j * phi)]])
+        return (u * np.sqrt([1.0 + s, 1.0 - s, 1.0])) @ (u @ r).conj().T
+    e = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    e = e * (1e-12 / np.linalg.norm(u.conj().T @ e + e.conj().T @ u))
+    return u + e * (target / 1e-12)
+
+
+def _normal_tols(a, dev, edge, c):
+    """normal_tol values around the normality verdicts of a: 0, c * 2 dev / nrm^2, or an edge."""
+    nrm = float(np.linalg.norm(a))
+    if edge == "zero":
+        return 0.0
+    if edge == "ratio":
+        return c * 2.0 * dev / (nrm * nrm)
+    if edge == "shortcut":  # the least normal_tol at which the shortcut is taken
+        bound = 2.0 * dev * (1.0 + 16.0 * _EPS) + 16.0 * _EPS * nrm * nrm
+        x = bound / (nrm * nrm)
+        while not bound <= x * nrm * nrm:
+            x = np.nextafter(x, np.inf)
+        return x
+    adj = a.conj().T  # "commutator": the full test's own edge, one step either side
+    x = float(np.linalg.norm(a @ adj - adj @ a)) / (nrm * nrm)
+    return np.nextafter(x, np.inf if c >= 1.0 else 0.0)
+
+
+def _factor_key(basis, parts, routes):
+    return tuple(routes), [beta for beta, _ in parts], basis[0].tobytes()
+
+
+def _check_shortcut(seed, frac, grp_tol, kind, edge, c):
+    """The logs and factorize give what they give with the commutator test run in full.
+
+    a has a unitarity residual of about frac * grp_tol; the same value
+    or the same error (class and message) comes out either way, so the
+    shortcut refuses as NotNormal exactly when the full test does.
+    """
+    a = _near_unitary(seed, frac * grp_tol, kind)
+    tol = dataclasses.replace(DEFAULT_TOL, grp_tol=grp_tol)
+    try:
+        dev = _check_group(a, tol, special=False)
+    except NotUnitary:
+        return
+    tol = dataclasses.replace(tol, normal_tol=_normal_tols(a, dev, edge, c))
+    with np.errstate(all="ignore"):
+        log = _outcome(lambda: principal_log(a, tol).array.tobytes())
+        assert log == _outcome(lambda: factorlog._log_sum(a, None, (0, 0, 0), tol).tobytes())
+        wound = _outcome(lambda: branch_log(a, (1, 0, -1), tol).array.tobytes())
+        assert wound == _outcome(lambda: factorlog._log_sum(a, None, (1, 0, -1), tol).tobytes())
+        fz = _outcome(lambda: factorize(a, tol))
+        full = _outcome(lambda: _factor_key(*factorlog._factor_parts(a, None, tol)))
+    if isinstance(fz, Factorization):
+        fz = (fz.routes, [p.beta for p in fz.parts], fz._basis[0].tobytes())
+    assert fz == full
+    normal = _normal_problem(a, _finite_norm(a), tol) is None
+    assert normal or log.startswith(b"NotNormal: ")
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), frac=st.floats(0.0, 1.0),
+       grp_tol=st.one_of(st.just(DEFAULT_TOL.grp_tol),
+                         st.floats(-11.0, 0.0).map(lambda x: 10.0**x)),
+       kind=st.sampled_from(["general", "worst"]),
+       edge=st.sampled_from(["zero", "ratio", "shortcut", "commutator"]),
+       c=st.floats(-3.0, 3.0).map(lambda x: 2.0**x))
+def test_normality_shortcut_matches_the_commutator_test(seed, frac, grp_tol, kind, edge, c):
+    """Residuals in [0, grp_tol], grp_tol up to 1, and normal_tol at 0,
+    around 2 dev / ||U||^2 and at both edges."""
+    _check_shortcut(seed, frac, grp_tol, kind, edge, c)
+
+
+def test_normality_shortcut_keeps_its_rounding_margin():
+    """The computed commutator exceeds 2 dev here; without the 16 eps nrm^2 margin
+    the shortcut would accept what the full test refuses."""
+    _check_shortcut(0, 0.78125, DEFAULT_TOL.grp_tol, "worst", "commutator", 0.5)
+
+
+class TestNanBasisRefused:
+    """A basis with NaN entries fails the kernels' residual gates, not only later checks."""
+
+    def test_normal_kernel(self, monkeypatch):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda g: (eigh(g)[0], np.full((3, 3), np.nan + 0j)))
+        rotations = []
+        monkeypatch.setattr(smallmat, "_pair_rotation", lambda *args: rotations.append(args))
+        g = random_group(1)
+        with np.errstate(invalid="ignore"):
+            for op in (eigen_normal3, principal_log, factorize, split_HS):
+                with pytest.raises(EigenFailure):
+                    op(g)
+        assert rotations == []  # the polish stops at a NaN off-diagonal
+
+    @pytest.mark.parametrize("what", ["vectors", "values"])
+    def test_general_kernel(self, monkeypatch, what):
+        eig = np.linalg.eig
+
+        def nan_eig(a):
+            w, v = eig(a)
+            return (w, np.full_like(v, np.nan)) if what == "vectors" else (np.full_like(w, np.nan), v)
+
+        monkeypatch.setattr(np.linalg, "eig", nan_eig)
+        with np.errstate(invalid="ignore"), pytest.raises(NotDiagonalizable):
+            eigen_general(ComplexMat.diag([1, 2, 3, 4]))
 
 
 def _phase_fix_loop(v):

@@ -21,9 +21,10 @@ from su3kit.errors import (
     Singular,
     Su3KitError,
 )
-from su3kit.expmap import _check_group
+from su3kit.expmap import GroupElement, _check_group, exp_su3
 from su3kit.factorlog import Factorization, LogBranch, branch_log, factorize, principal_log
 from su3kit.grades import split_HS
+from su3kit.invdec import decompose_via_eigen
 from su3kit.oracle import compare, exp_reference, random_algebra, random_group
 from su3kit.smallmat import (
     _EPS,
@@ -393,11 +394,46 @@ def _log_bytes(m):
     return m if isinstance(m, bytes) else m.array
 
 
+def _exp_inputs():
+    """su(3) inputs of exp_su3: 200 generic (raw and validated), 200 small, 151 norms.
+
+    The small ones are scaled log-uniformly over 1e-6..1e-2 as the
+    benchmark's step-size family is; the last set is one direction at
+    the Frobenius norms 10^e, e = -300, -297, ..., 150.
+    """
+    generic = [random_algebra(seed) for seed in range(200)]
+    small = [random_algebra(seed, scale=10.0 ** (-6.0 + 4.0 * seed / 199)).mat.array
+             for seed in range(200)]
+    unit = generic[0].mat.array / np.linalg.norm(generic[0].mat.array)
+    norms = [unit * 10.0**e for e in range(-300, 151, 3)]
+    return generic + [b.mat.array for b in generic] + small + norms
+
+
+def _exp_bytes(b):
+    u = _outcome(exp_su3, b)
+    if isinstance(u, bytes):
+        yield u
+        return
+    yield u.mat.array
+    yield np.array([u._dev])
+
+
+def _parts_bytes(decomposition):
+    for part in decomposition.parts:
+        yield part.mat.array
+        yield np.array([part.beta, part.lam])
+        yield b"-" if part.unit is None else part.unit.array
+
+
 def _digests():
     haar = [random_group(seed).mat.array for seed in range(200)]
     algebra = [random_algebra(seed, scale=1.5).mat.array for seed in range(200)]
     hard = _hard_inputs()
     return {
+        "exp_su3 and its _dev": _sha256(b for x in _exp_inputs() for b in _exp_bytes(x)),
+        "GroupElement _dev haar": _sha256(np.array([GroupElement(u)._dev]) for u in haar),
+        "decompose_via_eigen algebra": _sha256(
+            b for x in algebra for b in _parts_bytes(decompose_via_eigen(x))),
         "eigen_normal3 haar": _sha256(_eigen_bytes(haar)),
         "eigen_normal3 algebra": _sha256(_eigen_bytes(algebra)),
         "eigen_normal3 clustered": _sha256(_eigen_bytes(_clustered_inputs())),
@@ -425,6 +461,10 @@ def _build():
 # kernels do, so the digests hold only for the build they were recorded with.
 _DIGEST_BUILD = "numpy 2.4.6, scipy-openblas 0.3.31.188.0, x86_64"
 _DIGESTS = {
+    "exp_su3 and its _dev": "7b2c398461da873ba481262e0eda38f1eae04f4b37e282f02714b00b83aa1589",
+    "GroupElement _dev haar": "51ad5377c2bd6a0de4cee73127ceef191e2e24e388e5ffcc103c6e51bd83e7b2",
+    "decompose_via_eigen algebra":
+        "d9b47f548bac1777abc5a87424b4353aeff37789bc07ed0905eb378e8ae8190d",
     "eigen_normal3 haar": "fc6182f552179c6d548ddfdcbae934c22dfa7eb69e596eb65027fa04787621c2",
     "eigen_normal3 algebra": "b8eb6f230b2875385eb6ccb2c60f785336911b2e428860ea018a0ed952189fcb",
     "eigen_normal3 clustered": "76d1a1b5268b3bbd08908959090bc9daa8933b1239eccfe74d94b6016f6cad07",
@@ -441,11 +481,14 @@ _DIGESTS = {
 
 @pytest.mark.skipif(_build() != _DIGEST_BUILD, reason="digests recorded with " + _DIGEST_BUILD)
 def test_kernel_and_log_bytes_pinned():
-    """The normal kernel, both logs and factorize's whole output, bit for bit.
+    """The exp, the boundary checks, the kernels, both logs and factorize, bit for bit.
 
-    factorize's output is its factors, its parts (matrix, angle,
-    eigenvalue, unit), its routes and the grades it builds when read;
-    on the four hard families a refusal counts by its class and message.
+    exp_su3's output is its matrix and the unitarity residual its exit
+    check kept; GroupElement's is that residual alone; a decomposition's
+    is each part's matrix, angle, eigenvalue and unit.  factorize's
+    output is its factors, its parts, its routes and the grades it
+    builds when read.  On the four hard families a refusal counts by
+    its class and message.
 
     Any change to the arithmetic of the kernel or the log path shows
     up here; a change that means to move bits records new digests.

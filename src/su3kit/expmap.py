@@ -13,9 +13,10 @@ depend only on the invariants ||B||^2/2 and -Im det B.  ``exp_su3``
 evaluates it directly, with the coefficient formulas of Morningstar
 and Peardon (Phys. Rev. D 69, 054501 (2004), hep-lat/0311018, section
 III), which stay stable where two parts have the same angle.  It
-validates a raw input once as an su(3) element, which also yields the
-norm, solves the characteristic cubic with ``invdec._cubic_roots``,
-computes the coefficients on Python scalars, forms B^2 once, runs the
+copies a raw input once and validates it once as an su(3) element,
+whose norm also proves it finite (``invdec._algebra_norm``), solves
+the characteristic cubic with ``invdec._cubic_roots``, computes the
+coefficients on Python scalars, forms B^2 once, runs the
 ``GroupElement`` check (``_check_group``) once on the result and wraps
 it with the unitarity residual that check measured.  No eigensolver
 runs.  ``decompose_via_eigen`` followed by ``exp_simple`` on each part
@@ -42,11 +43,12 @@ from .smallmat import (
     _EYE3,
     ComplexMat,
     Validated,
-    _as_mat,
     _det3,
     _finite_norm,
+    _fro,
     _require_finite,
     _scaled,
+    _unchecked_mat,
     commutator,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -63,7 +65,7 @@ class GroupElement(Validated):
     __slots__ = ("_dev",)
 
     def __init__(self, mat, tol: Tolerances = DEFAULT_TOL) -> None:
-        m = _as_mat(mat)
+        m = _unchecked_mat(mat)
         dev = _check_group(m.array, tol)
         object.__setattr__(self, "_mat", m)
         object.__setattr__(self, "_dev", dev)
@@ -75,7 +77,7 @@ def _unitarity_residual(arr: np.ndarray) -> float:
     Runs under no np.errstate: callers either hold one or pass an array
     whose entries are bounded, such as a normalized factor candidate.
     """
-    return float(np.linalg.norm(arr.conj().T @ arr - _EYE3))
+    return _fro(arr.conj().T @ arr - _EYE3)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -89,8 +91,10 @@ def _check_group(arr: np.ndarray, tol: Tolerances, special: bool = True) -> floa
     """NotUnitary unless arr is a finite 3x3 unitary, with det 1 when special.
 
     Returns the unitarity residual ||arr^H arr - 1||_F it measured.
+    A residual that passes proves arr finite; a refusal scans arr first.
     """
     if arr.shape != (3, 3):
+        _require_finite(arr)
         raise NotUnitary(f"expected a 3x3 matrix, got {arr.shape[0]}x{arr.shape[1]}")
     # "not <=" so that a residual that overflowed to NaN is refused too; a
     # finite residual within grp_tol bounds every entry, so only a refused
@@ -184,7 +188,7 @@ def exp_su3(b, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
         arr = b.mat.array
         nrm = _finite_norm(arr)
     else:
-        arr = _as_mat(b).array
+        arr = _unchecked_mat(b).array
         nrm = _algebra_norm(arr, tol)
     # the squares behind nrm may underflow to 0; the rescaled norm is 0 only for B = 0
     arr, nrm, k = _scaled(arr, nrm)

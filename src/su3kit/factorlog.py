@@ -98,8 +98,8 @@ from .errors import (
 from .expmap import GroupElement, _check_group, _factor_array
 from .grades import GradeDecomposition, _decomposition, _eigenbasis, _halves
 from .invdec import SimplePart
-from .smallmat import (_EPS, ComplexMat, _as_mat, _eigen_normal3, _finite_mat, _normal_norm,
-                       _scalar_residual)
+from .smallmat import (_EPS, ComplexMat, _as_mat, _eigen_normal3, _finite_mat, _fro,
+                       _normal_norm, _scalar_residual)
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _SQRT3 = math.sqrt(3.0)
@@ -118,7 +118,7 @@ def rms_norm(m) -> float:
 
 
 def _rms(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a)) / _SQRT3
+    return _fro(a) / _SQRT3
 
 
 def normalize(m, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
@@ -235,9 +235,9 @@ def principal_log_factor(ui, tol: Tolerances = DEFAULT_TOL) -> SimplePart:
     ccos, ssin = _halves(a)
     sn = _rms(ssin)
     beta, bound, direction = _factor_angle(_scalar_residual(ccos), complex(np.trace(a)).real / 3.0,
-                                           sn, float(np.linalg.norm(a)), tol)
+                                           sn, _fro(a), tol)
     unit = ssin * complex(1.0 / sn) if direction else None
-    _check_miss(float(np.linalg.norm(_factor_array(unit, beta) - a)), bound)
+    _check_miss(_fro(_factor_array(unit, beta) - a), bound)
     return _simple_part(beta, unit)
 
 

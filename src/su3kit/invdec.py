@@ -30,7 +30,10 @@ needs the roots only and no part.  ``AlgebraElement`` is the validated
 boundary type; its check (``_algebra_norm``, built on ``_su3_problem``)
 decides whether the parts of a raw input carry an angle and a
 direction, and an ``AlgebraElement`` argument is taken as su(3)
-without a second check.
+without a second check.  ``AlgebraElement`` and ``expmap.exp_su3``
+copy raw entries once (``smallmat._unchecked_mat``); the check's norm
+proves them finite, and ``_su3_problem`` reads the trace and the
+Hermitian residual from one ``tolist()``.
 """
 
 from __future__ import annotations
@@ -52,9 +55,11 @@ from .smallmat import (
     _finite_mat,
     _finite_norm,
     _inverse,
+    _fro,
     _normal_problem,
     _require_finite,
     _scaled,
+    _unchecked_mat,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -65,7 +70,7 @@ class AlgebraElement(Validated):
     __slots__ = ()
 
     def __init__(self, mat, tol: Tolerances = DEFAULT_TOL) -> None:
-        m = _as_mat(mat)
+        m = _unchecked_mat(mat)
         _algebra_norm(m.array, tol)
         object.__setattr__(self, "_mat", m)
 
@@ -119,7 +124,7 @@ def _residual_norm(a: np.ndarray) -> float:
     product survives into ``a``, so this one check refuses what a
     check on every intermediate would.
     """
-    nrm = float(np.linalg.norm(a))
+    nrm = _fro(a)
     if not math.isfinite(nrm):
         _require_finite(a)
     return nrm
@@ -130,9 +135,11 @@ def _algebra_norm(arr: np.ndarray, tol: Tolerances) -> float:
 
     InvalidAlgebraElement when arr is not a traceless skew-Hermitian
     3x3 matrix within alg_tol; Overflow when its squared norm is not
-    finite (the skew bound would be inf).
+    finite (the skew bound would be inf).  A norm that passes proves
+    arr finite; a refusal scans arr first.
     """
     if arr.shape != (3, 3):
+        _require_finite(arr)
         raise InvalidAlgebraElement(
             f"expected a 3x3 matrix, got {arr.shape[0]}x{arr.shape[1]}")
     nrm = _finite_norm(arr)
@@ -150,10 +157,13 @@ def _su3_problem(arr: np.ndarray, nrm: float, tol: Tolerances) -> str | None:
     proportion to its norm.
     """
     bound = tol.alg_tol * max(1.0, nrm)
-    trace = complex(np.trace(arr))
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = arr.tolist()
+    trace = 0j + a00 + a11 + a22  # np.trace's sums, from +0
     if abs(trace) > bound:
         return f"trace {trace:.3e} is not zero within alg_tol"
-    skew = float(np.linalg.norm(arr + arr.conj().T))
+    # arr + arr^H: 2 Re a_ii on the diagonal, each off-diagonal sum twice
+    p, q, r = abs(a01 + a10.conjugate()), abs(a02 + a20.conjugate()), abs(a12 + a21.conjugate())
+    skew = math.hypot(2.0 * a00.real, 2.0 * a11.real, 2.0 * a22.real, p, p, q, q, r, r)
     if skew > bound:
         return f"Hermitian residual {skew:.3e} exceeds alg_tol, matrix is not skew-Hermitian"
     return None

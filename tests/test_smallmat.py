@@ -374,16 +374,20 @@ def _outcome(f, *args):
         return f"{type(exc).__name__}: {exc}".encode()
 
 
+def _parts_bytes(decomposition):
+    for part in decomposition.parts:
+        yield part.mat.array
+        yield np.array([part.beta, part.lam])
+        yield b"-" if part.unit is None else part.unit.array
+
+
 def _factorization_bytes(fz):
     if isinstance(fz, bytes):
         yield fz
         return
     for f in fz.factors:
         yield f.array
-    for part in fz.parts:
-        yield part.mat.array
-        yield np.array([part.beta, part.lam])
-        yield b"-" if part.unit is None else part.unit.array
+    yield from _parts_bytes(fz)
     yield " ".join(fz.routes).encode()
     g = fz.grades
     for m in (g.g0, g.g2, g.g4, g.g6, g.ccosU, g.ssinU, *g.H, *g.S):
@@ -416,13 +420,6 @@ def _exp_bytes(b):
         return
     yield u.mat.array
     yield np.array([u._dev])
-
-
-def _parts_bytes(decomposition):
-    for part in decomposition.parts:
-        yield part.mat.array
-        yield np.array([part.beta, part.lam])
-        yield b"-" if part.unit is None else part.unit.array
 
 
 def _digests():

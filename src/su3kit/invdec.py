@@ -24,13 +24,15 @@ matrix (the one normality test decides) and from the general kernel
 otherwise.  ``_decompose`` builds the ``SimplePart`` objects from it for
 both ``decompose_via_eigen`` and ``decompose_nxn``.  The closed form
 runs on arrays too, and both routes give an su(3) part its angle and
-direction through ``_su3_part``.  The one cubic solver,
+direction through ``_su3_part``.  The one real cubic solver,
 ``_cubic_roots``, serves ``lambda_roots`` and ``expmap.exp_su3``, which
-needs the roots only and no part.  ``AlgebraElement`` is the validated
-boundary type; its check (``_algebra_norm``, built on ``_su3_problem``)
-decides whether the parts of a raw input carry an angle and a
-direction, and an ``AlgebraElement`` argument is taken as su(3)
-without a second check.  ``AlgebraElement`` and ``expmap.exp_su3``
+needs the roots only and no part; ``_complex_cubic_roots``, Cardano's
+formula for complex coefficients, serves ``factorlog``'s closed-form
+log, whose cubic is a unitary's characteristic polynomial.
+``AlgebraElement`` is the validated boundary type; its check
+(``_algebra_norm``, built on ``_su3_problem``) decides whether the
+parts of a raw input carry an angle and a direction, and an
+``AlgebraElement`` argument is taken as su(3) without a second check.  ``AlgebraElement`` and ``expmap.exp_su3``
 copy raw entries once (``smallmat._unchecked_mat``); the check's norm
 proves them finite, and ``_su3_problem`` reads the trace and the
 Hermitian residual from one ``tolist()``.
@@ -38,6 +40,7 @@ Hermitian residual from one ``tolist()``.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 
@@ -285,6 +288,29 @@ def _cubic_roots(c1: float, c0: float) -> tuple[float, float, float]:
                 q = step
         roots.append(q)
     return tuple(roots)
+
+
+# the cube roots of unity
+_OMEGAS = (1.0, complex(-0.5, 0.5 * math.sqrt(3.0)), complex(-0.5, -0.5 * math.sqrt(3.0)))
+
+
+def _complex_cubic_roots(t: complex, s: complex, d: complex) -> list[complex]:
+    """Cardano's roots of z^3 - t z^2 + s z - d, not polished.
+
+    z = x + t/3 gives x^3 + p x + q with p = s - t^2/3 and
+    q = s t/3 - 2 t^3/27 - d.  Each root is x = c - p/(3c) for one of the
+    cube roots c of -q/2 +- sqrt(q^2/4 + p^3/27), the sign taken that
+    gives the larger modulus.  Where that is 0, p and q vanish and t/3
+    is a triple root.
+    """
+    p = s - t * t / 3.0
+    q = s * t / 3.0 - 2.0 * t * t * t / 27.0 - d
+    r = cmath.sqrt(0.25 * q * q + p * p * p / 27.0)
+    w = max(-0.5 * q + r, -0.5 * q - r, key=abs)
+    if w == 0.0:
+        return [t / 3.0] * 3
+    c = w ** (1.0 / 3.0)
+    return [t / 3.0 + c * o - p / (3.0 * c * o) for o in _OMEGAS]
 
 
 def lambda_roots(b, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float, float]:

@@ -1,6 +1,7 @@
 """Factorization into commuting simple factors; principal and branch logs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,15 @@ class TestNorms:
         with pytest.raises(ZeroMatrix):
             normalize(ComplexMat.zeros(3))
 
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+    def test_overflowing_norm_refused_without_a_warning(self, scale):
+        """Once its norm overflows, normalize refuses instead of returning 1/inf = 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow, match="too large"):
+                normalize(scale * np.eye(3))
+            assert abs(rms_norm(normalize(1e150 * np.eye(3))) - 1.0) < 1e-15
+
 
 class TestPrincipalLogFactor:
     def test_identity(self):
@@ -71,6 +81,18 @@ class TestPrincipalLogFactor:
         assert abs(p.beta - math.pi / 2.0) < 1e-15
         np.testing.assert_allclose(
             p.unit.array, 1j * np.diag([1.0, -1.0, -1.0]), atol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+    def test_overflowing_norm_refused_without_a_warning(self, scale):
+        factor = factorize(random_group(3)).factors[0].array
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (scale * factor, scale * np.eye(3)):
+                with pytest.raises(Overflow, match="too large"):
+                    principal_log_factor(a)
+            # below the limit the factor is refused for its shape, not its size
+            with pytest.raises(NotSimpleFactor, match="cosine out of range"):
+                principal_log_factor(1e150 * factor)
 
     def test_antipode_refused(self):
         with pytest.raises(AmbiguousDirection):
@@ -301,13 +323,16 @@ class TestArrayBoundary:
             init(self, entries)
 
         monkeypatch.setattr(ComplexMat, "__init__", counting)
-        ops = (principal_log, lambda u: branch_log(u, (1, 0, 0)), factorize, split_HS)
-        for op in ops:
+        # the logs and factorize copy raw entries unscanned: their unitarity
+        # check proves them finite; split_HS validates them as a ComplexMat
+        ops = {principal_log: 0, (lambda u: branch_log(u, (1, 0, 0))): 0, factorize: 0,
+               split_HS: 1}
+        for op, raw_inits in ops.items():
             calls.clear()
             op(g)
             assert len(calls) == 0
             op(g.mat.array)
-            assert len(calls) == 1
+            assert len(calls) == raw_inits
 
 
 class TestUnitarityOnEntry:

@@ -465,13 +465,13 @@ _DIGESTS = {
     "eigen_normal3 haar": "fc6182f552179c6d548ddfdcbae934c22dfa7eb69e596eb65027fa04787621c2",
     "eigen_normal3 algebra": "b8eb6f230b2875385eb6ccb2c60f785336911b2e428860ea018a0ed952189fcb",
     "eigen_normal3 clustered": "76d1a1b5268b3bbd08908959090bc9daa8933b1239eccfe74d94b6016f6cad07",
-    "principal_log haar": "dc0d40e5afe58b747bd4de841f0037a6a7cbba17f05f7ec45c3dd751297fb0bd",
+    "principal_log haar": "4184303e229e70ec69acbc2e44fffaa27d43e71bafe8d3695a7cf66468231482",
     "factorize haar": "3837b1bee72c6451cfa3fe4e5949de9d9810f87048a879f8318e16f4b31ec1b9",
     "factorize parts, routes and grades haar":
         "f31d74591b2fb5134214ce63d79811c02a6b34b301cc20c03cc02d90bc7a6c4f",
     "branch_log (1, 0, -1) haar":
         "dc0dbe4163e2b588e93dba84fe64855184379caa4f495d32f375f4c3ef290207",
-    "principal_log hard": "a58db23f64e90c7bca3aa9fd03df85459576bb5efa68d600ecdb1c1e3b4b1d4e",
+    "principal_log hard": "038b32260f011c82fa8e89e2f952febc1f0aeed2062a92bcc9618e5820d023cb",
     "factorize hard": "008aa2cb3331d2a58d9020459b95bf505dc1aff0849d3485e8d7e0a644759352",
 }
 
@@ -629,10 +629,15 @@ class TestNanBasisRefused:
         rotations = []
         monkeypatch.setattr(smallmat, "_pair_rotation", lambda *args: rotations.append(args))
         g = random_group(1)
+        # principal_log reaches the kernel only where its closed form
+        # declines, as near the identity
+        near_one = exp_su3(random_algebra(1, scale=1e-3))
+        assert factorlog._closed_form_log(near_one.mat.array, near_one._dev, DEFAULT_TOL) is None
         with np.errstate(invalid="ignore"):
-            for op in (eigen_normal3, principal_log, factorize, split_HS):
+            for op, u in ((eigen_normal3, g), (principal_log, near_one), (factorize, g),
+                          (split_HS, g)):
                 with pytest.raises(EigenFailure):
-                    op(g)
+                    op(u)
         assert rotations == []  # the polish stops at a NaN off-diagonal
 
     @pytest.mark.parametrize("what", ["vectors", "values"])

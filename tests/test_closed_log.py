@@ -13,22 +13,16 @@ from su3kit.errors import Su3KitError
 from su3kit.expmap import GroupElement
 from su3kit.factorlog import branch_log, principal_log
 from su3kit.invdec import _complex_cubic_roots
-from su3kit.oracle import random_group
+from su3kit.oracle import _haar_unitary, random_group
 from su3kit.smallmat import _EPS
 from su3kit.tolerances import DEFAULT_TOL
 
 _OMEGA = complex(-0.5, 0.5 * math.sqrt(3.0))
 
 
-def _haar_basis(rng):
-    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _group(phases, rng):
     """GroupElement P diag(e^{i phases}) P^H, P Haar."""
-    q = _haar_basis(rng)
+    q = _haar_unitary(rng)
     return GroupElement((q * np.exp(1j * np.asarray(phases, dtype=float))) @ q.conj().T)
 
 

@@ -80,8 +80,8 @@ would alone, so both accept the same U with the same errors.  About
 keep the eigenbasis.  A branch log has norm 9 to 20, and the
 polynomial's error, about eps ||L||, lies off U's eigenbasis: on 60
 Haar U, branch logs taken in closed form round-tripped to 9.2e-14 at
-worst, against 6.8e-15 on the eigenbasis.  ``factorize``'s parts need single
-projectors.
+worst, against 6.8e-15 on the eigenbasis.  ``factorize``'s parts
+need single projectors.
 
 Scalars multiply as Python complex numbers, and residual gates read
 "not x <= tol" so NaN is refused.  Public functions take a

@@ -15,19 +15,35 @@ every input (the scalar prefactors vanish on measure-zero sets), hence
 the cascade in `factorize`.  Signs are not corrected per factor: the
 closing factor U3 = U1^dag U2^dag U absorbs the net sign.
 
-The cascade runs on U's eigenbasis.  ``grades._eigenbasis`` diagonalizes
-U once, U = P diag(e) P^H, and on P every constituent is a scalar times
-the involution 2 p_i p_i^H - 1, the sign pattern sigma_i = 2 e_i - 1:
-g0 and g6 are scalars, H_i = (gamma_i - sum gamma)/2 sigma_i and
-S_i = i (delta_i - sum delta)/2 sigma_i.  So every route expression,
-normalization and gate acts on the 3-vector x of diagonal entries: an
-inverse is a division, the unitarity residual is || |x|^2 - 1 ||,
-"Hermitian half is scalar" is ||Re x - mean Re x||, and the closing
-factor is conj(x1) conj(x2) e.  A factor's log is (beta, w) with unit
-i diag(w) on P, w the signs of Im x (a unit squares to -1); the part
-has a direction where sin(beta) exceeds sin_zero_tol.  Matrices are
-built only for output: a unit is P diag(i w) P^H, a factor
-cos(beta) 1 + sin(beta) unit, a log P diag(i t) P^H.
+The cascade runs on U's eigenbasis, U = sum_i e_i P_i over U's
+eigenprojections P_i.  There every constituent is a scalar times the
+involution 2 P_i - 1, the sign pattern sigma_i = 2 e_i - 1: g0 and g6
+are scalars, H_i = (gamma_i - sum gamma)/2 sigma_i and
+S_i = i (delta_i - sum delta)/2 sigma_i, with gamma + i delta the
+diagonal of g2 + g4 = U - g0 - g6 on the eigenbasis, that is
+e - g0 - g6.  So every route expression, normalization and gate acts
+on the 3-vector x of diagonal entries: an inverse is a division, the
+unitarity residual is || |x|^2 - 1 ||, "Hermitian half is scalar" is
+||Re x - mean Re x||, and the closing factor is conj(x1) conj(x2) e.
+A factor's log is (beta, w) with unit i sum_m w_m P_m, w the signs of
+Im x (a unit squares to -1); the part has a direction where
+sin(beta) exceeds sin_zero_tol.  Matrices are built only for output: a
+unit is i w_i (2 P_i - 1), a factor cos(beta) 1 + sin(beta) unit.
+
+So the cascade needs U's eigenvalues and, for its output, the
+projectors P_i, and both follow from U without an eigenbasis: the e_i
+are the roots of U's characteristic cubic (``invdec._complex_cubic_roots``,
+polished in ``_cubic_eigenvalues``), and P_i is Lagrange's polynomial
+in U, (U - e_j)(U - e_k) / ((e_i - e_j)(e_i - e_k)) (Higham,
+Functions of Matrices, 2008, ch. 1).  ``factorize`` takes this closed
+form first (``_closed_form_factors``).  Where it cannot vouch for its
+result it declines, and the eigen path (``_factor_parts``) runs as it
+would alone: ``grades._eigenbasis`` diagonalizes U once with the
+normal kernel, U = P diag(e) P^H, reads gamma + i delta off
+P^H (g2 + g4) P, and a unit is P diag(i w) P^H.  Both paths share the
+cascade and the rules after it (``_route_parts``), and the gates of
+the closed form keep its routes and errors the eigen path's.  About
+98% of Haar U take the closed form.
 
 When the cascade finds no factor (FactorizationFailed; an
 AmbiguousDirection is final), the ``eigen`` route takes the paper's
@@ -76,29 +92,30 @@ two roots are closer than _CF_MIN_GAP or some h / sin h exceeds
 _CF_MAX_FACTOR, the polynomial is ill-conditioned, and where a phase
 rule raises, the closed form declines: the eigen path then runs as it
 would alone, so both accept the same U with the same errors.  About
-80% of Haar U take the closed form.  ``branch_log`` and ``factorize``
-keep the eigenbasis.  A branch log has norm 9 to 20, and the
-polynomial's error, about eps ||L||, lies off U's eigenbasis: on 60
-Haar U, branch logs taken in closed form round-tripped to 9.2e-14 at
-worst, against 6.8e-15 on the eigenbasis.  ``factorize``'s parts
-need single projectors.
+80% of Haar U take the closed form.  ``branch_log`` keeps the
+eigenbasis.  A branch log has norm 9 to 20, and the polynomial's
+error, about eps ||L||, lies off U's eigenbasis: on 60 Haar U, branch
+logs taken in closed form round-tripped to 9.2e-14 at worst, against
+6.8e-15 on the eigenbasis.  The logs and ``factorize`` take the roots
+from one helper, ``_cubic_eigenvalues``.
 
 Scalars multiply as Python complex numbers, and residual gates read
 "not x <= tol" so NaN is refused.  Public functions take a
 ``GroupElement``, ``ComplexMat`` or raw entries.  ``factorize``,
 ``principal_log`` and ``branch_log`` check any input but a
 ``GroupElement`` for unitarity once, on entry (``_unitary_array``), so
-a non-unitary input is refused as ``NotUnitary`` before its eigenbasis
-is taken; raw entries are copied unscanned, since a residual that
-passes proves them finite.  A ``GroupElement`` brings the unitarity
-residual its own check measured.  That residual stands in for the
-normality test (``smallmat._normal_norm``).  The normal kernel's residual gate proves
-U's eigenbasis and eigenvalues finite, so what the three build from
-them is wrapped with no further check.  ``factorize`` forms its three
-units as one stacked product.
-``principal_log_factor``, ``normalize`` and ``rms_norm`` act on
-matrices; the first two refuse as ``Overflow`` a matrix whose norm
-overflows.
+a non-unitary input is refused as ``NotUnitary`` before its eigenvalues
+are taken, and a closed form that declines hands the checked array
+and its residual to the eigen path; raw entries are copied unscanned,
+since a residual that passes proves them finite.  A ``GroupElement``
+brings the unitarity residual its own check measured.  That residual
+stands in for the normality test (``smallmat._normal_norm``) and is
+the closed forms' proof that U is normal.  The normal kernel's
+residual gate, or the closed form's product residual, proves what the
+three build finite, so it is wrapped with no further check.
+``factorize`` forms its three units and its three factors as stacked
+arrays.  ``principal_log_factor``, ``normalize`` and ``rms_norm`` act
+on matrices and refuse as ``Overflow`` a matrix whose norm overflows.
 """
 
 from __future__ import annotations
@@ -121,10 +138,12 @@ from .errors import (
     ZeroMatrix,
 )
 from .expmap import GroupElement, _check_group, _factor_array
-from .grades import GradeDecomposition, _decomposition, _eigenbasis, _halves
+from .grades import (GradeDecomposition, _decomposition, _eigen_decomposition, _eigenbasis,
+                     _halves, _scalar_grades)
 from .invdec import SimplePart, _complex_cubic_roots
 from .smallmat import (_EPS, _EYE3, ComplexMat, _as_mat, _eigen_normal3, _finite_mat,
-                       _finite_norm, _fro, _normal_norm, _scalar_residual, _unchecked_mat)
+                       _finite_norm, _fro, _normal_norm, _order_indices, _scalar_residual,
+                       _unchecked_mat)
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _SQRT3 = math.sqrt(3.0)
@@ -138,8 +157,8 @@ _SHIFTS = {n: [k for k in itertools.product((-1, 0, 1), repeat=3) if sum(k) == n
 
 
 def rms_norm(m) -> float:
-    """sqrt(tr(M M^dag) / 3); equals 1 for a 3x3 unitary."""
-    return _rms(_as_mat(m).array)
+    """sqrt(tr(M M^dag) / 3); equals 1 for a 3x3 unitary.  Overflow when the norm overflows."""
+    return _finite_norm(_as_mat(m).array) / _SQRT3
 
 
 def _rms(a: np.ndarray) -> float:
@@ -158,28 +177,30 @@ def normalize(m, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
 class Factorization:
     """The factors of ``factorize``, their parts and routes, and U's grades.
 
-    ``parts`` sum to P diag(i theta) P^H on U's eigenbasis P, and which
-    selection theta is depends on the route.  Under the ``eigen`` route
-    theta is the least-norm traceless selection of U's eigenphases, so
-    the parts sum to ``principal_log(U)``.  Under the cascade's routes
-    theta are the cascade's phases pinned to U's eigenvalues
-    (``_pinned``).  Their sum may be +-2 pi (on 8 of the first 300
-    seeded Haar U), and then the parts sum to a log of U of trace
-    +-2 pi i, not to the principal log.
+    ``parts`` sum to i sum_j theta_j P_j over U's eigenprojections P_j,
+    and which selection theta is depends on the route.  Under the
+    ``eigen`` route theta is the least-norm traceless selection of U's
+    eigenphases, so the parts sum to ``principal_log(U)``.  Under the
+    cascade's routes theta are the cascade's phases pinned to U's
+    eigenvalues (``_pinned``).  Their sum may be +-2 pi (on 8 of the
+    first 300 seeded Haar U), and then the parts sum to a log of U of
+    trace +-2 pi i, not to the principal log.
 
     ``grades``, the grade decomposition the routes read, is built on
-    first access from the eigenbasis ``factorize`` already holds, so a
-    caller that never reads it never pays for its twelve matrices.
+    first access from the projectors ``factorize`` already holds (the
+    closed form's polynomials in U, or the eigenbasis), so a caller that
+    never reads it never pays for its twelve matrices, and reading it
+    runs no eigensolver.
     """
 
     factors: tuple[ComplexMat, ComplexMat, ComplexMat]
     parts: tuple[SimplePart, SimplePart, SimplePart]
     routes: tuple[str, str, str]
-    _basis: tuple = dataclasses.field(repr=False, compare=False)
+    _grades_of: object = dataclasses.field(repr=False, compare=False)
 
     @functools.cached_property
     def grades(self) -> GradeDecomposition:
-        return _decomposition(self._basis)
+        return self._grades_of()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -214,8 +235,8 @@ def _simple_part(beta: float, unit: np.ndarray | None) -> SimplePart:
     residual, a factor's miss) that a non-finite unit fails.
     """
     mat = np.zeros((3, 3), dtype=np.complex128) if unit is None else unit * complex(beta)
-    return SimplePart(mat=ComplexMat._wrap(mat), lam=complex(-beta * beta),
-                      beta=beta, unit=None if unit is None else ComplexMat._wrap(unit))
+    return SimplePart._wrap(ComplexMat._wrap(mat), complex(-beta * beta), beta,
+                            None if unit is None else ComplexMat._wrap(unit))
 
 
 def _factor_angle(residual: float, c: float, sn: float, size: float, tol: Tolerances):
@@ -444,56 +465,63 @@ def _phase_parts(theta) -> list:
             for t, sigma in zip(theta, _SIGMA)]
 
 
-def _factor_parts(a: np.ndarray, dev: float, tol: Tolerances):
-    """(eigenbasis, parts, routes) of a, of unitarity residual dev: the cascade, else ``eigen``.
+def _route_parts(e, g0: complex, g6: complex, gam, delt, tol: Tolerances):
+    """(parts, routes) from U's ordered eigenvalues e and the cascade's scalars: the cascade, else ``eigen``.
 
     The eigen route, the invariant decomposition of log U, runs only
     after the cascade's FactorizationFailed.  Either route's phases
     then meet ``_det_one``, so an AmbiguousDirection of the cascade or
     the selection comes first.
     """
-    basis = _eigenbasis(a, tol, dev)
-    _, _, e, g0, g6, gam, delt, _ = basis
-    e = e.tolist()
     try:
-        parts, routes = _cascade(e, g0, g6, gam.tolist(), delt.tolist(), tol)
+        parts, routes = _cascade(e, g0, g6, gam, delt, tol)
     except FactorizationFailed as exc:
         theta = _least_norm_phases(e, tol)
         _det_one(theta, tol, "%s; eigen route:" % exc)
-        return basis, _phase_parts(theta), ["eigen"] * 3
+        return _phase_parts(theta), ["eigen"] * 3
     theta = _pinned(parts, e)
     _det_one(theta, tol)
-    return basis, _phase_parts([t - sum(theta) for t in theta]), routes
+    return _phase_parts([t - sum(theta) for t in theta]), routes
 
 
-def factorize(u, tol: Tolerances = DEFAULT_TOL) -> Factorization:
-    """Split u into three commuting Euler factors.
+def _stacked_factors(units: np.ndarray, parts) -> np.ndarray:
+    """The factors cos(beta_i) 1 + sin(beta_i) unit_i as one (3, 3, 3) array."""
+    # per factor the arithmetic of expmap._factor_array
+    cos = np.array([complex(math.cos(beta)) for beta, _ in parts])
+    sin = np.array([complex(math.sin(beta)) for beta, _ in parts])
+    return _EYE3 * cos[:, None, None] + units * sin[:, None, None]
 
-    The paper's route cascade runs first (see ``_cascade``); when it
-    finds no factor, the ``eigen`` route.  Each factor is
-    cos(beta) 1 + sin(beta) unit, its unit P diag(i w) P^H.  The grade
-    decomposition the routes used is built when ``grades`` is read.
+
+def _factor_parts(a: np.ndarray, dev: float, tol: Tolerances):
+    """(factors, units, parts, routes, grades) of a, of unitarity residual dev, on its eigenbasis.
+
+    The eigen path: the normal kernel's eigenbasis P, and the cascade on
+    the diagonal of g2 + g4 on P (``grades._eigenbasis``).  The units
+    are P diag(i w) P^H, and grades builds the decomposition along
+    P's columns when called.
     """
-    basis, parts, routes = _factor_parts(*_unitary_array(u, tol), tol)
+    p, ph, e, g0, g6, gam, delt = _eigenbasis(a, tol, dev)
+    parts, routes = _route_parts(e.tolist(), g0, g6, gam.tolist(), delt.tolist(), tol)
     # the three units P diag(i w) P^H as one stacked product
-    units = (basis[0] * (1j * np.array([w for _, w in parts]))[:, None, :]) @ basis[1]
-    return Factorization(
-        factors=tuple(ComplexMat._wrap(_factor_array(unit, beta))
-                      for unit, (beta, _) in zip(units, parts)),
-        parts=tuple(_simple_part(beta, unit if _directed(beta, tol) else None)
-                    for unit, (beta, _) in zip(units, parts)),
-        routes=tuple(routes), _basis=basis)
+    units = (p * (1j * np.array([w for _, w in parts]))[:, None, :]) @ ph
+    return (_stacked_factors(units, parts), units, parts, routes,
+            functools.partial(_eigen_decomposition, a, p, gam, delt))
 
 
-# The gates of ``_closed_form_log``: Cardano's raw roots at least
-# _CF_MIN_GAP apart, and every divided-difference factor h / sin h at
-# most _CF_MAX_FACTOR.  80% of Haar U pass both.
+# The gates of the closed forms.  The log's: Cardano's raw roots at
+# least _CF_MIN_GAP apart, and every divided-difference factor h / sin h
+# at most _CF_MAX_FACTOR; 80% of Haar U pass.  factorize's: |g0| at
+# least _CF_G0, the raw roots at least _CF_FACTOR_GAP apart, and the
+# factors' product within _CF_FACTOR_MISS of U; 98% of Haar U pass.
 _CF_MIN_GAP = 0.05
 _CF_MAX_FACTOR = 4.0
+_CF_FACTOR_GAP = 0.2
+_CF_G0 = 1e-3
+_CF_FACTOR_MISS = 16.0 * _EPS
 
 
-def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray | None:
-    """principal_log of a unitary a as c0 1 + c1 a + c2 a^2, made skew; None if not vouched for.
+def _cubic_eigenvalues(a: np.ndarray, dev: float, tol: Tolerances, min_gap: float):
+    """(tr a, a's eigenvalues) from a's characteristic cubic, or None.
 
     a's eigenvalues are the roots of z^3 - t z^2 + s z - det a, t = tr a
     and s the sum of its principal 2x2 minors, all from one
@@ -501,28 +529,15 @@ def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray |
     are polished where it is safe: Newton on the root apart from the
     nearest pair, and the pair from the deflated quadratic, of sum
     t - z and product det a / z, so the pair's phase sum is det a's
-    less z's.  ``_least_norm_phases`` and ``_det_one`` then act on them
-    as on the eigen path's eigenvalues.  The log is the interpolating
-    polynomial of i theta at the nodes e^(i theta) (Higham, Functions of
-    Matrices, 2008, ch. 1), in Newton's form
+    less z's.  The roots come as [pair, pair, z].
 
-        i theta_u 1 + f[u,v] (a - u) + f[u,v,w] (a - u)(a - v),
-
-    v the node off the widest pair, and
-    f[e_i,e_j] = (h / sin h) e^(-i (theta_i + theta_j)/2),
-    h = (theta_j - theta_i)/2, free of cancellation.
-
-    None leaves a to the eigen path (``_log_sum``): where two raw roots
-    are closer than _CF_MIN_GAP (f[u,v,w] is a difference quotient of
-    nearly equal terms, and rounding splits Cardano's roots of a
-    cluster), where some h / sin h exceeds _CF_MAX_FACTOR (two close
-    eigenvalues on phases nearly 2 pi apart, across the cut at -1,
-    whose log the polynomial splits), and where the phase rules raise,
-    so the eigen path refuses with its own error.  It also takes dev, a's unitarity residual, as
-    the proof that a is normal: only where dev + 4 eps is within an
-    eighth of normal_tol and eig_tol, which no U that passes the default
-    grp_tol exceeds, can neither of the eigen path's gates refuse a, so
-    the set of accepted U stays the eigen path's.
+    None where two raw roots are closer than min_gap: rounding splits
+    Cardano's roots of a cluster, and what the closed forms build from
+    them divides by the gaps.  None also unless dev, a's unitarity
+    residual, is the proof that a is normal: only where dev + 4 eps is
+    within an eighth of normal_tol and eig_tol, which no U that passes
+    the default grp_tol exceeds, can neither of the eigen path's gates
+    refuse a, so the closed forms accept the U the eigen path accepts.
     """
     if not dev + 4.0 * _EPS <= 0.125 * min(tol.normal_tol, tol.eig_tol):
         return None
@@ -533,7 +548,7 @@ def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray |
     d = a00 * m0 - a01 * (a10 * a22 - a12 * a20) + a02 * (a10 * a21 - a11 * a20)
     raw = _complex_cubic_roots(t, s, d)
     gaps = [abs(raw[1] - raw[2]), abs(raw[2] - raw[0]), abs(raw[0] - raw[1])]
-    if not min(gaps) >= _CF_MIN_GAP:
+    if not min(gaps) >= min_gap:
         return None
     z = raw[gaps.index(min(gaps))]
     for _ in range(2):
@@ -545,8 +560,137 @@ def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray |
     sm, pr = t - z, d / z
     r = cmath.sqrt(sm * sm - 4.0 * pr)
     x = 0.5 * max(sm + r, sm - r, key=abs)
+    return t, [x, pr / x, z]
+
+
+def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
+    """``_factor_parts`` of a from its characteristic cubic, with no eigensolver; None if not vouched for.
+
+    The roots (``_cubic_eigenvalues``) are put in the normal kernel's
+    order (``smallmat._order_indices``), so factor i stays factor i.
+    On U's eigenbasis g2 + g4 = U - g0 - g6, so the cascade's diagonal
+    is e - g0 - g6, and the cascade, the eigen route, ``_pinned`` and
+    ``_det_one`` run on these scalars as on the eigen path's
+    (``_route_parts``).  The projector onto e_i is Lagrange's
+    polynomial in U (Higham, Functions of Matrices, 2008, ch. 1),
+
+        P_i = (U - e_j)(U - e_k) / ((e_i - e_j)(e_i - e_k)),
+
+    and unit i, i w_i (2 P_i - 1) with w_i the sign of part i, is made
+    exactly skew.
+
+    None leaves a to the eigen path, which then runs as it would alone,
+    so both accept the same U with the same routes and errors:
+
+    - where |g0| < _CF_G0, g0 = (1 + Re tr a) / 4.  The simple route
+      divides by g0, so there the rounding of the eigenvalues, not U,
+      decides whether the closing factor passes fact_tol (the
+      near-cos-zero band).  And with det a = 1 two eigenvalues of equal
+      imaginary part put the third at -1, where g0 = 0; the kernel
+      orders such a pair by its rounding.  Past this gate and the next,
+      the imaginary parts are at least 4e-4 apart;
+    - where two raw roots are closer than _CF_FACTOR_GAP.  Most such
+      inputs are declined from tr a alone, before the cubic: with
+      det a = 1 the squared product of the three gaps is
+      27 - 18 |t|^2 + 8 Re t^3 - |t|^4, t = tr a, and below
+      _CF_FACTOR_GAP^6 some gap is below _CF_FACTOR_GAP;
+    - where any rule of the cascade or the eigen route raises;
+    - where the factors' product misses a by more than _CF_FACTOR_MISS.
+      That residual vouches for the roots, whose rounding from the
+      cubic's coefficients, a few eps over |p'(e_i)|, reaches every
+      factor: it declines about 1% of Haar U.
+    """
+    tr = a.item(0, 0) + a.item(1, 1) + a.item(2, 2)
+    n2 = tr.real * tr.real + tr.imag * tr.imag
+    if not (abs(1.0 + tr.real) / 4.0 >= _CF_G0
+            and 27.0 - 18.0 * n2 + 8.0 * (tr * tr * tr).real - n2 * n2 >= _CF_FACTOR_GAP**6):
+        return None
+    roots = _cubic_eigenvalues(a, dev, tol, _CF_FACTOR_GAP)
+    if roots is None:
+        return None
+    t, z = roots
+    e = [z[i] for i in _order_indices(z)]
+    g0, g6 = _scalar_grades(t)
+    d = [x - g0 - g6 for x in e]
+    gam = [x.real for x in d]
+    delt = [x.imag for x in d]
     try:
-        theta = _least_norm_phases([x, pr / x, z], tol)
+        parts, routes = _route_parts(e, g0, g6, gam, delt, tol)
+    except NumericalError:
+        return None
+    # unit i is i w_i (2 P_i - 1) = i w_i (2 (U - e_j)(U - e_k) / ((e_i - e_j)(e_i - e_k)) - 1),
+    # w_i the sign of part i: its coefficients on U^2, U and 1, one row per unit
+    coef = []
+    for i, (j, k) in enumerate(_OTHERS):
+        r = 2j * parts[i][1][i] / ((e[i] - e[j]) * (e[i] - e[k]))
+        coef.append((r, -r * (e[j] + e[k]), r * e[j] * e[k] - 1j * parts[i][1][i]))
+    m = (np.array(coef) @ np.array([a @ a, a, _EYE3]).reshape(3, 9)).reshape(3, 3, 3)
+    units = (m - m.conj().transpose(0, 2, 1)) * complex(0.5)
+    factors = _stacked_factors(units, parts)
+    if not _fro(factors[0] @ factors[1] @ factors[2] - a) <= _CF_FACTOR_MISS:
+        return None
+    return (factors, units, parts, routes,
+            functools.partial(_unit_decomposition, a, gam, delt, units, parts))
+
+
+def _unit_decomposition(a: np.ndarray, gam, delt, units: np.ndarray, parts) -> GradeDecomposition:
+    """The grade decomposition along the closed form's involutions 2 P_i - 1 = -i w_i unit_i."""
+    signs = np.array([-1j * w[i] for i, (_, w) in enumerate(parts)])
+    return _decomposition(a, np.array(gam), np.array(delt), units * signs[:, None, None])
+
+
+def factorize(u, tol: Tolerances = DEFAULT_TOL) -> Factorization:
+    """Split u into three commuting Euler factors.
+
+    The paper's route cascade runs first (see ``_cascade``); when it
+    finds no factor, the ``eigen`` route.  Both run on u's eigenvalues,
+    taken in closed form from u's characteristic cubic
+    (``_closed_form_factors``), and the factors' units are polynomials
+    in u.  Where the closed form cannot vouch for itself, the eigen
+    path (``_factor_parts``) runs as it would alone.  Each factor is
+    cos(beta) 1 + sin(beta) unit.  The grade decomposition the routes
+    used is built when ``grades`` is read.
+    """
+    a, dev = _unitary_array(u, tol)
+    factors, units, parts, routes, grades_of = (_closed_form_factors(a, dev, tol)
+                                                or _factor_parts(a, dev, tol))
+    return Factorization(
+        factors=tuple(ComplexMat._wrap(f) for f in factors),
+        parts=tuple(_simple_part(beta, unit if _directed(beta, tol) else None)
+                    for unit, (beta, _) in zip(units, parts)),
+        routes=tuple(routes), _grades_of=grades_of)
+
+
+def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray | None:
+    """principal_log of a unitary a as c0 1 + c1 a + c2 a^2, made skew; None if not vouched for.
+
+    a's eigenvalues come from its characteristic cubic
+    (``_cubic_eigenvalues``), and ``_least_norm_phases`` and
+    ``_det_one`` act on them as on the eigen path's eigenvalues.  The
+    log is the interpolating polynomial of i theta at the nodes
+    e^(i theta) (Higham, Functions of Matrices, 2008, ch. 1), in
+    Newton's form
+
+        i theta_u 1 + f[u,v] (a - u) + f[u,v,w] (a - u)(a - v),
+
+    v the node off the widest pair, and
+    f[e_i,e_j] = (h / sin h) e^(-i (theta_i + theta_j)/2),
+    h = (theta_j - theta_i)/2, free of cancellation.
+
+    None leaves a to the eigen path (``_log_sum``): where two raw roots
+    are closer than _CF_MIN_GAP (f[u,v,w] is a difference quotient of
+    nearly equal terms), where some h / sin h exceeds _CF_MAX_FACTOR
+    (two close eigenvalues on phases nearly 2 pi apart, across the cut
+    at -1, whose log the polynomial splits), where the phase rules
+    raise, so the eigen path refuses with its own error, and where
+    ``_cubic_eigenvalues`` cannot take dev as the proof that a is
+    normal.
+    """
+    roots = _cubic_eigenvalues(a, dev, tol, _CF_MIN_GAP)
+    if roots is None:
+        return None
+    try:
+        theta = _least_norm_phases(roots[1], tol)
         _det_one(theta, tol)
     except NumericalError:
         return None

@@ -19,10 +19,14 @@ through the part ansatz yields exactly Hermitian H_i and exactly
 skew-Hermitian S_i with sum g4 and g2 respectively.
 
 The arithmetic runs on complex128 arrays.  ``_eigenbasis`` diagonalizes
-U once and returns what ``factorlog`` runs on: the eigenbasis, the
-eigenvalues, the scalars of g0 and g6, and gamma, delta; the grade
-matrices are built from it for output only.  Public functions take a
-``GroupElement``, ``ComplexMat`` or raw entries and wrap each result.
+U once and returns what ``factorlog``'s eigen path runs on: the
+eigenbasis, the eigenvalues, the scalars of g0 and g6, and gamma, delta.
+It builds no grade matrix.  ``_decomposition`` builds the grade matrices
+and the H_i/S_i from U, gamma, delta and the three involutions
+2 P_i - 1, wherever those come from: ``split_HS`` takes them from the
+eigenbasis, and ``factorlog``'s closed form from U's characteristic
+polynomial.  Public functions take a ``GroupElement``, ``ComplexMat``
+or raw entries and wrap each result.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import dataclasses
 import numpy as np
 
 from .errors import DimensionMismatch
-from .smallmat import ComplexMat, _as_mat, _eigen_normal3, _finite_mat, _normal_norm
+from .smallmat import _EYE3, ComplexMat, _as_mat, _eigen_normal3, _finite_mat, _normal_norm
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -53,13 +57,18 @@ def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (a + adj) * complex(0.5), (a - adj) * complex(0.5)
 
 
+def _scalar_grades(t: complex) -> tuple[complex, complex]:
+    """The scalars of g0 and g6 of a matrix of trace t."""
+    return (1.0 + ((t + t.conjugate()) / 2.0)) / 4.0, ((t - t.conjugate()) / 2.0) / 4.0
+
+
 def _grades(a: np.ndarray) -> tuple[np.ndarray, ...]:
     """(g0, g2, g4, g6, ccos, ssin) of a square array."""
     ccos, ssin = _halves(a)
-    t = complex(np.trace(a))
+    c0, c6 = _scalar_grades(complex(np.trace(a)))
     eye = np.eye(a.shape[0], dtype=np.complex128)
-    g0 = eye * ((1.0 + ((t + t.conjugate()) / 2.0)) / 4.0)
-    g6 = eye * (((t - t.conjugate()) / 2.0) / 4.0)
+    g0 = eye * c0
+    g6 = eye * c6
     return g0, ssin - g6, ccos - g0, g6, ccos, ssin
 
 
@@ -105,38 +114,43 @@ def _hermitian_outer(v: np.ndarray) -> np.ndarray:
 
 
 def _eigenbasis(a: np.ndarray, tol: Tolerances, dev: float | None = None) -> tuple:
-    """(P, P^H, e, g0, g6, gamma, delta, grades) of a 3x3 unitary array.
+    """(P, P^H, e, g0, g6, gamma, delta) of a 3x3 unitary array.
 
     P, P^H and e are U's eigenbasis, its adjoint and U's eigenvalues as
     the normal kernel returns them, g0 and g6 the scalars of the grades
-    of that name, gamma + i delta the diagonal of A = g2 + g4 on P, and
-    grades the arrays (g0, g2, g4, g6, ccos, ssin).  dev is a's
-    measured unitarity residual, if a was checked (``_normal_norm``).
+    of that name, and gamma + i delta the diagonal of A = g2 + g4 on P,
+    A formed as ``_grades`` forms it.  dev is a's measured unitarity
+    residual, if a was checked (``_normal_norm``).
     """
     if a.shape != (3, 3):
         raise DimensionMismatch(f"expected a 3x3 matrix, got {a.shape[0]}x{a.shape[1]}")
     e, p, ph = _eigen_normal3(a, _normal_norm(a, tol, dev), tol)
-    grades = _grades(a)
-    d = np.diag(ph @ (grades[1] + grades[2]) @ p)
-    return p, ph, e, complex(grades[0][0, 0]), complex(grades[3][0, 0]), d.real, d.imag, grades
+    ccos, ssin = _halves(a)
+    g0, g6 = _scalar_grades(complex(np.trace(a)))
+    d = np.diag(ph @ ((ssin - _EYE3 * g6) + (ccos - _EYE3 * g0)) @ p)
+    return p, ph, e, g0, g6, d.real, d.imag
 
 
-def _decomposition(basis: tuple) -> GradeDecomposition:
-    """The grade decomposition from the result of _eigenbasis.
+def _decomposition(a: np.ndarray, gam, delt, involutions) -> GradeDecomposition:
+    """The grade decomposition of a, with H_i and S_i along the involutions 2 P_i - 1.
 
-    Every array is finite without a check: the grades are sums of a's
-    entries, whose squared norm is finite, and P, gamma and delta passed
-    the kernel's residual gate.
+    gam + i delt is the diagonal of g2 + g4 on P.  Every array is finite
+    without a check: the grades are sums of a's entries, whose squared
+    norm is finite, and the involutions, gamma and delta passed a
+    residual gate (the normal kernel's, or the closed form's product).
     """
-    p, _, _, _, _, gam, delt, grades = basis
-    eye = np.eye(3)
     hs = []
     ss = []
-    for i in range(3):
-        invol = 2.0 * _hermitian_outer(p[:, i]) - eye
-        hs.append(ComplexMat._wrap(0.5 * (gam[i] - gam.sum()) * invol))
-        ss.append(ComplexMat._wrap(0.5j * (delt[i] - delt.sum()) * invol))
-    return GradeDecomposition(*map(ComplexMat._wrap, grades), tuple(hs), tuple(ss))
+    for g, dl, invol in zip(gam, delt, involutions):
+        hs.append(ComplexMat._wrap(0.5 * (g - gam.sum()) * invol))
+        ss.append(ComplexMat._wrap(0.5j * (dl - delt.sum()) * invol))
+    return GradeDecomposition(*map(ComplexMat._wrap, _grades(a)), tuple(hs), tuple(ss))
+
+
+def _eigen_decomposition(a: np.ndarray, p: np.ndarray, gam, delt) -> GradeDecomposition:
+    """``_decomposition`` along the eigen kernel's involutions 2 p_i p_i^H - 1."""
+    eye = np.eye(3)
+    return _decomposition(a, gam, delt, [2.0 * _hermitian_outer(p[:, i]) - eye for i in range(3)])
 
 
 def split_HS(u, tol: Tolerances = DEFAULT_TOL) -> GradeDecomposition:
@@ -149,4 +163,6 @@ def split_HS(u, tol: Tolerances = DEFAULT_TOL) -> GradeDecomposition:
     H_i, to the i deltas alone S_i.  Built this way the H_i are exactly
     Hermitian and the S_i exactly skew.
     """
-    return _decomposition(_eigenbasis(_as_mat(u).array, tol))
+    a = _as_mat(u).array
+    p, _, _, _, _, gam, delt = _eigenbasis(a, tol)
+    return _eigen_decomposition(a, p, gam, delt)

@@ -94,6 +94,18 @@ class SimplePart:
     beta: float | None
     unit: ComplexMat | None
 
+    @classmethod
+    def _wrap(cls, mat: ComplexMat, lam: complex, beta: float | None,
+              unit: ComplexMat | None) -> "SimplePart":
+        """A part from fields the package built and checked, as ``ComplexMat._wrap`` adopts an array.
+
+        The frozen dataclass's ``__init__`` sets each field through
+        ``object.__setattr__``; this fills the instance dict in one step.
+        """
+        part = object.__new__(cls)
+        part.__dict__.update(mat=mat, lam=lam, beta=beta, unit=unit)
+        return part
+
 
 @dataclasses.dataclass(frozen=True)
 class InvariantDecomposition:
@@ -211,7 +223,7 @@ def _su3_part(mat: ComplexMat, lam: float, tol: Tolerances) -> SimplePart:
     """
     beta = math.sqrt(-lam) if lam < 0.0 else 0.0
     unit = _finite_mat(mat.array * complex(1.0 / beta)) if beta >= tol.beta_zero_tol else None
-    return SimplePart(mat=mat, lam=complex(lam), beta=beta, unit=unit)
+    return SimplePart._wrap(mat, complex(lam), beta, unit)
 
 
 def _decompose(b, m: ComplexMat, tol: Tolerances) -> tuple[SimplePart, ...]:
@@ -229,7 +241,7 @@ def _decompose(b, m: ComplexMat, tol: Tolerances) -> tuple[SimplePart, ...]:
     for i, coef in enumerate(coefs):
         mat = _finite_mat(_part_array(coef, v, vinv, i))
         lam = coef * coef
-        parts.append(_su3_part(mat, lam.real, tol) if su3 else SimplePart(mat, lam, None, None))
+        parts.append(_su3_part(mat, lam.real, tol) if su3 else SimplePart._wrap(mat, lam, None, None))
     return tuple(parts)
 
 

@@ -557,17 +557,25 @@ def _grade_bytes(g):
 
 
 def test_grades_built_only_on_request(monkeypatch):
-    """factorize returns without the grade decomposition; reading .grades gives split_HS's bytes."""
+    """factorize returns without the grade decomposition or a grade array.
+
+    Reading .grades of an eigen-path factorization gives split_HS's
+    bytes; the closed form's grades are checked against split_HS in
+    test_closed_factorize.
+    """
 
     def refuse(*args):
         raise AssertionError("factorize built the grades")
 
-    monkeypatch.setattr(factorlog, "_decomposition", refuse)
-    us = [random_group(seed).mat.array for seed in range(10)] + near_cos_zero_stream()[:10]
-    us += list(itertools.islice(_family("vanishing_g0"), 10))
-    fzs = [factorize(u) for u in us]
+    for module in (factorlog, grades):
+        monkeypatch.setattr(module, "_decomposition", refuse)
+    monkeypatch.setattr(grades, "_grades", refuse)
+    haar = [random_group(seed).mat.array for seed in range(10)]
+    eigen = near_cos_zero_stream()[:10] + list(itertools.islice(_family("vanishing_g0"), 10))
+    fzs = [factorize(u) for u in haar + eigen]
     assert ("eigen",) * 3 in [fz.routes for fz in fzs]
     monkeypatch.undo()
-    for u, fz in zip(us, fzs):
+    for u, fz in zip(eigen, fzs[len(haar):]):
         assert _grade_bytes(fz.grades) == _grade_bytes(split_HS(u))
+    for fz in fzs:
         assert fz.grades is fz.grades

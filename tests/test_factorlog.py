@@ -67,6 +67,15 @@ class TestNorms:
                 normalize(scale * np.eye(3))
             assert abs(rms_norm(normalize(1e150 * np.eye(3))) - 1.0) < 1e-15
 
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+    def test_rms_norm_refuses_an_overflowing_norm_without_a_warning(self, scale):
+        """rms_norm refuses as Overflow where it returned inf with an overflow warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow, match="too large"):
+                rms_norm(scale * np.eye(3))
+            assert rms_norm(1e150 * np.eye(3)) == 1e150
+
 
 class TestPrincipalLogFactor:
     def test_identity(self):
@@ -308,7 +317,7 @@ class TestArrayBoundary:
         assert _bytes(*fr.factors) == _bytes(*fg.factors)
         assert _bytes(*(p.mat for p in fr.parts)) == _bytes(*(p.mat for p in fg.parts))
         assert _grade_bytes(split_HS(raw)) == _grade_bytes(split_HS(g))
-        assert _grade_bytes(fg.grades) == _grade_bytes(split_HS(g))
+        assert _grade_bytes(fr.grades) == _grade_bytes(fg.grades)
         for f in fg.factors:
             assert _bytes(principal_log_factor(f.array.copy()).mat) == \
                 _bytes(principal_log_factor(f).mat)

@@ -466,13 +466,13 @@ _DIGESTS = {
     "eigen_normal3 algebra": "b8eb6f230b2875385eb6ccb2c60f785336911b2e428860ea018a0ed952189fcb",
     "eigen_normal3 clustered": "76d1a1b5268b3bbd08908959090bc9daa8933b1239eccfe74d94b6016f6cad07",
     "principal_log haar": "4184303e229e70ec69acbc2e44fffaa27d43e71bafe8d3695a7cf66468231482",
-    "factorize haar": "3837b1bee72c6451cfa3fe4e5949de9d9810f87048a879f8318e16f4b31ec1b9",
+    "factorize haar": "ce1d1008e4117ffa98fcb116507e44e387635794721a8777d0373e742dcdde70",
     "factorize parts, routes and grades haar":
-        "f31d74591b2fb5134214ce63d79811c02a6b34b301cc20c03cc02d90bc7a6c4f",
+        "521ec5aa8aad076785accef298c89420a4648a8a4f40ce53ad876bc8de6330e4",
     "branch_log (1, 0, -1) haar":
         "dc0dbe4163e2b588e93dba84fe64855184379caa4f495d32f375f4c3ef290207",
     "principal_log hard": "038b32260f011c82fa8e89e2f952febc1f0aeed2062a92bcc9618e5820d023cb",
-    "factorize hard": "008aa2cb3331d2a58d9020459b95bf505dc1aff0849d3485e8d7e0a644759352",
+    "factorize hard": "fdfa7cffd9fcc77ed9d875932a699c6cd477637d4e26ce6c2f282cc4f985f5fe",
 }
 
 
@@ -569,8 +569,8 @@ def _normal_tols(a, dev, edge, c):
     return np.nextafter(x, np.inf if c >= 1.0 else 0.0)
 
 
-def _factor_key(basis, parts, routes):
-    return tuple(routes), [beta for beta, _ in parts], basis[0].tobytes()
+def _factor_key(factors, units, parts, routes, grades_of):
+    return tuple(routes), [beta for beta, _ in parts], factors.tobytes()
 
 
 def _check_shortcut(seed, frac, grp_tol, kind, edge, c):
@@ -595,7 +595,7 @@ def _check_shortcut(seed, frac, grp_tol, kind, edge, c):
         fz = _outcome(lambda: factorize(a, tol))
         full = _outcome(lambda: _factor_key(*factorlog._factor_parts(a, None, tol)))
     if isinstance(fz, Factorization):
-        fz = (fz.routes, [p.beta for p in fz.parts], fz._basis[0].tobytes())
+        fz = (fz.routes, [p.beta for p in fz.parts], b"".join(f.array.tobytes() for f in fz.factors))
     assert fz == full
     normal = _normal_problem(a, _finite_norm(a), tol) is None
     assert normal or log.startswith(b"NotNormal: ")
@@ -629,12 +629,13 @@ class TestNanBasisRefused:
         rotations = []
         monkeypatch.setattr(smallmat, "_pair_rotation", lambda *args: rotations.append(args))
         g = random_group(1)
-        # principal_log reaches the kernel only where its closed form
-        # declines, as near the identity
+        # the logs and factorize reach the kernel only where their closed
+        # forms decline, as near the identity
         near_one = exp_su3(random_algebra(1, scale=1e-3))
         assert factorlog._closed_form_log(near_one.mat.array, near_one._dev, DEFAULT_TOL) is None
+        assert factorlog._closed_form_factors(near_one.mat.array, near_one._dev, DEFAULT_TOL) is None
         with np.errstate(invalid="ignore"):
-            for op, u in ((eigen_normal3, g), (principal_log, near_one), (factorize, g),
+            for op, u in ((eigen_normal3, g), (principal_log, near_one), (factorize, near_one),
                           (split_HS, g)):
                 with pytest.raises(EigenFailure):
                     op(u)

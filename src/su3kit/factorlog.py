@@ -510,13 +510,14 @@ def _factor_parts(a: np.ndarray, dev: float, tol: Tolerances):
 
 # The gates of the closed forms.  The log's: Cardano's raw roots at
 # least _CF_MIN_GAP apart, and every divided-difference factor h / sin h
-# at most _CF_MAX_FACTOR; 80% of Haar U pass.  factorize's: |g0| at
-# least _CF_G0, the raw roots at least _CF_FACTOR_GAP apart, and the
-# factors' product within _CF_FACTOR_MISS of U; 98% of Haar U pass.
+# at most _CF_MAX_FACTOR; 80% of Haar U pass.  factorize's: |g0| fact_tol
+# at least _CF_G0_MARGIN eps, the raw roots at least _CF_FACTOR_GAP
+# apart, and the factors' product within _CF_FACTOR_MISS of U; 98% of
+# Haar U pass.
 _CF_MIN_GAP = 0.05
 _CF_MAX_FACTOR = 4.0
 _CF_FACTOR_GAP = 0.2
-_CF_G0 = 1e-3
+_CF_G0_MARGIN = 500.0
 _CF_FACTOR_MISS = 16.0 * _EPS
 
 
@@ -582,13 +583,16 @@ def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
     None leaves a to the eigen path, which then runs as it would alone,
     so both accept the same U with the same routes and errors:
 
-    - where |g0| < _CF_G0, g0 = (1 + Re tr a) / 4.  The simple route
-      divides by g0, so there the rounding of the eigenvalues, not U,
-      decides whether the closing factor passes fact_tol (the
-      near-cos-zero band).  And with det a = 1 two eigenvalues of equal
-      imaginary part put the third at -1, where g0 = 0; the kernel
-      orders such a pair by its rounding.  Past this gate and the next,
-      the imaginary parts are at least 4e-4 apart;
+    - where |g0| fact_tol < _CF_G0_MARGIN eps, g0 = (1 + Re tr a) / 4,
+      that is |g0| < 1.1e-3 at the default fact_tol.  The simple route
+      divides by g0: its closing factor carries a rounding residual of
+      up to about 3 eps / |g0|, which this keeps over 100 times under
+      fact_tol.  Nearer, the eigenvalues' rounding, not U, decides
+      whether the closing factor passes (the near-cos-zero band).  And
+      with det a = 1 two eigenvalues of equal imaginary part put the
+      third at -1, where g0 = 0; the kernel orders such a pair by its
+      rounding.  Past this gate and the next the imaginary parts are
+      at least 4e-4 apart at the default fact_tol;
     - where two raw roots are closer than _CF_FACTOR_GAP.  Most such
       inputs are declined from tr a alone, before the cubic: with
       det a = 1 the squared product of the three gaps is
@@ -602,7 +606,7 @@ def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
     """
     tr = a.item(0, 0) + a.item(1, 1) + a.item(2, 2)
     n2 = tr.real * tr.real + tr.imag * tr.imag
-    if not (abs(1.0 + tr.real) / 4.0 >= _CF_G0
+    if not (abs(1.0 + tr.real) / 4.0 * tol.fact_tol >= _CF_G0_MARGIN * _EPS
             and 27.0 - 18.0 * n2 + 8.0 * (tr * tr * tr).real - n2 * n2 >= _CF_FACTOR_GAP**6):
         return None
     roots = _cubic_eigenvalues(a, dev, tol, _CF_FACTOR_GAP)

@@ -534,7 +534,10 @@ def _cubic_eigenvalues(a: np.ndarray, dev: float, tol: Tolerances, min_gap: floa
 
     None where two raw roots are closer than min_gap: rounding splits
     Cardano's roots of a cluster, and what the closed forms build from
-    them divides by the gaps.  None also unless dev, a's unitarity
+    them divides by the gaps.  Most such inputs are declined from t alone,
+    before the cubic is solved: with det a = 1 the squared product of
+    the three gaps is 27 - 18 |t|^2 + 8 Re t^3 - |t|^4, and below
+    min_gap^6 some gap is below min_gap.  None also unless dev, a's unitarity
     residual, is the proof that a is normal: only where dev + 4 eps is
     within an eighth of normal_tol and eig_tol, which no U that passes
     the default grp_tol exceeds, can neither of the eigen path's gates
@@ -543,8 +546,11 @@ def _cubic_eigenvalues(a: np.ndarray, dev: float, tol: Tolerances, min_gap: floa
     if not dev + 4.0 * _EPS <= 0.125 * min(tol.normal_tol, tol.eig_tol):
         return None
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
-    m0 = a11 * a22 - a12 * a21
     t = 0j + a00 + a11 + a22
+    n2 = t.real * t.real + t.imag * t.imag
+    if not 27.0 - 18.0 * n2 + 8.0 * (t * t * t).real - n2 * n2 >= min_gap**6:
+        return None
+    m0 = a11 * a22 - a12 * a21
     s = m0 + (a00 * a22 - a02 * a20) + (a00 * a11 - a01 * a10)
     d = a00 * m0 - a01 * (a10 * a22 - a12 * a20) + a02 * (a10 * a21 - a11 * a20)
     raw = _complex_cubic_roots(t, s, d)
@@ -593,21 +599,16 @@ def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
       third at -1, where g0 = 0; the kernel orders such a pair by its
       rounding.  Past this gate and the next the imaginary parts are
       at least 4e-4 apart at the default fact_tol;
-    - where two raw roots are closer than _CF_FACTOR_GAP.  Most such
-      inputs are declined from tr a alone, before the cubic: with
-      det a = 1 the squared product of the three gaps is
-      27 - 18 |t|^2 + 8 Re t^3 - |t|^4, t = tr a, and below
-      _CF_FACTOR_GAP^6 some gap is below _CF_FACTOR_GAP;
+    - where two raw roots are closer than _CF_FACTOR_GAP, most of them
+      decided from tr a alone;
     - where any rule of the cascade or the eigen route raises;
     - where the factors' product misses a by more than _CF_FACTOR_MISS.
       That residual vouches for the roots, whose rounding from the
       cubic's coefficients, a few eps over |p'(e_i)|, reaches every
       factor: it declines about 1% of Haar U.
     """
-    tr = a.item(0, 0) + a.item(1, 1) + a.item(2, 2)
-    n2 = tr.real * tr.real + tr.imag * tr.imag
-    if not (abs(1.0 + tr.real) / 4.0 * tol.fact_tol >= _CF_G0_MARGIN * _EPS
-            and 27.0 - 18.0 * n2 + 8.0 * (tr * tr * tr).real - n2 * n2 >= _CF_FACTOR_GAP**6):
+    if not abs(1.0 + (a.item(0, 0) + a.item(1, 1) + a.item(2, 2)).real) / 4.0 * tol.fact_tol \
+            >= _CF_G0_MARGIN * _EPS:
         return None
     roots = _cubic_eigenvalues(a, dev, tol, _CF_FACTOR_GAP)
     if roots is None:

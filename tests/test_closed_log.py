@@ -131,3 +131,13 @@ def test_cubic_triple_root():
     for c in (_OMEGA, 0.3 - 2j):
         for r in _complex_cubic_roots(3.0 * c, 3.0 * c * c, c**3):
             assert abs(r - c) <= 1e-4 * abs(c)
+
+
+def test_near_doubles_decline_before_the_cubic(monkeypatch):
+    """A near-double spectrum is declined from tr U alone: the gaps' product is below 0.05^3."""
+    monkeypatch.setattr(factorlog, "_complex_cubic_roots", lambda *args: pytest.fail("the cubic ran"))
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        a, gap = rng.uniform(-2.5, 2.5), 10.0 ** rng.uniform(-12.0, -5.0)
+        g = _group([a, a + gap, -2.0 * a - gap], rng)
+        assert factorlog._closed_form_log(g.mat.array, g._dev, DEFAULT_TOL) is None

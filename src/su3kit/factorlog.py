@@ -125,6 +125,7 @@ import dataclasses
 import functools
 import itertools
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -196,7 +197,7 @@ class Factorization:
     factors: tuple[ComplexMat, ComplexMat, ComplexMat]
     parts: tuple[SimplePart, SimplePart, SimplePart]
     routes: tuple[str, str, str]
-    _grades_of: object = dataclasses.field(repr=False, compare=False)
+    _grades_of: Callable[[], GradeDecomposition] = dataclasses.field(repr=False, compare=False)
 
     @functools.cached_property
     def grades(self) -> GradeDecomposition:
@@ -466,7 +467,7 @@ def _phase_parts(theta) -> list:
 
 
 def _route_parts(e, g0: complex, g6: complex, gam, delt, tol: Tolerances):
-    """(parts, routes) from U's ordered eigenvalues e and the cascade's scalars: the cascade, else ``eigen``.
+    """(parts, routes) from U's ordered eigenvalues e and the cascade's scalars.
 
     The eigen route, the invariant decomposition of log U, runs only
     after the cascade's FactorizationFailed.  Either route's phases
@@ -571,7 +572,7 @@ def _cubic_eigenvalues(a: np.ndarray, dev: float, tol: Tolerances, min_gap: floa
 
 
 def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
-    """``_factor_parts`` of a from its characteristic cubic, with no eigensolver; None if not vouched for.
+    """``_factor_parts`` of a from its characteristic cubic, no eigensolver; None if it declines.
 
     The roots (``_cubic_eigenvalues``) are put in the normal kernel's
     order (``smallmat._order_indices``), so factor i stays factor i.

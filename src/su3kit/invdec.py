@@ -97,7 +97,7 @@ class SimplePart:
     @classmethod
     def _wrap(cls, mat: ComplexMat, lam: complex, beta: float | None,
               unit: ComplexMat | None) -> "SimplePart":
-        """A part from fields the package built and checked, as ``ComplexMat._wrap`` adopts an array.
+        """A part from fields the package built and checked, as ``ComplexMat._wrap`` adopts arrays.
 
         The frozen dataclass's ``__init__`` sets each field through
         ``object.__setattr__``; this fills the instance dict in one step.
@@ -241,7 +241,8 @@ def _decompose(b, m: ComplexMat, tol: Tolerances) -> tuple[SimplePart, ...]:
     for i, coef in enumerate(coefs):
         mat = _finite_mat(_part_array(coef, v, vinv, i))
         lam = coef * coef
-        parts.append(_su3_part(mat, lam.real, tol) if su3 else SimplePart._wrap(mat, lam, None, None))
+        parts.append(_su3_part(mat, lam.real, tol) if su3
+                     else SimplePart._wrap(mat, lam, None, None))
     return tuple(parts)
 
 

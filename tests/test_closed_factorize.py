@@ -49,7 +49,7 @@ def _outcome(f, *args):
 
 
 def _eigen_path(u):
-    """The eigen path's (factors, units, parts, routes, grades) of u: what factorize falls back to."""
+    """The eigen path's (factors, units, parts, routes, grades) of u, factorize's fallback."""
     return factorlog._factor_parts(*factorlog._unitary_array(u, DEFAULT_TOL), DEFAULT_TOL)
 
 
@@ -131,7 +131,7 @@ def test_clustered_spectra_fall_back_bit_for_bit(u):
 
 
 def test_haar_u_run_no_eigensolver(monkeypatch):
-    """factorize and reading its grades call no eigh where the closed form is taken: 98% of Haar U."""
+    """factorize and its grades call no eigh where the closed form is taken: 98% of Haar U."""
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(smallmat.np.linalg, "eigh", lambda g: calls.append(1) or eigh(g))
@@ -197,7 +197,8 @@ def test_cheap_declines(monkeypatch):
                         lambda *args: pytest.fail("the cubic ran"))
     checks = []
     check = factorlog._check_group
-    monkeypatch.setattr(factorlog, "_check_group", lambda *a, **k: checks.append(1) or check(*a, **k))
+    monkeypatch.setattr(factorlog, "_check_group",
+                        lambda *a, **k: checks.append(1) or check(*a, **k))
     rng = np.random.default_rng(10)
     us = _near_minus_one(rng, 10, None, None) + _near_minus_one(rng, 20, -12.0, -4.0)
     us += _fallback_inputs()

@@ -135,7 +135,8 @@ def test_cubic_triple_root():
 
 def test_near_doubles_decline_before_the_cubic(monkeypatch):
     """A near-double spectrum is declined from tr U alone: the gaps' product is below 0.05^3."""
-    monkeypatch.setattr(factorlog, "_complex_cubic_roots", lambda *args: pytest.fail("the cubic ran"))
+    monkeypatch.setattr(factorlog, "_complex_cubic_roots",
+                        lambda *args: pytest.fail("the cubic ran"))
     rng = np.random.default_rng(13)
     for _ in range(20):
         a, gap = rng.uniform(-2.5, 2.5), 10.0 ** rng.uniform(-12.0, -5.0)

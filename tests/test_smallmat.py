@@ -595,7 +595,8 @@ def _check_shortcut(seed, frac, grp_tol, kind, edge, c):
         fz = _outcome(lambda: factorize(a, tol))
         full = _outcome(lambda: _factor_key(*factorlog._factor_parts(a, None, tol)))
     if isinstance(fz, Factorization):
-        fz = (fz.routes, [p.beta for p in fz.parts], b"".join(f.array.tobytes() for f in fz.factors))
+        fz = (fz.routes, [p.beta for p in fz.parts],
+              b"".join(f.array.tobytes() for f in fz.factors))
     assert fz == full
     normal = _normal_problem(a, _finite_norm(a), tol) is None
     assert normal or log.startswith(b"NotNormal: ")
@@ -633,7 +634,8 @@ class TestNanBasisRefused:
         # forms decline, as near the identity
         near_one = exp_su3(random_algebra(1, scale=1e-3))
         assert factorlog._closed_form_log(near_one.mat.array, near_one._dev, DEFAULT_TOL) is None
-        assert factorlog._closed_form_factors(near_one.mat.array, near_one._dev, DEFAULT_TOL) is None
+        assert factorlog._closed_form_factors(near_one.mat.array, near_one._dev,
+                                              DEFAULT_TOL) is None
         with np.errstate(invalid="ignore"):
             for op, u in ((eigen_normal3, g), (principal_log, near_one), (factorize, near_one),
                           (split_HS, g)):

@@ -207,9 +207,3 @@ def test_cheap_declines(monkeypatch):
         factorize(u)
         assert checks == [1]
 
-
-def test_group_element_and_raw_array_agree():
-    for seed in range(10):
-        g = random_group(seed)
-        assert list(_factorization_bytes(factorize(g))) == \
-            list(_factorization_bytes(factorize(g.mat.array.copy())))

@@ -17,7 +17,12 @@ input.
 A call costs little beyond its math: ``main`` builds the argument
 parser once per process, on its first call, and reuses it, and
 ``emit_json`` writes a document in one pass that visits each node once.
-Neither changes an output byte; the golden fixtures pin them.
+A matrix document, as ``matrix_document`` builds it, is one node to
+that pass: it is written with one ``%`` over its floats, into a
+template of its size and depth that the generic writer laid out once
+(``_matrix_template``).  A document with a NaN or inf goes through the
+generic writer, which refuses it.  None of this changes an output
+byte; the golden fixtures pin it.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 from .bench import REGIMES, TASKS, render_table, run_bench
 from .errors import DocumentError, InputError, NumericalError
 from .expmap import _check_group, _group_residuals, exp_su3
-from .factorlog import LogBranch, branch_log, factorize
+from .factorlog import LogBranch, branch_log, factorize, principal_log
 from .gellmann import exp_gellmann, exp_gellmann8
 from .invdec import AlgebraElement, InvariantDecomposition, decompose_nxn, decompose_via_eigen
 from .oracle import compare, exp_reference, log_reference
@@ -86,11 +91,22 @@ def parse_matrix_document(text: str) -> ComplexMat:
     return ComplexMat(rows)
 
 
+class _MatrixDocument(dict):
+    """A document ``matrix_document`` built, which ``_emit`` writes from a template.
+
+    ``floats`` holds the entries' [re, im] values in row order, as they
+    were when the document was built: the emitter writes those, so a
+    document to be edited is copied to a plain dict first.
+    """
+
+    __slots__ = ("floats",)
+
+
 def matrix_document(m: ComplexMat) -> dict:
-    return {
-        "n": m.n,
-        "entries": [[[z.real, z.imag] for z in row] for row in m.array.tolist()],
-    }
+    rows = [[[z.real, z.imag] for z in row] for row in m.array.tolist()]
+    doc = _MatrixDocument(n=m.n, entries=rows)
+    doc.floats = tuple([v for row in rows for pair in row for v in pair])
+    return doc
 
 
 # -- JSON emission ------------------------------------------------------------
@@ -153,8 +169,25 @@ def emit_json(x, indent: int = 0) -> str:
     return "".join(out)
 
 
+@functools.cache
+def _matrix_template(n: int, indent: int) -> str:
+    """The text of an n x n matrix document at ``indent``, a %.17g per float.
+
+    Laid out by the generic writer itself, on a document of 0.5s, whose
+    text "0.5" occurs nowhere else in it; %.17g writes a finite float as
+    ``format(x, ".17g")`` does.
+    """
+    half = [[[0.5, 0.5]] * n for _ in range(n)]
+    return emit_json({"n": n, "entries": half}, indent).replace("0.5", "%.17g")
+
+
 def _emit(x, indent: int, out: list[str]) -> None:
-    if isinstance(x, dict):
+    # a sum of finite floats is finite unless it overflows, so a
+    # document of finite floats rarely leaves the template; one that
+    # does is written, or refused, node by node
+    if type(x) is _MatrixDocument and math.isfinite(sum(x.floats)):
+        out.append(_matrix_template(x["n"], indent) % x.floats)
+    elif isinstance(x, dict):
         if not x:
             out.append("{}")
             return
@@ -310,8 +343,7 @@ def cmd_log(args, tol: Tolerances) -> str:
         branch = None
     else:
         ks = _parse_branch(args.branch) if args.branch is not None else (0, 0, 0)
-        # at k = (0, 0, 0) branch_log runs principal_log's path
-        log = branch_log(m, LogBranch(ks), tol)
+        log = principal_log(m, tol) if ks == (0, 0, 0) else branch_log(m, LogBranch(ks), tol)
         branch = list(ks)
     doc = {
         "method": args.method,

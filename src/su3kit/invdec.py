@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateLambdas, DimensionMismatch, InvalidAlgebraElement
+from .errors import DegenerateLambdas, DimensionMismatch, InvalidAlgebraElement, Overflow
 from .smallmat import (
     _EYE3,
     ComplexMat,
@@ -137,11 +137,13 @@ def _residual_norm(a: np.ndarray) -> float:
     A finite norm proves every entry finite, so the entries are only
     scanned when it is not.  An inf or NaN in any intermediate sum or
     product survives into ``a``, so this one check refuses what a
-    check on every intermediate would.
+    check on every intermediate would.  Finite entries whose norm
+    overflows are refused as Overflow.
     """
     nrm = _fro(a)
     if not math.isfinite(nrm):
         _require_finite(a)
+        raise Overflow("residual norm overflows: its entries are finite but too large")
     return nrm
 
 

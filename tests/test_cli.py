@@ -18,7 +18,7 @@ from su3kit.cli import (
     parse_matrix_document,
 )
 from su3kit.errors import DocumentError
-from su3kit.factorlog import factorize
+from su3kit.factorlog import LogBranch, branch_log, factorize, principal_log
 from su3kit.oracle import exp_reference, random_algebra, random_group
 from su3kit.smallmat import ComplexMat
 from su3kit.tolerances import DEFAULT_TOL, with_overrides
@@ -221,6 +221,24 @@ class TestDecompose:
         assert calls == [1]
         assert out == plain
 
+    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    @pytest.mark.parametrize("kind", ["su3", "general", "nxn4"])
+    def test_huge_finite_entries(self, kind, scale, capsys, monkeypatch):
+        # finite entries whose commutator residual's squared norm overflowed:
+        # max_commutator came back inf and emitting it raised a bare ValueError
+        rng = np.random.default_rng(11)
+        n = 4 if kind == "nxn4" else 3
+        a = (random_algebra(11).mat.array if kind == "su3"
+             else rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        argv = ["decompose", "-"] + (["--nxn"] if kind == "nxn4" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run_cli(argv, capsys, monkeypatch, doc_text(scale * a))
+        assert code in (0, 3)
+        doc = json.loads(out)
+        if code == 3:
+            assert doc["error"]["code"] == "overflow"
+
 
 class TestUnreadableDocument:
     """Bytes that do not read as a document are invalid_document, from a file or stdin."""
@@ -393,6 +411,35 @@ class TestLog:
                             doc_text(np.diag([2.0, 1.0, 1.0])))
         assert code == 2
         assert json.loads(out)["error"]["code"] == "not_unitary"
+
+    def test_principal_branch_takes_the_closed_form(self, capsys, monkeypatch):
+        # with no --branch, or 0,0,0, log runs principal_log, whose closed
+        # form gives other bits than branch_log's eigen path on this U
+        m = random_group(42).mat
+        text = doc_text(m.array)
+        code, plain = run_cli(["log", "-"], capsys, monkeypatch, text)
+        assert code == 0
+        code, zero = run_cli(["log", "-", "--branch", "0,0,0"], capsys, monkeypatch, text)
+        assert code == 0
+        assert zero == plain
+        got = mat_from_doc(json.loads(plain)["log"])
+        assert got.tobytes() == principal_log(m).array.tobytes()
+        assert got.tobytes() != branch_log(m, LogBranch((0, 0, 0))).array.tobytes()
+
+    @pytest.mark.parametrize("rows, code, status", [
+        (-np.eye(3) * np.exp(1e-9j), "ambiguous_direction", 3),
+        (random_group(42).mat.array * np.exp(0.3j), "factorization_failed", 3),
+        (np.diag([2.0, 1.0, 1.0]), "not_unitary", 2),
+    ], ids=["minus-one-like", "det-not-one", "not-unitary"])
+    def test_principal_branch_refusals(self, rows, code, status, capsys, monkeypatch):
+        text = doc_text(rows)
+        outs = []
+        for extra in ([], ["--branch", "0,0,0"]):
+            got, out = run_cli(["log", "-"] + extra, capsys, monkeypatch, text)
+            assert got == status
+            assert json.loads(out)["error"]["code"] == code
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("command", ["log", "factor"])
     def test_overflowing_unitarity_residual_refused(self, command, capsys, monkeypatch):

@@ -3,16 +3,18 @@
 ``reference_emit_json`` below is that writer, frozen as the
 specification: it lays out every node separately and re-tests each
 list for the one-line layout at every level.  The property test feeds
-both random nested documents and requires the same text, or the same
-exception type.
+both random nested documents, matrix documents among them, and
+requires the same text, or the same exception type.
 """
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su3kit.cli import emit_json
+from su3kit.cli import emit_json, matrix_document
+from su3kit.smallmat import ComplexMat
 
 # -- the specification ----------------------------------------------------------
 
@@ -92,8 +94,26 @@ _chars = st.one_of(
 _text = st.text(_chars, max_size=8)
 _scalars = st.one_of(st.none(), st.booleans(), _ints, _floats, _text)
 _number_list = st.lists(_numbers, max_size=4)
+
+
+@st.composite
+def _matrix_documents(draw):
+    """matrix_document of an n x n matrix, n in 1..8, half of them with one NaN or inf.
+
+    ``ComplexMat._wrap`` adopts the array unchecked, as the package
+    adopts its results, so 1 x 1 and non-finite matrices reach the writer.
+    """
+    n = draw(st.integers(1, 8))
+    values = draw(st.lists(_finite, min_size=2 * n * n, max_size=2 * n * n))
+    if draw(st.booleans()):
+        values[draw(st.integers(0, 2 * n * n - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    a = np.array(values, dtype=np.float64).view(np.complex128).reshape(n, n)
+    return matrix_document(ComplexMat._wrap(a))
+
+
 _leaves = st.one_of(_scalars, _number_list, st.lists(_number_list, max_size=3),
-                    st.lists(_number_list, max_size=3).map(tuple))
+                    st.lists(_number_list, max_size=3).map(tuple), _matrix_documents())
 
 
 def _extend(children):
@@ -118,6 +138,14 @@ def _outcome(emit, doc, indent):
 @settings(max_examples=300, deadline=None, database=None)
 @given(documents, st.integers(0, 3))
 def test_same_bytes_as_reference(doc, indent):
+    assert _outcome(emit_json, doc, indent) == _outcome(reference_emit_json, doc, indent)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_matrix_documents(), st.integers(0, 3))
+def test_matrix_document_same_bytes_as_reference(doc, indent):
+    # the nested documents above draw few matrix documents; these pin
+    # the template on its own
     assert _outcome(emit_json, doc, indent) == _outcome(reference_emit_json, doc, indent)
 
 

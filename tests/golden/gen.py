@@ -66,6 +66,9 @@ B_EXAMPLE = np.diag([0.3j, -0.1j, -0.2j])
 HALF_TURN = np.array([[0, 1j * np.pi, 0], [1j * np.pi, 0, 0], [0, 0, 0]])
 U_QUARTER = np.diag([1j, -1j, 1.0])
 HAAR42 = random_group(42).mat.array
+# a seeded, well-conditioned, non-diagonal 7x7 complex matrix: its parts
+# and commutators carry rounding, unlike the diagonal --nxn fixture's
+NXN_GENERAL = np.random.default_rng(19).standard_normal((7, 7, 2)).view(np.complex128)[..., 0]
 SQRT3_PI = math.sqrt(3.0) * math.pi
 
 
@@ -83,6 +86,15 @@ def v_decompose_zero(out):
 def v_decompose_nxn(out):
     want = np.diag([-2.0, 2.0, 2.0, 2.0])
     assert min(np.linalg.norm(mat_of(p) - want) for p in out["parts"]) < 1e-12
+
+
+def v_decompose_nxn_general(out):
+    parts = [mat_of(p) for p in out["parts"]]
+    assert len(parts) == 7
+    assert np.linalg.norm(sum(parts) - NXN_GENERAL) < 1e-12
+    assert out["max_commutator"] < 1e-12
+    for p, lam in zip(parts, out["lambdas"]):
+        assert np.linalg.norm(p @ p - complex(*lam) * np.eye(7)) < 1e-12
 
 
 def v_exp_zero(out):
@@ -165,6 +177,8 @@ FIXTURES = [
      doc(np.diag([1.0, 2.0, -3.0])), 2, error_code("invalid_algebra_element")),
     ("decompose-nxn-diag", ["decompose", "-", "--nxn"],
      doc(np.diag([1.0, 2.0, 3.0, 4.0])), 0, v_decompose_nxn),
+    ("decompose-nxn-general", ["decompose", "-", "--nxn"],
+     doc(NXN_GENERAL), 0, v_decompose_nxn_general),
     ("exp-zero", ["exp", "-"], doc(np.zeros((3, 3))), 0, v_exp_zero),
     ("exp-half-turn", ["exp", "-"], doc(HALF_TURN), 0, v_exp_half_turn),
     ("exp-both-example", ["exp", "-", "--method", "both"],

@@ -14,6 +14,13 @@ An unreadable document (not UTF-8, nested too deeply, a number too
 large for a double) and an invalid --tol-override value are invalid
 input.
 
+A matrix document is parsed by ``json.loads`` and accepted with a few
+checks on the types and lengths of its rows, pairs and numbers over
+the whole document at once, after which its numbers become one float64
+array viewed as complex (``_entries_array``).  Only a document that
+fails them is walked entry by entry, to word the refusal of its first
+malformed row or entry (``_entries_by_entry``).
+
 A call costs little beyond its math: ``main`` builds the argument
 parser once per process, on its first call, and reuses it, and
 ``emit_json`` writes a document in one pass that visits each node once.
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -67,6 +75,45 @@ def parse_matrix_document(text: str) -> ComplexMat:
     entries = data["entries"]
     if not isinstance(entries, list) or len(entries) != n:
         raise DocumentError(f"entries must be a list of {n} rows")
+    arr = _entries_array(entries, n)
+    if arr is None:
+        arr = _entries_by_entry(entries, n)
+    meta = data.get("metadata")
+    if meta is not None and (not isinstance(meta, dict)
+                             or any(not isinstance(k, str) or not isinstance(v, str)
+                                    for k, v in meta.items())):
+        raise DocumentError("metadata must be a string-to-string map")
+    return ComplexMat(arr)
+
+
+def _entries_array(entries: list, n: int) -> np.ndarray | None:
+    """The n x n complex array of well-formed entries; None if any entry is not.
+
+    json.loads builds exact lists, ints and floats, so exact type tests
+    accept what ``_entries_by_entry`` accepts and no more (bools, strings
+    and null fail them).  Each number becomes the double complex() would
+    make of it; an int too large for one is left to ``_entries_by_entry``.
+    """
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {n}:
+        return None
+    pairs = list(itertools.chain.from_iterable(entries))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    flat = list(itertools.chain.from_iterable(pairs))
+    if not set(map(type, flat)) <= {float, int}:
+        return None
+    try:
+        return np.array(flat, dtype=np.float64).view(np.complex128).reshape(n, n)
+    except OverflowError:
+        return None
+
+
+def _entries_by_entry(entries: list, n: int) -> list[list[complex]]:
+    """The rows of entries, checked one entry at a time in row order.
+
+    It runs only where ``_entries_array`` declined, so its job is to
+    word the refusal of the first malformed row or entry.
+    """
     rows = []
     for r, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != n:
@@ -83,12 +130,7 @@ def parse_matrix_document(text: str) -> ComplexMat:
             except OverflowError as exc:
                 raise DocumentError(f"entry ({r},{c}) is too large for a double") from exc
         rows.append(out)
-    meta = data.get("metadata")
-    if meta is not None and (not isinstance(meta, dict)
-                             or any(not isinstance(k, str) or not isinstance(v, str)
-                                    for k, v in meta.items())):
-        raise DocumentError("metadata must be a string-to-string map")
-    return ComplexMat(rows)
+    return rows
 
 
 class _MatrixDocument(dict):
@@ -103,9 +145,12 @@ class _MatrixDocument(dict):
 
 
 def matrix_document(m: ComplexMat) -> dict:
-    rows = [[[z.real, z.imag] for z in row] for row in m.array.tolist()]
-    doc = _MatrixDocument(n=m.n, entries=rows)
-    doc.floats = tuple([v for row in rows for pair in row for v in pair])
+    n = m.n
+    flat = m.array.ravel().view(np.float64).tolist()
+    halves = iter(flat)
+    pairs = list(map(list, zip(halves, halves)))
+    doc = _MatrixDocument(n=n, entries=[pairs[k:k + n] for k in range(0, n * n, n)])
+    doc.floats = tuple(flat)
     return doc
 
 

@@ -22,7 +22,10 @@ returns the part coefficients with the eigenvectors and their inverse,
 from the normal 3x3 kernel when the input is a normal 3x3
 matrix (the one normality test decides) and from the general kernel
 otherwise.  ``_decompose`` builds the ``SimplePart`` objects from it for
-both ``decompose_via_eigen`` and ``decompose_nxn``.  The closed form
+both ``decompose_via_eigen`` and ``decompose_nxn``: all n parts as one
+stacked (n, n, n) array, and their su(3) units as one more, each under
+one finiteness check, wrapped as views.  ``max_commutator_residual``
+likewise forms every product of two parts in one stacked matmul.  The closed form
 runs on arrays too, and both routes give an su(3) part its angle and
 direction through ``_su3_part``.  The one real cubic solver,
 ``_cubic_roots``, serves ``lambda_roots`` and ``expmap.exp_su3``, which
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -122,13 +126,35 @@ class InvariantDecomposition:
 
     @np.errstate(over="ignore", invalid="ignore")
     def max_commutator_residual(self) -> float:
-        worst = 0.0
-        arrs = [p.mat.array for p in self.parts]
-        for i in range(len(arrs)):
-            for j in range(i + 1, len(arrs)):
-                x, y = arrs[i], arrs[j]
-                worst = max(worst, _residual_norm(x @ y - y @ x))
-        return worst
+        """The largest Frobenius norm of [b_i, b_j] over the pairs i < j.
+
+        All products b_i b_j come from one stacked matmul, and row k of
+        ``d`` is the commutator of the k-th pair, flattened.  Each row's
+        squared norm is ``_fro``'s sum, re.re + im.im, from the same dot
+        (a (1, n^2) @ (n^2, 1) matmul per row), so sqrt of the largest
+        equals the largest of the per-pair norms bit for bit.  Where it
+        is not finite, the first such pair is refused by
+        ``_residual_norm``, as it would be on its own.
+        """
+        m = len(self.parts)
+        if m < 2:
+            return 0.0
+        a = np.stack([p.mat.array for p in self.parts])
+        prod = a[:, None] @ a
+        i, j = _pairs(m)
+        d = (prod[i, j] - prod[j, i]).reshape(len(i), -1)
+        re, im = d.real, d.imag
+        sq = (re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]).ravel()
+        worst = sq.max()
+        if not math.isfinite(worst):
+            _residual_norm(d[np.flatnonzero(~np.isfinite(sq))[0]])
+        return math.sqrt(worst)
+
+
+@functools.cache
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j of m parts, in row-major order."""
+    return np.triu_indices(m, 1)
 
 
 def _residual_norm(a: np.ndarray) -> float:
@@ -195,8 +221,8 @@ def _eigen_parts(
 ) -> tuple[list[complex], np.ndarray, np.ndarray]:
     """Part coefficients, eigenvectors (columns) and their inverse for an n x n array.
 
-    ``nrm`` is ``_finite_norm(arr)``.  Part i is
-    ``_part_array(coefs[i], vectors, inverse, i)`` with coefficient
+    ``nrm`` is ``_finite_norm(arr)``.  Part i is coefs[i] times the
+    involution 2 v[:, i] inverse[i, :] - 1, with coefficient
     (alpha_i - tr/(n - 2))/2.  A normal 3x3 input goes through the
     normal 3x3 kernel, everything else through the general
     one; NotDiagonalizable propagates from the latter.
@@ -210,11 +236,6 @@ def _eigen_parts(
     # dividing a complex by 1 can flip the sign of a zero
     shift = t if n == 3 else t / (n - 2)
     return [(complex(x) - shift) / 2.0 for x in values], v, vinv
-
-
-def _part_array(coef: complex, v: np.ndarray, vinv: np.ndarray, i: int) -> np.ndarray:
-    """coef times the involution that is +1 on eigendirection i, -1 on the others."""
-    return coef * (2.0 * np.outer(v[:, i], vinv[i, :]) - _EYES[v.shape[0]])
 
 
 def _su3_part(mat: ComplexMat, lam: float, tol: Tolerances) -> SimplePart:
@@ -239,13 +260,25 @@ def _decompose(b, m: ComplexMat, tol: Tolerances) -> tuple[SimplePart, ...]:
     nrm = _finite_norm(arr)
     su3 = isinstance(b, AlgebraElement) or (m.n == 3 and _su3_problem(arr, nrm, tol) is None)
     coefs, v, vinv = _eigen_parts(arr, nrm, tol)
-    parts = []
-    for i, coef in enumerate(coefs):
-        mat = _finite_mat(_part_array(coef, v, vinv, i))
-        lam = coef * coef
-        parts.append(_su3_part(mat, lam.real, tol) if su3
-                     else SimplePart._wrap(mat, lam, None, None))
-    return tuple(parts)
+    # part i is coef_i times the involution that is +1 on eigendirection i
+    # and -1 on the others: the outer products v[:, i] vinv[i, :], stacked
+    mats = np.array(coefs)[:, None, None] * (
+        2.0 * (v.T[:, :, None] * vinv[:, None, :]) - _EYES[m.n])
+    _require_finite(mats)
+    lams = [coef * coef for coef in coefs]
+    if not su3:
+        return tuple(SimplePart._wrap(ComplexMat._wrap(x), lam, None, None)
+                     for x, lam in zip(mats, lams))
+    # beta = sqrt(-lam) for the real lam; the unit direction mat / beta
+    # is None below beta_zero_tol, where it is 0/0 (its factor 0 here)
+    betas = [math.sqrt(-lam.real) if lam.real < 0.0 else 0.0 for lam in lams]
+    scales = [complex(1.0 / beta) if beta >= tol.beta_zero_tol else 0j for beta in betas]
+    units = mats * np.array(scales)[:, None, None]
+    _require_finite(units)
+    return tuple(
+        SimplePart._wrap(ComplexMat._wrap(x), complex(lam.real), beta,
+                         ComplexMat._wrap(u) if beta >= tol.beta_zero_tol else None)
+        for x, u, lam, beta in zip(mats, units, lams, betas))
 
 
 def decompose_via_eigen(b, tol: Tolerances = DEFAULT_TOL) -> InvariantDecomposition:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, NotUnitary
+from .errors import InputError, NotUnitary, Overflow
 from .expmap import GroupElement
 from .invdec import AlgebraElement
 from .gellmann import LAMBDAS
@@ -22,6 +22,12 @@ from .smallmat import ComplexMat, _as_mat, eigen_general
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _TAYLOR_ORDER = 18
+# Squaring s times multiplies the series' rounding by about 2^s, which
+# is about the norm: an su(3) argument comes back off by up to about
+# 3 ||b|| eps, by order one near norm 1e16, and from about 1e17 the
+# squarings run to inf or to zero.  At 2^26 = eps^(-1/2) about half the
+# digits hold.
+EXP_NORM_MAX = 2.0**26
 
 
 def _check_seed(seed: int) -> int:
@@ -37,11 +43,18 @@ def exp_reference(b) -> ComplexMat:
     The argument is halved until its Frobenius norm is at most 0.5,
     a degree-18 Taylor polynomial is evaluated by Horner's scheme
     (remainder below 1e-22 at that norm), and the result is squared
-    back up.
+    back up.  Above a Frobenius norm of ``EXP_NORM_MAX`` the squarings
+    cannot give an accurate result, and the argument is refused as
+    Overflow before the series runs.
     """
     arr = _as_mat(b).array
     n = arr.shape[0]
-    nrm = float(np.linalg.norm(arr))
+    # the squared norm of entries near 1e154 and above overflows
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(arr))
+    if not nrm <= EXP_NORM_MAX:
+        raise Overflow(f"norm {nrm:.3e} exceeds the reference exponential's limit "
+                       f"{EXP_NORM_MAX:.3e}: its squarings would not be accurate")
     squarings = max(0, math.ceil(math.log2(nrm / 0.5))) if nrm > 0.5 else 0
     t = arr / (2.0**squarings)
     eye = np.eye(n)

@@ -292,7 +292,7 @@ class EigenSystem:
     inverse_vectors: ComplexMat
 
 
-def _order_indices(values: np.ndarray) -> list[int]:
+def _order_indices(values: Sequence[complex]) -> list[int]:
     # imag descending, ties by real descending, ties by modulus descending
     return sorted(
         range(len(values)),
@@ -573,7 +573,11 @@ def _eigen_general(arr: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.nda
     nrm = _finite_norm(arr)
     w, v = np.linalg.eig(arr)
 
-    idx = _order_indices(w)
+    # ordered and clustered on Python complex values: the numpy scalars'
+    # values, and abs is hypot in both, without numpy's per-scalar cost
+    values = w.tolist()
+    idx = _order_indices(values)
+    values = [values[i] for i in idx]
     w = w[idx]
     v = v[:, idx].copy()
 
@@ -589,7 +593,7 @@ def _eigen_general(arr: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.nda
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(w[i] - w[j]) < gap:
+            if abs(values[i] - values[j]) < gap:
                 parent[find(j)] = find(i)
     clusters: dict[int, list[int]] = {}
     for i in range(n):

@@ -1,5 +1,6 @@
 """CLI: document parsing, JSON emission, subcommands, exit codes."""
 
+import hashlib
 import io
 import json
 import math
@@ -9,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su3kit import cli, expmap, factorlog, invdec
 from su3kit.cli import (
@@ -17,7 +20,7 @@ from su3kit.cli import (
     matrix_document,
     parse_matrix_document,
 )
-from su3kit.errors import DocumentError
+from su3kit.errors import DocumentError, Su3KitError
 from su3kit.factorlog import LogBranch, branch_log, factorize, principal_log
 from su3kit.oracle import exp_reference, random_algebra, random_group
 from su3kit.smallmat import ComplexMat
@@ -100,6 +103,138 @@ class TestParseDocument:
     def test_malformed_refused(self, text):
         with pytest.raises(DocumentError):
             parse_matrix_document(text)
+
+
+def _frozen_parse_matrix_document(text: str) -> ComplexMat:
+    """parse_matrix_document as it was before its entries were checked in bulk, verbatim."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"input is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("input nests too deeply to parse") from exc
+    if not isinstance(data, dict):
+        raise DocumentError("matrix document must be a JSON object")
+    for key in ("n", "entries"):
+        if key not in data:
+            raise DocumentError(f"matrix document lacks the {key!r} field")
+    n = data["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise DocumentError(f"n must be a positive integer, got {n!r}")
+    entries = data["entries"]
+    if not isinstance(entries, list) or len(entries) != n:
+        raise DocumentError(f"entries must be a list of {n} rows")
+    rows = []
+    for r, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != n:
+            raise DocumentError(f"row {r} must be a list of {n} entries")
+        out = []
+        for c, pair in enumerate(row):
+            if (not isinstance(pair, list) or len(pair) != 2
+                    or any(isinstance(v, bool) or not isinstance(v, (int, float))
+                           for v in pair)):
+                raise DocumentError(
+                    f"entry ({r},{c}) must be a [re, im] pair of numbers")
+            try:
+                out.append(complex(pair[0], pair[1]))
+            except OverflowError as exc:
+                raise DocumentError(f"entry ({r},{c}) is too large for a double") from exc
+        rows.append(out)
+    meta = data.get("metadata")
+    if meta is not None and (not isinstance(meta, dict)
+                             or any(not isinstance(k, str) or not isinstance(v, str)
+                                    for k, v in meta.items())):
+        raise DocumentError("metadata must be a string-to-string map")
+    return ComplexMat(rows)
+
+
+class _Raw(str):
+    """JSON text written into a document as it is: NaN, Infinity, 1e400, -0."""
+
+
+def _json_text(x) -> str:
+    if isinstance(x, _Raw):
+        return str(x)
+    if isinstance(x, list):
+        return "[" + ", ".join(map(_json_text, x)) + "]"
+    if isinstance(x, dict):
+        return "{" + ", ".join(json.dumps(k) + ": " + _json_text(v) for k, v in x.items()) + "}"
+    return json.dumps(x)
+
+
+_PARSE_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308,
+                      -1e308, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+_good_numbers = st.one_of(
+    st.sampled_from(_PARSE_EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10, 10),
+    st.sampled_from([2**53 + 1, 2**63, 2**64 + 1, 2**1000, -(2**1000)]),
+    st.sampled_from([_Raw("-0"), _Raw("1E5"), _Raw("-0.0e-0")]),
+)
+_bad_values = st.one_of(
+    st.sampled_from([10**400, -(10**400), _Raw("1e400"), _Raw("-1e400"), _Raw("NaN"),
+                     _Raw("Infinity"), _Raw("-Infinity"), True, False, None, "1", "",
+                     [1, 2], [], {}]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _parse_documents(draw):
+    """Matrix document text, n = 1..9: well formed, or with up to three flaws."""
+    n = draw(st.integers(1, 9))
+    flat = draw(st.lists(_good_numbers, min_size=2 * n * n, max_size=2 * n * n))
+    rows = [[flat[2 * (r * n + c):2 * (r * n + c) + 2] for c in range(n)] for r in range(n)]
+    doc = {"n": n, "entries": rows}
+    # value and pair flaws first, while every row still holds n pairs
+    for flaw in sorted(draw(st.lists(st.integers(0, 5), max_size=3))):
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if flaw == 0:
+            rows[r][c][draw(st.integers(0, 1))] = draw(_bad_values)
+        elif flaw == 1:
+            rows[r][c] = draw(st.one_of(st.lists(_good_numbers, max_size=4), _bad_values))
+        elif flaw == 2:
+            rows[r] = draw(st.one_of(_bad_values, st.lists(st.just([0, 0]), max_size=n + 1)))
+        elif flaw == 3:
+            rows.append([[0, 0]] * n) if draw(st.booleans()) else rows.pop()
+        elif flaw == 4:
+            doc["n"] = draw(st.sampled_from([n - 1, n + 1, 0, True, str(n), float(n), None]))
+        else:
+            doc["metadata"] = draw(st.sampled_from([{"k": 3}, "free", [], {"k": None}]))
+    if "metadata" not in doc and draw(st.booleans()):
+        doc["metadata"] = draw(st.sampled_from([{}, {"source": "test"}]))
+    return _json_text(doc)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return "ok", parse(text).array.tobytes()
+    except Su3KitError as exc:
+        return type(exc).__name__, exc.code, str(exc)
+
+
+class TestParseAgainstFrozenCopy:
+    """parse_matrix_document keeps the bits and the refusals of its per-entry form."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_parse_documents())
+    def test_same_array_or_same_refusal(self, text):
+        want = _parse_outcome(_frozen_parse_matrix_document, text)
+        assert _parse_outcome(parse_matrix_document, text) == want
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 2, "entries": [[[1, 0], [2, 0]], [[3, 0], [1e400, 0]]]}',
+        '{"n": 2, "entries": [[[1, 0], [2, 0]], [[3, 0], [4, NaN]]]}',
+        '{"n": 2, "entries": [[[1, 0], [2, 0]], [[true, 0], [4, 0]]]}',
+        '{"n": 2, "entries": [[[1, 0], [2, 0]], [[3, 0]]]}',
+        '{"n": 2, "entries": [[[1, 0], [2, 0, 0]], [[3, 0], ' + str(10**400) + ']]}',
+        '{"n": 2, "entries": [[[-0, -0.0], [2, 0]], [[3, 0], [4, 0]]], "metadata": {"k": 3}}',
+        '{"n": 9, "entries": [' + ", ".join(["[" + ", ".join(["[1, 0]"] * 9) + "]"] * 9) + ']}',
+        '{"n": 1, "entries": [[[' + str(2**1000) + ', 0]]]}',
+    ])
+    def test_edge_documents(self, text):
+        assert _parse_outcome(parse_matrix_document, text) == \
+            _parse_outcome(_frozen_parse_matrix_document, text)
 
 
 class TestEmitJson:
@@ -332,6 +467,30 @@ class TestExp:
         code, out = run_cli(argv, capsys, monkeypatch, doc_text(b))
         assert code == 3
         assert json.loads(out)["error"]["code"] == "overflow"
+
+
+    @pytest.mark.parametrize("method", ["reference", "both"])
+    @pytest.mark.parametrize("scale", [1e20, 1e92, 1e145])
+    def test_reference_refuses_a_norm_its_squarings_cannot_take(self, scale, method,
+                                                                 capsys, monkeypatch):
+        # the series' squarings overflowed (non_finite_entries, with
+        # RuntimeWarnings) or underflowed to an all-zero "u"
+        text = doc_text(scale * random_algebra(3).mat.array)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run_cli(["exp", "-", "--method", method], capsys, monkeypatch, text)
+        assert code == 3
+        assert json.loads(out)["error"]["code"] == "overflow"
+
+    @pytest.mark.parametrize("method, digest", [
+        ("reference", "1d87d7d8e99a0d6c45caf350191e1ecf5b4dbfc1648fc69a707bf9b3c6bd3d44"),
+        ("both", "d2dac43b6e660b612ae845de55816ef141347a4e2474c03da63ae04fd6ebccea"),
+    ])
+    def test_reference_below_its_limit_unchanged(self, method, digest, capsys, monkeypatch):
+        text = doc_text(1e5 * random_algebra(3).mat.array)
+        code, out = run_cli(["exp", "-", "--method", method], capsys, monkeypatch, text)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestLog:

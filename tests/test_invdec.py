@@ -1,5 +1,6 @@
 """Invariant decomposition: frozen examples and property sweeps."""
 
+import math
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from su3kit.invdec import (
 from su3kit.expmap import exp_su3
 from su3kit.oracle import compare, exp_reference, random_algebra
 from su3kit.smallmat import ComplexMat, _det3, commutator, eigen_general, scalar_residual
+from su3kit.tolerances import DEFAULT_TOL
 
 
 def _diag(*vals):
@@ -260,6 +262,51 @@ class TestArrayResiduals:
         dec = decompose_via_eigen(random_algebra(seed))
         assert dec.sum_residual().hex() == _complexmat_sum_residual(dec).hex()
         assert dec.max_commutator_residual().hex() == _complexmat_max_commutator(dec).hex()
+
+    @pytest.mark.parametrize("b", [
+        *(random_algebra(seed) for seed in range(6)),
+        # a part whose beta (5e-15) is below beta_zero_tol, and one that vanishes
+        np.diag([1j, -1j + 1e-14j, -1e-14j]),
+        np.diag([0.3j, -0.3j, 0.0]),
+    ])
+    def test_su3_units_same_bits(self, b):
+        parts = decompose_via_eigen(b).parts
+        assert any(p.unit is not None for p in parts)
+        for p in parts:
+            assert p.lam.imag == 0.0 and p.beta == math.sqrt(max(0.0, -p.lam.real))
+            if p.beta < DEFAULT_TOL.beta_zero_tol:
+                assert p.unit is None
+            else:
+                assert p.unit.array.tobytes() == (p.mat * complex(1.0 / p.beta)).array.tobytes()
+        if isinstance(b, np.ndarray):
+            assert [p.unit is None for p in parts].count(True) == 1
+
+    def test_overflowing_commutator_norm_refused(self):
+        # finite parts whose commutator is finite but whose squared norm
+        # overflows: the ComplexMat arithmetic returns inf, the array way
+        # refuses it as Overflow
+        x = ComplexMat([[1e160, 0], [0, 0]])
+        y = ComplexMat([[0, 1], [0, 0]])
+        parts = tuple(SimplePart(mat=p, lam=0j, beta=None, unit=None) for p in (x, y))
+        dec = InvariantDecomposition(parts=parts, source=ComplexMat.zeros(2))
+        with np.errstate(over="ignore"):
+            assert _complexmat_max_commutator(dec) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(Overflow):
+                dec.max_commutator_residual()
+
+    def test_first_failing_pair_decides_the_refusal(self):
+        # [a, b] overflows only its norm, [a, c] has an inf entry: pairs
+        # are judged in the order (0, 1), (0, 2), (1, 2)
+        a = ComplexMat([[1e160, 0], [0, 0]])
+        b = ComplexMat([[0, 1], [0, 0]])
+        c = ComplexMat([[0, 0], [1e300, 0]])
+        for order, error in (((a, b, c), Overflow), ((a, c, b), NonFiniteEntries)):
+            parts = tuple(SimplePart(mat=p, lam=0j, beta=None, unit=None) for p in order)
+            dec = InvariantDecomposition(parts=parts, source=ComplexMat.zeros(2))
+            with pytest.raises(error):
+                dec.max_commutator_residual()
 
     def test_overflowing_residuals_refused(self):
         # finite parts whose sum and products overflow: refused as the

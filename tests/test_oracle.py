@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from su3kit import smallmat
-from su3kit.errors import InputError, NotUnitary
+from su3kit.errors import InputError, NotUnitary, Overflow
 from su3kit.oracle import (
+    EXP_NORM_MAX,
     compare,
     exp_reference,
     log_reference,
@@ -50,6 +51,21 @@ class TestExpReference:
         scipy_linalg = pytest.importorskip("scipy.linalg")
         want = scipy_linalg.expm(a.array)
         assert np.linalg.norm(exp_reference(a).array - want) < 1e-11
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_norm_limit(self, seed):
+        # just under EXP_NORM_MAX the result is off by a few ||b|| eps, about
+        # half its digits; just over, and up to norms whose square
+        # overflows, it is refused before the series runs, with no warning
+        b = random_algebra(seed).mat.array
+        unit = b / np.linalg.norm(b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            u = exp_reference(unit * (0.99 * EXP_NORM_MAX)).array
+            assert np.linalg.norm(u.conj().T @ u - np.eye(3)) < 8.0 * EXP_NORM_MAX * smallmat._EPS
+            for scale in (1.01 * EXP_NORM_MAX, 1e20, 1e92, 1e145, 1e200):
+                with pytest.raises(Overflow):
+                    exp_reference(unit * scale)
 
     def test_deterministic(self):
         b = random_algebra(7).mat

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -128,33 +127,29 @@ class InvariantDecomposition:
     def max_commutator_residual(self) -> float:
         """The largest Frobenius norm of [b_i, b_j] over the pairs i < j.
 
-        All products b_i b_j come from one stacked matmul, and row k of
-        ``d`` is the commutator of the k-th pair, flattened.  Each row's
-        squared norm is ``_fro``'s sum, re.re + im.im, from the same dot
-        (a (1, n^2) @ (n^2, 1) matmul per row), so sqrt of the largest
-        equals the largest of the per-pair norms bit for bit.  Where it
-        is not finite, the first such pair is refused by
-        ``_residual_norm``, as it would be on its own.
+        All products b_i b_j come from one stacked matmul; row i m + j of
+        ``d`` is [b_i, b_j], flattened, and ``sq`` holds each row's squared
+        norm as ``_fro`` sums it, re.re + im.im from the same dots.  Since
+        [b_j, b_i] = -[b_i, b_j] exactly, sq is symmetric: its largest entry
+        is the largest pair's, so sqrt of it is the largest per-pair norm
+        bit for bit, and its first non-finite entry in row order is that of
+        the first pair i < j, which ``_residual_norm`` refuses as it would
+        alone.
         """
         m = len(self.parts)
         if m < 2:
             return 0.0
         a = np.stack([p.mat.array for p in self.parts])
         prod = a[:, None] @ a
-        i, j = _pairs(m)
-        d = (prod[i, j] - prod[j, i]).reshape(len(i), -1)
+        d = (prod - prod.swapaxes(0, 1)).reshape(m * m, -1)
         re, im = d.real, d.imag
         sq = (re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]).ravel()
+        # row i m + i is [b_i, b_i]: 0, or NaN where b_i^2 overflowed, which no pair sees
+        sq[:: m + 1] = 0.0
         worst = sq.max()
         if not math.isfinite(worst):
             _residual_norm(d[np.flatnonzero(~np.isfinite(sq))[0]])
         return math.sqrt(worst)
-
-
-@functools.cache
-def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs i < j of m parts, in row-major order."""
-    return np.triu_indices(m, 1)
 
 
 def _residual_norm(a: np.ndarray) -> float:

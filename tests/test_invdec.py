@@ -296,6 +296,15 @@ class TestArrayResiduals:
             with pytest.raises(Overflow):
                 dec.max_commutator_residual()
 
+    def test_overflowing_square_of_a_part_is_no_pair(self):
+        # a @ a overflows, but no commutator does: the stacked products hold
+        # [a, a] = inf - inf, which is no pair and must not be refused
+        a = ComplexMat([[1e200, 0], [0, 0]])
+        b = ComplexMat([[0, 1e-100], [0, 0]])
+        parts = tuple(SimplePart(mat=p, lam=0j, beta=None, unit=None) for p in (a, b))
+        dec = InvariantDecomposition(parts=parts, source=ComplexMat.zeros(2))
+        assert dec.max_commutator_residual() == _complexmat_max_commutator(dec) == 1e100
+
     def test_first_failing_pair_decides_the_refusal(self):
         # [a, b] overflows only its norm, [a, c] has an inf entry: pairs
         # are judged in the order (0, 1), (0, 2), (1, 2)

@@ -25,9 +25,10 @@ otherwise.  ``_decompose`` builds the ``SimplePart`` objects from it for
 both ``decompose_via_eigen`` and ``decompose_nxn``: all n parts as one
 stacked (n, n, n) array, and their su(3) units as one more, each under
 one finiteness check, wrapped as views.  ``max_commutator_residual``
-likewise forms every product of two parts in one stacked matmul.  The closed form
-runs on arrays too, and both routes give an su(3) part its angle and
-direction through ``_su3_part``.  The one real cubic solver,
+likewise forms every product of two parts in one stacked matmul.  The
+closed form runs on arrays too, and gives each su(3) part its angle and
+direction through ``_su3_part``, by the rule ``_decompose`` applies to
+all parts at once.  The one real cubic solver,
 ``_cubic_roots``, serves ``lambda_roots`` and ``expmap.exp_su3``, which
 needs the roots only and no part; ``_complex_cubic_roots``, Cardano's
 formula for complex coefficients, serves ``factorlog``'s closed-form

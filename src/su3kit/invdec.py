@@ -26,9 +26,9 @@ both ``decompose_via_eigen`` and ``decompose_nxn``: all n parts as one
 stacked (n, n, n) array, and their su(3) units as one more, each under
 one finiteness check, wrapped as views.  ``max_commutator_residual``
 likewise forms every product of two parts in one stacked matmul.  The
-closed form runs on arrays too, and gives each su(3) part its angle and
-direction through ``_su3_part``, by the rule ``_decompose`` applies to
-all parts at once.  The one real cubic solver,
+closed form runs on arrays too, and both routes give the su(3) parts
+their angles and directions through ``_su3_parts``, in one stacked
+product.  The one real cubic solver,
 ``_cubic_roots``, serves ``lambda_roots`` and ``expmap.exp_su3``, which
 needs the roots only and no part; ``_complex_cubic_roots``, Cardano's
 formula for complex coefficients, serves ``factorlog``'s closed-form
@@ -59,7 +59,6 @@ from .smallmat import (
     _det3,
     _eigen_general,
     _eigen_normal3,
-    _finite_mat,
     _finite_norm,
     _inverse,
     _fro,
@@ -234,15 +233,23 @@ def _eigen_parts(
     return [(complex(x) - shift) / 2.0 for x in values], v, vinv
 
 
-def _su3_part(mat: ComplexMat, lam: float, tol: Tolerances) -> SimplePart:
-    """The part of an su(3) element whose matrix is mat and whose real lambda is lam.
+def _su3_parts(mats: np.ndarray, lams: list[float], tol: Tolerances) -> tuple[SimplePart, ...]:
+    """The parts of an su(3) element from their stacked, finite matrices and real lambdas.
 
-    beta = sqrt(-lam), and the unit direction mat / beta is None when
-    beta is below beta_zero_tol, where it is 0/0.
+    beta = sqrt(-lam), and the unit direction mat / beta, one stacked
+    product under one finiteness check, is None where beta is below
+    beta_zero_tol, where it is 0/0 (its factor is 0 there).  Parts and
+    units are views of the stacks.
     """
-    beta = math.sqrt(-lam) if lam < 0.0 else 0.0
-    unit = _finite_mat(mat.array * complex(1.0 / beta)) if beta >= tol.beta_zero_tol else None
-    return SimplePart._wrap(mat, complex(lam), beta, unit)
+    betas = [math.sqrt(-lam) if lam < 0.0 else 0.0 for lam in lams]
+    directed = [beta >= tol.beta_zero_tol for beta in betas]
+    scales = [complex(1.0 / beta) if d else 0j for beta, d in zip(betas, directed)]
+    units = mats * np.array(scales)[:, None, None]
+    _require_finite(units)
+    return tuple(
+        SimplePart._wrap(ComplexMat._wrap(x), complex(lam), beta,
+                         ComplexMat._wrap(u) if d else None)
+        for x, u, lam, beta, d in zip(mats, units, lams, betas, directed))
 
 
 def _decompose(b, m: ComplexMat, tol: Tolerances) -> tuple[SimplePart, ...]:
@@ -250,7 +257,8 @@ def _decompose(b, m: ComplexMat, tol: Tolerances) -> tuple[SimplePart, ...]:
 
     The parts carry an angle and a direction when m is an su(3)
     element: b is an AlgebraElement, or a 3x3 m passes ``_su3_problem``.
-    Each part is wrapped once, after one finiteness check.
+    All parts come from one stacked product under one finiteness check,
+    and each is a view of it.
     """
     arr = m.array
     nrm = _finite_norm(arr)
@@ -262,19 +270,10 @@ def _decompose(b, m: ComplexMat, tol: Tolerances) -> tuple[SimplePart, ...]:
         2.0 * (v.T[:, :, None] * vinv[:, None, :]) - _EYES[m.n])
     _require_finite(mats)
     lams = [coef * coef for coef in coefs]
-    if not su3:
-        return tuple(SimplePart._wrap(ComplexMat._wrap(x), lam, None, None)
-                     for x, lam in zip(mats, lams))
-    # beta = sqrt(-lam) for the real lam; the unit direction mat / beta
-    # is None below beta_zero_tol, where it is 0/0 (its factor 0 here)
-    betas = [math.sqrt(-lam.real) if lam.real < 0.0 else 0.0 for lam in lams]
-    scales = [complex(1.0 / beta) if beta >= tol.beta_zero_tol else 0j for beta in betas]
-    units = mats * np.array(scales)[:, None, None]
-    _require_finite(units)
-    return tuple(
-        SimplePart._wrap(ComplexMat._wrap(x), complex(lam.real), beta,
-                         ComplexMat._wrap(u) if beta >= tol.beta_zero_tol else None)
-        for x, u, lam, beta in zip(mats, units, lams, betas))
+    if su3:
+        return _su3_parts(mats, [lam.real for lam in lams], tol)
+    return tuple(SimplePart._wrap(ComplexMat._wrap(x), lam, None, None)
+                 for x, lam in zip(mats, lams))
 
 
 def decompose_via_eigen(b, tol: Tolerances = DEFAULT_TOL) -> InvariantDecomposition:
@@ -410,16 +409,17 @@ def decompose_closed_form(b, lambdas, tol: Tolerances = DEFAULT_TOL) -> Invarian
     det = _det3(arr)
     sq = arr @ arr
     dev = sq - (0.25 * np.trace(sq)) * _EYES[3]
-    parts = []
+    mats = np.empty((3, 3, 3), dtype=np.complex128)
     # overflowing entries are refused below, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for lam in lams:
+        for i, lam in enumerate(lams):
             num = arr + (det / (8.0 * lam)) * _EYES[3]
             den = _EYE3 + dev * complex(1.0 / (2.0 * lam))
             # checked here: the inverse would report a non-finite den as Singular
             _require_finite(num)
             _require_finite(den)
             raw = num @ _inverse(den, tol)
-            mat = _finite_mat((raw - raw.conj().T) * complex(0.5))
-            parts.append(_su3_part(mat, lam, tol))
-    return InvariantDecomposition(parts=tuple(parts), source=m)
+            mats[i] = (raw - raw.conj().T) * complex(0.5)
+            _require_finite(mats[i])
+        parts = _su3_parts(mats, lams, tol)
+    return InvariantDecomposition(parts=parts, source=m)

@@ -1,5 +1,6 @@
 """CLI: document parsing, JSON emission, subcommands, exit codes."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -854,3 +855,82 @@ class TestStability:
             capture_output=True, text=True)
         assert r.returncode == 0
         assert json.loads(r.stdout)["a"] == 2
+
+
+# every document subcommand with each of its flags; --tol-override is drawn apart
+_DOCUMENT_ARGVS = [
+    ["decompose"], ["decompose", "--nxn"], ["decompose", "--require-su3"],
+    ["decompose", "--nxn", "--require-su3"],
+    ["exp"], ["exp", "--method", "reference"], ["exp", "--method", "both"],
+    ["log"], ["log", "--method", "reference"], ["log", "--branch", "1,0,-1"],
+    ["log", "--branch", "0,0,0"], ["factor"],
+]
+_CONTRACT_EDGES = [5e-324, -5e-324, 2.2250738585072014e-308, 1e154, 1.7e308, -1.7e308,
+                   math.nan, math.inf, -math.inf, 0.0, -0.0]
+# values that make a pair, a row or the document malformed
+_CONTRACT_FLAWS = [True, None, "1", [1.0], 10**400, [[0.0, 0.0]]]
+
+
+@st.composite
+def _contract_calls(draw):
+    """(argv, document text): a matrix n = 1..9 of one of three kinds at any scale.
+
+    Gaussian, special unitary or traceless skew-Hermitian, times a scale
+    from 5e-324 to 1.7e308 (entries that overflow it become inf), then up
+    to three entries set to edge values and, at times, one flaw.  Half the
+    calls are 3 x 3, and half take the kind their subcommand accepts, so
+    that results are drawn as well as refusals.
+    """
+    argv = list(draw(st.sampled_from(_DOCUMENT_ARGVS)))
+    if draw(st.integers(0, 5)) == 0:
+        argv[1:1] = ["--tol-override", draw(st.sampled_from(
+            ["eig_tol=1e-8", "grp_tol=1e-6", "alg_tol=0", "cluster_gap=0.5"]))]
+    n = draw(st.one_of(st.just(3), st.integers(1, 9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    accepted = "unitary" if argv[0] in ("log", "factor") else "algebra"
+    kind = draw(st.one_of(st.just(accepted), st.sampled_from(["gaussian", "unitary", "algebra"])))
+    if kind == "unitary":
+        z = np.linalg.qr(z)[0]
+        z = z / np.linalg.det(z) ** (1.0 / n)
+    elif kind == "algebra":
+        z = (z - z.conj().T) / 2.0
+        z = z - np.trace(z) / n * np.eye(n)
+    scale = draw(st.one_of(st.just(1.0), st.sampled_from([5e-324, 1e-300, 1e100, 1e154, 1.7e308]),
+                           st.floats(5e-324, 1.7e308)))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        flat = (z * scale).view(np.float64).ravel().tolist()
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        flat[draw(st.integers(0, 2 * n * n - 1))] = draw(st.sampled_from(_CONTRACT_EDGES))
+    entries = [[flat[2 * (r * n + c):2 * (r * n + c) + 2] for c in range(n)] for r in range(n)]
+    if draw(st.integers(0, 7)) == 0:
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        entries[r][c] = draw(st.sampled_from(_CONTRACT_FLAWS))
+    return argv + ["-"], json.dumps({"n": n, "entries": entries})
+
+
+class TestContract:
+    """Every document call exits 0, 2 or 3 with one JSON document on stdout, and warns nothing."""
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(_contract_calls())
+    def test_result_or_structured_error(self, call):
+        argv, text = call
+        out = io.StringIO()
+        stdin = sys.stdin
+        sys.stdin = io.StringIO(text)
+        try:
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+                warnings.simplefilter("error")
+                code = main(argv)
+        finally:
+            sys.stdin = stdin
+        doc = json.loads(out.getvalue())
+        assert isinstance(doc, dict)
+        if code == 0:
+            assert "error" not in doc
+        else:
+            assert code in (2, 3)
+            assert list(doc) == ["error"] and list(doc["error"]) == ["code", "message"]
+            assert isinstance(doc["error"]["code"], str)
+            assert isinstance(doc["error"]["message"], str)

@@ -727,6 +727,67 @@ class TestEigenGeneral:
         assert isinstance(eigen_general(ComplexMat.diag([1, 2])), EigenSystem)
 
 
+def _cluster_cases():
+    """Normal matrices Q diag(d) Q^H whose spectra cluster in three shapes.
+
+    g is near the cluster gap the kernel applies, cluster_gap times the
+    norm (2.8 to 4.1 here), and the offsets in imaginary part fix the
+    kernel's sort order.
+    """
+    g = DEFAULT_TOL.cluster_gap * 3.0
+    cases = {
+        # a ~ b ~ c with |a - c| >= gap, in the sort order c, x, a, b: the last
+        # pair joins a to the cluster {c, b} that an earlier pair formed
+        "transitive chain": [1.0, 1.0 + 0.7 * g - 0.1j * g, 1.0 + 1.4 * g + 0.1j * g,
+                             -2.0 + 0.05j * g, 1.0j],
+        # {a1, a2} and {b1, b2} in the sort order a1, b1, a2, b2
+        "interleaved clusters": [1.0 + 1.0j, 2.0 + (1.0 - 1e-10) * 1j, 1.0 + (1.0 - 2e-10) * 1j,
+                                 2.0 + (1.0 - 3e-10) * 1j, -1.5 - 0.5j],
+        "triple cluster": [0.5 + 1.5j, 0.5 + 1.5j + 2e-10, 0.5 + (1.5 - 2e-10) * 1j, -1.0, 1.25],
+    }
+    out = {}
+    for seed, (name, d) in enumerate(cases.items()):
+        rng = np.random.default_rng(200 + seed)
+        z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        q = np.linalg.qr(z)[0]
+        out[name] = (np.array(d), q @ np.diag(d) @ q.conj().T)
+    return out
+
+
+_CLUSTER_DIGESTS = {
+    "transitive chain": "dad0b47f2e0ca1170f267726ab9445235bc9f4cb5a387d075fd57821f4fee653",
+    "interleaved clusters": "37eed08f0b29e4c86bbf84205ca5edcc45a619fcfe7a23c5c47fb5e67e55b6fe",
+    "triple cluster": "28b89ba82dba17326d7a4aea7d320439c70659b5cb75b996be85f28bc1a29071",
+}
+
+
+@pytest.mark.skipif(_build() != _DIGEST_BUILD, reason="digests recorded with " + _DIGEST_BUILD)
+@pytest.mark.parametrize("name", list(_CLUSTER_DIGESTS))
+def test_eigen_general_cluster_bytes_pinned(name):
+    """eigen_general's clusters, Gram-Schmidt within each, bit for bit.
+
+    The first assertions check that each case has the cluster shape its
+    name says, at the gap the kernel applies to the input's norm.
+    """
+    d, a = _cluster_cases()[name]
+    gap = DEFAULT_TOL.cluster_gap * np.linalg.norm(a)
+    close = np.abs(d[:, None] - d) < gap
+    shapes = {
+        "transitive chain": close[0, 1] and close[1, 2] and not close[0, 2],
+        "interleaved clusters": close[0, 2] and close[1, 3] and not close[0, 1],
+        "triple cluster": close[:3, :3].all() and close.sum() == 9 + 2,
+    }
+    assert shapes[name]
+    es = eigen_general(a)
+    order = [int(np.argmin(np.abs(d - w))) for w in es.values]
+    if name == "transitive chain":
+        assert order == [4, 2, 3, 0, 1]
+    if name == "interleaved clusters":
+        assert order[:4] == [0, 1, 2, 3]
+    assert _sha256([np.array(es.values), es.vectors.array,
+                    es.inverse_vectors.array]) == _CLUSTER_DIGESTS[name]
+
+
 class TestScaleFree:
     """The normality test and the normal kernel run on the input scaled by 2^k
     when its norm is outside [2^-100, 2^100], and on the input itself inside."""

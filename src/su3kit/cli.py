@@ -19,7 +19,7 @@ checks on the types and lengths of its rows, pairs and numbers over
 the whole document at once, after which its numbers become one float64
 array viewed as complex (``_entries_array``).  Only a document that
 fails them is walked entry by entry, to word the refusal of its first
-malformed row or entry (``_entries_by_entry``).
+malformed row or entry (``_refuse_entries``).
 
 A call costs little beyond its math: ``main`` builds the argument
 parser once per process, on its first call, and reuses it, and
@@ -77,7 +77,7 @@ def parse_matrix_document(text: str) -> ComplexMat:
         raise DocumentError(f"entries must be a list of {n} rows")
     arr = _entries_array(entries, n)
     if arr is None:
-        arr = _entries_by_entry(entries, n)
+        _refuse_entries(entries, n)
     meta = data.get("metadata")
     if meta is not None and (not isinstance(meta, dict)
                              or any(not isinstance(k, str) or not isinstance(v, str)
@@ -90,9 +90,9 @@ def _entries_array(entries: list, n: int) -> np.ndarray | None:
     """The n x n complex array of well-formed entries; None if any entry is not.
 
     json.loads builds exact lists, ints and floats, so exact type tests
-    accept what ``_entries_by_entry`` accepts and no more (bools, strings
+    accept what ``_refuse_entries`` lets pass and no more (bools, strings
     and null fail them).  Each number becomes the double complex() would
-    make of it; an int too large for one is left to ``_entries_by_entry``.
+    make of it; an int too large for one is left to ``_refuse_entries``.
     """
     if set(map(type, entries)) != {list} or set(map(len, entries)) != {n}:
         return None
@@ -108,17 +108,16 @@ def _entries_array(entries: list, n: int) -> np.ndarray | None:
         return None
 
 
-def _entries_by_entry(entries: list, n: int) -> list[list[complex]]:
-    """The rows of entries, checked one entry at a time in row order.
+def _refuse_entries(entries: list, n: int) -> None:
+    """Refuse the first malformed row or entry, checked one at a time in row order.
 
-    It runs only where ``_entries_array`` declined, so its job is to
-    word the refusal of the first malformed row or entry.
+    It runs only where ``_entries_array`` declined, and every document
+    that it declines has one: a row that is not a list of n pairs, a pair
+    that is not two numbers, or a number too large for a double.
     """
-    rows = []
     for r, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != n:
             raise DocumentError(f"row {r} must be a list of {n} entries")
-        out = []
         for c, pair in enumerate(row):
             if (not isinstance(pair, list) or len(pair) != 2
                     or any(isinstance(v, bool) or not isinstance(v, (int, float))
@@ -126,11 +125,9 @@ def _entries_by_entry(entries: list, n: int) -> list[list[complex]]:
                 raise DocumentError(
                     f"entry ({r},{c}) must be a [re, im] pair of numbers")
             try:
-                out.append(complex(pair[0], pair[1]))
+                complex(pair[0], pair[1])
             except OverflowError as exc:
                 raise DocumentError(f"entry ({r},{c}) is too large for a double") from exc
-        rows.append(out)
-    return rows
 
 
 class _MatrixDocument(dict):
@@ -444,6 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-override", action="append", default=[],
                         metavar="KEY=VALUE", dest="tol_override",
                         help="override one tolerance field (repeatable)")
+    document = argparse.ArgumentParser(add_help=False, parents=[common])
+    document.add_argument("input", help="matrix document path, or - for stdin")
 
     parser = argparse.ArgumentParser(
         prog="su3kit",
@@ -451,34 +450,30 @@ def build_parser() -> argparse.ArgumentParser:
                     "factorizations and logarithms of SU(3) elements")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decompose", parents=[common],
+    p = sub.add_parser("decompose", parents=[document],
                        help="split a matrix into commuting simple parts")
-    p.add_argument("input", help="matrix document path, or - for stdin")
     p.add_argument("--nxn", action="store_true",
                    help="general n x n route instead of the 3x3 one")
     p.add_argument("--require-su3", action="store_true", dest="require_su3",
                    help="reject inputs that are not traceless skew-Hermitian")
     p.set_defaults(handler=cmd_decompose)
 
-    p = sub.add_parser("exp", parents=[common],
+    p = sub.add_parser("exp", parents=[document],
                        help="exponential of an su(3) element")
-    p.add_argument("input", help="matrix document path, or - for stdin")
     p.add_argument("--method", choices=("invariant", "reference", "both"),
                    default="invariant")
     p.set_defaults(handler=cmd_exp)
 
-    p = sub.add_parser("log", parents=[common],
+    p = sub.add_parser("log", parents=[document],
                        help="logarithm of a unitary 3x3 matrix")
-    p.add_argument("input", help="matrix document path, or - for stdin")
     p.add_argument("--method", choices=("invariant", "reference"),
                    default="invariant")
     p.add_argument("--branch", default=None, metavar="K1,K2,K3",
                    help="winding numbers for a non-principal branch")
     p.set_defaults(handler=cmd_log)
 
-    p = sub.add_parser("factor", parents=[common],
+    p = sub.add_parser("factor", parents=[document],
                        help="split a unitary into three Euler factors")
-    p.add_argument("input", help="matrix document path, or - for stdin")
     p.set_defaults(handler=cmd_factor)
 
     p = sub.add_parser("bench", parents=[common],
@@ -514,12 +509,9 @@ def main(argv=None) -> int:
     try:
         tol = _tol_from_args(args)
         out = args.handler(args, tol)
-    except InputError as exc:
+    except (InputError, NumericalError) as exc:
         print(emit_json({"error": {"code": exc.code, "message": str(exc)}}))
-        return 2
-    except NumericalError as exc:
-        print(emit_json({"error": {"code": exc.code, "message": str(exc)}}))
-        return 3
+        return 2 if isinstance(exc, InputError) else 3
     print(out)
     return 0
 

@@ -32,16 +32,17 @@ unit is i w_i (2 P_i - 1), a factor cos(beta) 1 + sin(beta) unit.
 
 So the cascade needs U's eigenvalues and, for its output, the
 projectors P_i, and both follow from U without an eigenbasis: the e_i
-are the roots of U's characteristic cubic (``invdec._complex_cubic_roots``,
-polished in ``_cubic_eigenvalues``), and P_i is Lagrange's polynomial
-in U, (U - e_j)(U - e_k) / ((e_i - e_j)(e_i - e_k)) (Higham,
-Functions of Matrices, 2008, ch. 1).  ``factorize`` takes this closed
-form first (``_closed_form_factors``).  Where it cannot vouch for its
-result it declines, and the eigen path (``_factor_parts``) runs as it
-would alone: ``grades._eigenbasis`` diagonalizes U once with the
-normal kernel, U = P diag(e) P^H, reads gamma + i delta off
-P^H (g2 + g4) P, and a unit is P diag(i w) P^H.  Both paths share the
-cascade and the rules after it (``_route_parts``), and the gates of
+are the roots of U's characteristic cubic, and P_i is Lagrange's
+polynomial in U, (U - e_j)(U - e_k) / ((e_i - e_j)(e_i - e_k)) (Higham,
+Functions of Matrices, 2008, ch. 1).  The cubic, whose coefficients
+are complex, is solved in this module alone: Cardano's formula
+(``_complex_cubic_roots``), polished in ``_cubic_eigenvalues``.
+``factorize`` takes this closed form first (``_closed_form_factors``).
+Where it cannot vouch for its result it declines, and the eigen path
+(``_factor_parts``) runs as it would alone: ``grades._eigenbasis``
+diagonalizes U once with the normal kernel, U = P diag(e) P^H, reads
+gamma + i delta off P^H (g2 + g4) P, and a unit is P diag(i w) P^H.
+Both paths share the cascade and the rules after it (``_route_parts``), and the gates of
 the closed form keep its routes and errors the eigen path's.  About
 98% of Haar U take the closed form.
 
@@ -86,7 +87,7 @@ with f[e_i,e_j] = (h / sin h) e^(-i (theta_i + theta_j)/2),
 h = (theta_j - theta_i)/2, the divided differences of the log
 (``_closed_form_log``; Higham, Functions of Matrices, 2008, ch. 1;
 ``expmap.exp_su3`` is the same construction for exp).  The e_j are the
-roots of U's characteristic cubic (``invdec._complex_cubic_roots``),
+roots of U's characteristic cubic (``_complex_cubic_roots``),
 and theta the same selection and det rule as on the eigen path.  Where
 two roots are closer than _CF_MIN_GAP or some h / sin h exceeds
 _CF_MAX_FACTOR, the polynomial is ill-conditioned, and where a phase
@@ -141,7 +142,7 @@ from .errors import (
 from .expmap import GroupElement, _check_group, _factor_array
 from .grades import (GradeDecomposition, _decomposition, _eigen_decomposition, _eigenbasis,
                      _halves, _scalar_grades)
-from .invdec import SimplePart, _complex_cubic_roots
+from .invdec import SimplePart
 from .smallmat import (_EPS, _EYE3, ComplexMat, _as_mat, _eigen_normal3, _finite_mat,
                        _finite_norm, _fro, _normal_norm, _order_indices, _scalar_residual,
                        _unchecked_mat)
@@ -160,10 +161,6 @@ _SHIFTS = {n: [k for k in itertools.product((-1, 0, 1), repeat=3) if sum(k) == n
 def rms_norm(m) -> float:
     """sqrt(tr(M M^dag) / 3); equals 1 for a 3x3 unitary.  Overflow when the norm overflows."""
     return _finite_norm(_as_mat(m).array) / _SQRT3
-
-
-def _rms(a: np.ndarray) -> float:
-    return _fro(a) / _SQRT3
 
 
 def normalize(m, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
@@ -283,7 +280,7 @@ def principal_log_factor(ui, tol: Tolerances = DEFAULT_TOL) -> SimplePart:
         raise InputError("expected a 3x3 factor, got %dx%d" % a.shape)
     size = _finite_norm(a)
     ccos, ssin = _halves(a)
-    sn = _rms(ssin)
+    sn = _fro(ssin) / _SQRT3
     beta, bound, direction = _factor_angle(_scalar_residual(ccos), complex(np.trace(a)).real / 3.0,
                                            sn, size, tol)
     unit = ssin * complex(1.0 / sn) if direction else None
@@ -522,12 +519,35 @@ _CF_G0_MARGIN = 500.0
 _CF_FACTOR_MISS = 16.0 * _EPS
 
 
+# the cube roots of unity
+_OMEGAS = (1.0, complex(-0.5, 0.5 * math.sqrt(3.0)), complex(-0.5, -0.5 * math.sqrt(3.0)))
+
+
+def _complex_cubic_roots(t: complex, s: complex, d: complex) -> list[complex]:
+    """Cardano's roots of z^3 - t z^2 + s z - d, not polished.
+
+    z = x + t/3 gives x^3 + p x + q with p = s - t^2/3 and
+    q = s t/3 - 2 t^3/27 - d.  Each root is x = c - p/(3c) for one of the
+    cube roots c of -q/2 +- sqrt(q^2/4 + p^3/27), the sign taken that
+    gives the larger modulus.  Where that is 0, p and q vanish and t/3
+    is a triple root.
+    """
+    p = s - t * t / 3.0
+    q = s * t / 3.0 - 2.0 * t * t * t / 27.0 - d
+    r = cmath.sqrt(0.25 * q * q + p * p * p / 27.0)
+    w = max(-0.5 * q + r, -0.5 * q - r, key=abs)
+    if w == 0.0:
+        return [t / 3.0] * 3
+    c = w ** (1.0 / 3.0)
+    return [t / 3.0 + c * o - p / (3.0 * c * o) for o in _OMEGAS]
+
+
 def _cubic_eigenvalues(a: np.ndarray, dev: float, tol: Tolerances, min_gap: float):
     """(tr a, a's eigenvalues) from a's characteristic cubic, or None.
 
     a's eigenvalues are the roots of z^3 - t z^2 + s z - det a, t = tr a
     and s the sum of its principal 2x2 minors, all from one
-    ``tolist()``.  Cardano's roots (``invdec._complex_cubic_roots``)
+    ``tolist()``.  Cardano's roots (``_complex_cubic_roots``)
     are polished where it is safe: Newton on the root apart from the
     nearest pair, and the pair from the deflated quadratic, of sum
     t - z and product det a / z, so the pair's phase sum is det a's

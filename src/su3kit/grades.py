@@ -149,8 +149,7 @@ def _decomposition(a: np.ndarray, gam, delt, involutions) -> GradeDecomposition:
 
 def _eigen_decomposition(a: np.ndarray, p: np.ndarray, gam, delt) -> GradeDecomposition:
     """``_decomposition`` along the eigen kernel's involutions 2 p_i p_i^H - 1."""
-    eye = np.eye(3)
-    return _decomposition(a, gam, delt, [2.0 * _hermitian_outer(p[:, i]) - eye for i in range(3)])
+    return _decomposition(a, gam, delt, [2.0 * _hermitian_outer(p[:, i]) - _EYE3 for i in range(3)])
 
 
 def split_HS(u, tol: Tolerances = DEFAULT_TOL) -> GradeDecomposition:

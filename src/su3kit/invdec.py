@@ -30,9 +30,9 @@ closed form runs on arrays too, and both routes give the su(3) parts
 their angles and directions through ``_su3_parts``, in one stacked
 product.  The one real cubic solver,
 ``_cubic_roots``, serves ``lambda_roots`` and ``expmap.exp_su3``, which
-needs the roots only and no part; ``_complex_cubic_roots``, Cardano's
-formula for complex coefficients, serves ``factorlog``'s closed-form
-log, whose cubic is a unitary's characteristic polynomial.
+needs the roots only and no part.  A unitary's characteristic cubic,
+whose coefficients are complex, is solved in ``factorlog``, for its
+closed-form log and ``factorize``.
 ``AlgebraElement`` is the validated boundary type; its check
 (``_algebra_norm``, built on ``_su3_problem``) decides whether the
 parts of a raw input carry an angle and a direction, and an
@@ -44,7 +44,6 @@ Hermitian residual from one ``tolist()``.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import math
 
@@ -333,29 +332,6 @@ def _cubic_roots(c1: float, c0: float) -> tuple[float, float, float]:
     return tuple(roots)
 
 
-# the cube roots of unity
-_OMEGAS = (1.0, complex(-0.5, 0.5 * math.sqrt(3.0)), complex(-0.5, -0.5 * math.sqrt(3.0)))
-
-
-def _complex_cubic_roots(t: complex, s: complex, d: complex) -> list[complex]:
-    """Cardano's roots of z^3 - t z^2 + s z - d, not polished.
-
-    z = x + t/3 gives x^3 + p x + q with p = s - t^2/3 and
-    q = s t/3 - 2 t^3/27 - d.  Each root is x = c - p/(3c) for one of the
-    cube roots c of -q/2 +- sqrt(q^2/4 + p^3/27), the sign taken that
-    gives the larger modulus.  Where that is 0, p and q vanish and t/3
-    is a triple root.
-    """
-    p = s - t * t / 3.0
-    q = s * t / 3.0 - 2.0 * t * t * t / 27.0 - d
-    r = cmath.sqrt(0.25 * q * q + p * p * p / 27.0)
-    w = max(-0.5 * q + r, -0.5 * q - r, key=abs)
-    if w == 0.0:
-        return [t / 3.0] * 3
-    c = w ** (1.0 / 3.0)
-    return [t / 3.0 + c * o - p / (3.0 * c * o) for o in _OMEGAS]
-
-
 def lambda_roots(b, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float, float]:
     """The three scalars lambda_i of an su(3) element, sorted descending.
 
@@ -408,12 +384,12 @@ def decompose_closed_form(b, lambdas, tol: Tolerances = DEFAULT_TOL) -> Invarian
     arr = m.array
     det = _det3(arr)
     sq = arr @ arr
-    dev = sq - (0.25 * np.trace(sq)) * _EYES[3]
+    dev = sq - (0.25 * np.trace(sq)) * _EYE3
     mats = np.empty((3, 3, 3), dtype=np.complex128)
     # overflowing entries are refused below, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for i, lam in enumerate(lams):
-            num = arr + (det / (8.0 * lam)) * _EYES[3]
+            num = arr + (det / (8.0 * lam)) * _EYE3
             den = _EYE3 + dev * complex(1.0 / (2.0 * lam))
             # checked here: the inverse would report a non-finite den as Singular
             _require_finite(num)

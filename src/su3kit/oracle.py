@@ -45,7 +45,8 @@ def exp_reference(b) -> ComplexMat:
     (remainder below 1e-22 at that norm), and the result is squared
     back up.  Above a Frobenius norm of ``EXP_NORM_MAX`` the squarings
     cannot give an accurate result, and the argument is refused as
-    Overflow before the series runs.
+    Overflow before the series runs.  An exponential that overflows a
+    double is refused as Overflow after them.
     """
     arr = _as_mat(b).array
     n = arr.shape[0]
@@ -61,9 +62,14 @@ def exp_reference(b) -> ComplexMat:
     out = np.eye(n, dtype=np.complex128)
     for k in range(_TAYLOR_ORDER, 0, -1):
         out = eye + (t / k) @ out
-    for _ in range(squarings):
-        out = out @ out
-    return ComplexMat(out)
+    # e^||b|| bounds every entry, so below a norm of ln(max float) nothing
+    # overflows; above it an overflow runs to inf or NaN, and is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            out = out @ out
+    if not np.isfinite(out).all():
+        raise Overflow(f"the exponential of a matrix of norm {nrm:.3e} overflows a double")
+    return ComplexMat._wrap(out)
 
 
 def log_reference(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:

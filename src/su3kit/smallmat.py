@@ -56,6 +56,7 @@ raise Overflow when the squared norm of the input is not finite.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Sequence
 
@@ -346,26 +347,16 @@ def _pair_rotation(t: np.ndarray, i: int, j: int, stop: float) -> np.ndarray | N
     return np.array([[u[0], -np.conj(u[1])], [u[1], np.conj(u[0])]], dtype=np.complex128)
 
 
-def _polish_stop(scale: float) -> float:
-    """The polish's stop on the off-diagonal norm of v^H a v, a of norm scale.
-
-    2.5 n times the rounding floor 8 eps scale of one entry, n = 3.
-    """
-    return 2.5 * 3 * (8.0 * _EPS * scale)
-
-
 # 0 on the diagonal: t * _OFF3 has the moduli of t - diag(t), so the same norm
 _OFF3 = 1.0 - np.eye(3)
 _OFF3.setflags(write=False)
 
-
-def _off_norm(t: np.ndarray) -> float:
-    """Frobenius norm of the off-diagonal of a 3x3 array."""
-    return _fro(t * _OFF3)
+# the polish's sweep cap
+_MAX_SWEEPS = 24
 
 
 def _polish_normal(
-    a: np.ndarray, v: np.ndarray, t: np.ndarray, scale: float, max_sweeps: int = 24
+    a: np.ndarray, v: np.ndarray, t: np.ndarray, scale: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drive off-diagonals of t = v^H a v to machine precision; (v, v^H a v).
 
@@ -373,17 +364,19 @@ def _polish_normal(
     eigenvalue clusters start in the linear-convergence regime (the
     off-diagonal mass is comparable to the gaps), so progress per sweep
     can be modest before turning quadratic; the loop only gives up at
-    the rounding floor (``_polish_stop``), on an outright stall (the
+    its stop, where the off-diagonal norm is 2.5 n = 7.5 times the
+    rounding floor 8 eps scale of one entry, on an outright stall (the
     leftover then is the input's distance from exact normality, which
-    no unitary removes), or at the sweep cap.  The caller's residual
+    no unitary removes), or at the sweep cap.  Below the stop, and on a
+    NaN off-diagonal, it returns (v, t) unchanged.  The caller's residual
     check has the final word.
     """
     stop = 8.0 * _EPS * scale  # scale >= 2^-100: _eigen_normal3 runs on _scaled input
     prev = math.inf
-    for _ in range(max_sweeps):
-        offn = _off_norm(t)
+    for _ in range(_MAX_SWEEPS):
+        offn = _fro(t * _OFF3)
         # written so that a NaN off-diagonal stops the sweeps too
-        if not _polish_stop(scale) < offn < 0.98 * prev:
+        if not 2.5 * 3 * stop < offn < 0.98 * prev:
             break
         prev = offn
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
@@ -518,10 +511,7 @@ def _eigen_normal3(
     # one Newton-Schulz step: LAPACK's basis is unitary to a few eps, this
     # brings it to the rounding floor before the polish and the residual gate
     v = v @ (1.5 * _EYE3 - 0.5 * (v.conj().T @ v))
-    t = v.conj().T @ arr @ v
-    # the polish's first stop test; below it the polish returns (v, t) unchanged
-    if not _off_norm(t) <= _polish_stop(nrm):
-        v, t = _polish_normal(arr, v, t, nrm)
+    v, t = _polish_normal(arr, v, v.conj().T @ arr @ v, nrm)
     d = t.diagonal()
     # One first-order Rayleigh-Ritz step.  A basis exp(X) off the true one
     # has v^H a v = diag(d) + [diag(d), X] to first order, so X_ij =
@@ -581,24 +571,16 @@ def _eigen_general(arr: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.nda
     w = w[idx]
     v = v[:, idx].copy()
 
-    # union of pairs closer than the cluster gap, relative to the input scale
+    # clusters joined through pairs closer than the gap, relative to the
+    # input scale: a pair's labels merge, so a chain of close pairs is one
     gap = tol.cluster_gap * max(nrm, 1e-300)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) < gap:
-                parent[find(j)] = find(i)
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    for members in clusters.values():
+    label = list(range(n))
+    for i, j in itertools.combinations(range(n), 2):
+        if abs(values[i] - values[j]) < gap:
+            old = label[j]
+            label = [label[i] if x == old else x for x in label]
+    for c in set(label):
+        members = [i for i in range(n) if label[i] == c]
         if len(members) > 1:
             _gram_schmidt_inplace(v, members)
 

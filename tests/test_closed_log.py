@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from su3kit import factorlog
 from su3kit.errors import Su3KitError
 from su3kit.expmap import GroupElement
-from su3kit.factorlog import branch_log, principal_log
-from su3kit.invdec import _complex_cubic_roots
+from su3kit.factorlog import _complex_cubic_roots, branch_log, principal_log
 from su3kit.oracle import _haar_unitary, random_group
 from su3kit.smallmat import _EPS
 from su3kit.tolerances import DEFAULT_TOL

@@ -1,5 +1,6 @@
 """Reference algorithms and samplers. These anchor every other test."""
 
+import hashlib
 import math
 import warnings
 
@@ -66,6 +67,23 @@ class TestExpReference:
             for scale in (1.01 * EXP_NORM_MAX, 1e20, 1e92, 1e145, 1e200):
                 with pytest.raises(Overflow):
                     exp_reference(unit * scale)
+
+    def test_overflowing_exponential_refused(self):
+        # finite arguments under EXP_NORM_MAX whose exponential overflows a
+        # double: refused as Overflow, not as their squarings' inf entries
+        rng = np.random.default_rng(8)
+        gaussian = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (800.0 * np.eye(3), np.diag([710.0, 0.0, 0.0]),
+                      random_group(3).mat.array * 1.9e6, gaussian * 3.3e4):
+                with pytest.raises(Overflow):
+                    exp_reference(a)
+            # e^-800 underflows to 0 and e^700 is finite: both are results
+            assert not exp_reference(-800.0 * np.eye(3)).array.any()
+            u = exp_reference(700.0 * np.eye(3)).array
+        assert hashlib.sha256(u.tobytes()).hexdigest() == \
+            "58e68bd7a9732e9dda2f4a4846ea24481d801e92ea911cebb2ac564c466c8494"
 
     def test_deterministic(self):
         b = random_algebra(7).mat

@@ -580,9 +580,8 @@ def _eigen_general(arr: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.nda
             old = label[j]
             label = [label[i] if x == old else x for x in label]
     for c in set(label):
-        members = [i for i in range(n) if label[i] == c]
-        if len(members) > 1:
-            _gram_schmidt_inplace(v, members)
+        if label.count(c) > 1:
+            _gram_schmidt_inplace(v, [i for i in range(n) if label[i] == c])
 
     v = _phase_fix_columns(v)
     try:

@@ -197,7 +197,8 @@ def _parse_documents(draw):
         elif flaw == 2:
             rows[r] = draw(st.one_of(_bad_values, st.lists(st.just([0, 0]), max_size=n + 1)))
         elif flaw == 3:
-            rows.append([[0, 0]] * n) if draw(st.booleans()) else rows.pop()
+            # a second pop at n = 1 would find no row left: it appends instead
+            rows.append([[0, 0]] * n) if draw(st.booleans()) or not rows else rows.pop()
         elif flaw == 4:
             doc["n"] = draw(st.sampled_from([n - 1, n + 1, 0, True, str(n), float(n), None]))
         else:

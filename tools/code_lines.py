@@ -5,13 +5,11 @@ not blank, not only a comment, and not part of a module, class or
 function docstring.  Docstrings are found with ``ast``, comments with
 ``tokenize``, so a ``#`` inside a string does not count as a comment.
 
-    python tools/code_lines.py            # the total
-    python tools/code_lines.py --files    # one count per file, then the total
+    python tools/code_lines.py
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import pathlib
@@ -47,19 +45,5 @@ def code_lines(path: pathlib.Path) -> int:
     return len(_code_token_lines(source) - _docstring_lines(ast.parse(source)))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--files", action="store_true", help="print one count per file too")
-    args = parser.parse_args(argv)
-    total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path)
-        total += count
-        if args.files:
-            print(f"{count:6d}  {path.name}")
-    print(total)
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    print(sum(code_lines(path) for path in sorted(PACKAGE.glob("*.py"))))

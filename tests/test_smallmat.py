@@ -736,8 +736,8 @@ def _cluster_cases():
     """
     g = DEFAULT_TOL.cluster_gap * 3.0
     cases = {
-        # a ~ b ~ c with |a - c| >= gap, in the sort order c, x, a, b: the last
-        # pair joins a to the cluster {c, b} that an earlier pair formed
+        # a ~ b ~ c with |a - c| >= gap, in the sort order (1j,) c, x, a, b: the
+        # last pair joins a to the cluster {c, b} that an earlier pair formed
         "transitive chain": [1.0, 1.0 + 0.7 * g - 0.1j * g, 1.0 + 1.4 * g + 0.1j * g,
                              -2.0 + 0.05j * g, 1.0j],
         # {a1, a2} and {b1, b2} in the sort order a1, b1, a2, b2

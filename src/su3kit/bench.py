@@ -158,7 +158,7 @@ def run_bench(task: str, regime: str, n: int, seed: int,
             fn = lambda u: factorize(u, tol)
             oracle_fn = None
             err_of = lambda u, f: compare(
-                f.factors[0] @ f.factors[1] @ f.factors[2], u)
+                f.factors[0].array @ f.factors[1].array @ f.factors[2].array, u)
 
     _timed_loop(fn, inputs[:_WARMUP])  # warm-up; n >= 100 > _WARMUP
     times, results, failures = _timed_loop(fn, inputs)

@@ -32,11 +32,12 @@ import math
 
 import numpy as np
 
-from .errors import InputError, NonCommutingParts, NotUnitary
+from .errors import DimensionMismatch, InputError, NotUnitary
 from .invdec import (
     AlgebraElement,
     SimplePart,
     _algebra_norm,
+    _commutator_sq,
     _cubic_roots,
 )
 from .smallmat import (
@@ -44,12 +45,12 @@ from .smallmat import (
     ComplexMat,
     Validated,
     _det3,
+    _finite_mat,
     _finite_norm,
     _fro,
     _require_finite,
     _scaled,
     _unchecked_mat,
-    commutator,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -208,40 +209,52 @@ def exp_su3(b, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
     return group
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def family_element(parts, thetas, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
     """Product of scaled Euler factors exp(t_i b_i) over the given parts.
 
     Every matrix in this family commutes with each part and fixes it
     under conjugation.  The parts must be parts of an su(3) element
-    (each has an angle) and commute pairwise; the factors are unitary
-    but their determinants need not be 1.
+    (each has an angle), of one size, and commute pairwise: each pair
+    within decomp_tol max(1, ||b_i|| ||b_j||), judged by
+    ``invdec._commutator_sq``, which names the first pair i < j that
+    fails.  The factors are unitary but their determinants need not
+    be 1.
     """
     parts = list(parts)
     thetas = [float(t) for t in thetas]
     if len(parts) != len(thetas):
         raise InputError(f"{len(parts)} parts but {len(thetas)} angles")
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            bound = tol.decomp_tol * max(
-                1.0, parts[i].mat.frobenius_norm() * parts[j].mat.frobenius_norm()
-            )
-            if commutator(parts[i].mat, parts[j].mat).frobenius_norm() > bound:
-                raise NonCommutingParts(f"parts {i} and {j} do not commute")
-    out = ComplexMat.identity(3)
+    mats = [part.mat.array for part in parts]
+    for a in mats[1:]:
+        if len(a) != len(mats[0]):
+            raise DimensionMismatch(f"dimension mismatch: {len(mats[0])} vs {len(a)}")
+    if len(mats) > 1:
+        nrm = [_fro(a) for a in mats]
+        _commutator_sq(mats, (tol.decomp_tol * np.maximum(1.0, np.outer(nrm, nrm))).ravel())
+    out = np.eye(3, dtype=np.complex128)
     for part, theta in zip(parts, thetas):
-        out = out @ _factor_mat(part, theta)
-    return out
+        out = out @ _factor_mat(part, theta).array
+        _require_finite(out)
+    return ComplexMat._wrap(out)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def invariant_combination(parts, coeffs) -> ComplexMat:
-    """Linear combination sum_i c_i b_i of the commuting parts."""
+    """Linear combination sum_i c_i b_i of the commuting parts, of one size.
+
+    A non-finite coefficient is refused as NonFiniteEntries, a
+    combination of finite coefficients that overflows as Overflow.
+    """
     parts = list(parts)
     coeffs = [complex(c) for c in coeffs]
     if len(parts) != len(coeffs):
         raise InputError(f"{len(parts)} parts but {len(coeffs)} coefficients")
     if not parts:
         raise InputError("no parts given")
-    out = ComplexMat.zeros(parts[0].mat.n)
+    out = np.zeros_like(parts[0].mat.array)
     for part, c in zip(parts, coeffs):
-        out = out + part.mat * c
-    return out
+        if part.mat.n != len(out):
+            raise DimensionMismatch(f"dimension mismatch: {len(out)} vs {part.mat.n}")
+        out = out + part.mat.array * c
+    return _finite_mat(out, "linear combination" if all(map(cmath.isfinite, coeffs)) else None)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InputError
 from .expmap import GroupElement
-from .smallmat import ComplexMat
+from .smallmat import _EYE3, ComplexMat
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _SQRT3 = math.sqrt(3.0)
@@ -42,7 +42,7 @@ LAMBDA8 = ComplexMat(np.diag([1, 1, -2]) / _SQRT3)  # lambda_8
 
 LAMBDAS = (LAMBDA1, LAMBDA2, LAMBDA3, LAMBDA4, LAMBDA5, LAMBDA6, LAMBDA7, LAMBDA8)
 
-RHO0 = ComplexMat.diag([1, 1, -1])  # rho_0
+RHO0 = ComplexMat(np.diag([1, 1, -1]))  # rho_0
 
 
 def equilibrium_point(a: int) -> ComplexMat:
@@ -53,17 +53,16 @@ def equilibrium_point(a: int) -> ComplexMat:
     """
     if not 1 <= a <= 7:
         raise InputError(f"equilibrium_point covers a = 1..7, got {a}")
-    g = LAMBDAS[a - 1]
-    return ComplexMat.identity(3) - g @ g
+    return ComplexMat._wrap(_EYE3 - LAMBDAS[a - 1].array @ LAMBDAS[a - 1].array)
 
 
 def _build_rhos() -> Mapping[int, ComplexMat]:
     rhos: dict[int, ComplexMat] = {0: RHO0}
     for a in range(1, 8):
         # the diagonal unit 1 - lambda_a^2 completes lambda_a to an involution
-        e = equilibrium_point(a)
-        rhos[a] = LAMBDAS[a - 1] + e
-        rhos[-a] = LAMBDAS[a - 1] - e
+        g, e = LAMBDAS[a - 1].array, equilibrium_point(a).array
+        rhos[a] = ComplexMat._wrap(g + e)
+        rhos[-a] = ComplexMat._wrap(g - e)
     return MappingProxyType(rhos)
 
 
@@ -100,9 +99,10 @@ def reconstruct_lambda(a: int) -> ComplexMat:
     if not 1 <= a <= 8:
         raise InputError(f"generator index must be 1..8, got {a}")
     if a <= 7:
-        return (rho(a) + rho(-a)) * 0.5
-    s = 1.0 / (2.0 * _SQRT3)
-    return rho(-3) * s - rho(3) * s + RHO0 * (1.0 / _SQRT3)
+        return ComplexMat._wrap((rho(a).array + rho(-a).array) * complex(0.5))
+    s = complex(1.0 / (2.0 * _SQRT3))
+    return ComplexMat._wrap(
+        rho(-3).array * s - rho(3).array * s + RHO0.array * complex(1.0 / _SQRT3))
 
 
 def exp_gellmann(a: int, theta: float, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
@@ -110,18 +110,13 @@ def exp_gellmann(a: int, theta: float, tol: Tolerances = DEFAULT_TOL) -> GroupEl
     if not 1 <= a <= 7:
         raise InputError(f"exp_gellmann covers a = 1..7, got {a}")
     theta = float(theta)
-    g = LAMBDAS[a - 1]
+    g = LAMBDAS[a - 1].array
     gsq = g @ g
-    eye = ComplexMat.identity(3)
-    mat = (eye - gsq) + gsq * math.cos(theta) + g * (1j * math.sin(theta))
+    mat = (_EYE3 - gsq) + gsq * complex(math.cos(theta)) + g * complex(1j * math.sin(theta))
     return GroupElement(mat, tol)
 
 
 def exp_gellmann8(theta: float, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
     """exp(i theta lambda_8), diagonal with phases (1, 1, -2) theta / sqrt(3)."""
-    theta = float(theta)
-    phase = theta / _SQRT3
-    mat = ComplexMat.diag(
-        [np.exp(1j * phase), np.exp(1j * phase), np.exp(-2j * phase)]
-    )
-    return GroupElement(mat, tol)
+    phase = float(theta) / _SQRT3
+    return GroupElement(np.diag(np.exp([1j * phase, 1j * phase, -2j * phase])), tol)

@@ -93,14 +93,17 @@ def grade6(u) -> ComplexMat:
     return _finite_mat(_grades(_as_mat(u).array)[3])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def traceless_projection(m) -> ComplexMat:
     """M - tr(M)/3, the projection used in lattice gauge fixing.
 
     Differs from grade2 of a group element by (1/12) tr(ssin) times the
     identity; kept for comparison, not used by the grade machinery.
+    Overflow where the trace or the result overflows.
     """
-    m = _as_mat(m)
-    return m - ComplexMat.identity(m.n) * (m.trace() / 3.0)
+    a = _as_mat(m).array
+    t = complex(np.trace(a)) / 3.0
+    return _finite_mat(a - np.eye(len(a), dtype=np.complex128) * t, "traceless projection")
 
 
 def _hermitian_outer(v: np.ndarray) -> np.ndarray:

@@ -45,11 +45,13 @@ Hermitian residual from one ``tolist()``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
-from .errors import DegenerateLambdas, DimensionMismatch, InvalidAlgebraElement, Overflow
+from .errors import (DegenerateLambdas, DimensionMismatch, InvalidAlgebraElement, NonCommutingParts,
+                     Overflow)
 from .smallmat import (
     _EYE3,
     ComplexMat,
@@ -117,38 +119,50 @@ class InvariantDecomposition:
     # overflowing residuals are refused below, so numpy's warnings are noise
     @np.errstate(over="ignore", invalid="ignore")
     def sum_residual(self) -> float:
-        total = self.parts[0].mat.array
-        for p in self.parts[1:]:
-            total = total + p.mat.array
+        total = functools.reduce(np.add, [p.mat.array for p in self.parts])
         return _residual_norm(total - self.source.array)
 
     @np.errstate(over="ignore", invalid="ignore")
     def max_commutator_residual(self) -> float:
-        """The largest Frobenius norm of [b_i, b_j] over the pairs i < j.
-
-        All products b_i b_j come from one stacked matmul; row i m + j of
-        ``d`` is [b_i, b_j], flattened, and ``sq`` holds each row's squared
-        norm as ``_fro`` sums it, re.re + im.im from the same dots.  Since
-        [b_j, b_i] = -[b_i, b_j] exactly, sq is symmetric: its largest entry
-        is the largest pair's, so sqrt of it is the largest per-pair norm
-        bit for bit, and its first non-finite entry in row order is that of
-        the first pair i < j, which ``_residual_norm`` refuses as it would
-        alone.
-        """
-        m = len(self.parts)
-        if m < 2:
+        """The largest Frobenius norm of [b_i, b_j] over the pairs i < j."""
+        if len(self.parts) < 2:
             return 0.0
-        a = np.stack([p.mat.array for p in self.parts])
-        prod = a[:, None] @ a
-        d = (prod - prod.swapaxes(0, 1)).reshape(m * m, -1)
-        re, im = d.real, d.imag
-        sq = (re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]).ravel()
-        # row i m + i is [b_i, b_i]: 0, or NaN where b_i^2 overflowed, which no pair sees
-        sq[:: m + 1] = 0.0
-        worst = sq.max()
-        if not math.isfinite(worst):
-            _residual_norm(d[np.flatnonzero(~np.isfinite(sq))[0]])
-        return math.sqrt(worst)
+        return math.sqrt(_commutator_sq([p.mat.array for p in self.parts]))
+
+
+def _commutator_sq(mats: list[np.ndarray], bound=(math.inf,)) -> float:
+    """The largest squared Frobenius norm of [b_i, b_j] over m >= 2 same-size arrays b_i.
+
+    All products b_i b_j come from one stacked matmul; row i m + j of
+    ``d`` is [b_i, b_j], flattened, and entry i m + j of ``sq`` its
+    squared norm, summed as ``_fro`` sums it, re.re + im.im from the
+    same dots, so sqrt of the result is the largest per-pair norm bit
+    for bit.  The pairs are judged in the order (0, 1), (0, 2), ...,
+    (1, 2), ...: the first whose norm is not finite is refused by
+    ``_residual_norm`` as it would be alone (Overflow where the
+    commutator's entries are finite, NonFiniteEntries where a product
+    overflowed), and the first whose norm exceeds its entry of
+    ``bound`` (one value for every pair, or m * m in the layout of
+    ``sq``, symmetric) as NonCommutingParts naming the pair.  Since
+    [b_j, b_i] = -[b_i, b_j] exactly, sq is symmetric, so the first
+    entry flagged in row order is that pair.  Runs under no
+    np.errstate: its callers hold one.
+    """
+    m = len(mats)
+    a = np.stack(mats)
+    prod = a[:, None] @ a
+    d = (prod - prod.swapaxes(0, 1)).reshape(m * m, -1)
+    sq = (d.real[:, None, :] @ d.real[:, :, None] + d.imag[:, None, :] @ d.imag[:, :, None]).ravel()
+    # row i m + i is [b_i, b_i]: 0, or NaN where b_i^2 overflowed, which no pair sees
+    sq[:: m + 1] = 0.0
+    worst = sq.max()
+    # a strict test, and one for all pairs: passing it passes every pair
+    if not math.sqrt(worst) < min(bound):
+        bad = np.flatnonzero(~np.isfinite(sq) | (np.sqrt(sq) > bound))
+        if bad.size:
+            _residual_norm(d[bad[0]])
+            raise NonCommutingParts(f"parts {bad[0] // m} and {bad[0] % m} do not commute")
+    return worst
 
 
 def _residual_norm(a: np.ndarray) -> float:

@@ -11,9 +11,12 @@ logs and ``factorize``), ``_normal_norm`` takes normality from that
 residual and forms no commutator wherever the residual implies it.
 ``ComplexMat`` is the boundary type: an immutable wrapper whose
 constructor copies its input and checks its shape (``_entries``) and
-finiteness.  Its arithmetic returns fresh validated objects;
-``ComplexMat._wrap`` adopts an array the package has just built and
-already checked, without copying or checking it again.
+finiteness.  It carries no arithmetic: every computation runs on
+``.array``, and ``ComplexMat._wrap`` adopts an array the package has
+just built and already checked, without copying or checking it again.
+``ComplexMat.identity`` and ``@`` remain only for perfbench's traced
+recomposition of an exponential from its Euler factors; no module of
+the package uses them.
 Public functions take their argument through ``_as_mat`` (a
 ``Validated`` type's matrix, or raw entries validated once).  The checks
 of ``exp_su3``, ``AlgebraElement`` and ``GroupElement`` take raw entries
@@ -105,20 +108,6 @@ class ComplexMat:
     def __setattr__(self, name, value):
         raise AttributeError("ComplexMat is immutable")
 
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def identity(cls, n: int) -> "ComplexMat":
-        return cls(np.eye(n, dtype=np.complex128))
-
-    @classmethod
-    def zeros(cls, n: int) -> "ComplexMat":
-        return cls(np.zeros((n, n), dtype=np.complex128))
-
-    @classmethod
-    def diag(cls, values: Sequence[complex]) -> "ComplexMat":
-        return cls(np.diag(np.asarray(values, dtype=np.complex128)))
-
     # -- basic access ---------------------------------------------------------
 
     @property
@@ -136,65 +125,24 @@ class ComplexMat:
     def __repr__(self) -> str:
         return f"ComplexMat({self._a.tolist()!r})"
 
-    # -- arithmetic -----------------------------------------------------------
+    # -- kept for perfbench ----------------------------------------------------
 
-    def _check_same_dim(self, other: "ComplexMat") -> None:
-        if self.n != other.n:
-            raise DimensionMismatch(f"dimension mismatch: {self.n} vs {other.n}")
+    @classmethod
+    def identity(cls, n: int) -> "ComplexMat":
+        """The n x n identity.  With ``@``, kept only for perfbench's traced recomposition.
 
-    def __add__(self, other: "ComplexMat") -> "ComplexMat":
-        if not isinstance(other, ComplexMat):
-            return NotImplemented
-        self._check_same_dim(other)
-        return ComplexMat(self._a + other._a)
-
-    def __sub__(self, other: "ComplexMat") -> "ComplexMat":
-        if not isinstance(other, ComplexMat):
-            return NotImplemented
-        self._check_same_dim(other)
-        return ComplexMat(self._a - other._a)
+        ``perfbench/tracing._product`` multiplies Euler factors with
+        them; no module of the package uses either.
+        """
+        return cls(np.eye(n, dtype=np.complex128))
 
     def __matmul__(self, other: "ComplexMat") -> "ComplexMat":
+        """The matrix product, validated; see ``identity``."""
         if not isinstance(other, ComplexMat):
             return NotImplemented
-        self._check_same_dim(other)
+        if self.n != other.n:
+            raise DimensionMismatch(f"dimension mismatch: {self.n} vs {other.n}")
         return ComplexMat(self._a @ other._a)
-
-    def __mul__(self, scalar) -> "ComplexMat":
-        if isinstance(scalar, (int, float, complex, np.number)):
-            return ComplexMat(self._a * complex(scalar))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "ComplexMat":
-        return self * (1.0 / complex(scalar))
-
-    def __neg__(self) -> "ComplexMat":
-        return ComplexMat(-self._a)
-
-    # -- reductions -----------------------------------------------------------
-
-    def adjoint(self) -> "ComplexMat":
-        return ComplexMat(self._a.conj().T)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self._a))
-
-    def frobenius_norm(self) -> float:
-        return _fro(self._a)
-
-    def det(self) -> complex:
-        a = self._a
-        if self.n == 2:
-            return complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-        if self.n == 3:
-            return _det3(a)
-        # LU with partial pivoting for the larger sizes
-        return complex(np.linalg.det(a))
-
-    def inverse(self, tol: Tolerances = DEFAULT_TOL) -> "ComplexMat":
-        return ComplexMat(_inverse(self._a, tol))
 
 
 def _inverse(a: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -257,8 +205,15 @@ def _fro(a: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _finite_mat(a: np.ndarray) -> ComplexMat:
-    """Wrap an array the package built, after its one finiteness check."""
+def _finite_mat(a: np.ndarray, overflow: str | None = None) -> ComplexMat:
+    """Wrap an array the package built, after its one finiteness check.
+
+    ``overflow`` names what a is when it was computed from finite
+    inputs: a non-finite entry is then that result's Overflow, not an
+    input error.
+    """
+    if overflow is not None and not np.isfinite(a).all():
+        raise Overflow(f"{overflow} overflows: its inputs are finite but too large")
     _require_finite(a)
     return ComplexMat._wrap(a)
 
@@ -267,10 +222,6 @@ def _det3(a: np.ndarray) -> complex:
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
     return complex(a00 * (a11 * a22 - a12 * a21) - a01 * (a10 * a22 - a12 * a20)
                    + a02 * (a10 * a21 - a11 * a20))
-
-
-def commutator(x: ComplexMat, y: ComplexMat) -> ComplexMat:
-    return x @ y - y @ x
 
 
 def scalar_residual(m) -> float:

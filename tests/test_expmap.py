@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import su3kit.expmap
 import su3kit.invdec
-from su3kit.errors import InputError, NonCommutingParts, NonFiniteEntries, NotUnitary, Overflow
+from su3kit.errors import (InputError, NonCommutingParts, NonFiniteEntries, NotUnitary, Overflow,
+                           Su3KitError)
 from su3kit.expmap import (
     _check_group,
     GroupElement,
@@ -36,7 +37,7 @@ class TestGroupElement:
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
-            GroupElement(ComplexMat.identity(3) * 1.5)
+            GroupElement(np.eye(3) * 1.5)
 
     def test_rejects_unit_determinant_violation(self):
         # unitary, but det = -1
@@ -93,7 +94,7 @@ class TestCheckGroup:
 
 class TestExpSimple:
     def test_zero_part(self):
-        dec = decompose_via_eigen(ComplexMat.zeros(3))
+        dec = decompose_via_eigen(ComplexMat(np.zeros((3, 3))))
         f = exp_simple(dec.parts[0])
         np.testing.assert_allclose(f.mat.array, np.eye(3), atol=0)
 
@@ -120,7 +121,7 @@ class TestExpSimple:
 
 class TestExpSu3:
     def test_zero(self):
-        u = exp_su3(ComplexMat.zeros(3))
+        u = exp_su3(ComplexMat(np.zeros((3, 3))))
         np.testing.assert_allclose(u.mat.array, np.eye(3), atol=0)
 
     def test_half_turn_diagonal(self):
@@ -328,7 +329,7 @@ class TestFamilyElement:
             family_element(parts, (1.0, 2.0))
 
     def test_zero_part_gives_identity(self):
-        parts = decompose_via_eigen(ComplexMat.zeros(3)).parts
+        parts = decompose_via_eigen(ComplexMat(np.zeros((3, 3)))).parts
         assert parts[0].beta == 0.0 and parts[0].unit is None
         u = family_element(parts, (1.0, 1.0, 1.0))
         np.testing.assert_array_equal(u.array, np.eye(3))
@@ -338,7 +339,7 @@ class TestFamilyElement:
             family_element(decompose_via_eigen(NOT_SU3).parts, (1.0, 1.0, 1.0))
 
     def test_nxn_parts_refused_as_input(self):
-        parts = decompose_nxn(ComplexMat.diag([1.0, 2.0, 3.0, 4.0]))
+        parts = decompose_nxn(ComplexMat(np.diag([1.0, 2.0, 3.0, 4.0])))
         with pytest.raises(InputError, match="no angle"):
             family_element(parts, (1.0, 1.0, 1.0, 1.0))
 
@@ -363,3 +364,104 @@ class TestInvariantCombination:
         total = invariant_combination(parts, (2.0, 0.0, 0.0))
         np.testing.assert_allclose(
             total.array, 2.0 * parts[0].mat.array, atol=1e-13)
+
+
+def _parts_3():
+    return decompose_via_eigen(random_algebra(5)).parts
+
+
+def _parts_4():
+    return decompose_nxn(np.diag([1.0, 2.0, 3.0, 4.0]))
+
+
+def _non_commuting():
+    pa = decompose_via_eigen(random_algebra(1)).parts
+    pb = decompose_via_eigen(random_algebra(2)).parts
+    return pa, pb
+
+
+# code and message of each refusal: lengths, then sizes, then values
+PINNED_REFUSALS = {
+    "family mixed 3 vs 4": (
+        lambda: family_element((_parts_3()[0], _parts_4()[0]), (1.0, 1.0)),
+        "dimension_mismatch", "dimension mismatch: 3 vs 4"),
+    "family mixed 4 vs 3": (
+        lambda: family_element((_parts_4()[0], _parts_3()[0]), (1.0, 1.0)),
+        "dimension_mismatch", "dimension mismatch: 4 vs 3"),
+    "family no angle, 3x3": (
+        lambda: family_element(decompose_nxn(np.diag([1.0, 2.0, 3.0])), (1.0, 1.0, 1.0)),
+        "invalid_input",
+        "part has no angle: only the parts of an su(3) element have an Euler factor"),
+    "family no angle, 4x4": (
+        lambda: family_element(_parts_4(), (1.0, 1.0, 1.0, 1.0)),
+        "invalid_input",
+        "part has no angle: only the parts of an su(3) element have an Euler factor"),
+    "family pair 0, 1": (
+        lambda: family_element(
+            (_non_commuting()[0][0], _non_commuting()[1][1], _non_commuting()[0][2]),
+            (1.0, 1.0, 1.0)),
+        "non_commuting_parts", "parts 0 and 1 do not commute"),
+    "family pair 0, 2": (
+        lambda: family_element(
+            (_non_commuting()[0][0], _non_commuting()[0][1], _non_commuting()[1][2]),
+            (1.0, 1.0, 1.0)),
+        "non_commuting_parts", "parts 0 and 2 do not commute"),
+    "family length": (
+        lambda: family_element(_parts_3(), (1.0, 2.0)),
+        "invalid_input", "3 parts but 2 angles"),
+    "combination length": (
+        lambda: invariant_combination(_parts_3(), (1.0, 2.0)),
+        "invalid_input", "3 parts but 2 coefficients"),
+    "combination empty": (
+        lambda: invariant_combination([], []),
+        "invalid_input", "no parts given"),
+    "combination mixed 3 vs 4": (
+        lambda: invariant_combination((_parts_3()[0], _parts_4()[0]), (1.0, 1.0)),
+        "dimension_mismatch", "dimension mismatch: 3 vs 4"),
+    "combination mixed 4 vs 3": (
+        lambda: invariant_combination((_parts_4()[0], _parts_3()[0]), (1.0, 1.0)),
+        "dimension_mismatch", "dimension mismatch: 4 vs 3"),
+    "combination NaN coefficient": (
+        lambda: invariant_combination(_parts_3(), (1.0, float("nan"), 1.0)),
+        "non_finite_entries", "matrix entries must be finite"),
+}
+
+# finite inputs whose results overflow: Overflow, not NonCommutingParts
+# or NonFiniteEntries, and no RuntimeWarning on the way
+OVERFLOW_REFUSALS = {
+    "family x 1.6e86": (
+        lambda: family_element(decompose_via_eigen(random_algebra(0, scale=1.6e86)).parts,
+                               (1.0, 1.0, 1.0)),
+        "residual norm overflows: its entries are finite but too large"),
+    "combination 1e300 on norm 1e9": (
+        lambda: invariant_combination(decompose_via_eigen(random_algebra(3, scale=1e9)).parts,
+                                      (1e300, 1e300, 1e300)),
+        "linear combination overflows: its inputs are finite but too large"),
+}
+
+
+class TestPinnedRefusals:
+    @pytest.mark.parametrize("case", sorted(PINNED_REFUSALS))
+    def test_code_and_message(self, case):
+        call, code, message = PINNED_REFUSALS[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Su3KitError) as info:
+                call()
+        assert (info.value.code, str(info.value)) == (code, message)
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOW_REFUSALS))
+    def test_overflow_refused_as_overflow(self, case):
+        call, message = OVERFLOW_REFUSALS[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow, match=f"^{message}$"):
+                call()
+
+    def test_overflowing_pair_after_a_failing_pair(self):
+        # pair (0, 1) fails its bound, pair (1, 2) overflows: the first
+        # pair in order decides
+        small = decompose_via_eigen(random_algebra(1)).parts
+        big = decompose_via_eigen(random_algebra(2, scale=1.6e86)).parts
+        with pytest.raises(NonCommutingParts, match="parts 0 and 1"):
+            family_element((small[0], big[1], big[2]), (1.0, 1.0, 1.0))

@@ -18,7 +18,7 @@ from su3kit.gellmann import (
 )
 from su3kit.invdec import decompose_via_eigen
 from su3kit.oracle import compare, exp_reference
-from su3kit.smallmat import ComplexMat
+from su3kit.smallmat import ComplexMat, _fro
 
 RHO_INDICES = [0] + [s * a for a in range(1, 8) for s in (1, -1)]
 
@@ -134,10 +134,10 @@ class TestEquilibrium:
 
     @pytest.mark.parametrize("a", range(1, 8))
     def test_is_ccos_at_quarter_turn(self, a):
-        u = exp_gellmann(a, math.pi / 2.0).mat
-        ccos = (u + u.adjoint()) * 0.5
+        u = exp_gellmann(a, math.pi / 2.0).mat.array
+        ccos = (u + u.conj().T) * 0.5
         np.testing.assert_allclose(
-            ccos.array, equilibrium_point(a).array, atol=1e-15)
+            ccos, equilibrium_point(a).array, atol=1e-15)
 
 
 class TestRhoHalves:
@@ -148,10 +148,10 @@ class TestRhoHalves:
         theta = 0.77
         b = ComplexMat(1j * theta * lam(a).array)
         dec = decompose_via_eigen(b)
-        live = [p for p in dec.parts if p.mat.frobenius_norm() > 1e-12]
+        live = [p for p in dec.parts if _fro(p.mat.array) > 1e-12]
         assert len(live) == 2
         targets = [ComplexMat(0.5j * theta * rho(a).array),
                    ComplexMat(0.5j * theta * rho(-a).array)]
         for t in targets:
-            best = min((p.mat - t).frobenius_norm() for p in live)
+            best = min(_fro(p.mat.array - t.array) for p in live)
             assert best < 1e-10

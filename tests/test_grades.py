@@ -1,10 +1,12 @@
 """Grade projections and the H/S constituent split."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from su3kit.errors import Overflow
 from su3kit.expmap import exp_su3
 from su3kit.grades import (
     ccos_ssin,
@@ -46,7 +48,7 @@ class TestGradeProjections:
     @pytest.mark.parametrize("seed", range(30))
     def test_reconstruction(self, seed):
         u = random_group(seed)
-        total = (grade0(u) + grade2(u) + grade4(u) + grade6(u)).array
+        total = grade0(u).array + grade2(u).array + grade4(u).array + grade6(u).array
         assert _fro(total - u.mat.array) < 1e-14
 
     @pytest.mark.parametrize("seed", range(30))
@@ -58,19 +60,29 @@ class TestGradeProjections:
     def test_grades_not_traceless_in_general(self):
         # grade-2 keeps a trace component unless tr(ssin) vanishes
         u = random_group(8)
-        assert abs(grade2(u).trace()) > 1e-6
+        assert abs(np.trace(grade2(u).array)) > 1e-6
 
 
 class TestTracelessProjection:
     def test_removes_trace(self):
         m = random_group(4).mat
-        assert abs(traceless_projection(m).trace()) < 1e-15
+        assert abs(np.trace(traceless_projection(m).array)) < 1e-15
+
+    def test_overflow_refused_as_overflow(self):
+        # finite entries whose trace overflows: Overflow, not
+        # NonFiniteEntries, and no RuntimeWarning on the way
+        g = np.random.default_rng(5).standard_normal((4, 4))
+        assert np.abs(g).max() < 1.79
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow, match="traceless projection overflows"):
+                traceless_projection(g * 1e308)
 
     def test_differs_from_grade2_by_scalar(self):
         u = random_group(12)
         _, ssin = ccos_ssin(u)
-        diff = (traceless_projection(ssin) - grade2(u)).array
-        want = (-ssin.trace() / 12.0) * np.eye(3)
+        diff = traceless_projection(ssin).array - grade2(u).array
+        want = (-complex(np.trace(ssin.array)) / 12.0) * np.eye(3)
         np.testing.assert_allclose(diff, want, atol=1e-15)
 
 
@@ -80,15 +92,15 @@ class TestSplitHS:
         np.testing.assert_allclose(g.g0.array, 0.5 * np.eye(3), atol=1e-15)
         np.testing.assert_allclose(g.g6.array, 0, atol=1e-15)
         np.testing.assert_allclose(
-            (g.H[0] + g.H[1] + g.H[2]).array, g.g4.array, atol=1e-14)
+            g.H[0].array + g.H[1].array + g.H[2].array, g.g4.array, atol=1e-14)
         np.testing.assert_allclose(
-            (g.S[0] + g.S[1] + g.S[2]).array, g.g2.array, atol=1e-14)
+            g.S[0].array + g.S[1].array + g.S[2].array, g.g2.array, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_sums_and_exact_symmetry(self, seed):
         g = split_HS(random_group(seed))
-        assert _fro((g.H[0] + g.H[1] + g.H[2] - g.g4).array) < 1e-12
-        assert _fro((g.S[0] + g.S[1] + g.S[2] - g.g2).array) < 1e-12
+        assert _fro(g.H[0].array + g.H[1].array + g.H[2].array - g.g4.array) < 1e-12
+        assert _fro(g.S[0].array + g.S[1].array + g.S[2].array - g.g2.array) < 1e-12
         for i in range(3):
             h = g.H[i].array
             s = g.S[i].array

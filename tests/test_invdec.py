@@ -28,7 +28,7 @@ from su3kit.invdec import (
 )
 from su3kit.expmap import exp_su3
 from su3kit.oracle import compare, exp_reference, random_algebra
-from su3kit.smallmat import ComplexMat, _det3, commutator, eigen_general, scalar_residual
+from su3kit.smallmat import ComplexMat, _det3, _fro, eigen_general, scalar_residual
 from su3kit.tolerances import DEFAULT_TOL
 
 
@@ -72,8 +72,8 @@ class TestDecomposeViaEigen:
         got = sorted((p.lam.real for p in dec.parts))
         np.testing.assert_allclose(got, sorted(LAMBDAS_EXAMPLE), atol=1e-15)
         # each part is diagonal with the +1 slot carrying the eigenvalue half
-        total = dec.parts[0].mat + dec.parts[1].mat + dec.parts[2].mat
-        np.testing.assert_allclose(total.array, B_EXAMPLE.array, atol=1e-14)
+        total = dec.parts[0].mat.array + dec.parts[1].mat.array + dec.parts[2].mat.array
+        np.testing.assert_allclose(total, B_EXAMPLE.array, atol=1e-14)
 
     def test_worked_example_betas(self):
         dec = decompose_via_eigen(B_EXAMPLE)
@@ -81,7 +81,7 @@ class TestDecomposeViaEigen:
         np.testing.assert_allclose(got, [0.05, 0.1, 0.15], atol=1e-14)
 
     def test_zero_matrix(self):
-        dec = decompose_via_eigen(ComplexMat.zeros(3))
+        dec = decompose_via_eigen(ComplexMat(np.zeros((3, 3))))
         for p in dec.parts:
             assert p.beta == 0.0
             assert p.unit is None
@@ -91,7 +91,7 @@ class TestDecomposeViaEigen:
     def test_invariants_random(self, seed):
         b = random_algebra(seed, scale=1.0 + 0.5 * (seed % 4))
         dec = decompose_via_eigen(b)
-        assert dec.sum_residual() < 1e-10 * max(1.0, b.mat.frobenius_norm())
+        assert dec.sum_residual() < 1e-10 * max(1.0, _fro(b.mat.array))
         assert dec.max_commutator_residual() < 1e-10
         for p in dec.parts:
             # part squares to lam * identity
@@ -129,7 +129,7 @@ class TestLambdaRoots:
         assert all(type(r) is float for r in roots)
 
     def test_zero(self):
-        assert lambda_roots(ComplexMat.zeros(3)) == (0.0, 0.0, 0.0)
+        assert lambda_roots(ComplexMat(np.zeros((3, 3)))) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_eigen_route(self, seed):
@@ -153,8 +153,8 @@ class TestClosedForm:
         parts = decompose_closed_form(b, lams).parts
         dec = decompose_via_eigen(b)
         for cf in parts:
-            best = min((cf.mat - p.mat).frobenius_norm() for p in dec.parts)
-            assert best < 1e-8 * max(1.0, b.mat.frobenius_norm())
+            best = min(_fro(cf.mat.array - p.mat.array) for p in dec.parts)
+            assert best < 1e-8 * max(1.0, _fro(b.mat.array))
 
     def test_caller_order_preserved(self):
         lams = lambda_roots(B_EXAMPLE)
@@ -170,7 +170,7 @@ class TestClosedForm:
 
     def test_all_zero_refused(self):
         with pytest.raises(DegenerateLambdas):
-            decompose_closed_form(ComplexMat.zeros(3), (0.0, 0.0, 0.0))
+            decompose_closed_form(ComplexMat(np.zeros((3, 3))), (0.0, 0.0, 0.0))
 
 
 class TestDecomposeNxn:
@@ -189,15 +189,17 @@ class TestDecomposeNxn:
                        + 1j * rng.standard_normal((n, n)))
         parts = decompose_nxn(m)
         assert len(parts) == n
-        total = parts[0].mat
+        total = parts[0].mat.array
         for p in parts[1:]:
-            total = total + p.mat
-        nrm = max(1.0, m.frobenius_norm())
-        assert (total - m).frobenius_norm() < 1e-9 * nrm
+            total = total + p.mat.array
+        nrm = max(1.0, _fro(m.array))
+        assert _fro(total - m.array) < 1e-9 * nrm
         for i, p in enumerate(parts):
-            assert scalar_residual(p.mat @ p.mat) < 1e-9 * nrm * nrm
+            x = p.mat.array
+            assert scalar_residual(x @ x) < 1e-9 * nrm * nrm
             for q in parts[i + 1:]:
-                assert commutator(p.mat, q.mat).frobenius_norm() < 1e-9 * nrm * nrm
+                y = q.mat.array
+                assert _fro(x @ y - y @ x) < 1e-9 * nrm * nrm
 
     def test_too_small(self):
         with pytest.raises(InvalidAlgebraElement):
@@ -205,28 +207,35 @@ class TestDecomposeNxn:
 
 
 # The ComplexMat arithmetic that the array residuals and the array
-# decompose_nxn replaced; the array versions must give the same bits.
+# decompose_nxn replaced, one operation at a time, each result checked
+# finite as that arithmetic checked it; the array versions must give
+# the same bits.
+
+def _checked(a):
+    return ComplexMat(a).array
+
 
 def _complexmat_sum_residual(dec):
-    total = dec.parts[0].mat
+    total = dec.parts[0].mat.array
     for p in dec.parts[1:]:
-        total = total + p.mat
-    return (total - dec.source).frobenius_norm()
+        total = _checked(total + p.mat.array)
+    return _fro(_checked(total - dec.source.array))
 
 
 def _complexmat_max_commutator(dec):
     worst = 0.0
-    ps = dec.parts
+    ps = [p.mat.array for p in dec.parts]
     for i in range(len(ps)):
         for j in range(i + 1, len(ps)):
-            worst = max(worst, commutator(ps[i].mat, ps[j].mat).frobenius_norm())
+            xy, yx = _checked(ps[i] @ ps[j]), _checked(ps[j] @ ps[i])
+            worst = max(worst, _fro(_checked(xy - yx)))
     return worst
 
 
 def _complexmat_nxn_parts(m):
     n = m.n
     es = eigen_general(m)
-    t = m.trace()
+    t = complex(np.trace(m.array))
     parts = []
     for i in range(n):
         coef = (es.values[i] - t / (n - 2)) / 2.0
@@ -277,7 +286,7 @@ class TestArrayResiduals:
             if p.beta < DEFAULT_TOL.beta_zero_tol:
                 assert p.unit is None
             else:
-                assert p.unit.array.tobytes() == (p.mat * complex(1.0 / p.beta)).array.tobytes()
+                assert p.unit.array.tobytes() == (p.mat.array * complex(1.0 / p.beta)).tobytes()
         if isinstance(b, np.ndarray):
             assert [p.unit is None for p in parts].count(True) == 1
 
@@ -288,7 +297,7 @@ class TestArrayResiduals:
         x = ComplexMat([[1e160, 0], [0, 0]])
         y = ComplexMat([[0, 1], [0, 0]])
         parts = tuple(SimplePart(mat=p, lam=0j, beta=None, unit=None) for p in (x, y))
-        dec = InvariantDecomposition(parts=parts, source=ComplexMat.zeros(2))
+        dec = InvariantDecomposition(parts=parts, source=ComplexMat(np.zeros((2, 2))))
         with np.errstate(over="ignore"):
             assert _complexmat_max_commutator(dec) == math.inf
         with warnings.catch_warnings():
@@ -302,7 +311,7 @@ class TestArrayResiduals:
         a = ComplexMat([[1e200, 0], [0, 0]])
         b = ComplexMat([[0, 1e-100], [0, 0]])
         parts = tuple(SimplePart(mat=p, lam=0j, beta=None, unit=None) for p in (a, b))
-        dec = InvariantDecomposition(parts=parts, source=ComplexMat.zeros(2))
+        dec = InvariantDecomposition(parts=parts, source=ComplexMat(np.zeros((2, 2))))
         assert dec.max_commutator_residual() == _complexmat_max_commutator(dec) == 1e100
 
     def test_first_failing_pair_decides_the_refusal(self):
@@ -313,7 +322,7 @@ class TestArrayResiduals:
         c = ComplexMat([[0, 0], [1e300, 0]])
         for order, error in (((a, b, c), Overflow), ((a, c, b), NonFiniteEntries)):
             parts = tuple(SimplePart(mat=p, lam=0j, beta=None, unit=None) for p in order)
-            dec = InvariantDecomposition(parts=parts, source=ComplexMat.zeros(2))
+            dec = InvariantDecomposition(parts=parts, source=ComplexMat(np.zeros((2, 2))))
             with pytest.raises(error):
                 dec.max_commutator_residual()
 
@@ -323,7 +332,7 @@ class TestArrayResiduals:
         x = ComplexMat([[1e308, 1e200], [0, 0]])
         y = ComplexMat([[1e308, 0], [1e200, 0]])
         parts = tuple(SimplePart(mat=p, lam=0j, beta=None, unit=None) for p in (x, y))
-        dec = InvariantDecomposition(parts=parts, source=ComplexMat.zeros(2))
+        dec = InvariantDecomposition(parts=parts, source=ComplexMat(np.zeros((2, 2))))
         for array_way, complexmat_way in ((dec.sum_residual, _complexmat_sum_residual),
                                           (dec.max_commutator_residual, _complexmat_max_commutator)):
             # the ComplexMat arithmetic also warns on the way

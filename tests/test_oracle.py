@@ -17,13 +17,13 @@ from su3kit.oracle import (
     random_algebra,
     random_group,
 )
-from su3kit.smallmat import ComplexMat
+from su3kit.smallmat import ComplexMat, _fro
 
 
 class TestExpReference:
     def test_zero(self):
         np.testing.assert_allclose(
-            exp_reference(ComplexMat.zeros(3)).array, np.eye(3), atol=0)
+            exp_reference(ComplexMat(np.zeros((3, 3)))).array, np.eye(3), atol=0)
 
     def test_half_turn_diagonal(self):
         b = ComplexMat(np.diag([1j * math.pi, -1j * math.pi, 0.0]))
@@ -32,10 +32,10 @@ class TestExpReference:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_inverse_identity(self, seed):
-        b = random_algebra(seed, scale=1.0 + (seed % 5)).mat
-        if b.frobenius_norm() > 5.0:
-            b = b * (5.0 / b.frobenius_norm())
-        prod = exp_reference(b) @ exp_reference(b * (-1.0))
+        b = random_algebra(seed, scale=1.0 + (seed % 5)).mat.array
+        if _fro(b) > 5.0:
+            b = b * complex(5.0 / _fro(b))
+        prod = exp_reference(b) @ exp_reference(b * complex(-1.0))
         assert compare(prod, ComplexMat.identity(3)) < 1e-12
 
     def test_against_scipy(self):
@@ -118,7 +118,7 @@ class TestLogReference:
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
-            log_reference(ComplexMat.identity(3) * 2.0)
+            log_reference(np.eye(3) * 2.0)
 
     def test_skew_hermitian_output(self):
         l = log_reference(random_group(3).mat).array
@@ -217,11 +217,11 @@ class TestCompare:
         assert compare(m, m) == 0.0
 
     def test_identity_vs_zero(self):
-        got = compare(ComplexMat.identity(3), ComplexMat.zeros(3))
+        got = compare(ComplexMat.identity(3), ComplexMat(np.zeros((3, 3))))
         assert abs(got - math.sqrt(3.0)) < 1e-15
 
     def test_norm_floor(self):
-        got = compare(ComplexMat.identity(3) * 2.0, ComplexMat.identity(3))
+        got = compare(np.eye(3) * 2.0, ComplexMat.identity(3))
         assert abs(got - 1.0) < 1e-15
 
     def test_dimension_mismatch(self):

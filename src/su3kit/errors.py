@@ -58,10 +58,6 @@ class NotDiagonalizable(NumericalError):
     code = "not_diagonalizable"
 
 
-class Singular(NumericalError):
-    code = "singular"
-
-
 class Overflow(NumericalError):
     """An intermediate quantity (such as the squared norm) is not finite."""
     code = "overflow"
@@ -73,7 +69,7 @@ class EigenFailure(NumericalError):
 
 
 class DegenerateLambdas(NumericalError):
-    """Closed-form decomposition refused: scalar squares repeat or vanish."""
+    """Closed-form decomposition refused: the lambdas repeat, vanish or are not the element's."""
     code = "degenerate_lambdas"
 
 

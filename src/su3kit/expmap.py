@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError, NotUnitary
+from .errors import DimensionMismatch, InputError, NonFiniteEntries, NotUnitary
 from .invdec import (
     AlgebraElement,
     SimplePart,
@@ -47,6 +47,7 @@ from .smallmat import (
     _det3,
     _finite_mat,
     _finite_norm,
+    _finite_value,
     _fro,
     _require_finite,
     _scaled,
@@ -127,12 +128,19 @@ def _factor_array(unit: np.ndarray | None, angle: float) -> np.ndarray:
     return scalar if unit is None else scalar + unit * complex(math.sin(angle))
 
 
+def _finite_angle(theta) -> float:
+    """theta as a float; NonFiniteEntries where it is NaN or infinite."""
+    if not math.isfinite(float(theta)):
+        raise NonFiniteEntries(f"the angle must be finite, got {theta!r}")
+    return float(theta)
+
+
 def _factor_mat(part: SimplePart, scale: float = 1.0) -> ComplexMat:
     if part.beta is None:
         raise InputError(
             "part has no angle: only the parts of an su(3) element have an Euler factor")
     unit = part.unit.array if part.unit is not None else None
-    return ComplexMat._wrap(_factor_array(unit, scale * part.beta))
+    return ComplexMat._wrap(_factor_array(unit, _finite_value(scale * part.beta, "the angle")))
 
 
 def exp_simple(part: SimplePart) -> EulerFactor:
@@ -219,10 +227,11 @@ def family_element(parts, thetas, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
     within decomp_tol max(1, ||b_i|| ||b_j||), judged by
     ``invdec._commutator_sq``, which names the first pair i < j that
     fails.  The factors are unitary but their determinants need not
-    be 1.
+    be 1.  The angles must be finite, and an angle whose product with
+    its part's beta overflows is refused as Overflow.
     """
     parts = list(parts)
-    thetas = [float(t) for t in thetas]
+    thetas = [_finite_angle(t) for t in thetas]
     if len(parts) != len(thetas):
         raise InputError(f"{len(parts)} parts but {len(thetas)} angles")
     mats = [part.mat.array for part in parts]

@@ -142,7 +142,7 @@ from .errors import (
 from .expmap import GroupElement, _check_group, _factor_array
 from .grades import (GradeDecomposition, _decomposition, _eigen_decomposition, _eigenbasis,
                      _halves, _scalar_grades)
-from .invdec import SimplePart
+from .invdec import _OTHERS, SimplePart, _involutions
 from .smallmat import (_EPS, _EYE3, ComplexMat, _as_mat, _eigen_normal3, _finite_mat,
                        _finite_norm, _fro, _normal_norm, _order_indices, _scalar_residual,
                        _unchecked_mat)
@@ -151,8 +151,6 @@ from .tolerances import DEFAULT_TOL, Tolerances
 _SQRT3 = math.sqrt(3.0)
 # sigma_i = 2 e_i - 1: the involution 2 p_i p_i^H - 1 on U's eigenbasis P
 _SIGMA = ((1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0))
-# the indices j, k other than i
-_OTHERS = ((1, 2), (0, 2), (0, 1))
 # the shifts k in {-1, 0, 1}^3 by their sum
 _SHIFTS = {n: [k for k in itertools.product((-1, 0, 1), repeat=3) if sum(k) == n]
            for n in range(-3, 4)}
@@ -605,7 +603,8 @@ def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
         P_i = (U - e_j)(U - e_k) / ((e_i - e_j)(e_i - e_k)),
 
     and unit i, i w_i (2 P_i - 1) with w_i the sign of part i, is made
-    exactly skew.
+    exactly skew (``invdec._involutions``, which builds
+    ``decompose_closed_form``'s parts too).
 
     None leaves a to the eigen path, which then runs as it would alone,
     so both accept the same U with the same routes and errors:
@@ -644,14 +643,8 @@ def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
         parts, routes = _route_parts(e, g0, g6, gam, delt, tol)
     except NumericalError:
         return None
-    # unit i is i w_i (2 P_i - 1) = i w_i (2 (U - e_j)(U - e_k) / ((e_i - e_j)(e_i - e_k)) - 1),
-    # w_i the sign of part i: its coefficients on U^2, U and 1, one row per unit
-    coef = []
-    for i, (j, k) in enumerate(_OTHERS):
-        r = 2j * parts[i][1][i] / ((e[i] - e[j]) * (e[i] - e[k]))
-        coef.append((r, -r * (e[j] + e[k]), r * e[j] * e[k] - 1j * parts[i][1][i]))
-    m = (np.array(coef) @ np.array([a @ a, a, _EYE3]).reshape(3, 9)).reshape(3, 3, 3)
-    units = (m - m.conj().transpose(0, 2, 1)) * complex(0.5)
+    # unit i is i w_i (2 P_i - 1), w_i the sign of part i
+    units = _involutions(a, e, [1j * w[i] for i, (_, w) in enumerate(parts)])
     factors = _stacked_factors(units, parts)
     if not _fro(factors[0] @ factors[1] @ factors[2] - a) <= _CF_FACTOR_MISS:
         return None

@@ -25,8 +25,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InputError
-from .expmap import GroupElement
-from .smallmat import _EYE3, ComplexMat
+from .expmap import GroupElement, _finite_angle
+from .smallmat import _EYE3, ComplexMat, _finite_value
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _SQRT3 = math.sqrt(3.0)
@@ -106,10 +106,10 @@ def reconstruct_lambda(a: int) -> ComplexMat:
 
 
 def exp_gellmann(a: int, theta: float, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
-    """exp(i theta lambda_a) for a = 1..7 by the cubic closed form."""
+    """exp(i theta lambda_a) for a = 1..7 by the cubic closed form; theta must be finite."""
     if not 1 <= a <= 7:
         raise InputError(f"exp_gellmann covers a = 1..7, got {a}")
-    theta = float(theta)
+    theta = _finite_angle(theta)
     g = LAMBDAS[a - 1].array
     gsq = g @ g
     mat = (_EYE3 - gsq) + gsq * complex(math.cos(theta)) + g * complex(1j * math.sin(theta))
@@ -117,6 +117,10 @@ def exp_gellmann(a: int, theta: float, tol: Tolerances = DEFAULT_TOL) -> GroupEl
 
 
 def exp_gellmann8(theta: float, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
-    """exp(i theta lambda_8), diagonal with phases (1, 1, -2) theta / sqrt(3)."""
-    phase = float(theta) / _SQRT3
+    """exp(i theta lambda_8), diagonal with phases (1, 1, -2) theta / sqrt(3).
+
+    theta must be finite, and Overflow where the phase 2 theta / sqrt(3) overflows.
+    """
+    phase = _finite_angle(theta) / _SQRT3
+    _finite_value(2.0 * phase, "the phase 2 theta / sqrt(3)")
     return GroupElement(np.diag(np.exp([1j * phase, 1j * phase, -2j * phase])), tol)

@@ -62,6 +62,8 @@ def _scalar_grades(t: complex) -> tuple[complex, complex]:
     return (1.0 + ((t + t.conjugate()) / 2.0)) / 4.0, ((t - t.conjugate()) / 2.0) / 4.0
 
 
+# an overflowing grade is refused by its caller, so numpy's warnings are noise
+@np.errstate(over="ignore", invalid="ignore")
 def _grades(a: np.ndarray) -> tuple[np.ndarray, ...]:
     """(g0, g2, g4, g6, ccos, ssin) of a square array."""
     ccos, ssin = _halves(a)
@@ -78,19 +80,19 @@ def ccos_ssin(u) -> tuple[ComplexMat, ComplexMat]:
 
 
 def grade0(u) -> ComplexMat:
-    return _finite_mat(_grades(_as_mat(u).array)[0])
+    return _finite_mat(_grades(_as_mat(u).array)[0], "grade 0")
 
 
 def grade2(u) -> ComplexMat:
-    return _finite_mat(_grades(_as_mat(u).array)[1])
+    return _finite_mat(_grades(_as_mat(u).array)[1], "grade 2")
 
 
 def grade4(u) -> ComplexMat:
-    return _finite_mat(_grades(_as_mat(u).array)[2])
+    return _finite_mat(_grades(_as_mat(u).array)[2], "grade 4")
 
 
 def grade6(u) -> ComplexMat:
-    return _finite_mat(_grades(_as_mat(u).array)[3])
+    return _finite_mat(_grades(_as_mat(u).array)[3], "grade 6")
 
 
 @np.errstate(over="ignore", invalid="ignore")

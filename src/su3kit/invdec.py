@@ -11,10 +11,14 @@ eigenvalues alpha_i and eigenprojections built from the eigenbasis P,
 so each part is a scaled sign-pattern involution conjugated into the
 eigenbasis.  For su(3) a closed form avoids the eigenproblem entirely:
 the lambda_i are roots of a real cubic in the two invariants tr(B^2)
-and det(B), and each part is recovered by a resolvent-style product
-(see ``decompose_closed_form``).  The closed form requires distinct
-nonzero lambdas; the eigen route works in every case and is the
-arbiter the closed form is cross-checked against.
+and det(B), and part i is (mu_i/2)(2 P_i - 1), mu_i = +-2i sqrt(-lambda_i)
+the eigenvalue and P_i the spectral projector as Lagrange's
+polynomial in B (see ``decompose_closed_form``).  ``_involutions``
+builds such a stack of scaled involutions from three eigenvalues and
+a matrix, for these parts and for ``factorlog.factorize``'s units.
+The closed form requires distinct nonzero lambdas; the eigen route
+works in every case and is the arbiter the closed form is
+cross-checked against.
 
 Everything runs on plain arrays.  The eigen route's numeric core is
 ``_eigen_parts``: for an n x n array (3 <= n <= 8) and its norm it
@@ -61,8 +65,8 @@ from .smallmat import (
     _eigen_general,
     _eigen_normal3,
     _finite_norm,
-    _inverse,
     _fro,
+    _ldexp,
     _normal_problem,
     _require_finite,
     _scaled,
@@ -220,6 +224,8 @@ def _su3_problem(arr: np.ndarray, nrm: float, tol: Tolerances) -> str | None:
     return None
 
 
+# the indices j, k other than i
+_OTHERS = ((1, 2), (0, 2), (0, 1))
 # identities by size, built once
 _EYES = tuple(np.eye(n) for n in range(9))
 
@@ -366,26 +372,57 @@ def lambda_roots(b, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float, float]
     return tuple(sorted((math.ldexp(-0.25 * q * q, -2 * shift) for q in roots), reverse=True))
 
 
+def _involutions(a: np.ndarray, nodes, scales) -> np.ndarray:
+    """The stack scales[i] (2 P_i - 1), made exactly skew, for a 3x3 array a.
+
+    P_i is Lagrange's polynomial in a (Higham, Functions of Matrices,
+    2008, ch. 1),
+
+        P_i = (a - e_j)(a - e_k) / ((e_i - e_j)(e_i - e_k)),
+
+    e the nodes: a's spectral projector onto e_i where the nodes are
+    a's three distinct eigenvalues.  The coefficients of each part on
+    a^2, a and 1 form one row, and the three rows take one (3, 9)
+    product with a^2, a and 1.  For a normal a and imaginary scales the
+    parts are skew, and the projection strips the rounding.  The nodes
+    and scales are Python or numpy complex scalars.  Runs under no
+    np.errstate: its callers hold one or bound a.
+    """
+    coef = []
+    for i, (j, k) in enumerate(_OTHERS):
+        # c + c, not 2.0 * c: a float times a complex can flip the sign of a zero
+        r = (scales[i] + scales[i]) / ((nodes[i] - nodes[j]) * (nodes[i] - nodes[k]))
+        coef.append((r, -r * (nodes[j] + nodes[k]), r * nodes[j] * nodes[k] - scales[i]))
+    m = (np.array(coef) @ np.array([a @ a, a, _EYE3]).reshape(3, 9)).reshape(3, 3, 3)
+    return (m - m.conj().transpose(0, 2, 1)) * complex(0.5)
+
+
 def decompose_closed_form(b, lambdas, tol: Tolerances = DEFAULT_TOL) -> InvariantDecomposition:
     """Recover the commuting parts of an su(3) element from its lambdas.
 
-    For each lambda_i,
+    Part i is b_i = (mu_i/2)(2 P_i - 1), mu_i the eigenvalue of b with
+    mu_i^2 = 4 lambda_i and P_i its spectral projector, Lagrange's
+    polynomial in b (``_involutions``): one b^2 and no inversion or
+    eigensolver.  mu = i q for the roots q of Q = -i b, |q_i| =
+    2 sqrt(-lambda_i); the largest |q| takes the sign of
+    det Q = -Im det b and the other two the opposite sign (their sum is
+    0).  All of it runs on b * 2^k (``smallmat._scaled``), so no b^2
+    overflows, and the parts are scaled back by 2^-k.
 
-        b_i = [B + det(B)/(8 lambda_i)] . [1 + (B^2 - tr(B^2)/4)/(2 lambda_i)]^{-1}
-
-    followed by an exact skew-Hermitian projection to strip inversion
-    round-off.  Valid only when the lambdas are pairwise separated and
-    away from zero (relative to the largest magnitude); otherwise the
-    bracketed matrix is ill-conditioned and DegenerateLambdas is raised
-    so the caller falls back to the eigen route.
+    The lambdas must be pairwise separated and away from zero, relative
+    to the largest magnitude (lambda_sep_tol), or P_i divides by a
+    vanishing gap.  Lagrange's parts sum to b and commute for any
+    nodes, so only their defining property vouches that the lambdas are
+    b's: the squares b_i^2 may miss lambda_i 1 by at most
+    decomp_tol max(1, max |lambda|), in the Frobenius norm of all three
+    and in the units of b * 2^k.  Either refusal is DegenerateLambdas,
+    and the caller falls back to the eigen route.
     """
     m = b.mat if isinstance(b, AlgebraElement) else AlgebraElement(b, tol).mat
     lams = [float(x) for x in lambdas]
     if len(lams) != 3:
         raise DegenerateLambdas(f"expected 3 lambdas, got {len(lams)}")
     top = max(abs(x) for x in lams)
-    if top == 0.0:
-        raise DegenerateLambdas("all lambdas vanish")
     sep = tol.lambda_sep_tol * top
     for i in range(3):
         if abs(lams[i]) <= sep:
@@ -395,21 +432,17 @@ def decompose_closed_form(b, lambdas, tol: Tolerances = DEFAULT_TOL) -> Invarian
                 raise DegenerateLambdas(
                     f"lambdas {lams[i]:.6e} and {lams[j]:.6e} are not separated"
                 )
-    arr = m.array
-    det = _det3(arr)
-    sq = arr @ arr
-    dev = sq - (0.25 * np.trace(sq)) * _EYE3
-    mats = np.empty((3, 3, 3), dtype=np.complex128)
-    # overflowing entries are refused below, so numpy's warnings are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, lam in enumerate(lams):
-            num = arr + (det / (8.0 * lam)) * _EYE3
-            den = _EYE3 + dev * complex(1.0 / (2.0 * lam))
-            # checked here: the inverse would report a non-finite den as Singular
-            _require_finite(num)
-            _require_finite(den)
-            raw = num @ _inverse(den, tol)
-            mats[i] = (raw - raw.conj().T) * complex(0.5)
-            _require_finite(mats[i])
-        parts = _su3_parts(mats, lams, tol)
-    return InvariantDecomposition(parts=parts, source=m)
+    arr, _, k = _scaled(m.array, _finite_norm(m.array))
+    # on numpy scalars, with no warnings: lambdas far from b's scale run
+    # to inf or 0 in its units, and nodes that coincide give parts of inf
+    # or NaN, which the square gate refuses
+    with np.errstate(all="ignore"):
+        scaled = np.ldexp(lams, 2 * k)
+        q = 2.0 * np.sqrt(np.abs(scaled)) * np.where(np.abs(lams) == top, 1.0, -1.0)
+        mus = 1j * math.copysign(1.0, -_det3(arr).imag) * q
+        mats = _involutions(arr, mus, 0.5 * mus)
+        miss = _fro(mats @ mats - scaled[:, None, None] * _EYE3)
+    if not miss <= tol.decomp_tol * max(1.0, np.abs(scaled).max()):
+        raise DegenerateLambdas(
+            f"the parts square to their lambdas only within {miss:.3e}: not the lambdas of b")
+    return InvariantDecomposition(parts=_su3_parts(_ldexp(mats, -k), lams, tol), source=m)

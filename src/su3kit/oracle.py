@@ -18,7 +18,7 @@ from .errors import InputError, NotUnitary, Overflow
 from .expmap import GroupElement
 from .invdec import AlgebraElement
 from .gellmann import LAMBDAS
-from .smallmat import ComplexMat, _as_mat, eigen_general
+from .smallmat import ComplexMat, _as_mat, _finite_value, eigen_general
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _TAYLOR_ORDER = 18
@@ -123,9 +123,15 @@ def random_group(seed: int, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
     return GroupElement(ComplexMat(q), tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compare(a, b) -> float:
-    """Relative Frobenius distance ||a - b||_F / max(1, ||b||_F)."""
+    """Relative Frobenius distance ||a - b||_F / max(1, ||b||_F).
+
+    Overflow where either norm overflows: the quotient would be NaN, or
+    0 for a distance that is not.
+    """
     am, bm = _as_mat(a).array, _as_mat(b).array
     if am.shape != bm.shape:
         raise InputError(f"shape mismatch: {am.shape} vs {bm.shape}")
-    return float(np.linalg.norm(am - bm) / max(1.0, np.linalg.norm(bm)))
+    dist = _finite_value(np.linalg.norm(am - bm), "the distance ||a - b||")
+    return float(dist / max(1.0, _finite_value(np.linalg.norm(bm), "the norm ||b||")))

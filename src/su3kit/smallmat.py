@@ -72,7 +72,6 @@ from .errors import (
     NotDiagonalizable,
     NotNormal,
     Overflow,
-    Singular,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -145,13 +144,6 @@ class ComplexMat:
         return ComplexMat(self._a @ other._a)
 
 
-def _inverse(a: np.ndarray, tol: Tolerances) -> np.ndarray:
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > tol.inv_cond_max:
-        raise Singular(f"condition estimate {cond:.3e} exceeds {tol.inv_cond_max:.1e}")
-    return np.linalg.inv(a)
-
-
 class Validated:
     """Base of the validated boundary types: a ComplexMat that passed a check."""
 
@@ -218,15 +210,23 @@ def _finite_mat(a: np.ndarray, overflow: str | None = None) -> ComplexMat:
     return ComplexMat._wrap(a)
 
 
+def _finite_value(x: float, what: str) -> float:
+    """x, computed from finite inputs; Overflow, naming what x is, where it is not finite."""
+    if not math.isfinite(x):
+        raise Overflow(f"{what} overflows: its inputs are finite but too large")
+    return x
+
+
 def _det3(a: np.ndarray) -> complex:
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
     return complex(a00 * (a11 * a22 - a12 * a21) - a01 * (a10 * a22 - a12 * a20)
                    + a02 * (a10 * a21 - a11 * a20))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def scalar_residual(m) -> float:
-    """Frobenius distance of m from the span of the identity."""
-    return _scalar_residual(_as_mat(m).array)
+    """Frobenius distance of m from the span of the identity; Overflow where it overflows."""
+    return _finite_value(_scalar_residual(_as_mat(m).array), "scalar residual")
 
 
 def _scalar_residual(a: np.ndarray) -> float:

@@ -1,17 +1,23 @@
-"""Boundary checks of raw input: refusal order and the Frobenius norm they measure."""
+"""Boundary checks of raw input: refusal order, the Frobenius norm they measure, and the
+library's contract on finite inputs of every scale, NaN and +-inf."""
 
+import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su3kit.errors import Su3KitError
-from su3kit.expmap import GroupElement, exp_su3
+from su3kit.errors import NonFiniteEntries, Overflow, Su3KitError
+from su3kit.expmap import GroupElement, exp_su3, family_element
 from su3kit.factorlog import factorize, principal_log
-from su3kit.invdec import AlgebraElement, lambda_roots
-from su3kit.smallmat import _fro, eigen_normal3
+from su3kit.gellmann import exp_gellmann, exp_gellmann8
+from su3kit.grades import grade0, grade2, grade4, grade6
+from su3kit.invdec import AlgebraElement, decompose_closed_form, decompose_via_eigen, lambda_roots
+from su3kit.oracle import compare, random_algebra
+from su3kit.smallmat import _fro, eigen_normal3, scalar_residual
 
 _B = np.array([[0.3j, 1 + 0.5j, -0.2 + 0.1j], [-1 + 0.5j, -0.1j, 0.4 - 0.7j],
                [0.2 + 0.1j, -0.4 - 0.7j, -0.2j]])
@@ -152,3 +158,121 @@ def test_fro_is_numpy_norm_bit_for_bit(seed, shape, complex_, layout, exponent, 
             value = norm(a)
         results.append((np.float64(value).tobytes(), [str(w.message) for w in caught]))
     assert results[0] == results[1]
+
+
+# -- the library's contract -------------------------------------------------------
+
+
+def _gauss(seed, n, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * scale
+
+
+def _parts(seed, scale=1.0):
+    return decompose_via_eigen(random_algebra(seed, scale=scale)).parts
+
+
+_BIG = 1.7e308
+
+# finite inputs whose results overflow: Overflow, with no RuntimeWarning
+LIBRARY_OVERFLOWS = {
+    "grade0 of a trace that overflows": lambda: grade0(np.diag([_BIG, _BIG, 0.0, 0.0])),
+    "grade2 of a 4x4 Gaussian x 7.4e307": lambda: grade2(_gauss(0, 4, 7.4e307)),
+    "grade4 of a symmetric pair x 1.7e308": lambda: grade4([[0.0, _BIG], [_BIG, 0.0]]),
+    "grade6 of an imaginary trace that overflows":
+        lambda: grade6(np.diag([_BIG * 1j, _BIG * 1j, 0.0])),
+    "scalar_residual of an 8x8 Gaussian x 1.5e300": lambda: scalar_residual(_gauss(0, 8, 1.5e300)),
+    "compare of 3x3 Gaussians x 7.8e168": lambda: compare(_gauss(1, 3, 7.8e168),
+                                                          _gauss(2, 3, 7.8e168)),
+    "exp_gellmann8 at 1.7e308": lambda: exp_gellmann8(_BIG),
+    "family_element at 1.7e308 on betas above 1": lambda: family_element(_parts(0, 10.0),
+                                                                         (_BIG, 0.0, 0.0)),
+}
+
+NON_FINITE_ANGLES = {
+    "exp_gellmann at inf": lambda: exp_gellmann(1, math.inf),
+    "exp_gellmann at nan": lambda: exp_gellmann(4, math.nan),
+    "exp_gellmann8 at -inf": lambda: exp_gellmann8(-math.inf),
+    "family_element at inf": lambda: family_element(_parts(0), (math.inf, 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_OVERFLOWS))
+def test_overflowing_result_refused(case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow):
+            LIBRARY_OVERFLOWS[case]()
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_ANGLES))
+def test_non_finite_angle_refused(case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteEntries):
+            NON_FINITE_ANGLES[case]()
+
+
+_SCALES = [5e-324, 1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e100, 1e150, 1e154, 1e300, _BIG]
+_EDGES = [math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _library_calls(draw):
+    """A call of one library name on inputs from 5e-324 to 1.7e308, NaN or +-inf.
+
+    Matrices are Gaussian, or su(3) for the decomposition, times a
+    scale, and an entry or an angle at times takes an edge value.
+    decompose_closed_form takes the element's own lambdas where
+    lambda_roots gives them, or lambdas in the scale's square.
+    """
+    name = draw(st.sampled_from(sorted(_LIBRARY_NAMES)))
+    scale = draw(st.one_of(st.sampled_from(_SCALES), st.floats(5e-324, _BIG)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 8))
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = random_algebra(seed).mat.array * scale
+        m = _gauss(seed, n, scale)
+        m2 = _gauss(seed + 1, n, draw(st.sampled_from([1.0, scale])))
+        lams = [-scale * scale, -2.0 * scale * scale, -3.0 * scale * scale]
+    edge = draw(st.one_of(st.none(), st.sampled_from(_EDGES)))
+    if edge is not None and draw(st.booleans()):
+        i, j = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        b[i, j] = m[i, j] = edge
+    if draw(st.booleans()):
+        try:
+            lams = lambda_roots(b)
+        except Su3KitError:
+            pass
+    angle = draw(st.sampled_from([scale, -scale] + ([edge] if edge is not None else [])))
+    parts = _parts(seed % 1000, draw(st.sampled_from([1e-3, 1.0, 10.0, 1e3])))
+    return name, SimpleNamespace(b=b, m=m, m2=m2, lams=lams, angle=angle, parts=parts,
+                                 a=1 + seed % 7)
+
+
+_LIBRARY_NAMES = {
+    "decompose_closed_form": lambda x: decompose_closed_form(x.b, x.lams),
+    "lambda_roots": lambda x: lambda_roots(x.b),
+    "grade0": lambda x: grade0(x.m),
+    "grade2": lambda x: grade2(x.m),
+    "grade4": lambda x: grade4(x.m),
+    "grade6": lambda x: grade6(x.m),
+    "scalar_residual": lambda x: scalar_residual(x.m),
+    "compare": lambda x: compare(x.m, x.m2),
+    "exp_gellmann": lambda x: exp_gellmann(x.a, x.angle),
+    "exp_gellmann8": lambda x: exp_gellmann8(x.angle),
+    "family_element": lambda x: family_element(x.parts, (x.angle, 1.0, -x.angle)),
+}
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(_library_calls())
+def test_library_returns_or_refuses(call):
+    """Each call returns, or raises an Su3KitError, and warns nothing."""
+    name, inputs = call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            _LIBRARY_NAMES[name](inputs)
+        except Su3KitError:
+            pass

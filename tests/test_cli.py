@@ -772,7 +772,8 @@ class TestTolOverride:
         assert json.loads(out)["error"]["code"] == "invalid_document"
 
     @pytest.mark.parametrize(
-        "name", ["simple_tol", "root_tol", "cross_tol", "grade_tol", "inv_tol", "log_tol"])
+        "name", ["simple_tol", "root_tol", "cross_tol", "grade_tol", "inv_tol", "log_tol",
+                 "inv_cond_max"])
     def test_removed_fields_are_unknown(self, name, capsys, monkeypatch):
         # these thresholds gated nothing, so they are no longer fields
         code, out = run_cli(["log", "-", "--tol-override", name + "=1e-9"],
@@ -868,6 +869,7 @@ _DOCUMENT_ARGVS = [
 ]
 _CONTRACT_EDGES = [5e-324, -5e-324, 2.2250738585072014e-308, 1e154, 1.7e308, -1.7e308,
                    math.nan, math.inf, -math.inf, 0.0, -0.0]
+_CONTRACT_ANGLES = [math.inf, -math.inf, math.nan, 1.7e308, -1.7e308, 5e-324, 0.0, 1.0]
 # values that make a pair, a row or the document malformed
 _CONTRACT_FLAWS = [True, None, "1", [1.0], 10**400, [[0.0, 0.0]]]
 
@@ -916,7 +918,14 @@ class TestContract:
     @settings(max_examples=400, deadline=None, database=None, derandomize=True)
     @given(_contract_calls())
     def test_result_or_structured_error(self, call):
-        argv, text = call
+        self._check(*call)
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.integers(0, 9), st.one_of(st.sampled_from(_CONTRACT_ANGLES), st.floats()))
+    def test_gellmann_result_or_structured_error(self, a, theta):
+        self._check(["gellmann", "--a", str(a), f"--theta={theta!r}"], "")
+
+    def _check(self, argv, text):
         out = io.StringIO()
         stdin = sys.stdin
         sys.stdin = io.StringIO(text)

@@ -2,7 +2,7 @@
 
 ``matrix_factorize`` below is the route cascade as it ran on 3x3
 matrices, frozen as the specification: it builds every constituent
-and candidate as a matrix, inverts with ``smallmat._inverse``, checks
+and candidate as a matrix, inverts with ``spec_inverse.inverse``, checks
 each candidate with a 3x3 unitarity residual and recovers each factor
 with ``principal_log_factor``.  Wherever it succeeds, ``factorize``
 must take the same routes and return the same factors within 1e-12.
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spec_inverse import inverse
 from su3kit import factorlog, grades
 from su3kit.errors import (
     AmbiguousDirection,
@@ -42,7 +43,7 @@ from su3kit.factorlog import (
 )
 from su3kit.grades import split_HS
 from su3kit.oracle import compare, exp_reference, random_algebra, random_group
-from su3kit.smallmat import _EYE3, _inverse, eigen_normal3
+from su3kit.smallmat import _EYE3, eigen_normal3
 from su3kit.tolerances import DEFAULT_TOL
 
 # -- the specification ----------------------------------------------------------
@@ -58,9 +59,9 @@ def _route_exprs(g0, g6, H, S, i, tol):
 
     return {
         "simple": lambda: g0 + S[i],
-        "inv_a": lambda: _EYE3 + usable("H", H[k]) @ _inverse(usable("S", S[j]), tol),
-        "inv_b": lambda: _EYE3 + usable("H", H[j]) @ _inverse(usable("S", S[k]), tol),
-        "inv2": lambda: _EYE3 + usable("g6", g6) @ _inverse(usable("H", H[i]), tol),
+        "inv_a": lambda: _EYE3 + usable("H", H[k]) @ inverse(usable("S", S[j])),
+        "inv_b": lambda: _EYE3 + usable("H", H[j]) @ inverse(usable("S", S[k])),
+        "inv2": lambda: _EYE3 + usable("g6", g6) @ inverse(usable("H", H[i])),
     }
 
 

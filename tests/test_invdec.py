@@ -172,6 +172,27 @@ class TestClosedForm:
         with pytest.raises(DegenerateLambdas):
             decompose_closed_form(ComplexMat(np.zeros((3, 3))), (0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("lams", [(-1.0, -2.0, -3.0),
+                                      tuple(2.0 * x for x in lambda_roots(B_EXAMPLE))])
+    def test_lambdas_of_another_element_refused(self, lams):
+        # the Lagrange parts sum to B and commute for any lambdas: only
+        # b_i^2 = lambda_i 1 tells that these are not B's
+        with pytest.raises(DegenerateLambdas, match="square to their lambdas"):
+            decompose_closed_form(B_EXAMPLE, lams)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_large_norms_match_eigen_route(self, seed, scale):
+        # the parts are built on B * 2^k: no B^2 or det B overflows near 1e150
+        b = random_algebra(seed).mat.array * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parts = decompose_closed_form(b, lambda_roots(b)).parts
+            eig = decompose_via_eigen(b).parts
+        for p in parts:
+            best = min(_fro((p.mat.array - q.mat.array) / scale) for q in eig)
+            assert best <= 1e-13 * _fro(b / scale)
+
 
 class TestDecomposeNxn:
     def test_diag_1234(self):
@@ -399,9 +420,9 @@ class TestArrayClosedForm:
         assert len(dec.parts) == 3 and all(p.unit is not None for p in dec.parts)
 
     def test_overflowing_shift_refused(self):
-        # det(B) / (8 lambda) overflows for lambdas this small: refused
-        # as non-finite, without numpy's RuntimeWarning
-        with pytest.raises(NonFiniteEntries):
+        # lambdas this far below B's are not B's: the parts' squares
+        # overflow, and the square gate refuses them without numpy's RuntimeWarning
+        with pytest.raises(DegenerateLambdas):
             decompose_closed_form(B_EXAMPLE, (-1e-320, -2e-320, -3e-320))
 
 

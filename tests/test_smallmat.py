@@ -18,7 +18,6 @@ from su3kit.errors import (
     NotDiagonalizable,
     NotNormal,
     NotUnitary,
-    Singular,
     Su3KitError,
 )
 from su3kit.expmap import GroupElement, _check_group, exp_su3
@@ -33,7 +32,6 @@ from su3kit.smallmat import (
     _det3,
     _finite_norm,
     _fro,
-    _inverse,
     _normal_problem,
     _phase_fix_columns,
     _scaled,
@@ -54,7 +52,7 @@ def random_unitary3(rng):
 
 
 class TestComplexMat:
-    """The boundary type, and the array helpers _fro, _det3 and _inverse beside it."""
+    """The boundary type, and the array helpers _fro and _det3 beside it."""
 
     def test_square_only(self):
         with pytest.raises(DimensionMismatch):
@@ -106,20 +104,6 @@ class TestComplexMat:
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             assert _det3(a @ b) == pytest.approx(_det3(a) * _det3(b), rel=1e-10)
-
-    def test_inverse_involution(self):
-        np.testing.assert_allclose(_inverse(RHO_P1.array, DEFAULT_TOL), RHO_P1.array, atol=1e-14)
-
-    def test_inverse_residual(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            prod = m @ _inverse(m, DEFAULT_TOL)
-            assert np.linalg.norm(prod - np.eye(3)) < 1e-9
-
-    def test_inverse_singular(self):
-        with pytest.raises(Singular):
-            _inverse(np.diag([1.0, 1.0, 0.0]).astype(complex), DEFAULT_TOL)
 
     def test_getitem(self):
         assert RHO_P1[0, 1] == 1.0

@@ -17,9 +17,10 @@ copies a raw input once and validates it once as an su(3) element,
 whose norm also proves it finite (``invdec._algebra_norm``), solves
 the characteristic cubic with ``invdec._cubic_roots``, computes the
 coefficients on Python scalars, forms B^2 once, runs the
-``GroupElement`` check (``_check_group``) once on the result and wraps
-it with the unitarity residual that check measured.  No eigensolver
-runs.  ``decompose_via_eigen`` followed by ``exp_simple`` on each part
+``GroupElement`` check once on the result, under no ``np.errstate``
+since the result's entries are bounded (``_check_bounded_group``),
+and wraps it with the unitarity residual that check measured.  No
+eigensolver runs.  ``decompose_via_eigen`` followed by ``exp_simple`` on each part
 is the same identity through the public types; the two agree to a few
 eps max(1, ||B||), not bit for bit.
 """
@@ -88,12 +89,13 @@ def _group_residuals(arr: np.ndarray) -> tuple[float, float]:
     return _unitarity_residual(arr), abs(_det3(arr) - 1.0)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _check_group(arr: np.ndarray, tol: Tolerances, special: bool = True) -> float:
+def _check_bounded_group(arr: np.ndarray, tol: Tolerances, special: bool = True) -> float:
     """NotUnitary unless arr is a finite 3x3 unitary, with det 1 when special.
 
     Returns the unitarity residual ||arr^H arr - 1||_F it measured.
     A residual that passes proves arr finite; a refusal scans arr first.
+    Runs under no np.errstate, for an array whose entries are bounded;
+    ``_check_group`` is the same check for raw input, under one.
     """
     if arr.shape != (3, 3):
         _require_finite(arr)
@@ -110,6 +112,9 @@ def _check_group(arr: np.ndarray, tol: Tolerances, special: bool = True) -> floa
         if not det_dev <= tol.grp_tol:
             raise NotUnitary(f"determinant is off 1 by {det_dev:.3e}, matrix is not special")
     return dev
+
+
+_check_group = np.errstate(over="ignore", invalid="ignore")(_check_bounded_group)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -210,7 +215,10 @@ def exp_su3(b, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
         if c0 < 0.0:
             f0, f1, f2 = f0.conjugate(), -f1.conjugate(), f2.conjugate()
         out = (arr @ arr) * -f2 + arr * (-1j * f1) + _EYE3 * f0
-    dev = _check_group(out, tol)
+    # _scaled leaves arr's norm at most 2^100, and f1 and f2 fall as 1/||arr||
+    # and 1/||arr||^2 for a large one, so each term of out is at most of order
+    # 1 and no product in its unitarity residual can overflow
+    dev = _check_bounded_group(out, tol)
     group = object.__new__(GroupElement)
     object.__setattr__(group, "_mat", ComplexMat._wrap(out))
     object.__setattr__(group, "_dev", dev)

@@ -78,27 +78,32 @@ U's eigenvalues alone decide which U have a log (see ``_log_sum``); a
 winding whose turns carry more rounding than fact_tol is refused.
 
 So once U's eigenvalues e_j are known, the log follows without an
-eigenbasis.  ``principal_log`` first takes it in closed form, as
-the degree-2 polynomial in U that interpolates i theta_j at e_j:
+eigenbasis: log U = sum_j i theta_j P_j, and with Lagrange's projectors
+P_j that sum is one polynomial of degree 2 in U.  ``principal_log``
+first takes it in closed form, in the monomial form of the nodes
+shifted by c = tr U / 3 (``_closed_form_log``; Higham, Functions of
+Matrices, 2008, ch. 1; ``expmap.exp_su3`` is the same construction for
+exp):
 
-    log U = i theta_1 1 + f[e_1,e_2] (U - e_1) + f[e_1,e_2,e_3] (U - e_1)(U - e_2),
+    log U = c2 X^2 + c1 X + c0,   X = U - c,   r_j = i theta_j / ((x_j - x_k)(x_j - x_l)),
+    c2 = sum r_j,   c1 = -sum r_j (x_k + x_l),   c0 = sum r_j x_k x_l,
 
-with f[e_i,e_j] = (h / sin h) e^(-i (theta_i + theta_j)/2),
-h = (theta_j - theta_i)/2, the divided differences of the log
-(``_closed_form_log``; Higham, Functions of Matrices, 2008, ch. 1;
-``expmap.exp_su3`` is the same construction for exp).  The e_j are the
-roots of U's characteristic cubic (``_complex_cubic_roots``),
-and theta the same selection and det rule as on the eigen path.  Where
-two roots are closer than _CF_MIN_GAP or some h / sin h exceeds
-_CF_MAX_FACTOR, the polynomial is ill-conditioned, and where a phase
-rule raises, the closed form declines: the eigen path then runs as it
-would alone, so both accept the same U with the same errors.  About
-80% of Haar U take the closed form.  ``branch_log`` keeps the
-eigenbasis.  A branch log has norm 9 to 20, and the polynomial's
-error, about eps ||L||, lies off U's eigenbasis: on 60 Haar U, branch
-logs taken in closed form round-tripped to 9.2e-14 at worst, against
-6.8e-15 on the eigenbasis.  The logs and ``factorize`` take the roots
-from one helper, ``_cubic_eigenvalues``.
+x_j = e_j - c.  The e_j are the roots of U's characteristic cubic
+(``_complex_cubic_roots``), and theta the same selection and det rule
+as on the eigen path.  The shift keeps the powers of X as small as the
+spread of the nodes, so a cluster of nodes near the identity does not
+cancel a large X^2 against X.  Where two roots are closer than
+_CF_MIN_GAP, where sum |r_j| exceeds _CF_MAX_COEF (the coefficients,
+and with them the rounding, grow as theta over the squared gaps), and
+where a phase rule raises, the closed form declines: the eigen path
+then runs as it would alone, so both accept the same U with the same
+errors.  About 96% of Haar U take the closed form, a pair straddling
+the cut at -1 among them.  ``branch_log`` keeps the eigenbasis.  A
+branch log has norm 9 to 20, and the polynomial's error, about
+eps ||L||, lies off U's eigenbasis: on 60 Haar U, branch logs taken in
+closed form round-tripped to 9.2e-14 at worst, against 6.8e-15 on the
+eigenbasis.  The logs and ``factorize`` take the roots from one
+helper, ``_cubic_eigenvalues``.
 
 Scalars multiply as Python complex numbers, and residual gates read
 "not x <= tol" so NaN is refused.  Public functions take a
@@ -182,17 +187,24 @@ class Factorization:
     first 300 seeded Haar U), and then the parts sum to a log of U of
     trace +-2 pi i, not to the principal log.
 
-    ``grades``, the grade decomposition the routes read, is built on
-    first access from the projectors ``factorize`` already holds (the
-    closed form's polynomials in U, or the eigenbasis), so a caller that
-    never reads it never pays for its twelve matrices, and reading it
-    runs no eigensolver.
+    ``parts`` and ``grades`` are built on first read.  The parts come
+    from the stacked units and the angles ``factorize`` already holds,
+    bit for bit what it would have built at once.  ``grades``, the
+    grade decomposition the routes read, comes from the projectors it
+    holds (the closed form's polynomials in U, or the eigenbasis).  So a
+    caller that reads neither never pays for their matrices, and
+    reading them runs no eigensolver.
     """
 
     factors: tuple[ComplexMat, ComplexMat, ComplexMat]
-    parts: tuple[SimplePart, SimplePart, SimplePart]
     routes: tuple[str, str, str]
+    _parts_of: Callable[[], tuple[SimplePart, SimplePart, SimplePart]] = dataclasses.field(
+        repr=False, compare=False)
     _grades_of: Callable[[], GradeDecomposition] = dataclasses.field(repr=False, compare=False)
+
+    @functools.cached_property
+    def parts(self) -> tuple[SimplePart, SimplePart, SimplePart]:
+        return self._parts_of()
 
     @functools.cached_property
     def grades(self) -> GradeDecomposition:
@@ -420,6 +432,11 @@ def _least_norm_phases(z, tol: Tolerances) -> list:
     phi = [cmath.phase(v) for v in z]
     # a selection's trace is sum(phi) + 2 pi sum(k)
     turns = round(sum(phi) / (2.0 * math.pi))
+    if not turns and max(phi) - min(phi) < 6.0:
+        # k = 0 wins outright: any other k of sum 0 adds 2 pi to some phi_a
+        # and takes it from some phi_b, which lengthens the squared norm by
+        # 4 pi (2 pi + phi_a - phi_b) > 3.5.  + 0.0 as the search's shift
+        return [f + 0.0 for f in phi]
     # each phase shifted by 2 pi k, listed so that k itself is the index
     f0, f1, f2 = ([f + 2.0 * math.pi * k for k in (0, 1, -1)] for f in phi)
     return list(min((a * a + b * b + c * c, a, b, c)
@@ -505,13 +522,13 @@ def _factor_parts(a: np.ndarray, dev: float, tol: Tolerances):
 
 
 # The gates of the closed forms.  The log's: Cardano's raw roots at
-# least _CF_MIN_GAP apart, and every divided-difference factor h / sin h
-# at most _CF_MAX_FACTOR; 80% of Haar U pass.  factorize's: |g0| fact_tol
-# at least _CF_G0_MARGIN eps, the raw roots at least _CF_FACTOR_GAP
-# apart, and the factors' product within _CF_FACTOR_MISS of U; 98% of
-# Haar U pass.
+# least _CF_MIN_GAP apart, and its Lagrange coefficients
+# r_j = i theta_j / ((e_j - e_k)(e_j - e_l)) at most _CF_MAX_COEF in sum
+# of moduli; 96% of Haar U pass.  factorize's: |g0| fact_tol at least
+# _CF_G0_MARGIN eps, the raw roots at least _CF_FACTOR_GAP apart, and the
+# factors' product within _CF_FACTOR_MISS of U; 98% of Haar U pass.
 _CF_MIN_GAP = 0.05
-_CF_MAX_FACTOR = 4.0
+_CF_MAX_COEF = 5.0
 _CF_FACTOR_GAP = 0.2
 _CF_G0_MARGIN = 500.0
 _CF_FACTOR_MISS = 16.0 * _EPS
@@ -652,6 +669,12 @@ def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
             functools.partial(_unit_decomposition, a, gam, delt, units, parts))
 
 
+def _simple_parts(units: np.ndarray, parts, tol: Tolerances) -> tuple:
+    """The parts beta_i unit_i of ``factorize``; one with no direction has no unit."""
+    return tuple(_simple_part(beta, unit if _directed(beta, tol) else None)
+                 for unit, (beta, _) in zip(units, parts))
+
+
 def _unit_decomposition(a: np.ndarray, gam, delt, units: np.ndarray, parts) -> GradeDecomposition:
     """The grade decomposition along the closed form's involutions 2 P_i - 1 = -i w_i unit_i."""
     signs = np.array([-1j * w[i] for i, (_, w) in enumerate(parts)])
@@ -667,69 +690,70 @@ def factorize(u, tol: Tolerances = DEFAULT_TOL) -> Factorization:
     (``_closed_form_factors``), and the factors' units are polynomials
     in u.  Where the closed form cannot vouch for itself, the eigen
     path (``_factor_parts``) runs as it would alone.  Each factor is
-    cos(beta) 1 + sin(beta) unit.  The grade decomposition the routes
-    used is built when ``grades`` is read.
+    cos(beta) 1 + sin(beta) unit.  The parts, and the grade
+    decomposition the routes used, are built when read.
     """
     a, dev = _unitary_array(u, tol)
     factors, units, parts, routes, grades_of = (_closed_form_factors(a, dev, tol)
                                                 or _factor_parts(a, dev, tol))
-    return Factorization(
-        factors=tuple(ComplexMat._wrap(f) for f in factors),
-        parts=tuple(_simple_part(beta, unit if _directed(beta, tol) else None)
-                    for unit, (beta, _) in zip(units, parts)),
-        routes=tuple(routes), _grades_of=grades_of)
+    return Factorization(factors=tuple(ComplexMat._wrap(f) for f in factors), routes=tuple(routes),
+                         _parts_of=functools.partial(_simple_parts, units, parts, tol),
+                         _grades_of=grades_of)
 
 
 def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray | None:
-    """principal_log of a unitary a as c0 1 + c1 a + c2 a^2, made skew; None if not vouched for.
+    """principal_log of a unitary a as a degree-2 polynomial in a, made skew; None if not vouched for.
 
     a's eigenvalues come from its characteristic cubic
     (``_cubic_eigenvalues``), and ``_least_norm_phases`` and
     ``_det_one`` act on them as on the eigen path's eigenvalues.  The
-    log is the interpolating polynomial of i theta at the nodes
-    e^(i theta) (Higham, Functions of Matrices, 2008, ch. 1), in
-    Newton's form
+    log is sum_j i theta_j P_j with Lagrange's projectors P_j (Higham,
+    Functions of Matrices, 2008, ch. 1), which is
 
-        i theta_u 1 + f[u,v] (a - u) + f[u,v,w] (a - u)(a - v),
+        r_0 (x - x_1)(x - x_2) + r_1 (x - x_0)(x - x_2) + r_2 (x - x_0)(x - x_1),
+        r_j = i theta_j / ((x_j - x_k)(x_j - x_l)),
 
-    v the node off the widest pair, and
-    f[e_i,e_j] = (h / sin h) e^(-i (theta_i + theta_j)/2),
-    h = (theta_j - theta_i)/2, free of cancellation.
+    in x = a - c and the nodes x_j = e_j - c, c = tr a / 3: multiplied
+    out, c2 x^2 + c1 x + c0 with c2 = sum r_j, c1 = -sum r_j (x_k + x_l)
+    and c0 = sum r_j x_k x_l, evaluated as x (c2 x + c1) + c0.  Its
+    rounding is about eps sum |r_j| |x_k| |x_l|; the shift keeps the
+    |x_j| as small as the nodes' spread, which near the identity is
+    what keeps the error at a few eps: on 4000 seeded B of norm 0.03 to
+    pi, exp_su3 then this gave B back to 3.0 eps max(1, ||B||) at
+    worst, and to 11.6 unshifted.
 
     None leaves a to the eigen path (``_log_sum``): where two raw roots
-    are closer than _CF_MIN_GAP (f[u,v,w] is a difference quotient of
-    nearly equal terms), where some h / sin h exceeds _CF_MAX_FACTOR
-    (two close eigenvalues on phases nearly 2 pi apart, across the cut
-    at -1, whose log the polynomial splits), where the phase rules
-    raise, so the eigen path refuses with its own error, and where
-    ``_cubic_eigenvalues`` cannot take dev as the proof that a is
-    normal.
+    are closer than _CF_MIN_GAP, where sum |r_j| exceeds _CF_MAX_COEF
+    (two close eigenvalues on phases far apart, such as a pair near -1
+    on both sides of the cut, whose log is ill-conditioned), where the
+    phase rules raise, so the eigen path refuses with its own error,
+    and where ``_cubic_eigenvalues`` cannot take dev as the proof that
+    a is normal.
     """
     roots = _cubic_eigenvalues(a, dev, tol, _CF_MIN_GAP)
     if roots is None:
         return None
+    t, e = roots
     try:
-        theta = _least_norm_phases(roots[1], tol)
+        theta = _least_norm_phases(e, tol)
         _det_one(theta, tol)
     except NumericalError:
         return None
-    e = [cmath.exp(1j * th) for th in theta]
-    # v the node off the widest pair, so f[u,v,w] divides by the widest gap
-    iv = max(range(3), key=lambda i: abs(e[i - 1] - e[i - 2]))
-    iu, iw = (iv + 1) % 3, (iv + 2) % 3
-    factors = []
-    for i, j in ((iu, iv), (iv, iw), (iu, iw)):
-        h = 0.5 * (theta[j] - theta[i])
-        factors.append(h / math.sin(h) if h else 1.0)
-    if not max(factors) <= _CF_MAX_FACTOR:
+    c = t / 3.0
+    e0, e1, e2 = e[0] - c, e[1] - c, e[2] - c
+    d01, d02, d12 = e0 - e1, e0 - e2, e1 - e2
+    r0 = 1j * theta[0] / (d01 * d02)
+    r1 = -1j * theta[1] / (d01 * d12)
+    r2 = 1j * theta[2] / (d02 * d12)
+    if not abs(r0) + abs(r1) + abs(r2) <= _CF_MAX_COEF:
         return None
-    u, v, w = e[iu], e[iv], e[iw]
-    f_uv = factors[0] * cmath.exp(-0.5j * (theta[iu] + theta[iv]))
-    f_uvw = (factors[1] * cmath.exp(-0.5j * (theta[iv] + theta[iw])) - f_uv) / (w - u)
-    c1 = f_uv - f_uvw * (u + v)
-    c0 = 1j * theta[iu] - f_uv * u + f_uvw * u * v
-    m = (a @ a) * f_uvw + a * c1 + _EYE3 * c0
-    return (m - m.conj().T) * complex(0.5)
+    # halved, so that m - m^H is the skew projection
+    c2 = 0.5 * (r0 + r1 + r2)
+    c1 = -0.5 * (r0 * (e1 + e2) + r1 * (e0 + e2) + r2 * (e0 + e1))
+    c0 = 0.5 * (r0 * e1 * e2 + r1 * e0 * e2 + r2 * e0 * e1)
+    x = a - _EYE3 * c
+    m = x @ (x * c2 + _EYE3 * c1) + _EYE3 * c0
+    return m - m.conj().T
 
 
 def _log_sum(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.ndarray:
@@ -767,13 +791,13 @@ def principal_log(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
 
     The traceless log of least norm, taken from u's eigenphases: the
     sum of the parts of the eigen route.  It is computed in closed
-    form, as a degree-2 polynomial in u whose coefficients come from
-    the roots of u's characteristic cubic (``_closed_form_log``).
-    Where that cannot vouch for itself (two eigenvalues within
-    _CF_MIN_GAP, a divided difference h / sin h above _CF_MAX_FACTOR,
-    or a phase rule refusing), the eigen path (``_log_sum``) runs as
-    it would alone, so both accept the same u and refuse it with the
-    same error.
+    form, as a degree-2 polynomial in u whose Lagrange coefficients
+    come from the roots of u's characteristic cubic
+    (``_closed_form_log``).  Where that cannot vouch for itself (two
+    eigenvalues within _CF_MIN_GAP, coefficients above _CF_MAX_COEF, or
+    a phase rule refusing), the eigen path (``_log_sum``) runs as it
+    would alone, so both accept the same u and refuse it with the same
+    error.
     """
     a, dev = _unitary_array(u, tol)
     m = _closed_form_log(a, dev, tol)

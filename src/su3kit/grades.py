@@ -74,9 +74,11 @@ def _grades(a: np.ndarray) -> tuple[np.ndarray, ...]:
     return g0, ssin - g6, ccos - g0, g6, ccos, ssin
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ccos_ssin(u) -> tuple[ComplexMat, ComplexMat]:
-    """Hermitian and skew-Hermitian halves of u; they sum back to u."""
-    return tuple(map(_finite_mat, _halves(_as_mat(u).array)))
+    """Hermitian and skew-Hermitian halves of u; they sum back to u.  Overflow where they overflow."""
+    ccos, ssin = _halves(_as_mat(u).array)
+    return _finite_mat(ccos, "Hermitian half"), _finite_mat(ssin, "skew-Hermitian half")
 
 
 def grade0(u) -> ComplexMat:

@@ -14,7 +14,7 @@ from su3kit.errors import NonFiniteEntries, Overflow, Su3KitError
 from su3kit.expmap import GroupElement, exp_su3, family_element
 from su3kit.factorlog import factorize, principal_log
 from su3kit.gellmann import exp_gellmann, exp_gellmann8
-from su3kit.grades import grade0, grade2, grade4, grade6
+from su3kit.grades import ccos_ssin, grade0, grade2, grade4, grade6
 from su3kit.invdec import AlgebraElement, decompose_closed_form, decompose_via_eigen, lambda_roots
 from su3kit.oracle import compare, random_algebra
 from su3kit.smallmat import _fro, eigen_normal3, scalar_residual
@@ -178,6 +178,7 @@ _BIG = 1.7e308
 LIBRARY_OVERFLOWS = {
     "grade0 of a trace that overflows": lambda: grade0(np.diag([_BIG, _BIG, 0.0, 0.0])),
     "grade2 of a 4x4 Gaussian x 7.4e307": lambda: grade2(_gauss(0, 4, 7.4e307)),
+    "ccos_ssin of a 4x4 Gaussian x 7.4e307": lambda: ccos_ssin(_gauss(0, 4, 7.4e307)),
     "grade4 of a symmetric pair x 1.7e308": lambda: grade4([[0.0, _BIG], [_BIG, 0.0]]),
     "grade6 of an imaginary trace that overflows":
         lambda: grade6(np.diag([_BIG * 1j, _BIG * 1j, 0.0])),
@@ -253,6 +254,7 @@ def _library_calls(draw):
 _LIBRARY_NAMES = {
     "decompose_closed_form": lambda x: decompose_closed_form(x.b, x.lams),
     "lambda_roots": lambda x: lambda_roots(x.b),
+    "ccos_ssin": lambda x: ccos_ssin(x.m),
     "grade0": lambda x: grade0(x.m),
     "grade2": lambda x: grade2(x.m),
     "grade4": lambda x: grade4(x.m),

@@ -430,13 +430,13 @@ _DIGESTS = {
     "eigen_normal3 haar": "fc6182f552179c6d548ddfdcbae934c22dfa7eb69e596eb65027fa04787621c2",
     "eigen_normal3 algebra": "b8eb6f230b2875385eb6ccb2c60f785336911b2e428860ea018a0ed952189fcb",
     "eigen_normal3 clustered": "76d1a1b5268b3bbd08908959090bc9daa8933b1239eccfe74d94b6016f6cad07",
-    "principal_log haar": "4184303e229e70ec69acbc2e44fffaa27d43e71bafe8d3695a7cf66468231482",
+    "principal_log haar": "e39705f3f72a76c80a96abafd2b3e5e26c1f6b85a00abdb6e0d8e57ddb76c447",
     "factorize haar": "ce1d1008e4117ffa98fcb116507e44e387635794721a8777d0373e742dcdde70",
     "factorize parts, routes and grades haar":
         "521ec5aa8aad076785accef298c89420a4648a8a4f40ce53ad876bc8de6330e4",
     "branch_log (1, 0, -1) haar":
         "dc0dbe4163e2b588e93dba84fe64855184379caa4f495d32f375f4c3ef290207",
-    "principal_log hard": "038b32260f011c82fa8e89e2f952febc1f0aeed2062a92bcc9618e5820d023cb",
+    "principal_log hard": "95abd5d7d20b580579246da0df2847e25a34ec50e5755199b451293ec1639b33",
     "factorize hard": "fdfa7cffd9fcc77ed9d875932a699c6cd477637d4e26ce6c2f282cc4f985f5fe",
 }
 

@@ -1,0 +1,61 @@
+"""Print the share of principal_log and factorize calls that take the closed form.
+
+The inputs are the benchmark's kinds of U, drawn with ``perfbench.gen``:
+Haar SU(3) from the log-haar stream, and each of the four hard families
+(near-degenerate, boundary, cos-zero, near-cos-zero) from the
+hard-regimes stream, the near-cos-zero family from its fixed stream.
+A call takes the closed form where ``factorlog._closed_form_log`` or
+``factorlog._closed_form_factors`` accepts U, as ``principal_log`` and
+``factorize`` call them; the rest run the eigen path.  A change that
+moves inputs onto the eigen path shows up as a lower share.
+
+    python tools/closed_share.py [--n 2000] [--seed 1]
+"""
+
+from __future__ import annotations
+
+import argparse
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[0:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench import gen  # noqa: E402  (numpy only, no su3kit)
+from su3kit import factorlog  # noqa: E402
+from su3kit.tolerances import DEFAULT_TOL  # noqa: E402
+
+
+def _inputs(family: str, n: int, seed: int):
+    if family == "haar":
+        rng = gen.rng_for("log-haar", seed)
+        return [gen.haar_su3(rng) for _ in range(n)]
+    phases = dict(gen.HARD_FAMILIES)[family]
+    rng = gen.fixed_rng("hard-regimes") if family in gen.FIXED_FAMILIES else gen.rng_for(
+        "hard-regimes", seed)
+    return [gen.from_phases(phases(rng), rng)[1] for _ in range(n)]
+
+
+def shares(u_list) -> tuple[float, float]:
+    """(closed log share, closed factorize share) of the unitary arrays in u_list."""
+    log = factor = 0
+    for u in u_list:
+        a, dev = factorlog._unitary_array(u, DEFAULT_TOL)
+        log += factorlog._closed_form_log(a, dev, DEFAULT_TOL) is not None
+        factor += factorlog._closed_form_factors(a, dev, DEFAULT_TOL) is not None
+    return log / len(u_list), factor / len(u_list)
+
+
+def main() -> None:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--n", type=int, default=2000, help="inputs per family")
+    p.add_argument("--seed", type=int, default=1)
+    args = p.parse_args()
+    print("%-16s %6s %14s %10s" % ("family", "n", "principal_log", "factorize"))
+    for family in ("haar",) + tuple(name for name, _ in gen.HARD_FAMILIES):
+        log, factor = shares(_inputs(family, args.n, args.seed))
+        print("%-16s %6d %13.1f%% %9.1f%%" % (family, args.n, 100.0 * log, 100.0 * factor))
+
+
+if __name__ == "__main__":
+    main()

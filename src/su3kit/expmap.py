@@ -20,9 +20,9 @@ coefficients on Python scalars, forms B^2 once, runs the
 ``GroupElement`` check once on the result, under no ``np.errstate``
 since the result's entries are bounded (``_check_bounded_group``),
 and wraps it with the unitarity residual that check measured.  No
-eigensolver runs.  ``decompose_via_eigen`` followed by ``exp_simple`` on each part
-is the same identity through the public types; the two agree to a few
-eps max(1, ||B||), not bit for bit.
+eigensolver runs.  ``decompose_via_eigen`` followed by ``exp_simple``
+on each part is the same identity through the public types; the two
+agree to a few eps max(1, ||B||), not bit for bit.
 """
 
 from __future__ import annotations

@@ -373,8 +373,9 @@ def _cascade(e, g0, g6, gam, delt, tol: Tolerances):
     works when only one cosine vanishes.  A factor no route recovers is
     an AmbiguousDirection if some route found it at the antipode.
     """
-    h = [0.5 * (g - sum(gam)) for g in gam]
-    s = [0.5j * (d - sum(delt)) for d in delt]
+    sg, sd = sum(gam), sum(delt)
+    h = [0.5 * (g - sg) for g in gam]
+    s = [0.5j * (d - sd) for d in delt]
     if abs(g0) > tol.g0_zero_tol:
         order = ("simple", "inv_a", "inv_b", "inv2")
     else:
@@ -455,7 +456,9 @@ def _pinned(parts, e) -> list:
     moves by the cascade's error.  The cascade's angles, not principal
     phases, pick the side of a phase at +-pi.
     """
-    theta = [sum(beta * w[m] for beta, w in parts) for m in range(3)]
+    (b0, w0), (b1, w1), (b2, w2) = parts
+    # 0.0 + ...: sum()'s order, and its rule for signed zeros
+    theta = [0.0 + b0 * w0[m] + b1 * w1[m] + b2 * w2[m] for m in range(3)]
     return [t + cmath.phase(v * cmath.exp(-1j * t)) for t, v in zip(theta, e)]
 
 
@@ -494,7 +497,8 @@ def _route_parts(e, g0: complex, g6: complex, gam, delt, tol: Tolerances):
         return _phase_parts(theta), ["eigen"] * 3
     theta = _pinned(parts, e)
     _det_one(theta, tol)
-    return _phase_parts([t - sum(theta) for t in theta]), routes
+    total = sum(theta)
+    return _phase_parts([t - total for t in theta]), routes
 
 
 def _stacked_factors(units: np.ndarray, parts) -> np.ndarray:
@@ -740,8 +744,8 @@ def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray |
     except NumericalError:
         return None
     c = t / 3.0
-    e0, e1, e2 = e[0] - c, e[1] - c, e[2] - c
-    d01, d02, d12 = e0 - e1, e0 - e2, e1 - e2
+    x0, x1, x2 = e[0] - c, e[1] - c, e[2] - c
+    d01, d02, d12 = x0 - x1, x0 - x2, x1 - x2
     r0 = 1j * theta[0] / (d01 * d02)
     r1 = -1j * theta[1] / (d01 * d12)
     r2 = 1j * theta[2] / (d02 * d12)
@@ -749,8 +753,8 @@ def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray |
         return None
     # halved, so that m - m^H is the skew projection
     c2 = 0.5 * (r0 + r1 + r2)
-    c1 = -0.5 * (r0 * (e1 + e2) + r1 * (e0 + e2) + r2 * (e0 + e1))
-    c0 = 0.5 * (r0 * e1 * e2 + r1 * e0 * e2 + r2 * e0 * e1)
+    c1 = -0.5 * (r0 * (x1 + x2) + r1 * (x0 + x2) + r2 * (x0 + x1))
+    c0 = 0.5 * (r0 * x1 * x2 + r1 * x0 * x2 + r2 * x0 * x1)
     x = a - _EYE3 * c
     m = x @ (x * c2 + _EYE3 * c1) + _EYE3 * c0
     return m - m.conj().T

@@ -393,7 +393,7 @@ def _involutions(a: np.ndarray, nodes, scales) -> np.ndarray:
         # c + c, not 2.0 * c: a float times a complex can flip the sign of a zero
         r = (scales[i] + scales[i]) / ((nodes[i] - nodes[j]) * (nodes[i] - nodes[k]))
         coef.append((r, -r * (nodes[j] + nodes[k]), r * nodes[j] * nodes[k] - scales[i]))
-    m = (np.array(coef) @ np.concatenate((a @ a, a, _EYE3)).reshape(3, 9)).reshape(3, 3, 3)
+    m = (np.array(coef) @ np.array([a @ a, a, _EYE3]).reshape(3, 9)).reshape(3, 3, 3)
     return (m - m.conj().transpose(0, 2, 1)) * complex(0.5)
 
 

@@ -723,7 +723,7 @@ def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray |
     rounding is about eps sum |r_j| |x_k| |x_l|; the shift keeps the
     |x_j| as small as the nodes' spread, which near the identity is
     what keeps the error at a few eps: on 4000 seeded B of norm 0.03 to
-    pi, exp_su3 then this gave B back to 3.0 eps max(1, ||B||) at
+    pi, exp_su3 then this gave B back to 3.2 eps max(1, ||B||) at
     worst, and to 11.6 unshifted.
 
     None leaves a to the eigen path (``_log_sum``): where two raw roots

@@ -98,12 +98,26 @@ and with them the rounding, grow as theta over the squared gaps), and
 where a phase rule raises, the closed form declines: the eigen path
 then runs as it would alone, so both accept the same U with the same
 errors.  About 96% of Haar U take the closed form, a pair straddling
-the cut at -1 among them.  ``branch_log`` keeps the eigenbasis.  A
-branch log has norm 9 to 20, and the polynomial's error, about
-eps ||L||, lies off U's eigenbasis: on 60 Haar U, branch logs taken in
-closed form round-tripped to 9.2e-14 at worst, against 6.8e-15 on the
-eigenbasis.  The logs and ``factorize`` take the roots from one
-helper, ``_cubic_eigenvalues``.
+the cut at -1 among them.
+
+A branch log, of norm 9 to 20, is not taken as one polynomial: its
+error, about eps ||L||, would lie off U's eigenbasis (on 60 Haar U
+such branch logs round-tripped to 9.2e-14 at worst, against 6.8e-15 on
+the eigenbasis).  ``branch_log`` first sums i t_j P_j over the turned
+phases t (``_turns``, the eigen path's rules) and Lagrange's projectors
+P_j, built by ``invdec._involutions`` and purified once by McWeeny's
+step P <- 3 P^2 - 2 P^3 (``_closed_form_branch``).  A root off by
+delta leaves P_j an eigenvalue of about delta / gap on another
+eigenvector, which the turns would scale into the log; the step
+squares it away.  On the benchmark's log-haar branch logs at seeds 1
+to 8 (1600, four declined) the worst round trip is 6.8e-15 purified and
+1.8e-13 unpurified, against 9.7e-15 on the eigen path.  It declines
+where the eigen path orders the eigenvalues by rounding, two roots are
+within _CF_MIN_GAP, a phase, winding or direction rule raises, or the
+purified projectors rebuild U to more than _CF_BRANCH_MISS; about 99.6%
+of Haar U take it.
+The logs and ``factorize`` take the roots from one helper,
+``_cubic_eigenvalues``.
 
 Scalars multiply as Python complex numbers, and residual gates read
 "not x <= tol" so NaN is refused.  Public functions take a
@@ -530,12 +544,22 @@ def _factor_parts(a: np.ndarray, dev: float, tol: Tolerances):
 # r_j = i theta_j / ((e_j - e_k)(e_j - e_l)) at most _CF_MAX_COEF in sum
 # of moduli; 96% of Haar U pass.  factorize's: |g0| fact_tol at least
 # _CF_G0_MARGIN eps, the raw roots at least _CF_FACTOR_GAP apart, and the
-# factors' product within _CF_FACTOR_MISS of U; 98% of Haar U pass.
+# factors' product within _CF_FACTOR_MISS of U; 98% of Haar U pass.  The
+# branch log's: the g0 margin, the log's root gap, and sum_j e_j P_j of the
+# purified projectors within _CF_BRANCH_MISS of U.  That residual is
+# mostly the roots' error, which reaches the log through the phases: on
+# 20000 seeded Haar U it was 1.7 eps at the median, 4.7 at p99, 9.5 at
+# p99.9 and 21 at most.  Past 8 eps 0.16% of Haar U decline, and the
+# accepted ones stay within 4.4 eps max(1, ||L||) of the eigen path; at
+# 16 eps a principal branch with three eigenvalues near 1 passed at 15 eps
+# and missed the 40-digit log by 14.5 eps, the eigen path by 1.
 _CF_MIN_GAP = 0.05
 _CF_MAX_COEF = 5.0
 _CF_FACTOR_GAP = 0.2
 _CF_G0_MARGIN = 500.0
 _CF_FACTOR_MISS = 16.0 * _EPS
+_CF_BRANCH_MISS = 8.0 * _EPS
+_THREE = 3.0 * _EYE3
 
 
 # the cube roots of unity
@@ -610,6 +634,18 @@ def _cubic_eigenvalues(a: np.ndarray, dev: float, tol: Tolerances, min_gap: floa
     return t, [x, pr / x, z]
 
 
+def _g0_orders(a: np.ndarray, tol: Tolerances) -> bool:
+    """Whether |g0| fact_tol is at least _CF_G0_MARGIN eps, g0 = (1 + Re tr a) / 4.
+
+    With det a = 1, two eigenvalues of equal imaginary part put the
+    third at -1, where g0 = 0, and the normal kernel orders such a pair
+    by its rounding; past this gate the closed forms' roots take the
+    kernel's order (``smallmat._order_indices``).  False on NaN.
+    """
+    return abs(1.0 + (a.item(0, 0) + a.item(1, 1) + a.item(2, 2)).real) / 4.0 * tol.fact_tol \
+        >= _CF_G0_MARGIN * _EPS
+
+
 def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
     """``_factor_parts`` of a from its characteristic cubic, no eigensolver; None if it declines.
 
@@ -648,8 +684,7 @@ def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
       cubic's coefficients, a few eps over |p'(e_i)|, reaches every
       factor: it declines about 1% of Haar U.
     """
-    if not abs(1.0 + (a.item(0, 0) + a.item(1, 1) + a.item(2, 2)).real) / 4.0 * tol.fact_tol \
-            >= _CF_G0_MARGIN * _EPS:
+    if not _g0_orders(a, tol):
         return None
     roots = _cubic_eigenvalues(a, dev, tol, _CF_FACTOR_GAP)
     if roots is None:
@@ -760,6 +795,93 @@ def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray |
     return m - m.conj().T
 
 
+def _turns(theta, k, tol: Tolerances, floor: float) -> list:
+    """The phases t of the branch k: sum_i (beta_i + 2 pi k_i) w_i over the parts (beta_i, w_i) of theta.
+
+    The parts are theta's principal parts (``_phase_parts``), so k = 0
+    gives theta back.  A turn of 2 pi k_i carries an absolute error of
+    about 2 pi |k_i| eps, which exp of the log passes on to u, so a
+    winding whose error passes fact_tol is FactorizationFailed.  A turn
+    along a part whose sin(beta_i) is not above floor is
+    MissingDirection: the eigen path's floor is sin_zero_tol, as in
+    ``_directed``.
+    """
+    miss = 2.0 * math.pi * max(map(abs, k)) * _EPS
+    if not miss <= tol.fact_tol:
+        raise FactorizationFailed("branch %s is past double precision: the log's factors "
+                                  "miss u by up to %.3e" % (list(k), miss))
+    u = []
+    for th, ki in zip(theta, k):
+        beta = abs(th) / 2.0
+        if ki != 0 and not math.sin(beta) > floor:
+            raise MissingDirection("branch %d requested on a part with no direction" % ki)
+        # the turned part along its sign pattern sign(theta_i) sigma_i
+        u.append(math.copysign(1.0, th) * (beta + 2.0 * math.pi * ki))
+    u0, u1, u2 = u
+    return [0.0 + u0 - u1 - u2, 0.0 - u0 + u1 - u2, 0.0 - u0 - u1 + u2]
+
+
+def _closed_form_branch(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.ndarray | None:
+    """``_log_sum`` of a unitary a from purified Lagrange projectors, no eigensolver; None if it declines.
+
+    The roots (``_cubic_eigenvalues``) are put in the normal kernel's
+    order (``smallmat._order_indices``), so turn k_i goes along the
+    eigenvalue the eigen path turns it along, and ``_least_norm_phases``,
+    ``_det_one`` and ``_turns`` give the phases t as there.  The log is
+    sum_j i t_j P_j.  The projectors come as the skew involutions
+    Z_j = i (2 P_j - 1) of Lagrange's polynomials (``invdec._involutions``),
+    purified once by McWeeny's step P <- 3 P^2 - 2 P^3 (Rev. Mod. Phys.
+    32, 335, 1960), which on Z_j is Z_j (Z_j^2 + 3) / 2.  With
+    Y_j = Z_j (Z_j^2 + 3) = 2 i (2 P_j - 1),
+
+        log = i sum t / 2 + sum_j t_j Y_j / 4,   sum_j e_j P_j = sum e / 2 - i sum_j e_j Y_j / 4,
+
+    both from one (2, 4) by (4, 9) product over the Y_j and 1, and the
+    log is made exactly skew.
+
+    None leaves a to the eigen path, which then runs as it would alone,
+    so both accept the same U and refuse it with the same errors:
+
+    - where ``_g0_orders`` fails: the eigen path orders a pair of equal
+      imaginary parts by rounding;
+    - where two raw roots are closer than _CF_MIN_GAP, or dev is not
+      the proof that a is normal (``_cubic_eigenvalues``);
+    - where a phase rule raises, or a turn goes along a part whose sine
+      is within twice sin_zero_tol, so that the eigen path's phases,
+      not these, decide MissingDirection;
+    - where the purified projectors rebuild a to more than
+      _CF_BRANCH_MISS.  That residual vouches for the roots and the
+      projectors.
+    """
+    if not _g0_orders(a, tol):
+        return None
+    roots = _cubic_eigenvalues(a, dev, tol, _CF_MIN_GAP)
+    if roots is None:
+        return None
+    _, z = roots
+    e = [z[i] for i in _order_indices(z)]
+    try:
+        theta = _least_norm_phases(e, tol)
+        _det_one(theta, tol)
+        t = _turns(theta, k, tol, 2.0 * tol.sin_zero_tol)
+    except NumericalError:
+        return None
+    inv = _involutions(a, e, (1j, 1j, 1j))
+    # rows Y_0, Y_1, Y_2 and 1, weighted by one (2, 4) row pair
+    y = np.empty((4, 3, 3), dtype=np.complex128)
+    np.matmul(inv, inv @ inv + _THREE, out=y[:3])
+    y[3] = _EYE3
+    t0, t1, t2 = t
+    e0, e1, e2 = e
+    # the log's row halved, so that m - m^H is the skew projection
+    w = np.array([[0.125 * t0, 0.125 * t1, 0.125 * t2, 0.25j * (t0 + t1 + t2)],
+                  [-0.25j * e0, -0.25j * e1, -0.25j * e2, 0.5 * (e0 + e1 + e2)]])
+    m, rebuilt = (w @ y.reshape(4, 9)).reshape(2, 3, 3)
+    if not _fro(rebuilt - a) <= _CF_BRANCH_MISS:
+        return None
+    return m - m.conj().T
+
+
 def _log_sum(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.ndarray:
     """The eigen path: the principal part logs plus 2 pi k_i turns along part i, made exactly skew.
 
@@ -767,26 +889,14 @@ def _log_sum(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.ndarray:
     least-norm traceless selection of U's eigenphases, so U's
     eigenvalues alone decide whether it has a log.  Two within
     sin_zero_tol of -1 are AmbiguousDirection (``_least_norm_phases``),
-    and a det other than 1 is FactorizationFailed (``_det_one``).  A
-    turn of 2 pi k_i carries an absolute error of about 2 pi |k_i| eps,
-    which exp of the log passes on to u, so a winding whose error
-    passes fact_tol is FactorizationFailed too.  dev is a's measured
-    unitarity residual (``_normal_norm``).
+    and a det other than 1 is FactorizationFailed (``_det_one``); the
+    turns' rules are ``_turns``'.  dev is a's measured unitarity
+    residual (``_normal_norm``).
     """
     e, p, ph = _eigen_normal3(a, _normal_norm(a, tol, dev), tol)
     theta = _least_norm_phases(e.tolist(), tol)
     _det_one(theta, tol)
-    miss = 2.0 * math.pi * max(map(abs, k)) * _EPS
-    if not miss <= tol.fact_tol:
-        raise FactorizationFailed("branch %s is past double precision: the log's factors "
-                                  "miss u by up to %.3e" % (list(k), miss))
-    t = [0.0, 0.0, 0.0]
-    for (beta, w), ki in zip(_phase_parts(theta), k):
-        if ki != 0 and not _directed(beta, tol):
-            raise MissingDirection("branch %d requested on a part with no direction" % ki)
-        turn = beta + 2.0 * math.pi * ki
-        t = [x + turn * y for x, y in zip(t, w)]
-    m = (p * (1j * np.array(t))) @ ph
+    m = (p * (1j * np.array(_turns(theta, k, tol, tol.sin_zero_tol)))) @ ph
     return (m - m.conj().T) * complex(0.5)
 
 
@@ -809,11 +919,18 @@ def principal_log(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
 
 
 def branch_log(u, branch: LogBranch, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
-    """Non-principal log: adds 2 pi k_i turns along each part direction, on u's eigenbasis.
+    """Non-principal log: adds 2 pi k_i turns along each part direction.
 
     A part with no recoverable direction (beta near 0) only admits the
-    principal branch; asking for k != 0 there is refused.
+    principal branch; asking for k != 0 there is refused.  The log is
+    sum_j i t_j P_j over u's eigenprojections, t the turned phases,
+    taken first from purified Lagrange projectors in u
+    (``_closed_form_branch``).  Where that cannot vouch for itself, the
+    eigen path (``_log_sum``) runs as it would alone, so both accept the
+    same u and refuse it with the same error.
     """
     if not isinstance(branch, LogBranch):
         branch = LogBranch(k=tuple(branch))
-    return ComplexMat._wrap(_log_sum(*_unitary_array(u, tol), branch.k, tol))
+    a, dev = _unitary_array(u, tol)
+    m = _closed_form_branch(a, dev, branch.k, tol)
+    return ComplexMat._wrap(_log_sum(a, dev, branch.k, tol) if m is None else m)

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from su3kit.errors import NonFiniteEntries, Overflow, Su3KitError
 from su3kit.expmap import GroupElement, exp_su3, family_element
-from su3kit.factorlog import factorize, principal_log
+from su3kit.factorlog import branch_log, factorize, principal_log
 from su3kit.gellmann import exp_gellmann, exp_gellmann8
 from su3kit.grades import ccos_ssin, grade0, grade2, grade4, grade6
 from su3kit.invdec import AlgebraElement, decompose_closed_form, decompose_via_eigen, lambda_roots
-from su3kit.oracle import compare, random_algebra
+from su3kit.oracle import compare, random_algebra, random_group
 from su3kit.smallmat import _fro, eigen_normal3, scalar_residual
 
 _B = np.array([[0.3j, 1 + 0.5j, -0.2 + 0.1j], [-1 + 0.5j, -0.1j, 0.4 - 0.7j],
@@ -223,7 +223,9 @@ def _library_calls(draw):
     """A call of one library name on inputs from 5e-324 to 1.7e308, NaN or +-inf.
 
     Matrices are Gaussian, or su(3) for the decomposition, times a
-    scale, and an entry or an angle at times takes an edge value.
+    scale.  The logs and factorize take a Gaussian or a Haar U, the U
+    at times unscaled, so that their closed forms run.  An entry or an
+    angle at times takes an edge value.
     decompose_closed_form takes the element's own lambdas where
     lambda_roots gives them, or lambdas in the scale's square.
     """
@@ -234,12 +236,13 @@ def _library_calls(draw):
     with np.errstate(over="ignore", invalid="ignore"):
         b = random_algebra(seed).mat.array * scale
         m = _gauss(seed, n, scale)
+        u = random_group(seed).mat.array * draw(st.sampled_from([1.0, scale]))
         m2 = _gauss(seed + 1, n, draw(st.sampled_from([1.0, scale])))
         lams = [-scale * scale, -2.0 * scale * scale, -3.0 * scale * scale]
     edge = draw(st.one_of(st.none(), st.sampled_from(_EDGES)))
     if edge is not None and draw(st.booleans()):
         i, j = draw(st.integers(0, 1)), draw(st.integers(0, 1))
-        b[i, j] = m[i, j] = edge
+        b[i, j] = m[i, j] = u[i, j] = edge
     if draw(st.booleans()):
         try:
             lams = lambda_roots(b)
@@ -248,7 +251,8 @@ def _library_calls(draw):
     angle = draw(st.sampled_from([scale, -scale] + ([edge] if edge is not None else [])))
     parts = _parts(seed % 1000, draw(st.sampled_from([1e-3, 1.0, 10.0, 1e3])))
     return name, SimpleNamespace(b=b, m=m, m2=m2, lams=lams, angle=angle, parts=parts,
-                                 a=1 + seed % 7)
+                                 a=1 + seed % 7, u=draw(st.sampled_from([u, m])),
+                                 k=draw(st.tuples(*3 * [st.integers(-1, 1)])))
 
 
 _LIBRARY_NAMES = {
@@ -264,6 +268,9 @@ _LIBRARY_NAMES = {
     "exp_gellmann": lambda x: exp_gellmann(x.a, x.angle),
     "exp_gellmann8": lambda x: exp_gellmann8(x.angle),
     "family_element": lambda x: family_element(x.parts, (x.angle, 1.0, -x.angle)),
+    "principal_log": lambda x: principal_log(x.u),
+    "branch_log": lambda x: branch_log(x.u, x.k),
+    "factorize": lambda x: factorize(x.u),
 }
 
 

@@ -1,5 +1,6 @@
-"""principal_log's closed form: agreement with the eigen path, its share, its fallbacks."""
+"""The logs' closed forms: agreement with the eigen path, their shares, their fallbacks."""
 
+import itertools
 import math
 import warnings
 
@@ -125,10 +126,110 @@ def test_clustered_spectra_fall_back_bit_for_bit(g):
         assert got == _outcome(lambda x: _eigen_log(x).tobytes(), g)
 
 
-def test_branch_log_stays_on_the_eigen_path(monkeypatch):
-    monkeypatch.setattr(factorlog, "_closed_form_log", lambda *args: pytest.fail("closed form ran"))
-    for seed in range(20):
-        branch_log(random_group(seed), (1, 0, -1))
+_WINDINGS = list(itertools.product((-1, 0, 1), repeat=3))
+
+
+def _eigen_branch(g, k):
+    """The eigen path's branch log of a GroupElement: what branch_log falls back to."""
+    return factorlog._log_sum(g.mat.array, g._dev, k, DEFAULT_TOL)
+
+
+def _branch_condition(log) -> float:
+    """max(1, ||L||, max |t_i - t_j| / |e^{i t_i} - e^{i t_j}|) over the eigenvalues i t of a log L.
+
+    An eps in U moves L = sum i t_j P_j by up to about this times eps
+    (the divided differences of the log, Daleckii and Krein), whichever
+    method computes it, and each turned phase carries eps |t_j| itself.
+    """
+    t = np.linalg.eigvals(log).imag
+    e = np.exp(1j * t)
+    return max([1.0, np.linalg.norm(log)]
+               + [abs(t[i] - t[j]) / abs(e[i] - e[j]) for i, j in ((0, 1), (0, 2), (1, 2))])
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from(_WINDINGS),
+       family=st.sampled_from(["haar", "generic", "near-double", "near-cut", "near-identity"]))
+def test_branch_log_agrees_with_the_eigen_path(seed, k, family):
+    """The closed form within 8 eps max(1, ||L||) of the eigen path; declined, the eigen path's bits.
+
+    Off the Haar draws max(1, ||L||) becomes the branch log's condition
+    (``_branch_condition``): the generic family's clusters and pairs
+    straddling -1 move either path's log by more than eps ||L||.
+    """
+    rng = np.random.default_rng(seed)
+    g = random_group(seed) if family == "haar" else _group(_phases(family, rng), rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = factorlog._closed_form_branch(g.mat.array, g._dev, k, DEFAULT_TOL)
+        got = _outcome(lambda x: branch_log(x, k).array.tobytes(), g)
+        want = _outcome(lambda x: _eigen_branch(x, k), g)
+    if closed is None:
+        assert got == (want if isinstance(want, str) else want.tobytes())
+        return
+    assert got == closed.tobytes()
+    scale = max(1.0, np.linalg.norm(want)) if family == "haar" else _branch_condition(want)
+    assert np.linalg.norm(closed - want) <= 8.0 * _EPS * scale
+
+
+def _g0_zero(rng):
+    return _group([math.pi, 1.3, -math.pi - 1.3], rng)  # cos-zero: an eigenvalue at -1
+
+
+def _near_double(rng):
+    return _group([1.0, 1.0 + 1e-3, -2.0 - 1e-3], rng)
+
+
+def _small_phase(d):
+    # the eigenvalue e^{i d} is second in the kernel's order, so k_1 turns its part
+    return lambda rng: _group([1.0, d, -1.0 - d], rng)
+
+
+# (input, winding, the gate that declines); past each gate the eigen path gives the outcome
+_DECLINES = {
+    "g0 order gate": (_g0_zero, (1, 0, -1), lambda a: not factorlog._g0_orders(a, DEFAULT_TOL)),
+    "root gap": (_near_double, (1, 0, -1), lambda a: factorlog._cubic_eigenvalues(
+        a, 0.0, DEFAULT_TOL, factorlog._CF_MIN_GAP) is None),
+    "direction margin, no direction": (_small_phase(1.5e-9), (0, 1, 0), None),
+    "direction margin, within twice sin_zero_tol": (_small_phase(3e-9), (0, 1, 0), None),
+    "winding miss": (lambda rng: random_group(3), (10**5, 0, 0), None),
+    "reconstruction gate": (lambda rng: random_group(3), (1, 0, -1), None),  # at a miss of 0
+}
+
+
+@pytest.mark.parametrize("case", _DECLINES)
+def test_branch_log_declines_to_the_eigen_path(case, monkeypatch):
+    """Each gate of the closed branch log leaves U to the eigen path, which gives its bits or error."""
+    make, k, gate = _DECLINES[case]
+    if case == "reconstruction gate":
+        monkeypatch.setattr(factorlog, "_CF_BRANCH_MISS", 0.0)
+    g = make(np.random.default_rng(5))
+    a = g.mat.array
+    assert gate is None or gate(a)
+    assert factorlog._g0_orders(a, DEFAULT_TOL) or case == "g0 order gate"
+    calls = []
+    kernel = factorlog._eigen_normal3
+    monkeypatch.setattr(factorlog, "_eigen_normal3", lambda *args: calls.append(1) or kernel(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert factorlog._closed_form_branch(a, g._dev, k, DEFAULT_TOL) is None
+        got = _outcome(lambda x: branch_log(x, k).array.tobytes(), g)
+        want = _outcome(lambda x: _eigen_branch(x, k).tobytes(), g)
+    assert got == want and len(calls) == 2
+    if case.startswith("direction margin, no"):
+        assert got.startswith("MissingDirection")
+    if case == "winding miss":
+        assert got.startswith("FactorizationFailed")
+
+
+def test_branch_log_skips_the_eigensolver_on_haar_u(monkeypatch):
+    """At most 2 of 200 seeded Haar U, each with its own winding, reach the normal kernel."""
+    calls = []
+    kernel = factorlog._eigen_normal3
+    monkeypatch.setattr(factorlog, "_eigen_normal3", lambda *args: calls.append(1) or kernel(*args))
+    for seed in range(200):
+        branch_log(random_group(seed), _WINDINGS[seed % 27])
+    assert len(calls) <= 2
 
 
 @settings(max_examples=300, deadline=None)

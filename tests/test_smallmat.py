@@ -435,7 +435,7 @@ _DIGESTS = {
     "factorize parts, routes and grades haar":
         "521ec5aa8aad076785accef298c89420a4648a8a4f40ce53ad876bc8de6330e4",
     "branch_log (1, 0, -1) haar":
-        "dc0dbe4163e2b588e93dba84fe64855184379caa4f495d32f375f4c3ef290207",
+        "74731ead669980caf9edc6473f3fdc5ca14a2a6957df29c7448ef0cba8974784",
     "principal_log hard": "95abd5d7d20b580579246da0df2847e25a34ec50e5755199b451293ec1639b33",
     "factorize hard": "fdfa7cffd9fcc77ed9d875932a699c6cd477637d4e26ce6c2f282cc4f985f5fe",
 }

@@ -1,13 +1,15 @@
-"""Print the share of principal_log and factorize calls that take the closed form.
+"""Print the share of principal_log, branch_log and factorize calls that take the closed form.
 
 The inputs are the benchmark's kinds of U, drawn with ``perfbench.gen``:
 Haar SU(3) from the log-haar stream, and each of the four hard families
 (near-degenerate, boundary, cos-zero, near-cos-zero) from the
 hard-regimes stream, the near-cos-zero family from its fixed stream.
-A call takes the closed form where ``factorlog._closed_form_log`` or
-``factorlog._closed_form_factors`` accepts U, as ``principal_log`` and
-``factorize`` call them; the rest run the eigen path.  A change that
-moves inputs onto the eigen path shows up as a lower share.
+A call takes the closed form where ``factorlog._closed_form_log``,
+``factorlog._closed_form_branch`` or ``factorlog._closed_form_factors``
+accepts U, as ``principal_log``, ``branch_log`` and ``factorize`` call
+them; the rest run the eigen path.  The branch logs take the nonzero
+windings in {-1, 0, 1}^3 in turn.  A change that moves inputs onto the
+eigen path shows up as a lower share.
 
     python tools/closed_share.py [--n 2000] [--seed 1]
 """
@@ -15,6 +17,7 @@ moves inputs onto the eigen path shows up as a lower share.
 from __future__ import annotations
 
 import argparse
+import itertools
 import pathlib
 import sys
 
@@ -36,14 +39,18 @@ def _inputs(family: str, n: int, seed: int):
     return [gen.from_phases(phases(rng), rng)[1] for _ in range(n)]
 
 
-def shares(u_list) -> tuple[float, float]:
-    """(closed log share, closed factorize share) of the unitary arrays in u_list."""
-    log = factor = 0
-    for u in u_list:
+_WINDINGS = [k for k in itertools.product((-1, 0, 1), repeat=3) if k != (0, 0, 0)]
+
+
+def shares(u_list) -> tuple[float, float, float]:
+    """(closed log, branch log and factorize shares) of the unitary arrays in u_list."""
+    log = branch = factor = 0
+    for u, k in zip(u_list, itertools.cycle(_WINDINGS)):
         a, dev = factorlog._unitary_array(u, DEFAULT_TOL)
         log += factorlog._closed_form_log(a, dev, DEFAULT_TOL) is not None
+        branch += factorlog._closed_form_branch(a, dev, k, DEFAULT_TOL) is not None
         factor += factorlog._closed_form_factors(a, dev, DEFAULT_TOL) is not None
-    return log / len(u_list), factor / len(u_list)
+    return log / len(u_list), branch / len(u_list), factor / len(u_list)
 
 
 def main() -> None:
@@ -51,10 +58,11 @@ def main() -> None:
     p.add_argument("--n", type=int, default=2000, help="inputs per family")
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args()
-    print("%-16s %6s %14s %10s" % ("family", "n", "principal_log", "factorize"))
+    print("%-16s %6s %14s %11s %10s" % ("family", "n", "principal_log", "branch_log", "factorize"))
     for family in ("haar",) + tuple(name for name, _ in gen.HARD_FAMILIES):
-        log, factor = shares(_inputs(family, args.n, args.seed))
-        print("%-16s %6d %13.1f%% %9.1f%%" % (family, args.n, 100.0 * log, 100.0 * factor))
+        log, branch, factor = shares(_inputs(family, args.n, args.seed))
+        print("%-16s %6d %13.1f%% %10.1f%% %9.1f%%"
+              % (family, args.n, 100.0 * log, 100.0 * branch, 100.0 * factor))
 
 
 if __name__ == "__main__":

@@ -35,8 +35,9 @@ projectors P_i, and both follow from U without an eigenbasis: the e_i
 are the roots of U's characteristic cubic, and P_i is Lagrange's
 polynomial in U, (U - e_j)(U - e_k) / ((e_i - e_j)(e_i - e_k)) (Higham,
 Functions of Matrices, 2008, ch. 1).  The cubic, whose coefficients
-are complex, is solved in this module alone: Cardano's formula
-(``_complex_cubic_roots``), polished in ``_cubic_eigenvalues``.
+are complex, is solved in this module alone, for U - tr U / 3, so that
+its coefficients carry rounding in the scale of the spectrum's spread:
+Cardano's raw roots (``_complex_cubic_roots``) in ``_cubic_eigenvalues``.
 ``factorize`` takes this closed form first (``_closed_form_factors``).
 Where it cannot vouch for its result it declines, and the eigen path
 (``_factor_parts``) runs as it would alone: ``grades._eigenbasis``
@@ -44,7 +45,7 @@ diagonalizes U once with the normal kernel, U = P diag(e) P^H, reads
 gamma + i delta off P^H (g2 + g4) P, and a unit is P diag(i w) P^H.
 Both paths share the cascade and the rules after it (``_route_parts``), and the gates of
 the closed form keep its routes and errors the eigen path's.  About
-98% of Haar U take the closed form.
+99% of Haar U take the closed form.
 
 When the cascade finds no factor (FactorizationFailed; an
 AmbiguousDirection is final), the ``eigen`` route takes the paper's
@@ -88,9 +89,9 @@ exp):
     log U = c2 X^2 + c1 X + c0,   X = U - c,   r_j = i theta_j / ((x_j - x_k)(x_j - x_l)),
     c2 = sum r_j,   c1 = -sum r_j (x_k + x_l),   c0 = sum r_j x_k x_l,
 
-x_j = e_j - c.  The e_j are the roots of U's characteristic cubic
-(``_complex_cubic_roots``), and theta the same selection and det rule
-as on the eigen path.  The shift keeps the powers of X as small as the
+x_j = e_j - c.  The x_j are the roots of X's characteristic cubic
+(``_cubic_eigenvalues``), and theta the same selection and det rule as
+on the eigen path.  The shift keeps the powers of X as small as the
 spread of the nodes, so a cluster of nodes near the identity does not
 cancel a large X^2 against X.  Where two roots are closer than
 _CF_MIN_GAP, where sum |r_j| exceeds _CF_MAX_COEF (the coefficients,
@@ -110,14 +111,14 @@ step P <- 3 P^2 - 2 P^3 (``_closed_form_branch``).  A root off by
 delta leaves P_j an eigenvalue of about delta / gap on another
 eigenvector, which the turns would scale into the log; the step
 squares it away.  On the benchmark's log-haar branch logs at seeds 1
-to 8 (1600, four declined) the worst round trip is 6.8e-15 purified and
-1.8e-13 unpurified, against 9.7e-15 on the eigen path.  It declines
-where the eigen path orders the eigenvalues by rounding, two roots are
-within _CF_MIN_GAP, a phase, winding or direction rule raises, or the
-purified projectors rebuild U to more than _CF_BRANCH_MISS; about 99.6%
-of Haar U take it.
+to 8 (1600, one declined) the worst round trip is 6.9e-15 purified and
+4.4e-14 on ``_involutions``' projectors unpurified, against 9.7e-15 on
+the eigen path.  It declines where the eigen path orders the
+eigenvalues by rounding, two roots are within _CF_MIN_GAP, a phase,
+winding or direction rule raises, or the purified projectors rebuild U
+to more than _CF_BRANCH_MISS; about 99.6% of Haar U take it.
 The logs and ``factorize`` take the roots from one helper,
-``_cubic_eigenvalues``.
+``_cubic_eigenvalues``, and decline at one root gap, _CF_MIN_GAP.
 
 Scalars multiply as Python complex numbers, and residual gates read
 "not x <= tol" so NaN is refused.  Public functions take a
@@ -539,23 +540,30 @@ def _factor_parts(a: np.ndarray, dev: float, tol: Tolerances):
             functools.partial(_eigen_decomposition, a, p, gam, delt))
 
 
-# The gates of the closed forms.  The log's: Cardano's raw roots at
-# least _CF_MIN_GAP apart, and its Lagrange coefficients
-# r_j = i theta_j / ((e_j - e_k)(e_j - e_l)) at most _CF_MAX_COEF in sum
-# of moduli; 96% of Haar U pass.  factorize's: |g0| fact_tol at least
-# _CF_G0_MARGIN eps, the raw roots at least _CF_FACTOR_GAP apart, and the
-# factors' product within _CF_FACTOR_MISS of U; 98% of Haar U pass.  The
-# branch log's: the g0 margin, the log's root gap, and sum_j e_j P_j of the
-# purified projectors within _CF_BRANCH_MISS of U.  That residual is
-# mostly the roots' error, which reaches the log through the phases: on
-# 20000 seeded Haar U it was 1.7 eps at the median, 4.7 at p99, 9.5 at
-# p99.9 and 21 at most.  Past 8 eps 0.16% of Haar U decline, and the
-# accepted ones stay within 4.4 eps max(1, ||L||) of the eigen path; at
-# 16 eps a principal branch with three eigenvalues near 1 passed at 15 eps
-# and missed the 40-digit log by 14.5 eps, the eigen path by 1.
-_CF_MIN_GAP = 0.05
+# The gates of the closed forms.  All three take the roots of the shifted
+# cubic only at least _CF_MIN_GAP apart (``_cubic_eigenvalues``).  Below
+# that factorize's units, divided by the gaps, drift from the eigen path's:
+# on 1000 U with a closest pair 0.05 to 0.1 apart its factors missed the
+# eigen path's by more than 16 eps max(1, ||U||) on 6 (up to 22.5 eps), on
+# 1000 with one 0.1 to 0.2 apart on none (up to 15.4).  The logs lose
+# little to 0.1: of 2000 Haar U the principal log takes as many as at
+# 0.05, since its coefficient gate declines nearly every U with a gap
+# under 0.1, and the branch log one fewer.  The log's own gate: its Lagrange
+# coefficients r_j = i theta_j / ((e_j - e_k)(e_j - e_l)) at most
+# _CF_MAX_COEF in sum of moduli; 96.5% of Haar U pass.  factorize's:
+# |g0| fact_tol at least _CF_G0_MARGIN eps, and the factors' product within
+# _CF_FACTOR_MISS of U; 99.4% of Haar U pass, and of the first 3000 seeded
+# ones 9 fail the product gate (51 eps at most).  The branch log's: the g0
+# margin, and sum_j e_j P_j of the purified projectors within
+# _CF_BRANCH_MISS of U.  That residual is mostly the roots' error, which
+# reaches the log through the phases: on 20000 seeded Haar U it was
+# 1.6 eps at the median, 2.8 at p99 and 5.2 at most, and on 2000 boundary U
+# (eigenvalues near 1 and e^{+-i r}, r 0.3 to 1.5) 1.9, 6.0 and 11.2,
+# where 0.45% decline.  The accepted ones stay within 5.7 eps max(1, ||L||) of
+# the eigen path; past the gate, at 8 to 11.2 eps, the closed log missed
+# the 40-digit log by up to 11.4 eps, the eigen path by 8.9.
+_CF_MIN_GAP = 0.1
 _CF_MAX_COEF = 5.0
-_CF_FACTOR_GAP = 0.2
 _CF_G0_MARGIN = 500.0
 _CF_FACTOR_MISS = 16.0 * _EPS
 _CF_BRANCH_MISS = 8.0 * _EPS
@@ -585,53 +593,45 @@ def _complex_cubic_roots(t: complex, s: complex, d: complex) -> list[complex]:
     return [t / 3.0 + c * o - p / (3.0 * c * o) for o in _OMEGAS]
 
 
-def _cubic_eigenvalues(a: np.ndarray, dev: float, tol: Tolerances, min_gap: float):
-    """(tr a, a's eigenvalues) from a's characteristic cubic, or None.
+def _cubic_eigenvalues(a: np.ndarray, dev: float, tol: Tolerances):
+    """(tr a, a's eigenvalues) from the characteristic cubic of a - tr a / 3, or None.
 
-    a's eigenvalues are the roots of z^3 - t z^2 + s z - det a, t = tr a
-    and s the sum of its principal 2x2 minors, all from one
-    ``tolist()``.  Cardano's roots (``_complex_cubic_roots``)
-    are polished where it is safe: Newton on the root apart from the
-    nearest pair, and the pair from the deflated quadratic, of sum
-    t - z and product det a / z, so the pair's phase sum is det a's
-    less z's.  The roots come as [pair, pair, z].
+    With c = tr a / 3 the eigenvalues of a are e = x + c over the roots
+    x of x^3 + s x - det X, s the sum of the principal 2x2 minors of
+    X = a - c and det X its determinant, all from one ``tolist()``:
+    Cardano's raw roots (``_complex_cubic_roots``).  The shift makes s
+    and det X carry rounding relative to ||X||^2 and ||X||^3, the spread
+    of the spectrum, not to 1, so a root's error stays a few eps where
+    the gaps shrink (Higham, Functions of Matrices, 2008, ch. 1).
 
-    None where two raw roots are closer than min_gap: rounding splits
+    None where two roots are closer than _CF_MIN_GAP: rounding splits
     Cardano's roots of a cluster, and what the closed forms build from
-    them divides by the gaps.  Most such inputs are declined from t alone,
-    before the cubic is solved: with det a = 1 the squared product of
-    the three gaps is 27 - 18 |t|^2 + 8 Re t^3 - |t|^4, and below
-    min_gap^6 some gap is below min_gap.  None also unless dev, a's unitarity
-    residual, is the proof that a is normal: only where dev + 4 eps is
-    within an eighth of normal_tol and eig_tol, which no U that passes
-    the default grp_tol exceeds, can neither of the eigen path's gates
-    refuse a, so the closed forms accept the U the eigen path accepts.
+    them divides by the gaps.  Most such inputs are declined from tr a
+    alone, before the cubic is solved: with det a = 1 the squared product
+    of the three gaps is 27 - 18 |t|^2 + 8 Re t^3 - |t|^4, t = tr a, and
+    below _CF_MIN_GAP^6 some gap is below _CF_MIN_GAP.  None also unless
+    dev, a's unitarity residual, is the proof that a is normal: only
+    where dev + 4 eps is within an eighth of normal_tol and eig_tol,
+    which no U that passes the default grp_tol exceeds, can neither of
+    the eigen path's gates refuse a, so the closed forms accept the U
+    the eigen path accepts.
     """
     if not dev + 4.0 * _EPS <= 0.125 * min(tol.normal_tol, tol.eig_tol):
         return None
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
     t = 0j + a00 + a11 + a22
     n2 = t.real * t.real + t.imag * t.imag
-    if not 27.0 - 18.0 * n2 + 8.0 * (t * t * t).real - n2 * n2 >= min_gap**6:
+    if not 27.0 - 18.0 * n2 + 8.0 * (t * t * t).real - n2 * n2 >= _CF_MIN_GAP**6:
         return None
-    m0 = a11 * a22 - a12 * a21
-    s = m0 + (a00 * a22 - a02 * a20) + (a00 * a11 - a01 * a10)
-    d = a00 * m0 - a01 * (a10 * a22 - a12 * a20) + a02 * (a10 * a21 - a11 * a20)
-    raw = _complex_cubic_roots(t, s, d)
-    gaps = [abs(raw[1] - raw[2]), abs(raw[2] - raw[0]), abs(raw[0] - raw[1])]
-    if not min(gaps) >= min_gap:
+    c = t / 3.0
+    x00, x11, x22 = a00 - c, a11 - c, a22 - c
+    m0 = x11 * x22 - a12 * a21
+    s = m0 + (x00 * x22 - a02 * a20) + (x00 * x11 - a01 * a10)
+    d = x00 * m0 - a01 * (a10 * x22 - a12 * a20) + a02 * (a10 * a21 - x11 * a20)
+    x = _complex_cubic_roots(0.0, s, d)
+    if not min(abs(x[1] - x[2]), abs(x[2] - x[0]), abs(x[0] - x[1])) >= _CF_MIN_GAP:
         return None
-    z = raw[gaps.index(min(gaps))]
-    for _ in range(2):
-        p = ((z - t) * z + s) * z - d
-        step = z - p / ((3.0 * z - 2.0 * t) * z + s)
-        if not abs(((step - t) * step + s) * step - d) < abs(p):
-            break
-        z = step
-    sm, pr = t - z, d / z
-    r = cmath.sqrt(sm * sm - 4.0 * pr)
-    x = 0.5 * max(sm + r, sm - r, key=abs)
-    return t, [x, pr / x, z]
+    return t, [v + c for v in x]
 
 
 def _g0_orders(a: np.ndarray, tol: Tolerances) -> bool:
@@ -676,17 +676,16 @@ def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
       third at -1, where g0 = 0; the kernel orders such a pair by its
       rounding.  Past this gate and the next the imaginary parts are
       at least 4e-4 apart at the default fact_tol;
-    - where two raw roots are closer than _CF_FACTOR_GAP, most of them
-      decided from tr a alone;
+    - where two roots are closer than _CF_MIN_GAP, most of them decided
+      from tr a alone (``_cubic_eigenvalues``);
     - where any rule of the cascade or the eigen route raises;
     - where the factors' product misses a by more than _CF_FACTOR_MISS.
-      That residual vouches for the roots, whose rounding from the
-      cubic's coefficients, a few eps over |p'(e_i)|, reaches every
-      factor: it declines about 1% of Haar U.
+      That residual vouches for the roots, whose rounding reaches every
+      factor: it declines about 0.3% of Haar U.
     """
     if not _g0_orders(a, tol):
         return None
-    roots = _cubic_eigenvalues(a, dev, tol, _CF_FACTOR_GAP)
+    roots = _cubic_eigenvalues(a, dev, tol)
     if roots is None:
         return None
     t, z = roots
@@ -761,15 +760,15 @@ def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray |
     pi, exp_su3 then this gave B back to 3.2 eps max(1, ||B||) at
     worst, and to 11.6 unshifted.
 
-    None leaves a to the eigen path (``_log_sum``): where two raw roots
-    are closer than _CF_MIN_GAP, where sum |r_j| exceeds _CF_MAX_COEF
+    None leaves a to the eigen path (``_log_sum``): where two roots are
+    closer than _CF_MIN_GAP, where sum |r_j| exceeds _CF_MAX_COEF
     (two close eigenvalues on phases far apart, such as a pair near -1
     on both sides of the cut, whose log is ill-conditioned), where the
     phase rules raise, so the eigen path refuses with its own error,
     and where ``_cubic_eigenvalues`` cannot take dev as the proof that
     a is normal.
     """
-    roots = _cubic_eigenvalues(a, dev, tol, _CF_MIN_GAP)
+    roots = _cubic_eigenvalues(a, dev, tol)
     if roots is None:
         return None
     t, e = roots
@@ -844,8 +843,8 @@ def _closed_form_branch(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.nda
 
     - where ``_g0_orders`` fails: the eigen path orders a pair of equal
       imaginary parts by rounding;
-    - where two raw roots are closer than _CF_MIN_GAP, or dev is not
-      the proof that a is normal (``_cubic_eigenvalues``);
+    - where two roots are closer than _CF_MIN_GAP, or dev is not the
+      proof that a is normal (``_cubic_eigenvalues``);
     - where a phase rule raises, or a turn goes along a part whose sine
       is within twice sin_zero_tol, so that the eigen path's phases,
       not these, decide MissingDirection;
@@ -855,7 +854,7 @@ def _closed_form_branch(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.nda
     """
     if not _g0_orders(a, tol):
         return None
-    roots = _cubic_eigenvalues(a, dev, tol, _CF_MIN_GAP)
+    roots = _cubic_eigenvalues(a, dev, tol)
     if roots is None:
         return None
     _, z = roots

@@ -77,10 +77,14 @@ def log_reference(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
 
     Eigenvalues are unit-modulus; their phases are taken in (-pi, pi]
     and reassembled as P diag(i theta) P^{-1}, with a final projection
-    onto the skew-Hermitian subspace to strip round-off.  The
-    eigensystem comes from ``eigen_general`` (LAPACK's general solver)
-    at every size, so the log it checks, which runs on the normal 3x3
-    kernel and its Hermitian seed, shares no kernel with it.
+    onto the skew-Hermitian subspace to strip round-off.  The phases
+    follow no traceless rule, so where they sum to +-2 pi the log has
+    trace +-2 pi i and differs from ``principal_log``, the traceless
+    log of least norm, by 2 pi i times an eigenprojection (on 5 of the
+    first 200 seeded Haar U).  The eigensystem comes from
+    ``eigen_general`` (LAPACK's general solver) at every size, so it
+    shares no code with ``principal_log``'s closed form or its normal
+    3x3 kernel.
     """
     arr = _as_mat(u).array
     n = arr.shape[0]

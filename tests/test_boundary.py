@@ -11,13 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su3kit.errors import NonFiniteEntries, Overflow, Su3KitError
-from su3kit.expmap import GroupElement, exp_su3, family_element
-from su3kit.factorlog import branch_log, factorize, principal_log
+from su3kit.expmap import (GroupElement, exp_simple, exp_su3, family_element,
+                           invariant_combination)
+from su3kit.factorlog import (branch_log, factorize, normalize, principal_log,
+                              principal_log_factor, rms_norm)
 from su3kit.gellmann import exp_gellmann, exp_gellmann8
-from su3kit.grades import ccos_ssin, grade0, grade2, grade4, grade6
-from su3kit.invdec import AlgebraElement, decompose_closed_form, decompose_via_eigen, lambda_roots
-from su3kit.oracle import compare, random_algebra, random_group
-from su3kit.smallmat import _fro, eigen_normal3, scalar_residual
+from su3kit.grades import ccos_ssin, grade0, grade2, grade4, grade6, split_HS
+from su3kit.invdec import (AlgebraElement, decompose_closed_form, decompose_nxn,
+                           decompose_via_eigen, lambda_roots)
+from su3kit.oracle import compare, exp_reference, log_reference, random_algebra, random_group
+from su3kit.smallmat import _fro, eigen_general, eigen_normal3, scalar_residual
 
 _B = np.array([[0.3j, 1 + 0.5j, -0.2 + 0.1j], [-1 + 0.5j, -0.1j, 0.4 - 0.7j],
                [0.2 + 0.1j, -0.4 - 0.7j, -0.2j]])
@@ -222,10 +225,12 @@ _EDGES = [math.nan, math.inf, -math.inf]
 def _library_calls(draw):
     """A call of one library name on inputs from 5e-324 to 1.7e308, NaN or +-inf.
 
-    Matrices are Gaussian, or su(3) for the decomposition, times a
-    scale.  The logs and factorize take a Gaussian or a Haar U, the U
-    at times unscaled, so that their closed forms run.  An entry or an
-    angle at times takes an edge value.
+    Matrices are Gaussian, or su(3) for the 3x3 decompositions and the
+    exponentials, times a scale.  The logs, factorize, split_HS,
+    eigen_normal3 and principal_log_factor take a Gaussian or a Haar U,
+    the U at times unscaled, so that their closed forms run.
+    exp_simple and invariant_combination take the parts of a seeded
+    su(3) element.  An entry or an angle at times takes an edge value.
     decompose_closed_form takes the element's own lambdas where
     lambda_roots gives them, or lambdas in the scale's square.
     """
@@ -271,6 +276,19 @@ _LIBRARY_NAMES = {
     "principal_log": lambda x: principal_log(x.u),
     "branch_log": lambda x: branch_log(x.u, x.k),
     "factorize": lambda x: factorize(x.u),
+    "exp_su3": lambda x: exp_su3(x.b),
+    "exp_simple": lambda x: exp_simple(x.parts[x.a % 3]),
+    "decompose_via_eigen": lambda x: decompose_via_eigen(x.b),
+    "decompose_nxn": lambda x: decompose_nxn(x.m),
+    "eigen_normal3": lambda x: eigen_normal3(x.u),
+    "eigen_general": lambda x: eigen_general(x.m),
+    "split_HS": lambda x: split_HS(x.u),
+    "normalize": lambda x: normalize(x.m),
+    "rms_norm": lambda x: rms_norm(x.m),
+    "principal_log_factor": lambda x: principal_log_factor(x.u),
+    "invariant_combination": lambda x: invariant_combination(x.parts, (x.angle, 1.0, -x.angle)),
+    "oracle.exp_reference": lambda x: exp_reference(x.b),
+    "oracle.log_reference": lambda x: log_reference(x.u),
 }
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_closed_factorize import boundary_u
 
 from su3kit import factorlog
 from su3kit.errors import Su3KitError
@@ -189,7 +190,7 @@ def _small_phase(d):
 _DECLINES = {
     "g0 order gate": (_g0_zero, (1, 0, -1), lambda a: not factorlog._g0_orders(a, DEFAULT_TOL)),
     "root gap": (_near_double, (1, 0, -1), lambda a: factorlog._cubic_eigenvalues(
-        a, 0.0, DEFAULT_TOL, factorlog._CF_MIN_GAP) is None),
+        a, 0.0, DEFAULT_TOL) is None),
     "direction margin, no direction": (_small_phase(1.5e-9), (0, 1, 0), None),
     "direction margin, within twice sin_zero_tol": (_small_phase(3e-9), (0, 1, 0), None),
     "winding miss": (lambda rng: random_group(3), (10**5, 0, 0), None),
@@ -232,6 +233,17 @@ def test_branch_log_skips_the_eigensolver_on_haar_u(monkeypatch):
     assert len(calls) <= 2
 
 
+def test_branch_log_takes_the_closed_form_on_boundary_u():
+    """At least 396 of 400 boundary U, each with its own winding, pass the rebuild gate:
+    the roots of the shifted cubic carry a few eps there (tests/test_digits.py)."""
+    taken = 0
+    for seed in range(400):
+        g = GroupElement(boundary_u(seed))
+        taken += factorlog._closed_form_branch(g.mat.array, g._dev, _WINDINGS[seed % 27],
+                                               DEFAULT_TOL) is not None
+    assert taken >= 396
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_cubic_roots(seed):
@@ -254,7 +266,7 @@ def test_cubic_triple_root():
 
 
 def test_near_doubles_decline_before_the_cubic(monkeypatch):
-    """A near-double spectrum is declined from tr U alone: the gaps' product is below 0.05^3."""
+    """A near-double spectrum is declined from tr U alone: the gaps' product is below 0.1^3."""
     monkeypatch.setattr(factorlog, "_complex_cubic_roots",
                         lambda *args: pytest.fail("the cubic ran"))
     rng = np.random.default_rng(13)

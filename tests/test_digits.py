@@ -11,7 +11,7 @@ The exact principal log of U is i sum theta_j P_j over U's eigenvalues
 and projectors at 40 digits, theta U's eigenphases shifted by 2 pi k,
 k in {-1, 0, 1}^3, of sum nearest 0 and, among those, of least norm:
 su3kit's traceless least-norm rule.  On random_group(0..149) the closed
-form (142 U) reached a median of 1.1 and a max of 3.9 eps
+form (142 U) reached a median of 1.1 and a max of 3.7 eps
 max(1, ||L||), the eigen path (8 U) 1.5 and 2.8.  On the near-cut
 family (a pair of eigenvalues on both sides of -1, 1e-12 to 1e-1 from
 it) every U takes the eigen path.  Its log is ill-conditioned: an eps
@@ -26,8 +26,14 @@ pattern), so the exact branch log is i sum (theta_j + 2 pi n_j) P_j,
 the eigenvalues in su3kit's order.  On random_group(0..99), each U with
 every winding in {-1, 0, 1}^3, both routes are judged wherever they
 run: the closed form (purified Lagrange projectors, 2700 logs) reached
-a median of 0.84 and a max of 3.0 eps max(1, ||L||), the eigen path
+a median of 0.83 and a max of 2.9 eps max(1, ||L||), the eigen path
 (2700) 1.2 and 3.9.
+
+The closed forms' eigenvalues, the roots of the characteristic cubic of
+U - tr U / 3 (``factorlog._cubic_eigenvalues``), are judged against
+mpmath's eigenvalues at 40 digits: on random_group(0..149) they reached
+a max of 1.6 eps, and on 150 boundary U (eigenvalues near 1 and
+e^{+-i r}, r 0.3 to 1.5) 1.3 eps, where the cubic of U itself reached 24.
 """
 
 import itertools
@@ -36,6 +42,7 @@ import statistics
 import mpmath
 import numpy as np
 import pytest
+from test_closed_factorize import boundary_u
 from test_closed_log import _group, _phases
 
 from su3kit import factorlog
@@ -117,6 +124,27 @@ def _log_errors(groups, conditioned: bool) -> dict:
 def _check(errors: dict) -> None:
     summary = {route: (len(e), statistics.median(e), max(e)) for route, e in errors.items() if e}
     assert all(worst <= PART_BOUND for _, _, worst in summary.values()), summary
+
+
+def _root_errors(us) -> list:
+    """Per U, the largest distance in eps of a root of ``_cubic_eigenvalues`` from 40 digits."""
+    errors = []
+    for u in us:
+        a, dev = factorlog._unitary_array(u, DEFAULT_TOL)
+        roots = factorlog._cubic_eigenvalues(a, dev, DEFAULT_TOL)
+        assert roots is not None
+        with mpmath.workdps(40):
+            exact = mpmath.eig(mpmath.matrix(u.tolist()))[0]
+            worst = max(min(abs(mpmath.mpc(z) - v) for v in exact) for z in roots[1])
+        errors.append(float(worst) / EPS)
+    return errors
+
+
+def test_cubic_roots_within_a_few_eps_of_40_digits():
+    """The shifted cubic's roots on Haar U and on boundary U, where the cubic of U itself,
+    its coefficients rounded in the scale of 1, not of the spread, missed by 24 eps."""
+    for make in (lambda seed: random_group(seed).mat.array, boundary_u):
+        assert max(_root_errors(make(seed) for seed in range(150))) <= 4.0
 
 
 def test_principal_log_within_a_few_eps_of_40_digits():

@@ -430,14 +430,14 @@ _DIGESTS = {
     "eigen_normal3 haar": "fc6182f552179c6d548ddfdcbae934c22dfa7eb69e596eb65027fa04787621c2",
     "eigen_normal3 algebra": "b8eb6f230b2875385eb6ccb2c60f785336911b2e428860ea018a0ed952189fcb",
     "eigen_normal3 clustered": "76d1a1b5268b3bbd08908959090bc9daa8933b1239eccfe74d94b6016f6cad07",
-    "principal_log haar": "e39705f3f72a76c80a96abafd2b3e5e26c1f6b85a00abdb6e0d8e57ddb76c447",
-    "factorize haar": "ce1d1008e4117ffa98fcb116507e44e387635794721a8777d0373e742dcdde70",
+    "principal_log haar": "24808fcf24707621278d6bb7d93d65273e9f03ee92189a7714a812e40e030ea2",
+    "factorize haar": "1ced86dc3f8f1881fe88fc07972153d63920313eebd8009a832b3e5ae2492759",
     "factorize parts, routes and grades haar":
-        "521ec5aa8aad076785accef298c89420a4648a8a4f40ce53ad876bc8de6330e4",
+        "418ff98dfbdb7a7c9648974d1b45c8a03ce67a80332c13428af904cf146234af",
     "branch_log (1, 0, -1) haar":
-        "74731ead669980caf9edc6473f3fdc5ca14a2a6957df29c7448ef0cba8974784",
-    "principal_log hard": "95abd5d7d20b580579246da0df2847e25a34ec50e5755199b451293ec1639b33",
-    "factorize hard": "fdfa7cffd9fcc77ed9d875932a699c6cd477637d4e26ce6c2f282cc4f985f5fe",
+        "f293cb98caf9fada9f9664c28ae4789023ba30f0394354f2e27dde651272b092",
+    "principal_log hard": "74d68e987943fa66af50bb2ad656c9ba77d71034de758047603848d54a20749e",
+    "factorize hard": "2375ecca8f38e64e8c19df5da2ce27ebf6d7dd856345757a4d2ff636af2bc887",
 }
 
 

@@ -1,0 +1,35 @@
+"""The scripts under tools/ run and print what their docstrings promise.
+
+Both reach private names of su3kit (``factorlog._closed_form_log`` and
+its siblings, the package's file layout), so a refactor that moves
+those names breaks them; this runs each in a subprocess, as from the
+command line.
+"""
+
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FAMILIES = ("haar", "near_degenerate", "boundary", "cos_zero", "near_cos_zero")
+
+
+def _run(*args) -> str:
+    done = subprocess.run([sys.executable, *map(str, args)], cwd=ROOT, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_closed_share_prints_a_row_per_family():
+    rows = _run(ROOT / "tools" / "closed_share.py", "--n", 20).splitlines()[1:]
+    assert [row.split()[0] for row in rows] == list(FAMILIES)
+    for row in rows:
+        n, *shares = row.split()[1:]
+        assert n == "20" and len(shares) == 3
+        assert all(0.0 <= float(s.rstrip("%")) <= 100.0 for s in shares)
+
+
+def test_code_lines_prints_a_count():
+    out = _run(ROOT / "tools" / "code_lines.py").strip()
+    assert out.isdigit() and int(out) > 0

@@ -21,18 +21,20 @@ involution 2 P_i - 1, the sign pattern sigma_i = 2 e_i - 1: g0 and g6
 are scalars, H_i = (gamma_i - sum gamma)/2 sigma_i and
 S_i = i (delta_i - sum delta)/2 sigma_i, with gamma + i delta the
 diagonal of g2 + g4 = U - g0 - g6 on the eigenbasis, that is
-e - g0 - g6.  So every route expression, normalization and gate acts
-on the 3-vector x of diagonal entries: an inverse is a division, the
-unitarity residual is || |x|^2 - 1 ||, "Hermitian half is scalar" is
-||Re x - mean Re x||, and the closing factor is conj(x1) conj(x2) e.
+e - g0 - g6 (``grades._diagonal``, from tr U and e alone).  So the
+cascade runs on U's spectrum: every route expression, normalization
+and gate acts on the 3-vector x of diagonal entries: an inverse is a
+division, the unitarity residual is || |x|^2 - 1 ||, "Hermitian half
+is scalar" is ||Re x - mean Re x||, and the closing factor is
+conj(x1) conj(x2) e.
 A factor's log is (beta, w) with unit i sum_m w_m P_m, w the signs of
 Im x (a unit squares to -1); the part has a direction where
 sin(beta) exceeds sin_zero_tol.  Matrices are built only for output: a
 unit is i w_i (2 P_i - 1), a factor cos(beta) 1 + sin(beta) unit.
 
 So the cascade needs U's eigenvalues and, for its output, the
-projectors P_i, and both follow from U without an eigenbasis: the e_i
-are the roots of U's characteristic cubic, and P_i is Lagrange's
+involutions 2 P_i - 1, and both follow from U without an eigenbasis:
+the e_i are the roots of U's characteristic cubic, and P_i is Lagrange's
 polynomial in U, (U - e_j)(U - e_k) / ((e_i - e_j)(e_i - e_k)) (Higham,
 Functions of Matrices, 2008, ch. 1).  The cubic, whose coefficients
 are complex, is solved in this module alone, for U - tr U / 3, so that
@@ -40,12 +42,14 @@ its coefficients carry rounding in the scale of the spectrum's spread:
 Cardano's raw roots (``_complex_cubic_roots``) in ``_cubic_eigenvalues``.
 ``factorize`` takes this closed form first (``_closed_form_factors``).
 Where it cannot vouch for its result it declines, and the eigen path
-(``_factor_parts``) runs as it would alone: ``grades._eigenbasis``
-diagonalizes U once with the normal kernel, U = P diag(e) P^H, reads
-gamma + i delta off P^H (g2 + g4) P, and a unit is P diag(i w) P^H.
-Both paths share the cascade and the rules after it (``_route_parts``), and the gates of
-the closed form keep its routes and errors the eigen path's.  About
-99% of Haar U take the closed form.
+(``_factor_parts``) runs as it would alone: ``grades._eigen_spectrum``
+runs the normal kernel once, for U's eigenvalues and the exactly
+Hermitian involutions 2 p_i p_i^H - 1 of its eigencolumns, and a unit
+is i w_i (2 p_i p_i^H - 1).  Both paths share the cascade and the rules
+after it (``_route_parts``), on tr U and e, and the grades, built when
+read along the units (``_unit_decomposition``); the gates of the closed
+form keep its routes and errors the eigen path's.  About 99% of Haar U
+take the closed form.
 
 When the cascade finds no factor (FactorizationFailed; an
 AmbiguousDirection is final), the ``eigen`` route takes the paper's
@@ -65,7 +69,8 @@ flip the signs of two factors, as they do on 20 of the 50 engineered
 vanishing-g0 inputs of the tests, each with an eigenphase at +-pi.
 
 One rule on det U (``_det_one``) decides for both routes and for the
-logs, after any AmbiguousDirection: phases theta of U's eigenvalues
+logs, after any AmbiguousDirection (``_log_phases``, the selection then
+the rule): phases theta of U's eigenvalues
 give a traceless log that misses U by sqrt(3)/2 |sum theta|, the sum
 taken modulo 2 pi (the cascade's phases may sum to +-2 pi), and a miss
 above fact_tol is FactorizationFailed.  So factorize and the logs
@@ -118,7 +123,9 @@ eigenvalues by rounding, two roots are within _CF_MIN_GAP, a phase,
 winding or direction rule raises, or the purified projectors rebuild U
 to more than _CF_BRANCH_MISS; about 99.6% of Haar U take it.
 The logs and ``factorize`` take the roots from one helper,
-``_cubic_eigenvalues``, and decline at one root gap, _CF_MIN_GAP.
+``_cubic_eigenvalues``, and decline at one root gap, _CF_MIN_GAP;
+``factorize`` and ``branch_log``, which follow the eigen path's
+eigenvalue order, take them through one prologue (``_ordered_roots``).
 
 Scalars multiply as Python complex numbers, and residual gates read
 "not x <= tol" so NaN is refused.  Public functions take a
@@ -160,8 +167,7 @@ from .errors import (
     ZeroMatrix,
 )
 from .expmap import GroupElement, _check_group, _factor_array
-from .grades import (GradeDecomposition, _decomposition, _eigen_decomposition, _eigenbasis,
-                     _halves, _scalar_grades)
+from .grades import GradeDecomposition, _decomposition, _diagonal, _eigen_spectrum, _halves
 from .invdec import _OTHERS, SimplePart, _involutions
 from .smallmat import (_EPS, _EYE3, ComplexMat, _as_mat, _eigen_normal3, _finite_mat,
                        _finite_norm, _fro, _normal_norm, _order_indices, _scalar_residual,
@@ -205,10 +211,10 @@ class Factorization:
     ``parts`` and ``grades`` are built on first read.  The parts come
     from the stacked units and the angles ``factorize`` already holds,
     bit for bit what it would have built at once.  ``grades``, the
-    grade decomposition the routes read, comes from the projectors it
-    holds (the closed form's polynomials in U, or the eigenbasis).  So a
-    caller that reads neither never pays for their matrices, and
-    reading them runs no eigensolver.
+    grade decomposition the routes read, comes from the units it holds
+    (the closed form's polynomials in U, or the normal kernel's
+    involutions) and U's eigenvalues.  So a caller that reads neither
+    never pays for their matrices, and reading them runs no eigensolver.
     """
 
     factors: tuple[ComplexMat, ComplexMat, ComplexMat]
@@ -378,16 +384,21 @@ def _candidate(name: str, i: int, g0: complex, g6: complex, h, s, tol: Tolerance
     return cand
 
 
-def _cascade(e, g0, g6, gam, delt, tol: Tolerances):
-    """The paper's route cascade on the eigenbasis: the parts (beta, w) and their routes.
+def _cascade(e, t: complex, tol: Tolerances):
+    """The paper's route cascade on the eigenbasis of U: the parts (beta, w) and their routes.
 
-    Route order depends on whether the scalar grade is usable: when
-    every cos(beta_i) is nonzero the direct g0 + S_i route is cheapest
-    and most accurate; when g0 vanishes (some cos is zero) the inverse
-    routes go first, with g0 + S_i kept as a last resort since it still
-    works when only one cosine vanishes.  A factor no route recovers is
-    an AmbiguousDirection if some route found it at the antipode.
+    e are U's ordered eigenvalues and t its trace, from which g0, g6 and
+    gamma + i delta follow (``grades._diagonal``).  Route order depends
+    on whether the scalar grade is usable: when every cos(beta_i) is
+    nonzero the direct g0 + S_i route is cheapest and most accurate;
+    when g0 vanishes (some cos is zero) the inverse routes go first,
+    with g0 + S_i kept as a last resort since it still works when only
+    one cosine vanishes.  A factor no route recovers is an
+    AmbiguousDirection if some route found it at the antipode.
     """
+    g0, g6, diag = _diagonal(t, e)
+    gam = [x.real for x in diag]
+    delt = [x.imag for x in diag]
     sg, sd = sum(gam), sum(delt)
     h = [0.5 * (g - sg) for g in gam]
     s = [0.5j * (d - sd) for d in delt]
@@ -496,8 +507,19 @@ def _phase_parts(theta) -> list:
             for t, sigma in zip(theta, _SIGMA)]
 
 
-def _route_parts(e, g0: complex, g6: complex, gam, delt, tol: Tolerances):
-    """(parts, routes) from U's ordered eigenvalues e and the cascade's scalars.
+def _log_phases(e, tol: Tolerances, **what) -> list:
+    """The least-norm traceless phases of U's eigenvalues e, held to the rule on det u.
+
+    ``_least_norm_phases``, then ``_det_one`` (which ``what`` goes to):
+    an AmbiguousDirection comes before a det other than 1.
+    """
+    theta = _least_norm_phases(e, tol)
+    _det_one(theta, tol, **what)
+    return theta
+
+
+def _route_parts(e, t: complex, tol: Tolerances):
+    """(parts, routes) from U's ordered eigenvalues e and its trace t.
 
     The eigen route, the invariant decomposition of log U, runs only
     after the cascade's FactorizationFailed.  Either route's phases
@@ -505,11 +527,9 @@ def _route_parts(e, g0: complex, g6: complex, gam, delt, tol: Tolerances):
     the selection comes first.
     """
     try:
-        parts, routes = _cascade(e, g0, g6, gam, delt, tol)
+        parts, routes = _cascade(e, t, tol)
     except FactorizationFailed as exc:
-        theta = _least_norm_phases(e, tol)
-        _det_one(theta, tol, "%s; eigen route:" % exc)
-        return _phase_parts(theta), ["eigen"] * 3
+        return _phase_parts(_log_phases(e, tol, what="%s; eigen route:" % exc)), ["eigen"] * 3
     theta = _pinned(parts, e)
     _det_one(theta, tol)
     total = sum(theta)
@@ -524,20 +544,24 @@ def _stacked_factors(units: np.ndarray, parts) -> np.ndarray:
     return _EYE3 * cos[:, None, None] + units * sin[:, None, None]
 
 
+def _unit_scales(parts, sign: complex) -> list:
+    """sign w_i over the parts (beta_i, w_i), w_i the sign of part i on its own eigenvalue."""
+    return [sign * w[i] for i, (_, w) in enumerate(parts)]
+
+
 def _factor_parts(a: np.ndarray, dev: float, tol: Tolerances):
     """(factors, units, parts, routes, grades) of a, of unitarity residual dev, on its eigenbasis.
 
-    The eigen path: the normal kernel's eigenbasis P, and the cascade on
-    the diagonal of g2 + g4 on P (``grades._eigenbasis``).  The units
-    are P diag(i w) P^H, and grades builds the decomposition along
-    P's columns when called.
+    The eigen path: the normal kernel's eigenvalues and involutions
+    2 p_i p_i^H - 1 (``grades._eigen_spectrum``), and the cascade on
+    tr a and the eigenvalues.  Unit i is i w_i (2 p_i p_i^H - 1), and
+    grades builds the decomposition along the units when called.
     """
-    p, ph, e, g0, g6, gam, delt = _eigenbasis(a, tol, dev)
-    parts, routes = _route_parts(e.tolist(), g0, g6, gam.tolist(), delt.tolist(), tol)
-    # the three units P diag(i w) P^H as one stacked product
-    units = (p * (1j * np.array([w for _, w in parts]))[:, None, :]) @ ph
+    t, e, invols = _eigen_spectrum(a, tol, dev)
+    parts, routes = _route_parts(e, t, tol)
+    units = invols * np.array(_unit_scales(parts, 1j))[:, None, None]
     return (_stacked_factors(units, parts), units, parts, routes,
-            functools.partial(_eigen_decomposition, a, p, gam, delt))
+            functools.partial(_unit_decomposition, a, t, e, units, parts))
 
 
 # The gates of the closed forms.  All three take the roots of the shifted
@@ -574,23 +598,19 @@ _THREE = 3.0 * _EYE3
 _OMEGAS = (1.0, complex(-0.5, 0.5 * math.sqrt(3.0)), complex(-0.5, -0.5 * math.sqrt(3.0)))
 
 
-def _complex_cubic_roots(t: complex, s: complex, d: complex) -> list[complex]:
-    """Cardano's roots of z^3 - t z^2 + s z - d, not polished.
+def _complex_cubic_roots(s: complex, d: complex) -> list[complex]:
+    """Cardano's roots of the depressed cubic x^3 + s x - d, not polished.
 
-    z = x + t/3 gives x^3 + p x + q with p = s - t^2/3 and
-    q = s t/3 - 2 t^3/27 - d.  Each root is x = c - p/(3c) for one of the
-    cube roots c of -q/2 +- sqrt(q^2/4 + p^3/27), the sign taken that
-    gives the larger modulus.  Where that is 0, p and q vanish and t/3
-    is a triple root.
+    Each root is x = c - s/(3c) for one of the cube roots c of
+    d/2 +- sqrt(d^2/4 + s^3/27), the sign taken that gives the larger
+    modulus.  Where that is 0, s and d vanish and 0 is a triple root.
     """
-    p = s - t * t / 3.0
-    q = s * t / 3.0 - 2.0 * t * t * t / 27.0 - d
-    r = cmath.sqrt(0.25 * q * q + p * p * p / 27.0)
-    w = max(-0.5 * q + r, -0.5 * q - r, key=abs)
+    r = cmath.sqrt(0.25 * d * d + s * s * s / 27.0)
+    w = max(0.5 * d + r, 0.5 * d - r, key=abs)
     if w == 0.0:
-        return [t / 3.0] * 3
+        return [0j] * 3
     c = w ** (1.0 / 3.0)
-    return [t / 3.0 + c * o - p / (3.0 * c * o) for o in _OMEGAS]
+    return [c * o - s / (3.0 * c * o) for o in _OMEGAS]
 
 
 def _cubic_eigenvalues(a: np.ndarray, dev: float, tol: Tolerances):
@@ -628,7 +648,7 @@ def _cubic_eigenvalues(a: np.ndarray, dev: float, tol: Tolerances):
     m0 = x11 * x22 - a12 * a21
     s = m0 + (x00 * x22 - a02 * a20) + (x00 * x11 - a01 * a10)
     d = x00 * m0 - a01 * (a10 * x22 - a12 * a20) + a02 * (a10 * a21 - x11 * a20)
-    x = _complex_cubic_roots(0.0, s, d)
+    x = _complex_cubic_roots(s, d)
     if not min(abs(x[1] - x[2]), abs(x[2] - x[0]), abs(x[0] - x[1])) >= _CF_MIN_GAP:
         return None
     return t, [v + c for v in x]
@@ -646,15 +666,29 @@ def _g0_orders(a: np.ndarray, tol: Tolerances) -> bool:
         >= _CF_G0_MARGIN * _EPS
 
 
+def _ordered_roots(a: np.ndarray, dev: float, tol: Tolerances):
+    """(tr a, a's eigenvalues in the normal kernel's order), or None: the closed prologue.
+
+    The prologue of ``factorize``'s and ``branch_log``'s closed forms,
+    which follow the eigen path's eigenvalue order: None where
+    ``_g0_orders`` fails, so that the kernel would order a pair by its
+    rounding, or where ``_cubic_eigenvalues`` declines.  Else the roots
+    are put in the kernel's order (``smallmat._order_indices``).
+    """
+    roots = _cubic_eigenvalues(a, dev, tol) if _g0_orders(a, tol) else None
+    if roots is None:
+        return None
+    t, z = roots
+    return t, [z[i] for i in _order_indices(z)]
+
+
 def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
     """``_factor_parts`` of a from its characteristic cubic, no eigensolver; None if it declines.
 
-    The roots (``_cubic_eigenvalues``) are put in the normal kernel's
-    order (``smallmat._order_indices``), so factor i stays factor i.
-    On U's eigenbasis g2 + g4 = U - g0 - g6, so the cascade's diagonal
-    is e - g0 - g6, and the cascade, the eigen route, ``_pinned`` and
-    ``_det_one`` run on these scalars as on the eigen path's
-    (``_route_parts``).  The projector onto e_i is Lagrange's
+    The roots come in the normal kernel's order (``_ordered_roots``),
+    so factor i stays factor i, and the cascade, the eigen route,
+    ``_pinned`` and ``_det_one`` run on them and tr a as on the eigen
+    path's (``_route_parts``).  The projector onto e_i is Lagrange's
     polynomial in U (Higham, Functions of Matrices, 2008, ch. 1),
 
         P_i = (U - e_j)(U - e_k) / ((e_i - e_j)(e_i - e_k)),
@@ -683,28 +717,21 @@ def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
       That residual vouches for the roots, whose rounding reaches every
       factor: it declines about 0.3% of Haar U.
     """
-    if not _g0_orders(a, tol):
-        return None
-    roots = _cubic_eigenvalues(a, dev, tol)
+    roots = _ordered_roots(a, dev, tol)
     if roots is None:
         return None
-    t, z = roots
-    e = [z[i] for i in _order_indices(z)]
-    g0, g6 = _scalar_grades(t)
-    d = [x - g0 - g6 for x in e]
-    gam = [x.real for x in d]
-    delt = [x.imag for x in d]
+    t, e = roots
     try:
-        parts, routes = _route_parts(e, g0, g6, gam, delt, tol)
+        parts, routes = _route_parts(e, t, tol)
     except NumericalError:
         return None
     # unit i is i w_i (2 P_i - 1), w_i the sign of part i
-    units = _involutions(a, e, [1j * w[i] for i, (_, w) in enumerate(parts)])
+    units = _involutions(a, e, _unit_scales(parts, 1j))
     factors = _stacked_factors(units, parts)
     if not _fro(factors[0] @ factors[1] @ factors[2] - a) <= _CF_FACTOR_MISS:
         return None
     return (factors, units, parts, routes,
-            functools.partial(_unit_decomposition, a, gam, delt, units, parts))
+            functools.partial(_unit_decomposition, a, t, e, units, parts))
 
 
 def _simple_parts(units: np.ndarray, parts, tol: Tolerances) -> tuple:
@@ -713,10 +740,14 @@ def _simple_parts(units: np.ndarray, parts, tol: Tolerances) -> tuple:
                  for unit, (beta, _) in zip(units, parts))
 
 
-def _unit_decomposition(a: np.ndarray, gam, delt, units: np.ndarray, parts) -> GradeDecomposition:
-    """The grade decomposition along the closed form's involutions 2 P_i - 1 = -i w_i unit_i."""
-    signs = np.array([-1j * w[i] for i, (_, w) in enumerate(parts)])
-    return _decomposition(a, np.array(gam), np.array(delt), units * signs[:, None, None])
+def _unit_decomposition(a: np.ndarray, t: complex, e, units: np.ndarray,
+                        parts) -> GradeDecomposition:
+    """The grade decomposition of a, of trace t and eigenvalues e, along 2 P_i - 1 = -i w_i unit_i.
+
+    Both paths of ``factorize`` build their grades here, when read.
+    """
+    signs = np.array(_unit_scales(parts, -1j))
+    return _decomposition(a, t, e, units * signs[:, None, None])
 
 
 def factorize(u, tol: Tolerances = DEFAULT_TOL) -> Factorization:
@@ -743,8 +774,8 @@ def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray |
     """principal_log of a unitary a as a degree-2 polynomial in a, made skew; None if not vouched for.
 
     a's eigenvalues come from its characteristic cubic
-    (``_cubic_eigenvalues``), and ``_least_norm_phases`` and
-    ``_det_one`` act on them as on the eigen path's eigenvalues.  The
+    (``_cubic_eigenvalues``), and ``_log_phases`` acts on them as on
+    the eigen path's eigenvalues.  The
     log is sum_j i theta_j P_j with Lagrange's projectors P_j (Higham,
     Functions of Matrices, 2008, ch. 1), which is
 
@@ -773,8 +804,7 @@ def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray |
         return None
     t, e = roots
     try:
-        theta = _least_norm_phases(e, tol)
-        _det_one(theta, tol)
+        theta = _log_phases(e, tol)
     except NumericalError:
         return None
     c = t / 3.0
@@ -823,10 +853,10 @@ def _turns(theta, k, tol: Tolerances, floor: float) -> list:
 def _closed_form_branch(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.ndarray | None:
     """``_log_sum`` of a unitary a from purified Lagrange projectors, no eigensolver; None if it declines.
 
-    The roots (``_cubic_eigenvalues``) are put in the normal kernel's
-    order (``smallmat._order_indices``), so turn k_i goes along the
-    eigenvalue the eigen path turns it along, and ``_least_norm_phases``,
-    ``_det_one`` and ``_turns`` give the phases t as there.  The log is
+    The roots come in the normal kernel's order (``_ordered_roots``),
+    so turn k_i goes along the eigenvalue the eigen path turns it
+    along, and ``_log_phases`` and ``_turns`` give the phases t as
+    there.  The log is
     sum_j i t_j P_j.  The projectors come as the skew involutions
     Z_j = i (2 P_j - 1) of Lagrange's polynomials (``invdec._involutions``),
     purified once by McWeeny's step P <- 3 P^2 - 2 P^3 (Rev. Mod. Phys.
@@ -852,17 +882,12 @@ def _closed_form_branch(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.nda
       _CF_BRANCH_MISS.  That residual vouches for the roots and the
       projectors.
     """
-    if not _g0_orders(a, tol):
-        return None
-    roots = _cubic_eigenvalues(a, dev, tol)
+    roots = _ordered_roots(a, dev, tol)
     if roots is None:
         return None
-    _, z = roots
-    e = [z[i] for i in _order_indices(z)]
+    _, e = roots
     try:
-        theta = _least_norm_phases(e, tol)
-        _det_one(theta, tol)
-        t = _turns(theta, k, tol, 2.0 * tol.sin_zero_tol)
+        t = _turns(_log_phases(e, tol), k, tol, 2.0 * tol.sin_zero_tol)
     except NumericalError:
         return None
     inv = _involutions(a, e, (1j, 1j, 1j))
@@ -893,8 +918,7 @@ def _log_sum(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.ndarray:
     residual (``_normal_norm``).
     """
     e, p, ph = _eigen_normal3(a, _normal_norm(a, tol, dev), tol)
-    theta = _least_norm_phases(e.tolist(), tol)
-    _det_one(theta, tol)
+    theta = _log_phases(e.tolist(), tol)
     m = (p * (1j * np.array(_turns(theta, k, tol, tol.sin_zero_tol)))) @ ph
     return (m - m.conj().T) * complex(0.5)
 

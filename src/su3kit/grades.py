@@ -13,20 +13,23 @@ are recoverable from U alone:
 
 The per-part constituents H_i = ccos(b_i) prod_{j!=i} ssin(b_j) and
 S_i = ssin(b_i) prod_{j!=i} ccos(b_j) follow from one more invariant
-decomposition: A = g2 + g4 has complex eigenvalues gamma_i + i delta_i
-on U's eigenbasis, and feeding the real and imaginary parts separately
+decomposition: A = g2 + g4 = U - g0 - g6 has the complex eigenvalues
+gamma_i + i delta_i = e_i - g0 - g6 on U's eigenbasis, e U's
+eigenvalues, and feeding the real and imaginary parts separately
 through the part ansatz yields exactly Hermitian H_i and exactly
 skew-Hermitian S_i with sum g4 and g2 respectively.
 
-The arithmetic runs on complex128 arrays.  ``_eigenbasis`` diagonalizes
-U once and returns what ``factorlog``'s eigen path runs on: the
-eigenbasis, the eigenvalues, the scalars of g0 and g6, and gamma, delta.
-It builds no grade matrix.  ``_decomposition`` builds the grade matrices
-and the H_i/S_i from U, gamma, delta and the three involutions
-2 P_i - 1, wherever those come from: ``split_HS`` takes them from the
-eigenbasis, and ``factorlog``'s closed form from U's characteristic
-polynomial.  Public functions take a ``GroupElement``, ``ComplexMat``
-or raw entries and wrap each result.
+The arithmetic runs on complex128 arrays.  ``_diagonal`` gives g0, g6
+and gamma + i delta from tr U and e alone, for ``factorlog``'s cascade
+and for the grades.  ``_eigen_spectrum`` runs the normal kernel once
+and returns tr U, e and the kernel's involutions 2 p_i p_i^H - 1, what
+``split_HS`` and ``factorlog``'s eigen path run on.  ``_decomposition``
+builds the grade matrices and the H_i/S_i from U, tr U, e and the
+three involutions 2 P_i - 1, wherever those come from: ``split_HS``
+takes the kernel's, and ``factorlog`` those of its units, on the eigen
+path the kernel's and on the closed form Lagrange's polynomials in U.
+Public functions take a ``GroupElement``, ``ComplexMat`` or raw
+entries and wrap each result.
 """
 
 from __future__ import annotations
@@ -110,53 +113,51 @@ def traceless_projection(m) -> ComplexMat:
     return _finite_mat(a - np.eye(len(a), dtype=np.complex128) * t, "traceless projection")
 
 
-def _hermitian_outer(v: np.ndarray) -> np.ndarray:
-    # v v^dag assembled from real/imag blocks.  A direct complex
-    # np.outer(v, v.conj()) can pick up ~1e-20 imaginary dirt on the
-    # diagonal when the compiler contracts the multiply into FMAs;
-    # this form is exactly Hermitian in IEEE arithmetic.
-    re = np.outer(v.real, v.real) + np.outer(v.imag, v.imag)
-    im = np.outer(v.imag, v.real) - np.outer(v.real, v.imag)
-    return re + 1j * im
+def _diagonal(t: complex, e) -> tuple:
+    """(g0, g6, gamma + i delta) of a normal matrix of trace t and eigenvalues e.
+
+    g0 and g6 are the scalars of the grades of that name; on the
+    eigenbasis g2 + g4 = U - g0 - g6 is diagonal, with entries
+    e_i - g0 - g6.
+    """
+    g0, g6 = _scalar_grades(t)
+    return g0, g6, [x - g0 - g6 for x in e]
 
 
-def _eigenbasis(a: np.ndarray, tol: Tolerances, dev: float | None = None) -> tuple:
-    """(P, P^H, e, g0, g6, gamma, delta) of a 3x3 unitary array.
+def _eigen_spectrum(a: np.ndarray, tol: Tolerances, dev: float | None = None) -> tuple:
+    """(tr a, a's eigenvalues, the involutions 2 p_i p_i^H - 1) of a 3x3 normal array.
 
-    P, P^H and e are U's eigenbasis, its adjoint and U's eigenvalues as
-    the normal kernel returns them, g0 and g6 the scalars of the grades
-    of that name, and gamma + i delta the diagonal of A = g2 + g4 on P,
-    A formed as ``_grades`` forms it.  dev is a's measured unitarity
-    residual, if a was checked (``_normal_norm``).
+    The eigenvalues and the columns p_i are the normal kernel's.  The
+    involutions are assembled from real and imaginary blocks: a direct
+    complex outer product can pick up ~1e-20 imaginary dirt on the
+    diagonal when the compiler contracts the multiply into FMAs, and
+    this form is exactly Hermitian in IEEE arithmetic.  dev is a's
+    measured unitarity residual, if a was checked (``_normal_norm``).
     """
     if a.shape != (3, 3):
         raise DimensionMismatch(f"expected a 3x3 matrix, got {a.shape[0]}x{a.shape[1]}")
-    e, p, ph = _eigen_normal3(a, _normal_norm(a, tol, dev), tol)
-    ccos, ssin = _halves(a)
-    g0, g6 = _scalar_grades(complex(np.trace(a)))
-    d = np.diag(ph @ ((ssin - _EYE3 * g6) + (ccos - _EYE3 * g0)) @ p)
-    return p, ph, e, g0, g6, d.real, d.imag
+    e, p, _ = _eigen_normal3(a, _normal_norm(a, tol, dev), tol)
+    # row i of vr, vi is column p_i; the stack of the p_i p_i^H
+    vr, vi = p.real.T, p.imag.T
+    re = vr[:, :, None] * vr[:, None, :] + vi[:, :, None] * vi[:, None, :]
+    im = vi[:, :, None] * vr[:, None, :] - vr[:, :, None] * vi[:, None, :]
+    return complex(np.trace(a)), e.tolist(), 2.0 * (re + 1j * im) - _EYE3
 
 
-def _decomposition(a: np.ndarray, gam, delt, involutions) -> GradeDecomposition:
+def _decomposition(a: np.ndarray, t: complex, e, involutions) -> GradeDecomposition:
     """The grade decomposition of a, with H_i and S_i along the involutions 2 P_i - 1.
 
-    gam + i delt is the diagonal of g2 + g4 on P.  Every array is finite
-    without a check: the grades are sums of a's entries, whose squared
-    norm is finite, and the involutions, gamma and delta passed a
-    residual gate (the normal kernel's, or the closed form's product).
+    t and e are a's trace and eigenvalues, in the involutions' order
+    (``_diagonal``).  Every array is finite without a check: the grades
+    are sums of a's entries, whose squared norm is finite, and the
+    involutions and e passed a residual gate (the normal kernel's, or
+    the closed form's product).
     """
-    hs = []
-    ss = []
-    for g, dl, invol in zip(gam, delt, involutions):
-        hs.append(ComplexMat._wrap(0.5 * (g - gam.sum()) * invol))
-        ss.append(ComplexMat._wrap(0.5j * (dl - delt.sum()) * invol))
-    return GradeDecomposition(*map(ComplexMat._wrap, _grades(a)), tuple(hs), tuple(ss))
-
-
-def _eigen_decomposition(a: np.ndarray, p: np.ndarray, gam, delt) -> GradeDecomposition:
-    """``_decomposition`` along the eigen kernel's involutions 2 p_i p_i^H - 1."""
-    return _decomposition(a, gam, delt, [2.0 * _hermitian_outer(p[:, i]) - _EYE3 for i in range(3)])
+    d = np.array(_diagonal(t, e)[2])
+    gam, delt = d.real, d.imag
+    hs = tuple(ComplexMat._wrap(0.5 * (g - gam.sum()) * x) for g, x in zip(gam, involutions))
+    ss = tuple(ComplexMat._wrap(0.5j * (dl - delt.sum()) * x) for dl, x in zip(delt, involutions))
+    return GradeDecomposition(*map(ComplexMat._wrap, _grades(a)), hs, ss)
 
 
 def split_HS(u, tol: Tolerances = DEFAULT_TOL) -> GradeDecomposition:
@@ -170,5 +171,4 @@ def split_HS(u, tol: Tolerances = DEFAULT_TOL) -> GradeDecomposition:
     Hermitian and the S_i exactly skew.
     """
     a = _as_mat(u).array
-    p, _, _, _, _, gam, delt = _eigenbasis(a, tol)
-    return _eigen_decomposition(a, p, gam, delt)
+    return _decomposition(a, *_eigen_spectrum(a, tol))

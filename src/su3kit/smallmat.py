@@ -136,12 +136,15 @@ class ComplexMat:
         return cls(np.eye(n, dtype=np.complex128))
 
     def __matmul__(self, other: "ComplexMat") -> "ComplexMat":
-        """The matrix product, validated; see ``identity``."""
+        """The matrix product; Overflow where it overflows.  See ``identity``."""
         if not isinstance(other, ComplexMat):
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch(f"dimension mismatch: {self.n} vs {other.n}")
-        return ComplexMat(self._a @ other._a)
+        # the factors are finite, so a non-finite entry is the product's Overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod = self._a @ other._a
+        return _finite_mat(prod, "matrix product")
 
 
 class Validated:

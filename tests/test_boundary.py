@@ -20,7 +20,7 @@ from su3kit.grades import ccos_ssin, grade0, grade2, grade4, grade6, split_HS
 from su3kit.invdec import (AlgebraElement, decompose_closed_form, decompose_nxn,
                            decompose_via_eigen, lambda_roots)
 from su3kit.oracle import compare, exp_reference, log_reference, random_algebra, random_group
-from su3kit.smallmat import _fro, eigen_general, eigen_normal3, scalar_residual
+from su3kit.smallmat import ComplexMat, _fro, eigen_general, eigen_normal3, scalar_residual
 
 _B = np.array([[0.3j, 1 + 0.5j, -0.2 + 0.1j], [-1 + 0.5j, -0.1j, 0.4 - 0.7j],
                [0.2 + 0.1j, -0.4 - 0.7j, -0.2j]])
@@ -188,6 +188,8 @@ LIBRARY_OVERFLOWS = {
     "scalar_residual of an 8x8 Gaussian x 1.5e300": lambda: scalar_residual(_gauss(0, 8, 1.5e300)),
     "compare of 3x3 Gaussians x 7.8e168": lambda: compare(_gauss(1, 3, 7.8e168),
                                                           _gauss(2, 3, 7.8e168)),
+    "ComplexMat @ of 4x4 Gaussians x 2.9e224": lambda: ComplexMat(_gauss(1, 4, 2.9e224))
+        @ ComplexMat(_gauss(2, 4, 2.9e224)),
     "exp_gellmann8 at 1.7e308": lambda: exp_gellmann8(_BIG),
     "family_element at 1.7e308 on betas above 1": lambda: family_element(_parts(0, 10.0),
                                                                          (_BIG, 0.0, 0.0)),

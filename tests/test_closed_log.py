@@ -250,19 +250,22 @@ def test_cubic_roots(seed):
     """Cardano's roots are those of the cubic, to rounding for well-separated unit roots."""
     rng = np.random.default_rng(seed)
     z = np.exp(1j * rng.uniform(-math.pi, math.pi, 3))
-    t, s, d = z.sum(), z[0] * z[1] + z[0] * z[2] + z[1] * z[2], z.prod()
-    roots = _complex_cubic_roots(complex(t), complex(s), complex(d))
+    x = z - z.mean()
+    s, d = x[0] * x[1] + x[0] * x[2] + x[1] * x[2], x.prod()
+    roots = _complex_cubic_roots(complex(s), complex(d))
     gap = min(abs(z[0] - z[1]), abs(z[0] - z[2]), abs(z[1] - z[2]))
     for r in roots:
-        assert min(abs(r - z)) <= 1e-13 / gap**2
+        assert min(abs(r - x)) <= 1e-13 / gap**2
 
 
 def test_cubic_triple_root():
-    """p = q = 0 gives t/3 with no division; rounded coefficients split it by about eps^(1/3)."""
-    assert _complex_cubic_roots(3.0, 3.0, 1.0) == [1.0, 1.0, 1.0]
+    """s = d = 0 gives 0 with no division; rounded coefficients split it by about eps^(1/3)."""
+    assert _complex_cubic_roots(0.0, 0.0) == [0.0, 0.0, 0.0]
     for c in (_OMEGA, 0.3 - 2j):
-        for r in _complex_cubic_roots(3.0 * c, 3.0 * c * c, c**3):
-            assert abs(r - c) <= 1e-4 * abs(c)
+        # s and d of the size rounding leaves in a cubic whose roots are of size |c|
+        for s, d in ((_EPS * c * c, _EPS * c**3), (-_EPS * c * c, 1j * _EPS * c**3)):
+            for r in _complex_cubic_roots(s, d):
+                assert abs(r) <= 1e-4 * abs(c)
 
 
 def test_near_doubles_decline_before_the_cubic(monkeypatch):

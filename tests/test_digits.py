@@ -34,6 +34,21 @@ U - tr U / 3 (``factorlog._cubic_eigenvalues``), are judged against
 mpmath's eigenvalues at 40 digits: on random_group(0..149) they reached
 a max of 1.6 eps, and on 150 boundary U (eigenvalues near 1 and
 e^{+-i r}, r 0.3 to 1.5) 1.3 eps, where the cubic of U itself reached 24.
+
+The exponential is judged against mpmath's expm at 40 digits, each of
+``exp_su3`` and ``oracle.exp_reference`` on its own, so that neither
+hides behind the other: on 150 B of each family (generic at scale 1.5,
+small at 1e-4, the benchmark's near-degenerate and boundary regimes,
+large at scale 30) exp_su3 reached a max of 3.1 eps max(1, ||B||) and
+exp_reference 2.4.
+
+``lambda_roots`` is judged against B's eigenvalues mu at 40 digits,
+lambda = mu^2 / 4, in units of eps max|lambda|: on 300 B each it
+reached a max of 2.6 (generic), 3.0 (small), 5.7 (boundary) and 2.2
+(large).  On the near-degenerate regime, a lambda pair about 1e-7
+apart, it reached a median of 5.4e5 and a max of 5.9e6, about 1.3e-9
+max|lambda|: the invariants fix a near-double split only to about eps
+over the split (see its docstring).
 """
 
 import itertools
@@ -46,10 +61,12 @@ from test_closed_factorize import boundary_u
 from test_closed_log import _group, _phases
 
 from su3kit import factorlog
+from su3kit.bench import _regime_inputs
 from su3kit.errors import DegenerateLambdas, Su3KitError
+from su3kit.expmap import exp_su3
 from su3kit.factorlog import principal_log
 from su3kit.invdec import decompose_closed_form, decompose_via_eigen, lambda_roots
-from su3kit.oracle import random_algebra, random_group
+from su3kit.oracle import exp_reference, random_algebra, random_group
 from su3kit.smallmat import _order_indices
 from su3kit.tolerances import DEFAULT_TOL
 
@@ -197,3 +214,52 @@ def test_branch_logs_within_a_few_eps_of_40_digits():
                     errors[route].append(np.linalg.norm(got - want) / unit)
     assert len(errors["closed"]) >= 0.95 * len(errors["eigen"])
     _check(errors)
+
+
+def _algebra(family: str, n: int) -> list[np.ndarray]:
+    """n seeded su(3) elements of one family, as arrays."""
+    scale = {"generic": 1.5, "small": 1e-4, "large": 30.0}.get(family)
+    if scale is not None:
+        return [random_algebra(seed, scale).mat.array for seed in range(n)]
+    return [x.mat.array for x in _regime_inputs(family, n, 0, DEFAULT_TOL)]
+
+
+def _exact_exp(b: np.ndarray) -> np.ndarray:
+    with mpmath.workdps(40):
+        e = mpmath.expm(mpmath.matrix(b.tolist()))
+        return np.array([[complex(e[x, y]) for y in range(3)] for x in range(3)])
+
+
+@pytest.mark.parametrize("family", ["generic", "small", "near-degenerate", "boundary", "large"])
+def test_exp_within_a_few_eps_of_40_digits(family):
+    """exp_su3 and exp_reference, each within 16 eps max(1, ||B||) of mpmath's expm."""
+    errors = {"exp_su3": [], "exp_reference": []}
+    for b in _algebra(family, 150):
+        want = _exact_exp(b)
+        unit = EPS * max(1.0, np.linalg.norm(b))
+        errors["exp_su3"].append(np.linalg.norm(exp_su3(b).mat.array - want) / unit)
+        errors["exp_reference"].append(np.linalg.norm(exp_reference(b).array - want) / unit)
+    _check(errors)
+
+
+def _lambda_errors(family: str, n: int) -> list[float]:
+    """Per B, the largest distance of a lambda_roots value from 40 digits, in max|lambda|."""
+    errors = []
+    for b in _algebra(family, n):
+        with mpmath.workdps(40):
+            mu = mpmath.eig(mpmath.matrix(b.tolist()))[0]
+            want = sorted((float(mpmath.re(m * m / 4)) for m in mu), reverse=True)
+        scale = max(map(abs, want))
+        errors.append(max(abs(g - w) for g, w in zip(lambda_roots(b), want)) / scale)
+    return errors
+
+
+@pytest.mark.parametrize("family", ["generic", "small", "boundary", "large"])
+def test_lambda_roots_within_a_few_eps_of_40_digits(family):
+    assert max(_lambda_errors(family, 300)) <= PART_BOUND * EPS
+
+
+def test_lambda_roots_near_a_double_within_its_limit():
+    """A lambda pair about 1e-7 apart is fixed only to about eps over the split:
+    within 1e-8 max|lambda|, not within a few eps."""
+    assert max(_lambda_errors("near-degenerate", 300)) <= 1e-8

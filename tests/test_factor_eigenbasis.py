@@ -400,7 +400,7 @@ def test_logs_never_run_the_factorization(monkeypatch):
     def refuse(*args):
         raise AssertionError("a log ran the factorization")
 
-    for name in ("_factor_parts", "_cascade", "_pinned", "_eigenbasis"):
+    for name in ("_factor_parts", "_cascade", "_pinned", "_eigen_spectrum"):
         monkeypatch.setattr(factorlog, name, refuse)
     monkeypatch.setattr(grades, "_grades", refuse)
     us = [random_group(seed).mat.array for seed in range(20)] + near_cos_zero_stream()[:10]

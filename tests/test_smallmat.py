@@ -431,13 +431,13 @@ _DIGESTS = {
     "eigen_normal3 algebra": "b8eb6f230b2875385eb6ccb2c60f785336911b2e428860ea018a0ed952189fcb",
     "eigen_normal3 clustered": "76d1a1b5268b3bbd08908959090bc9daa8933b1239eccfe74d94b6016f6cad07",
     "principal_log haar": "24808fcf24707621278d6bb7d93d65273e9f03ee92189a7714a812e40e030ea2",
-    "factorize haar": "1ced86dc3f8f1881fe88fc07972153d63920313eebd8009a832b3e5ae2492759",
+    "factorize haar": "45b27a59b26c7fd73828fe5c97cd75f62cce122f39f169abc97f193e95f222ad",
     "factorize parts, routes and grades haar":
-        "418ff98dfbdb7a7c9648974d1b45c8a03ce67a80332c13428af904cf146234af",
+        "79f0bb4ca1f78b44463f5459b78faea73324b9c04609763f91554c6e19918d2c",
     "branch_log (1, 0, -1) haar":
         "f293cb98caf9fada9f9664c28ae4789023ba30f0394354f2e27dde651272b092",
     "principal_log hard": "74d68e987943fa66af50bb2ad656c9ba77d71034de758047603848d54a20749e",
-    "factorize hard": "2375ecca8f38e64e8c19df5da2ce27ebf6d7dd856345757a4d2ff636af2bc887",
+    "factorize hard": "5e3beba5bc9ef9e91a490007d408ec470ab5e742f6bf444d68d88634abbd6c49",
 }
 
 

@@ -9,7 +9,9 @@ A call takes the closed form where ``factorlog._closed_form_log``,
 accepts U, as ``principal_log``, ``branch_log`` and ``factorize`` call
 them; the rest run the eigen path.  The branch logs take the nonzero
 windings in {-1, 0, 1}^3 in turn.  A change that moves inputs onto the
-eigen path shows up as a lower share.
+eigen path shows up as a lower share.  The last column is the share of
+``factorize`` calls whose ``routes`` are the ``eigen`` route's, read
+from the public ``Factorization``: where the cascade finds no factor.
 
     python tools/closed_share.py [--n 2000] [--seed 1]
 """
@@ -26,6 +28,7 @@ sys.path[0:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import gen  # noqa: E402  (numpy only, no su3kit)
 from su3kit import factorlog  # noqa: E402
+from su3kit.errors import Su3KitError  # noqa: E402
 from su3kit.tolerances import DEFAULT_TOL  # noqa: E402
 
 
@@ -42,15 +45,23 @@ def _inputs(family: str, n: int, seed: int):
 _WINDINGS = [k for k in itertools.product((-1, 0, 1), repeat=3) if k != (0, 0, 0)]
 
 
-def shares(u_list) -> tuple[float, float, float]:
-    """(closed log, branch log and factorize shares) of the unitary arrays in u_list."""
-    log = branch = factor = 0
+def _eigen_route(u) -> bool:
+    try:
+        return factorlog.factorize(u).routes == ("eigen",) * 3
+    except Su3KitError:
+        return False
+
+
+def shares(u_list) -> tuple[float, float, float, float]:
+    """(closed log, branch log and factorize shares, eigen-route share) of the arrays in u_list."""
+    log = branch = factor = eigen = 0
     for u, k in zip(u_list, itertools.cycle(_WINDINGS)):
         a, dev = factorlog._unitary_array(u, DEFAULT_TOL)
         log += factorlog._closed_form_log(a, dev, DEFAULT_TOL) is not None
         branch += factorlog._closed_form_branch(a, dev, k, DEFAULT_TOL) is not None
         factor += factorlog._closed_form_factors(a, dev, DEFAULT_TOL) is not None
-    return log / len(u_list), branch / len(u_list), factor / len(u_list)
+        eigen += _eigen_route(u)
+    return log / len(u_list), branch / len(u_list), factor / len(u_list), eigen / len(u_list)
 
 
 def main() -> None:
@@ -58,11 +69,11 @@ def main() -> None:
     p.add_argument("--n", type=int, default=2000, help="inputs per family")
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args()
-    print("%-16s %6s %14s %11s %10s" % ("family", "n", "principal_log", "branch_log", "factorize"))
+    print("%-16s %6s %14s %11s %10s %12s"
+          % ("family", "n", "principal_log", "branch_log", "factorize", "eigen route"))
     for family in ("haar",) + tuple(name for name, _ in gen.HARD_FAMILIES):
-        log, branch, factor = shares(_inputs(family, args.n, args.seed))
-        print("%-16s %6d %13.1f%% %10.1f%% %9.1f%%"
-              % (family, args.n, 100.0 * log, 100.0 * branch, 100.0 * factor))
+        print("%-16s %6d %13.1f%% %10.1f%% %9.1f%% %11.1f%%"
+              % (family, args.n, *(100.0 * x for x in shares(_inputs(family, args.n, args.seed)))))
 
 
 if __name__ == "__main__":

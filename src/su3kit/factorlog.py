@@ -9,28 +9,31 @@ U determine the factors through a handful of rational identities, e.g.
     1 + H_k S_j^(-1)   = U_i / c_i
     1 + g6 H_i^(-1)    = U_i / c_i
 
-Each right-hand side is a scalar multiple of a unitary, so normalizing
-by the 1/3-weighted norm recovers U_i up to sign.  No route works for
+Each right-hand side is a scalar multiple of a unitary, so dividing
+by that scalar's modulus recovers U_i up to sign.  No route works for
 every input (the scalar prefactors vanish on measure-zero sets), hence
 the cascade in `factorize`.  Signs are not corrected per factor: the
 closing factor U3 = U1^dag U2^dag U absorbs the net sign.
 
 The cascade runs on U's eigenbasis, U = sum_i e_i P_i over U's
 eigenprojections P_i.  There every constituent is a scalar times the
-involution 2 P_i - 1, the sign pattern sigma_i = 2 e_i - 1: g0 and g6
-are scalars, H_i = (gamma_i - sum gamma)/2 sigma_i and
-S_i = i (delta_i - sum delta)/2 sigma_i, with gamma + i delta the
+involution 2 P_i - 1, the sign pattern sigma_i = 2 e_i - 1: g0 is a
+real scalar and g6 an imaginary one, H_i = (gamma_i - sum gamma)/2 sigma_i
+and S_i = i (delta_i - sum delta)/2 sigma_i, with gamma + i delta the
 diagonal of g2 + g4 = U - g0 - g6 on the eigenbasis, that is
 e - g0 - g6 (``grades._diagonal``, from tr U and e alone).  So the
-cascade runs on U's spectrum: every route expression, normalization
-and gate acts on the 3-vector x of diagonal entries: an inverse is a
-division, the unitarity residual is || |x|^2 - 1 ||, "Hermitian half
-is scalar" is ||Re x - mean Re x||, and the closing factor is
-conj(x1) conj(x2) e.
-A factor's log is (beta, w) with unit i sum_m w_m P_m, w the signs of
-Im x (a unit squares to -1); the part has a direction where
-sin(beta) exceeds sin_zero_tol.  Matrices are built only for output: a
-unit is i w_i (2 P_i - 1), a factor cos(beta) 1 + sin(beta) unit.
+cascade runs on U's spectrum, and every route is a + i b sigma_i with
+a and b real (an inverse is a division): dividing by hypot(a, b) gives
+the Euler form cos(beta) + i sin(beta) w, beta = atan2(|b|, a) and
+w = sign(b) sigma_i, which is unitary with a scalar Hermitian half by
+construction (``_route_angle``).  Only the closing factor, the entries
+e exp(-i (beta_1 w_1 + beta_2 w_2)), can fail those checks, and only it
+is checked: "Hermitian half is scalar" is ||Re x - mean Re x|| over
+its entries x (``_log_entries``).
+A factor's log is (beta, w) with unit i sum_m w_m P_m (a unit squares
+to -1); the part has a direction where sin(beta) exceeds sin_zero_tol.
+Matrices are built only for output: a unit is i w_i (2 P_i - 1), a
+factor cos(beta) 1 + sin(beta) unit.
 
 So the cascade needs U's eigenvalues and, for its output, the
 involutions 2 P_i - 1, and both follow from U without an eigenbasis:
@@ -125,7 +128,8 @@ to more than _CF_BRANCH_MISS; about 99.6% of Haar U take it.
 The logs and ``factorize`` take the roots from one helper,
 ``_cubic_eigenvalues``, and decline at one root gap, _CF_MIN_GAP;
 ``factorize`` and ``branch_log``, which follow the eigen path's
-eigenvalue order, take them through one prologue (``_ordered_roots``).
+eigenvalue order, take them in that order, behind the g0 gate
+(``_cubic_eigenvalues(..., ordered=True)``), from one read of tr U.
 
 Scalars multiply as Python complex numbers, and residual gates read
 "not x <= tol" so NaN is refused.  Public functions take a
@@ -348,40 +352,48 @@ def _directed(beta: float, tol: Tolerances) -> bool:
     return math.sin(beta) > tol.sin_zero_tol
 
 
-def _candidate(name: str, i: int, g0: complex, g6: complex, h, s, tol: Tolerances) -> list:
-    """Route ``name``'s candidate for factor i on the eigenbasis, normalized and unitary.
+def _route_angle(name: str, i: int, g0: float, g6: float, h, s, tol: Tolerances):
+    """Route ``name``'s factor i on the eigenbasis as its log (beta, w), from two real scalars.
 
-    H_i = h_i sigma_i and S_i = s_i sigma_i, sigma_i is its own inverse
-    and sigma_k sigma_j = sigma_i, so every route gives a + b sigma_i.
-    Each constituent is a scalar times an exact involution, so a
-    constituent that is numerically zero still inverts cleanly and the
-    dirt/dirt ratio yields a well-formed but wrong factor that passes
-    every shape check.  Routes therefore refuse inputs whose norm is
-    below the effectively-zero floor instead of trusting the algebra.
-    A nonzero constituent has condition number 1, so its inverse needs
-    no further check.
+    g0 is the scalar grade and g6 the imaginary part of the
+    pseudoscalar; H_i = h_i sigma_i and S_i = i s_i sigma_i with h_i
+    and s_i real.  sigma_i is its own inverse and sigma_k sigma_j =
+    sigma_i, so every route is a + i b sigma_i with a and b real:
+
+        simple  g0 + S_i              (g0, s_i)
+        inv_a   1 + H_k S_j^(-1)      (1, -h_k / s_j)
+        inv_b   1 + H_j S_k^(-1)      (1, -h_j / s_k)
+        inv2    1 + g6 H_i^(-1)       (1, Im g6 / h_i)
+
+    Normalized by hypot(a, b), that is cos(beta) + i sin(beta) w with
+    beta = atan2(|b|, a) and w = sign(b) sigma_i: a unitary Euler factor
+    whose Hermitian half is scalar, by construction.  Each constituent
+    is a scalar times an exact involution, so a constituent that is
+    numerically zero still inverts cleanly and the dirt/dirt ratio
+    yields a well-formed but wrong factor.  Routes therefore refuse a
+    constituent at most g0_zero_tol, and a route of norm at most
+    norm_zero_tol, as ZeroMatrix.  A factor at the antipode, its sine
+    within sin_zero_tol past pi/2, has lost its direction
+    (AmbiguousDirection, as in ``principal_log_factor``).
     """
     if name == "simple":
         a, b = g0, s[i]
     else:
         j, k = _OTHERS[i]
-        terms = {"inv_a": (("H", h[k]), ("S", s[j])), "inv_b": (("H", h[j]), ("S", s[k])),
+        # S_j^(-1) = -i sigma_j / s_j and H_i^(-1) = sigma_i / h_i
+        terms = {"inv_a": (("H", h[k]), ("S", -s[j])), "inv_b": (("H", h[j]), ("S", -s[k])),
                  "inv2": (("g6", g6), ("H", h[i]))}[name]
         for label, coef in terms:
             if abs(coef) <= tol.g0_zero_tol:
                 raise ZeroMatrix("%s input is effectively zero (%.3e)" % (label, abs(coef)))
         a, b = 1.0, terms[0][1] / terms[1][1]
-    y0, y1, y2 = _SIGMA[i]
-    x = (a + b * y0, a + b * y1, a + b * y2)
-    nrm = _norm(x) / _SQRT3
+    nrm = math.hypot(a, b)
     if nrm <= tol.norm_zero_tol:
         raise ZeroMatrix("cannot normalize a matrix with norm %.3e" % nrm)
-    r = 1.0 / nrm
-    cand = [x[0] * r, x[1] * r, x[2] * r]
-    udev = math.hypot(abs(cand[0]) ** 2 - 1.0, abs(cand[1]) ** 2 - 1.0, abs(cand[2]) ** 2 - 1.0)
-    if not udev <= 100.0 * tol.fact_tol:
-        raise NotSimpleFactor("candidate not unitary (%.3e)" % udev)
-    return cand
+    beta = math.atan2(abs(b), a)
+    if beta > math.pi / 2.0 and not _directed(beta, tol):
+        raise AmbiguousDirection("factor is at the antipode (beta = %.6f); direction lost" % beta)
+    return beta, [math.copysign(1.0, b) * x for x in _SIGMA[i]]
 
 
 def _cascade(e, t: complex, tol: Tolerances):
@@ -393,20 +405,23 @@ def _cascade(e, t: complex, tol: Tolerances):
     nonzero the direct g0 + S_i route is cheapest and most accurate;
     when g0 vanishes (some cos is zero) the inverse routes go first,
     with g0 + S_i kept as a last resort since it still works when only
-    one cosine vanishes.  A factor no route recovers is an
-    AmbiguousDirection if some route found it at the antipode.
+    one cosine vanishes.  Each route gives its factor from two real
+    scalars (``_route_angle``).  A factor no route recovers is an
+    AmbiguousDirection if some route found it at the antipode.  The
+    closing factor U3 = U1^dag U2^dag U is e exp(-i (beta_0 w_0 +
+    beta_1 w_1)) on P, and only it is judged as a factor
+    (``_log_entries``): its Hermitian half, cosine and miss.
     """
     g0, g6, diag = _diagonal(t, e)
     gam = [x.real for x in diag]
     delt = [x.imag for x in diag]
     sg, sd = sum(gam), sum(delt)
     h = [0.5 * (g - sg) for g in gam]
-    s = [0.5j * (d - sd) for d in delt]
+    s = [0.5 * (d - sd) for d in delt]
     if abs(g0) > tol.g0_zero_tol:
         order = ("simple", "inv_a", "inv_b", "inv2")
     else:
         order = ("inv_a", "inv_b", "inv2", "simple")
-    cands = []
     parts = []
     routes = []
     ambiguous = None
@@ -414,25 +429,24 @@ def _cascade(e, t: complex, tol: Tolerances):
         notes = []
         for name in order:
             try:
-                cand = _candidate(name, i, g0, g6, h, s, tol)
-                parts.append(_log_entries(cand, tol))
+                parts.append(_route_angle(name, i, g0.real, g6.imag, h, s, tol))
             except NumericalError as exc:
                 if isinstance(exc, AmbiguousDirection):
                     ambiguous = ambiguous or exc
                 notes.append("%s: %s" % (name, exc))
                 continue
-            cands.append(cand)
             routes.append(name)
             break
         else:
             raise ambiguous or FactorizationFailed(
                 "no route recovered factor %d: %s" % (i + 1, "; ".join(notes)))
-    # U3 = U1^dag U2^dag U
-    x3 = [a.conjugate() * b.conjugate() * v for a, b, v in zip(*cands, e)]
+    # U3 = U1^dag U2^dag U on P
+    (b0, w0), (b1, w1) = parts
+    x3 = [v * cmath.exp(-1j * (b0 * p + b1 * q)) for v, p, q in zip(e, w0, w1)]
     try:
         parts.append(_log_entries(x3, tol))
     except NotSimpleFactor as exc:
-        # the first two factors validated individually but are mutually
+        # the first two factors are Euler factors but are mutually
         # inconsistent; report as a factorization failure, not a shape error
         raise FactorizationFailed("closing factor is not simple: %s" % exc) from exc
     routes.append("closing")
@@ -550,18 +564,16 @@ def _unit_scales(parts, sign: complex) -> list:
 
 
 def _factor_parts(a: np.ndarray, dev: float, tol: Tolerances):
-    """(factors, units, parts, routes, grades) of a, of unitarity residual dev, on its eigenbasis.
+    """(factors, units, parts, routes, (tr a, e)) of a, of unitarity residual dev, on its eigenbasis.
 
-    The eigen path: the normal kernel's eigenvalues and involutions
+    The eigen path: the normal kernel's eigenvalues e and involutions
     2 p_i p_i^H - 1 (``grades._eigen_spectrum``), and the cascade on
-    tr a and the eigenvalues.  Unit i is i w_i (2 p_i p_i^H - 1), and
-    grades builds the decomposition along the units when called.
+    tr a and e.  Unit i is i w_i (2 p_i p_i^H - 1).
     """
     t, e, invols = _eigen_spectrum(a, tol, dev)
     parts, routes = _route_parts(e, t, tol)
     units = invols * np.array(_unit_scales(parts, 1j))[:, None, None]
-    return (_stacked_factors(units, parts), units, parts, routes,
-            functools.partial(_unit_decomposition, a, t, e, units, parts))
+    return _stacked_factors(units, parts), units, parts, routes, (t, e)
 
 
 # The gates of the closed forms.  All three take the roots of the shifted
@@ -613,7 +625,7 @@ def _complex_cubic_roots(s: complex, d: complex) -> list[complex]:
     return [c * o - s / (3.0 * c * o) for o in _OMEGAS]
 
 
-def _cubic_eigenvalues(a: np.ndarray, dev: float, tol: Tolerances):
+def _cubic_eigenvalues(a: np.ndarray, dev: float, tol: Tolerances, ordered: bool = False):
     """(tr a, a's eigenvalues) from the characteristic cubic of a - tr a / 3, or None.
 
     With c = tr a / 3 the eigenvalues of a are e = x + c over the roots
@@ -635,11 +647,19 @@ def _cubic_eigenvalues(a: np.ndarray, dev: float, tol: Tolerances):
     which no U that passes the default grp_tol exceeds, can neither of
     the eigen path's gates refuse a, so the closed forms accept the U
     the eigen path accepts.
+
+    ordered is the prologue of ``factorize``'s and ``branch_log``'s
+    closed forms, which follow the eigen path's eigenvalue order: None
+    also where ``_g0_orders`` fails, before the cubic is solved, since
+    the kernel would order a pair by its rounding; else the roots come
+    in the kernel's order (``smallmat._order_indices``).
     """
     if not dev + 4.0 * _EPS <= 0.125 * min(tol.normal_tol, tol.eig_tol):
         return None
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
     t = 0j + a00 + a11 + a22
+    if ordered and not _g0_orders(t, tol):
+        return None
     n2 = t.real * t.real + t.imag * t.imag
     if not 27.0 - 18.0 * n2 + 8.0 * (t * t * t).real - n2 * n2 >= _CF_MIN_GAP**6:
         return None
@@ -651,42 +671,26 @@ def _cubic_eigenvalues(a: np.ndarray, dev: float, tol: Tolerances):
     x = _complex_cubic_roots(s, d)
     if not min(abs(x[1] - x[2]), abs(x[2] - x[0]), abs(x[0] - x[1])) >= _CF_MIN_GAP:
         return None
-    return t, [v + c for v in x]
+    e = [v + c for v in x]
+    return t, ([e[i] for i in _order_indices(e)] if ordered else e)
 
 
-def _g0_orders(a: np.ndarray, tol: Tolerances) -> bool:
-    """Whether |g0| fact_tol is at least _CF_G0_MARGIN eps, g0 = (1 + Re tr a) / 4.
+def _g0_orders(t: complex, tol: Tolerances) -> bool:
+    """Whether |g0| fact_tol is at least _CF_G0_MARGIN eps, g0 = (1 + Re t) / 4, t = tr a.
 
     With det a = 1, two eigenvalues of equal imaginary part put the
     third at -1, where g0 = 0, and the normal kernel orders such a pair
     by its rounding; past this gate the closed forms' roots take the
     kernel's order (``smallmat._order_indices``).  False on NaN.
     """
-    return abs(1.0 + (a.item(0, 0) + a.item(1, 1) + a.item(2, 2)).real) / 4.0 * tol.fact_tol \
-        >= _CF_G0_MARGIN * _EPS
-
-
-def _ordered_roots(a: np.ndarray, dev: float, tol: Tolerances):
-    """(tr a, a's eigenvalues in the normal kernel's order), or None: the closed prologue.
-
-    The prologue of ``factorize``'s and ``branch_log``'s closed forms,
-    which follow the eigen path's eigenvalue order: None where
-    ``_g0_orders`` fails, so that the kernel would order a pair by its
-    rounding, or where ``_cubic_eigenvalues`` declines.  Else the roots
-    are put in the kernel's order (``smallmat._order_indices``).
-    """
-    roots = _cubic_eigenvalues(a, dev, tol) if _g0_orders(a, tol) else None
-    if roots is None:
-        return None
-    t, z = roots
-    return t, [z[i] for i in _order_indices(z)]
+    return abs(1.0 + t.real) / 4.0 * tol.fact_tol >= _CF_G0_MARGIN * _EPS
 
 
 def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
     """``_factor_parts`` of a from its characteristic cubic, no eigensolver; None if it declines.
 
-    The roots come in the normal kernel's order (``_ordered_roots``),
-    so factor i stays factor i, and the cascade, the eigen route,
+    The roots come in the normal kernel's order (``_cubic_eigenvalues``
+    ordered), so factor i stays factor i, and the cascade, the eigen route,
     ``_pinned`` and ``_det_one`` run on them and tr a as on the eigen
     path's (``_route_parts``).  The projector onto e_i is Lagrange's
     polynomial in U (Higham, Functions of Matrices, 2008, ch. 1),
@@ -717,7 +721,7 @@ def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
       That residual vouches for the roots, whose rounding reaches every
       factor: it declines about 0.3% of Haar U.
     """
-    roots = _ordered_roots(a, dev, tol)
+    roots = _cubic_eigenvalues(a, dev, tol, ordered=True)
     if roots is None:
         return None
     t, e = roots
@@ -730,8 +734,7 @@ def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
     factors = _stacked_factors(units, parts)
     if not _fro(factors[0] @ factors[1] @ factors[2] - a) <= _CF_FACTOR_MISS:
         return None
-    return (factors, units, parts, routes,
-            functools.partial(_unit_decomposition, a, t, e, units, parts))
+    return factors, units, parts, routes, (t, e)
 
 
 def _simple_parts(units: np.ndarray, parts, tol: Tolerances) -> tuple:
@@ -763,11 +766,11 @@ def factorize(u, tol: Tolerances = DEFAULT_TOL) -> Factorization:
     decomposition the routes used, are built when read.
     """
     a, dev = _unitary_array(u, tol)
-    factors, units, parts, routes, grades_of = (_closed_form_factors(a, dev, tol)
-                                                or _factor_parts(a, dev, tol))
+    factors, units, parts, routes, (t, e) = (_closed_form_factors(a, dev, tol)
+                                             or _factor_parts(a, dev, tol))
     return Factorization(factors=tuple(ComplexMat._wrap(f) for f in factors), routes=tuple(routes),
                          _parts_of=functools.partial(_simple_parts, units, parts, tol),
-                         _grades_of=grades_of)
+                         _grades_of=functools.partial(_unit_decomposition, a, t, e, units, parts))
 
 
 def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray | None:
@@ -853,8 +856,8 @@ def _turns(theta, k, tol: Tolerances, floor: float) -> list:
 def _closed_form_branch(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.ndarray | None:
     """``_log_sum`` of a unitary a from purified Lagrange projectors, no eigensolver; None if it declines.
 
-    The roots come in the normal kernel's order (``_ordered_roots``),
-    so turn k_i goes along the eigenvalue the eigen path turns it
+    The roots come in the normal kernel's order (``_cubic_eigenvalues``
+    ordered), so turn k_i goes along the eigenvalue the eigen path turns it
     along, and ``_log_phases`` and ``_turns`` give the phases t as
     there.  The log is
     sum_j i t_j P_j.  The projectors come as the skew involutions
@@ -882,7 +885,7 @@ def _closed_form_branch(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.nda
       _CF_BRANCH_MISS.  That residual vouches for the roots and the
       projectors.
     """
-    roots = _ordered_roots(a, dev, tol)
+    roots = _cubic_eigenvalues(a, dev, tol, ordered=True)
     if roots is None:
         return None
     _, e = roots

@@ -67,14 +67,21 @@ def _scalar_grades(t: complex) -> tuple[complex, complex]:
 
 # an overflowing grade is refused by its caller, so numpy's warnings are noise
 @np.errstate(over="ignore", invalid="ignore")
-def _grades(a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(g0, g2, g4, g6, ccos, ssin) of a square array."""
+def _grades(a: np.ndarray, t: complex) -> tuple[np.ndarray, ...]:
+    """(g0, g2, g4, g6, ccos, ssin) of a square array of trace t."""
     ccos, ssin = _halves(a)
-    c0, c6 = _scalar_grades(complex(np.trace(a)))
+    c0, c6 = _scalar_grades(t)
     eye = np.eye(a.shape[0], dtype=np.complex128)
     g0 = eye * c0
     g6 = eye * c6
     return g0, ssin - g6, ccos - g0, g6, ccos, ssin
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _own_grades(u) -> tuple[np.ndarray, ...]:
+    """``_grades`` of a public argument, its trace taken here."""
+    a = _as_mat(u).array
+    return _grades(a, complex(np.trace(a)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -85,19 +92,19 @@ def ccos_ssin(u) -> tuple[ComplexMat, ComplexMat]:
 
 
 def grade0(u) -> ComplexMat:
-    return _finite_mat(_grades(_as_mat(u).array)[0], "grade 0")
+    return _finite_mat(_own_grades(u)[0], "grade 0")
 
 
 def grade2(u) -> ComplexMat:
-    return _finite_mat(_grades(_as_mat(u).array)[1], "grade 2")
+    return _finite_mat(_own_grades(u)[1], "grade 2")
 
 
 def grade4(u) -> ComplexMat:
-    return _finite_mat(_grades(_as_mat(u).array)[2], "grade 4")
+    return _finite_mat(_own_grades(u)[2], "grade 4")
 
 
 def grade6(u) -> ComplexMat:
-    return _finite_mat(_grades(_as_mat(u).array)[3], "grade 6")
+    return _finite_mat(_own_grades(u)[3], "grade 6")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -157,7 +164,7 @@ def _decomposition(a: np.ndarray, t: complex, e, involutions) -> GradeDecomposit
     gam, delt = d.real, d.imag
     hs = tuple(ComplexMat._wrap(0.5 * (g - gam.sum()) * x) for g, x in zip(gam, involutions))
     ss = tuple(ComplexMat._wrap(0.5j * (dl - delt.sum()) * x) for dl, x in zip(delt, involutions))
-    return GradeDecomposition(*map(ComplexMat._wrap, _grades(a)), hs, ss)
+    return GradeDecomposition(*map(ComplexMat._wrap, _grades(a, t)), hs, ss)
 
 
 def split_HS(u, tol: Tolerances = DEFAULT_TOL) -> GradeDecomposition:

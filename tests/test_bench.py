@@ -15,9 +15,9 @@ from su3kit.bench import (
     render_table,
     run_bench,
 )
-from su3kit.errors import InputError
+from su3kit.errors import InputError, NumericalError
 from su3kit.invdec import lambda_roots
-from su3kit.tolerances import DEFAULT_TOL
+from su3kit.tolerances import DEFAULT_TOL, with_overrides
 
 
 class TestValidation:
@@ -36,6 +36,11 @@ class TestValidation:
     def test_negative_seed_refused(self):
         with pytest.raises(InputError):
             run_bench("exp", "generic", 100, -3)
+
+    def test_every_sample_failing_is_refused(self):
+        # within sin_zero_tol = 2 of -1 lie all eigenvalues: every log is ambiguous
+        with pytest.raises(NumericalError, match="every sample failed"):
+            run_bench("log", "generic", 100, 1, with_overrides(DEFAULT_TOL, sin_zero_tol=2.0))
 
 
 class TestReportShape:
@@ -81,6 +86,9 @@ class TestReportShape:
         r = run_bench("log", "boundary", 100, 3)
         assert isinstance(r.failures, int)
         assert 0 <= r.failures < 100
+        # at fact_tol = 3e-16 the det rule refuses some factorizations
+        r = run_bench("factorize", "generic", 100, 3, with_overrides(DEFAULT_TOL, fact_tol=3e-16))
+        assert 0 < r.failures < 100
 
     def test_near_degenerate_factorize_completes(self):
         r = run_bench("factorize", "near-degenerate", 100, 3)

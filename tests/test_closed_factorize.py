@@ -56,7 +56,10 @@ def _outcome(f, *args):
 
 def _eigen_path(u):
     """The eigen path's (factors, units, parts, routes, grades) of u, factorize's fallback."""
-    return factorlog._factor_parts(*factorlog._unitary_array(u, DEFAULT_TOL), DEFAULT_TOL)
+    a, dev = factorlog._unitary_array(u, DEFAULT_TOL)
+    factors, units, parts, routes, (t, e) = factorlog._factor_parts(a, dev, DEFAULT_TOL)
+    return (factors, units, parts, routes,
+            lambda: factorlog._unit_decomposition(a, t, e, units, parts))
 
 
 def _closed_form(u):

@@ -29,6 +29,21 @@ run: the closed form (purified Lagrange projectors, 2700 logs) reached
 a median of 0.83 and a max of 2.9 eps max(1, ||L||), the eigen path
 (2700) 1.2 and 3.9.
 
+``factorize`` is judged per route: factor i against exp(i c_i (2 P_i - 1))
+over mpmath's eigenvalues and projectors at 40 digits, c_i fixed by the
+result's signs and 2 pi branches (``_exact_factors``), in units of
+eps max(1, ||U||) kappa, kappa = max(1, 1 / min |e_i - e_j|), since an
+eps in U moves P_i by eps over its gap (unscaled, a vanishing-g0 U with
+a gap of 0.034 reached 31); the product against U in eps max(1, ||U||).
+Medians and maxima of the factors: random_group(0..149), all
+simple/simple/closing, 1.24 and 2.83; 150 boundary U 0.75 and 1.73;
+50 cos-zero U 1.29 and 2.61 (inv_b, 23) and 1.07 and 1.95 (simple/inv_a,
+27); the 100 near-cos-zero U 1.33 and 3.14 (eigen, 71) and 1.12 and
+2.40 (simple, 29); 50 vanishing-g0 U 1.18 and 2.91 (inv_b, 26) and
+1.11 and 2.74 (simple/inv_a, 24).  The products reached 5.93 at most.
+The figures were the same, to the two digits given, when the cascade
+still normalized and checked a candidate triple per route.
+
 The closed forms' eigenvalues, the roots of the characteristic cubic of
 U - tr U / 3 (``factorlog._cubic_eigenvalues``), are judged against
 mpmath's eigenvalues at 40 digits: on random_group(0..149) they reached
@@ -52,6 +67,7 @@ over the split (see its docstring).
 """
 
 import itertools
+import math
 import statistics
 
 import mpmath
@@ -59,12 +75,13 @@ import numpy as np
 import pytest
 from test_closed_factorize import boundary_u
 from test_closed_log import _group, _phases
+from test_factor_eigenbasis import _family, near_cos_zero_stream
 
 from su3kit import factorlog
 from su3kit.bench import _regime_inputs
 from su3kit.errors import DegenerateLambdas, Su3KitError
 from su3kit.expmap import exp_su3
-from su3kit.factorlog import principal_log
+from su3kit.factorlog import factorize, principal_log
 from su3kit.invdec import decompose_closed_form, decompose_via_eigen, lambda_roots
 from su3kit.oracle import exp_reference, random_algebra, random_group
 from su3kit.smallmat import _order_indices
@@ -213,6 +230,85 @@ def test_branch_logs_within_a_few_eps_of_40_digits():
                 if got is not None:
                     errors[route].append(np.linalg.norm(got - want) / unit)
     assert len(errors["closed"]) >= 0.95 * len(errors["eigen"])
+    _check(errors)
+
+
+def _to_array(m) -> np.ndarray:
+    return np.array([[complex(m[x, y]) for y in range(3)] for x in range(3)])
+
+
+def _phase_factors(theta, invols, cos, sin, eye) -> list:
+    """cos c_m 1 + sin c_m i J_m, c_m = (theta_m - sum theta) / 2, over the involutions J_m."""
+    total = sum(theta)
+    return [cos((t - total) / 2) * eye + 1j * sin((t - total) / 2) * j
+            for t, j in zip(theta, invols)]
+
+
+def _exact_factors(u: np.ndarray, fz) -> tuple[list[np.ndarray], float]:
+    """(the factors fz approximates, at 40 digits; kappa, the condition of U's projectors).
+
+    Factor i is exp(i c_i (2 P_i - 1)) over mpmath's eigenvalues e_i and
+    projectors P_i.  fz fixes what the phases leave open: c_i takes the
+    sign of its factor (Im tr(F_i (2 P_i - 1)) = 3 sin c_i), the phase
+    2 c_m - sum c that the factors give e_m picks the 2 pi branch of
+    arg e_m, and c_m = (theta_m - sum theta) / 2 over those phases
+    theta.  The eigenvalues go in su3kit's order, taken as the one of
+    the six under which the factors lie nearest: ``_order_indices``',
+    except where two imaginary parts tie (an eigenvalue at -1), which
+    rounding orders.  kappa is max(1, 1 / min |e_i - e_j|): an eps in U
+    moves P_i by up to eps over its gap.
+    """
+    got = [f.array for f in fz.factors]
+    with mpmath.workdps(40):
+        values, left, right = mpmath.eig(mpmath.matrix(u.tolist()), left=True, right=True)
+        invols = [2 * (right[:, i] * left[i, :]) / (left[i, :] * right[:, i])[0] - mpmath.eye(3)
+                  for i in range(3)]
+        args = [mpmath.arg(v) for v in values]
+        near = [_to_array(j) for j in invols]
+
+        def turns(order) -> list:
+            c = [math.copysign(p.beta, np.trace(f @ near[j]).imag)
+                 for p, f, j in zip(fz.parts, got, order)]
+            return [round((2 * c[m] - sum(c) - float(args[j])) / (2 * math.pi))
+                    for m, j in enumerate(order)]
+
+        def miss(order) -> float:
+            theta = [float(args[j]) + 2 * math.pi * k for j, k in zip(order, turns(order))]
+            want = _phase_factors(theta, [near[j] for j in order], math.cos, math.sin, np.eye(3))
+            return max(np.linalg.norm(g - w) for g, w in zip(got, want))
+
+        order = min(itertools.permutations(range(3)), key=miss)
+        theta = [args[j] + 2 * mpmath.pi * k for j, k in zip(order, turns(order))]
+        exact = _phase_factors(theta, [invols[j] for j in order], mpmath.cos, mpmath.sin,
+                               mpmath.eye(3))
+        gap = min(abs(values[i] - values[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+    return [_to_array(f) for f in exact], max(1.0, 1.0 / float(gap))
+
+
+def _factor_inputs(family: str) -> list[np.ndarray]:
+    if family == "haar":
+        return [random_group(seed).mat.array for seed in range(150)]
+    if family == "boundary":
+        return [boundary_u(seed) for seed in range(150)]
+    if family == "near_cos_zero":
+        return near_cos_zero_stream()
+    return list(_family(family))
+
+
+@pytest.mark.parametrize("family", ["haar", "boundary", "cos_zero", "near_cos_zero",
+                                    "vanishing_g0"])
+def test_factorize_within_a_few_eps_of_40_digits(family):
+    """Each route's factors within 16 eps max(1, ||U||) kappa of 40 digits, their product
+    within 16 eps max(1, ||U||) of U."""
+    errors = {"product": []}
+    for u in _factor_inputs(family):
+        fz = factorize(u)
+        got = [f.array for f in fz.factors]
+        exact, kappa = _exact_factors(u, fz)
+        unit = EPS * max(1.0, np.linalg.norm(u))
+        miss = max(np.linalg.norm(g - w) for g, w in zip(got, exact)) / (unit * kappa)
+        errors.setdefault(" ".join(fz.routes), []).append(miss)
+        errors["product"].append(np.linalg.norm(got[0] @ got[1] @ got[2] - u) / unit)
     _check(errors)
 
 

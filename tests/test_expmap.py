@@ -33,7 +33,9 @@ NOT_SU3 = ComplexMat([[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, -3.0]])
 
 class TestGroupElement:
     def test_accepts_identity(self):
-        GroupElement(ComplexMat.identity(3))
+        g = GroupElement(ComplexMat.identity(3))
+        assert GroupElement(g).mat is g.mat
+        assert repr(g) == "GroupElement(%r)" % (np.eye(3, dtype=complex).tolist(),)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):

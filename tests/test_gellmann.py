@@ -58,6 +58,10 @@ class TestConstants:
             lam(0)
         with pytest.raises(InputError):
             rho(8)
+        with pytest.raises(InputError):
+            reconstruct_lambda(9)
+        with pytest.raises(InputError):
+            equilibrium_point(0)
 
     def test_basis_container(self):
         assert len(BASIS.lambdas) == 8

@@ -167,6 +167,8 @@ class TestClosedForm:
     def test_degenerate_lambdas_refused(self):
         with pytest.raises(DegenerateLambdas):
             decompose_closed_form(B_EXAMPLE, (-0.01, -0.01, -0.0225))
+        with pytest.raises(DegenerateLambdas, match="expected 3 lambdas, got 2"):
+            decompose_closed_form(B_EXAMPLE, lambda_roots(B_EXAMPLE)[:2])
 
     def test_all_zero_refused(self):
         with pytest.raises(DegenerateLambdas):
@@ -334,6 +336,10 @@ class TestArrayResiduals:
         parts = tuple(SimplePart(mat=p, lam=0j, beta=None, unit=None) for p in (a, b))
         dec = InvariantDecomposition(parts=parts, source=ComplexMat(np.zeros((2, 2))))
         assert dec.max_commutator_residual() == _complexmat_max_commutator(dec) == 1e100
+        # nor does a alone, or no part at all
+        for alone in (parts[:1], ()):
+            dec = InvariantDecomposition(parts=alone, source=ComplexMat(np.zeros((2, 2))))
+            assert dec.max_commutator_residual() == _complexmat_max_commutator(dec) == 0.0
 
     def test_first_failing_pair_decides_the_refusal(self):
         # [a, b] overflows only its norm, [a, c] has an inf entry: pairs

@@ -84,6 +84,8 @@ class TestComplexMat:
     def test_products(self):
         sq = L1 @ L1
         np.testing.assert_allclose(sq.array, np.diag([1.0, 1.0, 0.0]), atol=0)
+        with pytest.raises(TypeError):
+            L1 @ 3
 
     def test_mixed_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -107,6 +109,7 @@ class TestComplexMat:
 
     def test_getitem(self):
         assert RHO_P1[0, 1] == 1.0
+        assert np.array_equal(eval(repr(RHO_P1), {"ComplexMat": ComplexMat}).array, RHO_P1.array)
 
     def test_scalar_residual(self):
         assert scalar_residual(np.eye(3) * (2 + 1j)) == 0.0
@@ -431,13 +434,13 @@ _DIGESTS = {
     "eigen_normal3 algebra": "b8eb6f230b2875385eb6ccb2c60f785336911b2e428860ea018a0ed952189fcb",
     "eigen_normal3 clustered": "76d1a1b5268b3bbd08908959090bc9daa8933b1239eccfe74d94b6016f6cad07",
     "principal_log haar": "24808fcf24707621278d6bb7d93d65273e9f03ee92189a7714a812e40e030ea2",
-    "factorize haar": "45b27a59b26c7fd73828fe5c97cd75f62cce122f39f169abc97f193e95f222ad",
+    "factorize haar": "8ab06e3ef3712ee7e63f596fe4c8475289643df53ab95a657ae55d20c70ee67c",
     "factorize parts, routes and grades haar":
-        "79f0bb4ca1f78b44463f5459b78faea73324b9c04609763f91554c6e19918d2c",
+        "546fd9611bb063bcb711f070f97d1957c2c588dfee325b0010fe68eb873d60c0",
     "branch_log (1, 0, -1) haar":
         "f293cb98caf9fada9f9664c28ae4789023ba30f0394354f2e27dde651272b092",
     "principal_log hard": "74d68e987943fa66af50bb2ad656c9ba77d71034de758047603848d54a20749e",
-    "factorize hard": "5e3beba5bc9ef9e91a490007d408ec470ab5e742f6bf444d68d88634abbd6c49",
+    "factorize hard": "54e866d3be6974f355c375826ca6173a4243a033c3dd80910d5c2306a5d29df3",
 }
 
 
@@ -534,7 +537,7 @@ def _normal_tols(a, dev, edge, c):
     return np.nextafter(x, np.inf if c >= 1.0 else 0.0)
 
 
-def _factor_key(factors, units, parts, routes, grades_of):
+def _factor_key(factors, units, parts, routes, spectrum):
     return tuple(routes), [beta for beta, _ in parts], factors.tobytes()
 
 

@@ -1,12 +1,13 @@
 """The scripts under tools/ run and print what their docstrings promise.
 
-Both reach private names of su3kit (``factorlog._closed_form_log`` and
+Two reach private names of su3kit (``factorlog._closed_form_log`` and
 its siblings, the package's file layout), so a refactor that moves
 those names breaks them; this runs each in a subprocess, as from the
 command line.
 """
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -28,6 +29,15 @@ def test_closed_share_prints_a_row_per_family():
         n, *shares = row.split()[1:]
         assert n == "20" and len(shares) == 4
         assert all(0.0 <= float(s.rstrip("%")) <= 100.0 for s in shares)
+
+
+def test_unrun_statements_lists_what_one_test_file_leaves():
+    lines = _run(ROOT / "tools" / "unrun_statements.py", "-q", "-p", "no:cacheprovider",
+                 ROOT / "tests" / "test_public_surface.py").splitlines()
+    unrun = [line for line in lines if line.startswith("src/su3kit/")]
+    assert unrun and all(re.match(r"src/su3kit/\w+\.py:\d+: \S", line) for line in unrun)
+    assert "src/su3kit/cli.py:520: sys.exit(main())" in unrun
+    assert lines[-1] == "%d statements never run" % len(unrun)
 
 
 def test_code_lines_prints_a_count():

@@ -97,11 +97,14 @@ exp):
     log U = c2 X^2 + c1 X + c0,   X = U - c,   r_j = i theta_j / ((x_j - x_k)(x_j - x_l)),
     c2 = sum r_j,   c1 = -sum r_j (x_k + x_l),   c0 = sum r_j x_k x_l,
 
-x_j = e_j - c.  The x_j are the roots of X's characteristic cubic
-(``_cubic_eigenvalues``), and theta the same selection and det rule as
-on the eigen path.  The shift keeps the powers of X as small as the
-spread of the nodes, so a cluster of nodes near the identity does not
-cancel a large X^2 against X.  Where two roots are closer than
+x_j = e_j - c.  The r_j and their rows are ``invdec._lagrange_rows``',
+the one builder of Lagrange coefficients, which ``_involutions`` takes
+for ``factorize``'s units and ``branch_log``'s projectors too.  The x_j
+are the roots of X's characteristic cubic (``_cubic_eigenvalues``), and
+theta the same selection and det rule as on the eigen path.  The shift
+keeps the powers of X as small as the spread of the nodes, so a
+cluster of nodes near the identity does not cancel a large X^2
+against X.  Where two roots are closer than
 _CF_MIN_GAP, where sum |r_j| exceeds _CF_MAX_COEF (the coefficients,
 and with them the rounding, grow as theta over the squared gaps), and
 where a phase rule raises, the closed form declines: the eigen path
@@ -155,8 +158,8 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
-import itertools
 import math
+import numbers
 from collections.abc import Callable
 
 import numpy as np
@@ -172,7 +175,7 @@ from .errors import (
 )
 from .expmap import GroupElement, _check_group, _factor_array
 from .grades import GradeDecomposition, _decomposition, _diagonal, _eigen_spectrum, _halves
-from .invdec import _OTHERS, SimplePart, _involutions
+from .invdec import SimplePart, _involutions, _lagrange_rows
 from .smallmat import (_EPS, _EYE3, ComplexMat, _as_mat, _eigen_normal3, _finite_mat,
                        _finite_norm, _fro, _normal_norm, _order_indices, _scalar_residual,
                        _unchecked_mat)
@@ -181,9 +184,8 @@ from .tolerances import DEFAULT_TOL, Tolerances
 _SQRT3 = math.sqrt(3.0)
 # sigma_i = 2 e_i - 1: the involution 2 p_i p_i^H - 1 on U's eigenbasis P
 _SIGMA = ((1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0))
-# the shifts k in {-1, 0, 1}^3 by their sum
-_SHIFTS = {n: [k for k in itertools.product((-1, 0, 1), repeat=3) if sum(k) == n]
-           for n in range(-3, 4)}
+# the indices j, k other than i
+_OTHERS = ((1, 2), (0, 2), (0, 1))
 
 
 def rms_norm(m) -> float:
@@ -238,11 +240,16 @@ class Factorization:
 
 @dataclasses.dataclass(frozen=True)
 class LogBranch:
+    """The windings k of a branch log: any three integers but bools, kept as Python ints."""
+
     k: tuple[int, int, int]
 
     def __post_init__(self):
-        if len(self.k) != 3 or not all(isinstance(x, int) and abs(x) <= 2**53 for x in self.k):
+        # type(x) is int first: the ABC's check alone costs about a microsecond per winding
+        if len(self.k) != 3 or not all((type(x) is int or isinstance(x, numbers.Integral) and not
+                                        isinstance(x, bool)) and abs(x) <= 2**53 for x in self.k):
             raise InputError("branch must be three integers of magnitude at most 2**53")
+        object.__setattr__(self, "k", tuple(map(int, self.k)))
 
 
 def _unitary_array(u, tol: Tolerances) -> tuple[np.ndarray, float]:
@@ -399,8 +406,8 @@ def _route_angle(name: str, i: int, g0: float, g6: float, h, s, tol: Tolerances)
 def _cascade(e, t: complex, tol: Tolerances):
     """The paper's route cascade on the eigenbasis of U: the parts (beta, w) and their routes.
 
-    e are U's ordered eigenvalues and t its trace, from which g0, g6 and
-    gamma + i delta follow (``grades._diagonal``).  Route order depends
+    e are U's ordered eigenvalues and t its trace, from which g0, g6,
+    h and s follow (``grades._diagonal``).  Route order depends
     on whether the scalar grade is usable: when every cos(beta_i) is
     nonzero the direct g0 + S_i route is cheapest and most accurate;
     when g0 vanishes (some cos is zero) the inverse routes go first,
@@ -412,12 +419,7 @@ def _cascade(e, t: complex, tol: Tolerances):
     beta_1 w_1)) on P, and only it is judged as a factor
     (``_log_entries``): its Hermitian half, cosine and miss.
     """
-    g0, g6, diag = _diagonal(t, e)
-    gam = [x.real for x in diag]
-    delt = [x.imag for x in diag]
-    sg, sd = sum(gam), sum(delt)
-    h = [0.5 * (g - sg) for g in gam]
-    s = [0.5 * (d - sd) for d in delt]
+    g0, g6, h, s = _diagonal(t, e)
     if abs(g0) > tol.g0_zero_tol:
         order = ("simple", "inv_a", "inv_b", "inv2")
     else:
@@ -459,13 +461,27 @@ def _least_norm_phases(z, tol: Tolerances) -> list:
     The phases of z shifted by 2 pi k, k in {-1, 0, 1}^3: among the
     selections whose sum is nearest 0 (exactly 0 when the product of z
     is 1), the one of least norm, ties broken by the phases themselves.
-    Two traceless selections differ by +2 pi on one phase and -2 pi on
-    another, and their squared norms by 4 pi (2 pi - theta_b + theta_a),
-    so they tie only where two equal entries of z get phases 2 pi apart:
-    a double eigenvalue on the far side of the circle, whose split
-    between +pi and -pi the eigenbasis picks, as for omega 1.  Within
-    sin_zero_tol of -1 rounding picks the sides of the phases too, so
-    two such entries are refused as AmbiguousDirection.
+    With phi the principal phases, in [-pi, pi], that selection is phi
+    itself when turns = round(sum phi / 2 pi) is 0, and else phi with
+    its largest phase moved down by 2 pi (turns 1) or its smallest
+    moved up (turns -1):
+
+    - turns 0: any other k of sum 0 adds 2 pi to some phi_a and takes it
+      from some phi_b, which lengthens the squared norm by
+      4 pi (2 pi + phi_a - phi_b) > 0;
+    - turns +-1: moving phi_a alone costs 4 pi (pi - turns phi_a), least
+      for the largest turns phi_a; under turns 1 a k of type
+      (-1, -1, +1), phi_a and phi_b down and phi_c up, costs as much as
+      moving phi_a alone and 4 pi (2 pi + phi_c - phi_b) >= 0 more, and
+      turns -1 is its mirror.
+
+    The one tie is between equal entries of z whose phase may move: a
+    double eigenvalue on the far side of the circle, as for omega 1.
+    There the phases themselves break it, lexicographically: the first
+    of equal largest phases moves down, the last of equal smallest up.
+    Two phases 2 pi apart, both within sin_zero_tol of -1, would tie
+    under turns 0 as well, and rounding picks their sides: two such
+    entries are refused as AmbiguousDirection.
     """
     if sum(abs(v + 1.0) <= tol.sin_zero_tol for v in z) >= 2:
         raise AmbiguousDirection(
@@ -473,15 +489,12 @@ def _least_norm_phases(z, tol: Tolerances) -> list:
     phi = [cmath.phase(v) for v in z]
     # a selection's trace is sum(phi) + 2 pi sum(k)
     turns = round(sum(phi) / (2.0 * math.pi))
-    if not turns and max(phi) - min(phi) < 6.0:
-        # k = 0 wins outright: any other k of sum 0 adds 2 pi to some phi_a
-        # and takes it from some phi_b, which lengthens the squared norm by
-        # 4 pi (2 pi + phi_a - phi_b) > 3.5.  + 0.0 as the search's shift
-        return [f + 0.0 for f in phi]
-    # each phase shifted by 2 pi k, listed so that k itself is the index
-    f0, f1, f2 = ([f + 2.0 * math.pi * k for k in (0, 1, -1)] for f in phi)
-    return list(min((a * a + b * b + c * c, a, b, c)
-                    for a, b, c in ((f0[i], f1[j], f2[k]) for i, j, k in _SHIFTS[-turns]))[1:])
+    if turns:
+        # the first of equal largest phases down, or the last of equal smallest up
+        i = phi.index(max(phi)) if turns > 0 else 2 - phi[::-1].index(min(phi))
+        phi[i] -= 2.0 * math.pi * turns
+    # + 0.0: a principal phase of -0.0 is 0.0
+    return [f + 0.0 for f in phi]
 
 
 def _pinned(parts, e) -> list:
@@ -787,7 +800,11 @@ def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray |
 
     in x = a - c and the nodes x_j = e_j - c, c = tr a / 3: multiplied
     out, c2 x^2 + c1 x + c0 with c2 = sum r_j, c1 = -sum r_j (x_k + x_l)
-    and c0 = sum r_j x_k x_l, evaluated as x (c2 x + c1) + c0.  Its
+    and c0 = sum r_j x_k x_l, evaluated as x (c2 x + c1) + c0.  The
+    rows (r_j, -r_j (x_k + x_l), r_j x_k x_l) / 2 are
+    ``invdec._lagrange_rows``' on the scales i theta_j / 4, halved so
+    that m - m^H is the skew projection, and sum to the halved
+    coefficients.  Its
     rounding is about eps sum |r_j| |x_k| |x_l|; the shift keeps the
     |x_j| as small as the nodes' spread, which near the identity is
     what keeps the error at a few eps: on 4000 seeded B of norm 0.03 to
@@ -811,19 +828,14 @@ def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray |
     except NumericalError:
         return None
     c = t / 3.0
-    x0, x1, x2 = e[0] - c, e[1] - c, e[2] - c
-    d01, d02, d12 = x0 - x1, x0 - x2, x1 - x2
-    r0 = 1j * theta[0] / (d01 * d02)
-    r1 = -1j * theta[1] / (d01 * d12)
-    r2 = 1j * theta[2] / (d02 * d12)
-    if not abs(r0) + abs(r1) + abs(r2) <= _CF_MAX_COEF:
+    # the rows of (i theta_j / 2) P_j: the log's, halved
+    (r0, p0, q0), (r1, p1, q1), (r2, p2, q2) = _lagrange_rows(
+        [v - c for v in e], [0.25j * th for th in theta])
+    if not 2.0 * (abs(r0) + abs(r1) + abs(r2)) <= _CF_MAX_COEF:
         return None
-    # halved, so that m - m^H is the skew projection
-    c2 = 0.5 * (r0 + r1 + r2)
-    c1 = -0.5 * (r0 * (x1 + x2) + r1 * (x0 + x2) + r2 * (x0 + x1))
-    c0 = 0.5 * (r0 * x1 * x2 + r1 * x0 * x2 + r2 * x0 * x1)
     x = a - _EYE3 * c
-    m = x @ (x * c2 + _EYE3 * c1) + _EYE3 * c0
+    # the rows summed: x (c2 x + c1) + c0
+    m = x @ (x * (r0 + r1 + r2) + _EYE3 * (p0 + p1 + p2)) + _EYE3 * (q0 + q1 + q2)
     return m - m.conj().T
 
 
@@ -953,10 +965,12 @@ def branch_log(u, branch: LogBranch, tol: Tolerances = DEFAULT_TOL) -> ComplexMa
     taken first from purified Lagrange projectors in u
     (``_closed_form_branch``).  Where that cannot vouch for itself, the
     eigen path (``_log_sum``) runs as it would alone, so both accept the
-    same u and refuse it with the same error.
+    same u and refuse it with the same error.  k = 0 is
+    ``principal_log(u, tol)``: the same bytes and the same errors.
     """
-    if not isinstance(branch, LogBranch):
-        branch = LogBranch(k=tuple(branch))
+    k = (branch if isinstance(branch, LogBranch) else LogBranch(k=tuple(branch))).k
+    if not any(k):
+        return principal_log(u, tol)
     a, dev = _unitary_array(u, tol)
-    m = _closed_form_branch(a, dev, branch.k, tol)
-    return ComplexMat._wrap(_log_sum(a, dev, branch.k, tol) if m is None else m)
+    m = _closed_form_branch(a, dev, k, tol)
+    return ComplexMat._wrap(_log_sum(a, dev, k, tol) if m is None else m)

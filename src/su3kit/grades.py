@@ -20,9 +20,10 @@ through the part ansatz yields exactly Hermitian H_i and exactly
 skew-Hermitian S_i with sum g4 and g2 respectively.
 
 The arithmetic runs on complex128 arrays.  ``_diagonal`` gives g0, g6
-and gamma + i delta from tr U and e alone, for ``factorlog``'s cascade
-and for the grades.  ``_eigen_spectrum`` runs the normal kernel once
-and returns tr U, e and the kernel's involutions 2 p_i p_i^H - 1, what
+and the real scalars h_i, s_i of H_i and S_i from tr U and e alone,
+once for ``factorlog``'s cascade and for the grades.
+``_eigen_spectrum`` runs the normal kernel once and returns tr U, e
+and the kernel's involutions 2 p_i p_i^H - 1, what
 ``split_HS`` and ``factorlog``'s eigen path run on.  ``_decomposition``
 builds the grade matrices and the H_i/S_i from U, tr U, e and the
 three involutions 2 P_i - 1, wherever those come from: ``split_HS``
@@ -121,14 +122,23 @@ def traceless_projection(m) -> ComplexMat:
 
 
 def _diagonal(t: complex, e) -> tuple:
-    """(g0, g6, gamma + i delta) of a normal matrix of trace t and eigenvalues e.
+    """(g0, g6, h, s) of a normal matrix of trace t and eigenvalues e.
 
     g0 and g6 are the scalars of the grades of that name; on the
     eigenbasis g2 + g4 = U - g0 - g6 is diagonal, with entries
-    e_i - g0 - g6.
+    gamma_i + i delta_i = e_i - g0 - g6, and H_i = h_i (2 P_i - 1),
+    S_i = i s_i (2 P_i - 1) with the real scalars
+
+        h_i = (gamma_i - sum gamma) / 2,   s_i = (delta_i - sum delta) / 2.
+
+    The one derivation of h and s, for ``factorlog``'s cascade and for
+    the grades (``_decomposition``).
     """
     g0, g6 = _scalar_grades(t)
-    return g0, g6, [x - g0 - g6 for x in e]
+    d = [x - g0 - g6 for x in e]
+    # sum gamma + i sum delta: a complex sum adds the two parts apart
+    z = sum(d)
+    return g0, g6, [0.5 * (x.real - z.real) for x in d], [0.5 * (x.imag - z.imag) for x in d]
 
 
 def _eigen_spectrum(a: np.ndarray, tol: Tolerances, dev: float | None = None) -> tuple:
@@ -160,10 +170,9 @@ def _decomposition(a: np.ndarray, t: complex, e, involutions) -> GradeDecomposit
     involutions and e passed a residual gate (the normal kernel's, or
     the closed form's product).
     """
-    d = np.array(_diagonal(t, e)[2])
-    gam, delt = d.real, d.imag
-    hs = tuple(ComplexMat._wrap(0.5 * (g - gam.sum()) * x) for g, x in zip(gam, involutions))
-    ss = tuple(ComplexMat._wrap(0.5j * (dl - delt.sum()) * x) for dl, x in zip(delt, involutions))
+    _, _, h, s = _diagonal(t, e)
+    hs = tuple(ComplexMat._wrap(hi * x) for hi, x in zip(h, involutions))
+    ss = tuple(ComplexMat._wrap(1j * si * x) for si, x in zip(s, involutions))
     return GradeDecomposition(*map(ComplexMat._wrap, _grades(a, t)), hs, ss)
 
 

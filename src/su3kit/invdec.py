@@ -15,7 +15,9 @@ and det(B), and part i is (mu_i/2)(2 P_i - 1), mu_i = +-2i sqrt(-lambda_i)
 the eigenvalue and P_i the spectral projector as Lagrange's
 polynomial in B (see ``decompose_closed_form``).  ``_involutions``
 builds such a stack of scaled involutions from three eigenvalues and
-a matrix, for these parts and for ``factorlog.factorize``'s units.
+a matrix, for these parts and for ``factorlog.factorize``'s units and
+branch logs, on the Lagrange rows of ``_lagrange_rows``, which
+``factorlog``'s closed-form principal log sums too.
 The closed form requires distinct nonzero lambdas; the eigen route
 works in every case and is the arbiter the closed form is
 cross-checked against.
@@ -224,8 +226,6 @@ def _su3_problem(arr: np.ndarray, nrm: float, tol: Tolerances) -> str | None:
     return None
 
 
-# the indices j, k other than i
-_OTHERS = ((1, 2), (0, 2), (0, 1))
 # identities by size, built once
 _EYES = tuple(np.eye(n) for n in range(9))
 
@@ -382,8 +382,8 @@ def lambda_roots(b, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float, float]
     return tuple(sorted((math.ldexp(-0.25 * q * q, -2 * shift) for q in roots), reverse=True))
 
 
-def _involutions(a: np.ndarray, nodes, scales) -> np.ndarray:
-    """The stack scales[i] (2 P_i - 1), made exactly skew, for a 3x3 array a.
+def _lagrange_rows(nodes, scales) -> tuple:
+    """The rows (r_i, -r_i (e_j + e_k), r_i e_j e_k) of 2 scales[i] P_i on a^2, a and 1.
 
     P_i is Lagrange's polynomial in a (Higham, Functions of Matrices,
     2008, ch. 1),
@@ -391,18 +391,33 @@ def _involutions(a: np.ndarray, nodes, scales) -> np.ndarray:
         P_i = (a - e_j)(a - e_k) / ((e_i - e_j)(e_i - e_k)),
 
     e the nodes: a's spectral projector onto e_i where the nodes are
-    a's three distinct eigenvalues.  The coefficients of each part on
-    a^2, a and 1 form one row, and the three rows take one (3, 9)
-    product with a^2, a and 1.  For a normal a and imaginary scales the
-    parts are skew, and the projection strips the rounding.  The nodes
-    and scales are Python or numpy complex scalars.  Runs under no
-    np.errstate: its callers hold one or bound a.
+    a's three distinct eigenvalues.  So r_i = 2 scales[i] / ((e_i -
+    e_j)(e_i - e_k)).  The one builder of Lagrange coefficients:
+    ``_involutions`` takes its rows, and ``factorlog``'s closed-form
+    principal log sums them.  The nodes and scales are Python or numpy
+    complex scalars.
     """
-    coef = []
-    for i, (j, k) in enumerate(_OTHERS):
-        # c + c, not 2.0 * c: a float times a complex can flip the sign of a zero
-        r = (scales[i] + scales[i]) / ((nodes[i] - nodes[j]) * (nodes[i] - nodes[k]))
-        coef.append((r, -r * (nodes[j] + nodes[k]), r * nodes[j] * nodes[k] - scales[i]))
+    (e0, e1, e2), (s0, s1, s2) = nodes, scales
+    # c + c, not 2.0 * c: a float times a complex can flip the sign of a zero
+    r0 = (s0 + s0) / ((e0 - e1) * (e0 - e2))
+    r1 = (s1 + s1) / ((e1 - e0) * (e1 - e2))
+    r2 = (s2 + s2) / ((e2 - e0) * (e2 - e1))
+    return ((r0, -r0 * (e1 + e2), r0 * e1 * e2), (r1, -r1 * (e0 + e2), r1 * e0 * e2),
+            (r2, -r2 * (e0 + e1), r2 * e0 * e1))
+
+
+def _involutions(a: np.ndarray, nodes, scales) -> np.ndarray:
+    """The stack scales[i] (2 P_i - 1), made exactly skew, for a 3x3 array a.
+
+    P_i is Lagrange's polynomial in a on the nodes, and the rows of
+    2 scales[i] P_i on a^2, a and 1 are ``_lagrange_rows``', the ones
+    the closed-form principal log sums; scales[i] comes off each row's
+    constant.  The three rows take one (3, 9) product with a^2, a and 1.
+    For a normal a and imaginary scales the parts are skew, and the
+    projection strips the rounding.  Runs under no np.errstate: its
+    callers hold one or bound a.
+    """
+    coef = [(r2, r1, r0 - sc) for (r2, r1, r0), sc in zip(_lagrange_rows(nodes, scales), scales)]
     m = (np.array(coef) @ np.array([a @ a, a, _EYE3]).reshape(3, 9)).reshape(3, 3, 3)
     return (m - m.conj().transpose(0, 2, 1)) * complex(0.5)
 

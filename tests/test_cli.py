@@ -574,8 +574,8 @@ class TestLog:
         assert json.loads(out)["error"]["code"] == "not_unitary"
 
     def test_principal_branch_takes_the_closed_form(self, capsys, monkeypatch):
-        # with no --branch, or 0,0,0, log runs principal_log, whose closed
-        # form gives other bits than branch_log's eigen path on this U
+        # with no --branch, or 0,0,0, log runs principal_log's closed form;
+        # branch_log at k = 0 is principal_log, not its purified-projector form
         m = random_group(42).mat
         text = doc_text(m.array)
         code, plain = run_cli(["log", "-"], capsys, monkeypatch, text)
@@ -585,7 +585,7 @@ class TestLog:
         assert zero == plain
         got = mat_from_doc(json.loads(plain)["log"])
         assert got.tobytes() == principal_log(m).array.tobytes()
-        assert got.tobytes() != branch_log(m, LogBranch((0, 0, 0))).array.tobytes()
+        assert got.tobytes() == branch_log(m, LogBranch((0, 0, 0))).array.tobytes()
 
     @pytest.mark.parametrize("rows, code, status", [
         (-np.eye(3) * np.exp(1e-9j), "ambiguous_direction", 3),

@@ -1,9 +1,13 @@
 """The logs' closed forms: agreement with the eigen path, their shares, their fallbacks."""
 
+import cmath
 import itertools
 import math
+import os
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +15,16 @@ from hypothesis import strategies as st
 from test_closed_factorize import boundary_u
 
 from su3kit import factorlog
-from su3kit.errors import Su3KitError
+from su3kit.errors import AmbiguousDirection, Su3KitError
 from su3kit.expmap import GroupElement
 from su3kit.factorlog import _complex_cubic_roots, branch_log, principal_log
 from su3kit.oracle import _haar_unitary, random_group
 from su3kit.smallmat import _EPS
 from su3kit.tolerances import DEFAULT_TOL
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from perfbench import gen  # noqa: E402  (numpy only: the benchmark's hard families)
 
 _OMEGA = complex(-0.5, 0.5 * math.sqrt(3.0))
 
@@ -156,7 +164,8 @@ def test_branch_log_agrees_with_the_eigen_path(seed, k, family):
 
     Off the Haar draws max(1, ||L||) becomes the branch log's condition
     (``_branch_condition``): the generic family's clusters and pairs
-    straddling -1 move either path's log by more than eps ||L||.
+    straddling -1 move either path's log by more than eps ||L||.  At
+    k = 0 branch_log gives principal_log's bits instead.
     """
     rng = np.random.default_rng(seed)
     g = random_group(seed) if family == "haar" else _group(_phases(family, rng), rng)
@@ -165,10 +174,15 @@ def test_branch_log_agrees_with_the_eigen_path(seed, k, family):
         closed = factorlog._closed_form_branch(g.mat.array, g._dev, k, DEFAULT_TOL)
         got = _outcome(lambda x: branch_log(x, k).array.tobytes(), g)
         want = _outcome(lambda x: _eigen_branch(x, k), g)
-    if closed is None:
+        plain = _outcome(lambda x: principal_log(x).array.tobytes(), g)
+    if not any(k):
+        assert got == plain
+    elif closed is None:
         assert got == (want if isinstance(want, str) else want.tobytes())
+    else:
+        assert got == closed.tobytes()
+    if closed is None:
         return
-    assert got == closed.tobytes()
     scale = max(1.0, np.linalg.norm(want)) if family == "haar" else _branch_condition(want)
     assert np.linalg.norm(closed - want) <= 8.0 * _EPS * scale
 
@@ -278,3 +292,95 @@ def test_near_doubles_decline_before_the_cubic(monkeypatch):
         a, gap = rng.uniform(-2.5, 2.5), 10.0 ** rng.uniform(-12.0, -5.0)
         g = _group([a, a + gap, -2.0 * a - gap], rng)
         assert factorlog._closed_form_log(g.mat.array, g._dev, DEFAULT_TOL) is None
+
+
+def _unit_triple(kind, rng):
+    """Three unit eigenvalues: uniform phases, an exact double, a pair near -1, or omega 1."""
+    if kind == "uniform":
+        return np.exp(1j * rng.uniform(-math.pi, math.pi, 3)).tolist()
+    if kind == "double":
+        a = rng.uniform(-math.pi, math.pi)
+        z = cmath.exp(1j * a)
+        zs = [z, z, cmath.exp(-2j * a)]
+        return [zs[i] for i in rng.permutation(3)]
+    if kind == "near-pi":
+        d = 10.0 ** rng.uniform(-14.0, -1.0, 2) * rng.choice((-1.0, 1.0), 2)
+        ph = [math.pi - d[0], -math.pi + d[1], rng.uniform(-math.pi, math.pi)]
+        return [cmath.exp(1j * ph[i]) for i in rng.permutation(3)]
+    return [_OMEGA if kind == "omega" else _OMEGA.conjugate()] * 3
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["uniform", "double", "near-pi", "omega", "omega-bar"]))
+def test_least_norm_phases_is_the_least_norm_selection(seed, kind):
+    """The selection's sum is the nearest 0 of all 27 shifts k in {-1, 0, 1}^3, its norm the least.
+
+    The norm is judged against the 27-shift minimum at 40 digits, to
+    8 eps ||theta||^2.  At an exact tie, two bitwise-equal eigenvalues,
+    the first of the equal largest phases moves down, or the last of
+    the equal smallest up.
+    """
+    z = _unit_triple(kind, np.random.default_rng(seed))
+    try:
+        theta = factorlog._least_norm_phases(z, DEFAULT_TOL)
+    except AmbiguousDirection:
+        assert sum(abs(v + 1.0) <= DEFAULT_TOL.sin_zero_tol for v in z) >= 2
+        return
+    phi = [cmath.phase(v) for v in z]
+    k = [round((t - f) / (2.0 * math.pi)) for t, f in zip(theta, phi)]
+    assert all(abs(n) <= 1 for n in k)
+    with mpmath.workdps(40):
+        shifts = list(itertools.product((-1, 0, 1), repeat=3))
+
+        def total(ks):
+            return abs(mpmath.fsum(mpmath.mpf(f) + 2 * mpmath.pi * n for f, n in zip(phi, ks)))
+
+        def norm2(ks):
+            return mpmath.fsum((mpmath.mpf(f) + 2 * mpmath.pi * n) ** 2 for f, n in zip(phi, ks))
+
+        nearest = min(total(ks) for ks in shifts)
+        assert total(k) <= nearest + 1e-30
+        best = min(norm2(ks) for ks in shifts if total(ks) <= nearest + 1e-30)
+        got = math.fsum(t * t for t in theta)
+        assert abs(got - best) <= 8.0 * _EPS * got
+    moved = [i for i, n in enumerate(k) if n]
+    if moved:
+        (i,) = moved
+        ties = [j for j, v in enumerate(z) if v == z[i]]
+        if len(ties) > 1:
+            assert i == (ties[0] if k[i] < 0 else ties[-1])
+
+
+def test_centre_elements_take_the_tie_rule():
+    """omega 1 moves the first of its equal phases down by 2 pi, omega-bar 1 the last one up.
+
+    Their phases +-2 pi / 3 sum to +-2 pi, and every single move is a
+    least-norm selection; a search by the selections' norm sums would
+    pick one by the rounding of those sums.
+    """
+    f = cmath.phase(_OMEGA)
+    assert factorlog._least_norm_phases([_OMEGA] * 3, DEFAULT_TOL) == [f - 2.0 * math.pi, f, f]
+    assert factorlog._least_norm_phases([_OMEGA.conjugate()] * 3, DEFAULT_TOL) == [
+        -f, -f, 2.0 * math.pi - f]
+    third = 2.0 * math.pi / 3.0
+    for z, phases in ((_OMEGA, [-2.0 * third, third, third]),
+                      (_OMEGA.conjugate(), [-third, -third, 2.0 * third])):
+        log = principal_log(np.eye(3) * z).array
+        np.testing.assert_allclose(log, np.diag(phases) * 1j, atol=1e-14)
+
+
+def _branch_zero_inputs():
+    us = [random_group(seed).mat.array for seed in range(200)]
+    for name, phases in gen.HARD_FAMILIES:
+        rng = np.random.default_rng(["near_degenerate", "boundary", "cos_zero",
+                                     "near_cos_zero"].index(name) + 60)
+        us += [gen.from_phases(phases(rng), rng)[1] for _ in range(100)]
+    return us
+
+
+def test_branch_log_at_zero_is_principal_log():
+    """branch_log(u, (0, 0, 0)) gives principal_log's bytes, or its error, on Haar and hard U."""
+    for u in _branch_zero_inputs():
+        want = _outcome(lambda x: principal_log(x).array.tobytes(), u)
+        assert _outcome(lambda x: branch_log(x, (0, 0, 0)).array.tobytes(), u) == want

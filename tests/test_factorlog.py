@@ -281,6 +281,17 @@ class TestBranchLog:
             with pytest.raises(InputError, match="2\\*\\*53"):
                 LogBranch(k=(0, k, 0))
 
+    def test_numpy_integer_windings_kept_as_ints(self):
+        k = LogBranch(k=(np.int64(1), np.int32(0), np.int8(-1))).k
+        assert k == (1, 0, -1) and all(type(x) is int for x in k)
+        u = random_group(33).mat
+        assert _bytes(branch_log(u, (np.int64(1), 0, -1))) == _bytes(branch_log(u, (1, 0, -1)))
+
+    def test_bool_windings_refused(self):
+        for k in ((True, 0, 0), (0, False, 0), (np.bool_(True), 0, 0)):
+            with pytest.raises(InputError, match="three integers"):
+                LogBranch(k=k)
+
     def test_winding_within_double_precision_round_trips(self):
         u = random_group(3).mat
         for k in ((10**4, 0, 0), (0, -10**4, 0)):

@@ -41,5 +41,8 @@ def test_unrun_statements_lists_what_one_test_file_leaves():
 
 
 def test_code_lines_prints_a_count():
-    out = _run(ROOT / "tools" / "code_lines.py").strip()
-    assert out.isdigit() and int(out) > 0
+    *modules, total = _run(ROOT / "tools" / "code_lines.py").strip().splitlines()
+    assert total.isdigit() and int(total) > 0
+    names = [line.split()[0] for line in modules]
+    assert names == sorted(p.stem for p in (ROOT / "src" / "su3kit").glob("*.py"))
+    assert sum(int(line.split()[1]) for line in modules) == int(total)

@@ -1,9 +1,11 @@
-"""Count the code lines of the su3kit package.
+"""Count the code lines of the su3kit package, per module and in total.
 
 A code line is a line of a ``.py`` file under ``src/su3kit`` that is
 not blank, not only a comment, and not part of a module, class or
 function docstring.  Docstrings are found with ``ast``, comments with
 ``tokenize``, so a ``#`` inside a string does not count as a comment.
+Prints one ``module count`` line per module, then the total alone on
+the last line.
 
     python tools/code_lines.py
 """
@@ -46,4 +48,7 @@ def code_lines(path: pathlib.Path) -> int:
 
 
 if __name__ == "__main__":
-    print(sum(code_lines(path) for path in sorted(PACKAGE.glob("*.py"))))
+    counts = {path.stem: code_lines(path) for path in sorted(PACKAGE.glob("*.py"))}
+    for name, count in counts.items():
+        print(name, count)
+    print(sum(counts.values()))

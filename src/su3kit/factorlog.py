@@ -48,19 +48,28 @@ Where it cannot vouch for its result it declines, and the eigen path
 (``_factor_parts``) runs as it would alone: ``grades._eigen_spectrum``
 runs the normal kernel once, for U's eigenvalues and the exactly
 Hermitian involutions 2 p_i p_i^H - 1 of its eigencolumns, and a unit
-is i w_i (2 p_i p_i^H - 1).  Both paths share the cascade and the rules
-after it (``_route_parts``), on tr U and e, and the grades, built when
-read along the units (``_unit_decomposition``); the gates of the closed
-form keep its routes and errors the eigen path's.  About 99% of Haar U
-take the closed form.
+is i w_i (2 p_i p_i^H - 1).  Both paths take U's eigenvalues in one
+order (``grades._tie_order``), and share the route rule, the cascade
+and the rules after it (``_route_parts``), on tr U and e, and the
+grades, built when read along the units (``_unit_decomposition``); the
+gates of the closed form keep its routes and errors the eigen path's.
+About 99.6% of Haar U take the closed form, and about 97% of cos-zero
+and near-cos-zero U.
 
-When the cascade finds no factor (FactorizationFailed; an
-AmbiguousDirection is final), the ``eigen`` route takes the paper's
-invariant decomposition of log U instead: the least-norm traceless
+The route follows from tr U alone.  In the near-cos-zero band, where
+|g0| is above g0_zero_tol but |g0| fact_tol under _CF_G0_MARGIN eps
+(``_near_cos_zero``), the simple route's rounding, not U, would decide
+whether the closing factor passes, so the ``eigen`` route runs at once.
+Elsewhere it runs when the cascade finds no factor (FactorizationFailed;
+an AmbiguousDirection is final).  The ``eigen`` route takes the paper's
+invariant decomposition of log U: the least-norm traceless
 selection theta of U's eigenphases shifted by 2 pi k, k in
-{-1, 0, 1}^3, gives the parts (i theta_i / 2)(2 P_i - 1).  Two
-eigenvalues within sin_zero_tol of -1 make it refuse with
-AmbiguousDirection (see ``_least_norm_phases``).
+{-1, 0, 1}^3, gives the parts (i theta_i / 2)(2 P_i - 1), and divides
+by no g0.  Two eigenvalues within sin_zero_tol of -1 make it refuse
+with AmbiguousDirection (see ``_least_norm_phases``).  At cos zero
+itself (|g0| at most g0_zero_tol) U has the eigenvalue -1 and a pair
+of equal imaginary parts, which the one order sorts by real part, so
+the cascade's inverse routes pick the same factors on both paths.
 
 The cascade's factors match U's eigenphases only to its own accuracy
 (about 1e-10 where a cos(beta_i) nearly vanishes), so their angles are
@@ -97,20 +106,27 @@ exp):
     log U = c2 X^2 + c1 X + c0,   X = U - c,   r_j = i theta_j / ((x_j - x_k)(x_j - x_l)),
     c2 = sum r_j,   c1 = -sum r_j (x_k + x_l),   c0 = sum r_j x_k x_l,
 
-x_j = e_j - c.  The r_j and their rows are ``invdec._lagrange_rows``',
-the one builder of Lagrange coefficients, which ``_involutions`` takes
-for ``factorize``'s units and ``branch_log``'s projectors too.  The x_j
+x_j = e_j - c (``_monomial_log``).  The r_j and their rows are
+``invdec._lagrange_rows``', the one builder of Lagrange coefficients,
+which ``_involutions`` takes for ``factorize``'s units and the
+projector form too.  The x_j
 are the roots of X's characteristic cubic (``_cubic_eigenvalues``), and
 theta the same selection and det rule as on the eigen path.  The shift
 keeps the powers of X as small as the spread of the nodes, so a
 cluster of nodes near the identity does not cancel a large X^2
-against X.  Where two roots are closer than
-_CF_MIN_GAP, where sum |r_j| exceeds _CF_MAX_COEF (the coefficients,
-and with them the rounding, grow as theta over the squared gaps), and
-where a phase rule raises, the closed form declines: the eigen path
-then runs as it would alone, so both accept the same U with the same
-errors.  About 96% of Haar U take the closed form, a pair straddling
-the cut at -1 among them.
+against X.  Where sum |r_j| exceeds _CF_MAX_COEF (the coefficients,
+and with them the rounding, grow as theta over the squared gaps: a
+pair near -1 on both sides of the cut, or cos-zero U), the log is
+taken on the same roots and phases over purified projectors, the
+branch logs' form below at k = 0 (``_projector_log``).  Lifting the
+coefficient gate instead let the monomial form round-trip to 8.2e-15
+on the cos-zero families; the projector form reaches 1.5e-15 there,
+as the eigen path does.  Where two roots are closer than _CF_MIN_GAP,
+where a phase rule raises, or where the projectors fail their rebuild
+gate, the closed form declines: the eigen path then runs as it would
+alone, so both accept the same U with the same errors.  About 96% of
+Haar U take the monomial form, a pair straddling the cut at -1 among
+them, and the rest the projector form.
 
 A branch log, of norm 9 to 20, is not taken as one polynomial: its
 error, about eps ||L||, would lie off U's eigenbasis (on 60 Haar U
@@ -124,15 +140,15 @@ eigenvector, which the turns would scale into the log; the step
 squares it away.  On the benchmark's log-haar branch logs at seeds 1
 to 8 (1600, one declined) the worst round trip is 6.9e-15 purified and
 4.4e-14 on ``_involutions``' projectors unpurified, against 9.7e-15 on
-the eigen path.  It declines where the eigen path orders the
-eigenvalues by rounding, two roots are within _CF_MIN_GAP, a phase,
-winding or direction rule raises, or the purified projectors rebuild U
-to more than _CF_BRANCH_MISS; about 99.6% of Haar U take it.
+the eigen path.  It declines where two roots are within _CF_MIN_GAP, a
+phase, winding or direction rule raises, or the purified projectors
+rebuild U to more than _CF_BRANCH_MISS; about 99.8% of Haar U take it,
+and cos-zero U too.
 The logs and ``factorize`` take the roots from one helper,
 ``_cubic_eigenvalues``, and decline at one root gap, _CF_MIN_GAP;
-``factorize`` and ``branch_log``, which follow the eigen path's
-eigenvalue order, take them in that order, behind the g0 gate
-(``_cubic_eigenvalues(..., ordered=True)``), from one read of tr U.
+``factorize`` and ``branch_log``, whose factor i and turn k_i go along
+eigenvalue i, take them in the eigen path's order
+(``_cubic_eigenvalues(..., ordered=True)``, ``grades._eigen_order``).
 
 Scalars multiply as Python complex numbers, and residual gates read
 "not x <= tol" so NaN is refused.  Public functions take a
@@ -160,7 +176,7 @@ import dataclasses
 import functools
 import math
 import numbers
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -174,11 +190,11 @@ from .errors import (
     ZeroMatrix,
 )
 from .expmap import GroupElement, _check_group, _factor_array
-from .grades import GradeDecomposition, _decomposition, _diagonal, _eigen_spectrum, _halves
+from .grades import (GradeDecomposition, _decomposition, _diagonal, _eigen_order,
+                     _eigen_spectrum, _halves, _tie_ordered)
 from .invdec import SimplePart, _involutions, _lagrange_rows
 from .smallmat import (_EPS, _EYE3, ComplexMat, _as_mat, _eigen_normal3, _finite_mat,
-                       _finite_norm, _fro, _normal_norm, _order_indices, _scalar_residual,
-                       _unchecked_mat)
+                       _finite_norm, _fro, _normal_norm, _scalar_residual, _unchecked_mat)
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _SQRT3 = math.sqrt(3.0)
@@ -240,16 +256,23 @@ class Factorization:
 
 @dataclasses.dataclass(frozen=True)
 class LogBranch:
-    """The windings k of a branch log: any three integers but bools, kept as Python ints."""
+    """The windings k of a branch log: any three integers but bools, kept as Python ints.
+
+    k is any iterable of them; anything else, an int or None among
+    them, is refused as InputError.
+    """
 
     k: tuple[int, int, int]
 
     def __post_init__(self):
+        k = self.k
+        if not isinstance(k, tuple):
+            k = tuple(k) if isinstance(k, Iterable) else ()
         # type(x) is int first: the ABC's check alone costs about a microsecond per winding
-        if len(self.k) != 3 or not all((type(x) is int or isinstance(x, numbers.Integral) and not
-                                        isinstance(x, bool)) and abs(x) <= 2**53 for x in self.k):
+        if len(k) != 3 or not all((type(x) is int or isinstance(x, numbers.Integral) and not
+                                   isinstance(x, bool)) and abs(x) <= 2**53 for x in k):
             raise InputError("branch must be three integers of magnitude at most 2**53")
-        object.__setattr__(self, "k", tuple(map(int, self.k)))
+        object.__setattr__(self, "k", tuple(map(int, k)))
 
 
 def _unitary_array(u, tol: Tolerances) -> tuple[np.ndarray, float]:
@@ -545,14 +568,39 @@ def _log_phases(e, tol: Tolerances, **what) -> list:
     return theta
 
 
+def _near_cos_zero(t: complex, tol: Tolerances) -> bool:
+    """Whether g0 = (1 + Re t) / 4, t = tr U, lies in the near-cos-zero band.
+
+    The band is |g0| above g0_zero_tol with |g0| fact_tol under
+    _CF_G0_MARGIN eps, that is |g0| under 1.1e-3 at the default
+    fact_tol.  False on NaN.
+    """
+    g0 = abs(1.0 + t.real) / 4.0
+    return g0 > tol.g0_zero_tol and g0 * tol.fact_tol < _CF_G0_MARGIN * _EPS
+
+
 def _route_parts(e, t: complex, tol: Tolerances):
     """(parts, routes) from U's ordered eigenvalues e and its trace t.
 
-    The eigen route, the invariant decomposition of log U, runs only
-    after the cascade's FactorizationFailed.  Either route's phases
-    then meet ``_det_one``, so an AmbiguousDirection of the cascade or
-    the selection comes first.
+    The route follows from tr U alone, g0 = (1 + Re t) / 4, so both
+    paths of ``factorize`` take it from the same bits:
+
+    - |g0| at most g0_zero_tol: the cascade, its inverse routes first;
+    - the near-cos-zero band (``_near_cos_zero``), |g0| above
+      g0_zero_tol but under 1.1e-3 at the default fact_tol: the eigen
+      route at once.  The simple route divides by g0, and its
+      closing factor carries a rounding residual of up to about
+      3 eps / |g0|, so there the eigenvalues' rounding, not U, would
+      decide whether the cascade succeeds;
+    - else the cascade, the simple route first.
+
+    Past the band the eigen route, the invariant decomposition of
+    log U, runs only after the cascade's FactorizationFailed.  Either
+    route's phases then meet ``_det_one``, so an AmbiguousDirection of
+    the cascade or the selection comes first.
     """
+    if _near_cos_zero(t, tol):
+        return _phase_parts(_log_phases(e, tol)), ["eigen"] * 3
     try:
         parts, routes = _cascade(e, t, tol)
     except FactorizationFailed as exc:
@@ -597,14 +645,16 @@ def _factor_parts(a: np.ndarray, dev: float, tol: Tolerances):
 # 1000 with one 0.1 to 0.2 apart on none (up to 15.4).  The logs lose
 # little to 0.1: of 2000 Haar U the principal log takes as many as at
 # 0.05, since its coefficient gate declines nearly every U with a gap
-# under 0.1, and the branch log one fewer.  The log's own gate: its Lagrange
-# coefficients r_j = i theta_j / ((e_j - e_k)(e_j - e_l)) at most
-# _CF_MAX_COEF in sum of moduli; 96.5% of Haar U pass.  factorize's:
-# |g0| fact_tol at least _CF_G0_MARGIN eps, and the factors' product within
-# _CF_FACTOR_MISS of U; 99.4% of Haar U pass, and of the first 3000 seeded
-# ones 9 fail the product gate (51 eps at most).  The branch log's: the g0
-# margin, and sum_j e_j P_j of the purified projectors within
-# _CF_BRANCH_MISS of U.  That residual is mostly the roots' error, which
+# under 0.1, and the branch log one fewer.  The monomial log's own gate: its
+# Lagrange coefficients r_j = i theta_j / ((e_j - e_k)(e_j - e_l)) at most
+# _CF_MAX_COEF in sum of moduli; 96.5% of Haar U pass, and past it the log
+# takes the projector form.  factorize's: the factors' product within
+# _CF_FACTOR_MISS of U; of the first 3000 seeded Haar U 10 fail it, and one
+# the root gap.  _CF_G0_MARGIN gates no closed form: it is the outer edge
+# of the near-cos-zero band, where both paths take the eigen route
+# (``_route_parts``).  The projector form's, for the branch log and past the
+# coefficient gate the principal log: sum_j e_j P_j of the purified projectors
+# within _CF_BRANCH_MISS of U.  That residual is mostly the roots' error, which
 # reaches the log through the phases: on 20000 seeded Haar U it was
 # 1.6 eps at the median, 2.8 at p99 and 5.2 at most, and on 2000 boundary U
 # (eigenvalues near 1 and e^{+-i r}, r 0.3 to 1.5) 1.9, 6.0 and 11.2,
@@ -661,18 +711,15 @@ def _cubic_eigenvalues(a: np.ndarray, dev: float, tol: Tolerances, ordered: bool
     the eigen path's gates refuse a, so the closed forms accept the U
     the eigen path accepts.
 
-    ordered is the prologue of ``factorize``'s and ``branch_log``'s
-    closed forms, which follow the eigen path's eigenvalue order: None
-    also where ``_g0_orders`` fails, before the cubic is solved, since
-    the kernel would order a pair by its rounding; else the roots come
-    in the kernel's order (``smallmat._order_indices``).
+    ordered is for ``factorize``'s and ``branch_log``'s closed forms,
+    which follow the eigen path's eigenvalue order: the roots come in
+    U's eigenvalue order (``grades._eigen_order``), as the eigen path's
+    eigenvalues do.
     """
     if not dev + 4.0 * _EPS <= 0.125 * min(tol.normal_tol, tol.eig_tol):
         return None
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
     t = 0j + a00 + a11 + a22
-    if ordered and not _g0_orders(t, tol):
-        return None
     n2 = t.real * t.real + t.imag * t.imag
     if not 27.0 - 18.0 * n2 + 8.0 * (t * t * t).real - n2 * n2 >= _CF_MIN_GAP**6:
         return None
@@ -685,27 +732,17 @@ def _cubic_eigenvalues(a: np.ndarray, dev: float, tol: Tolerances, ordered: bool
     if not min(abs(x[1] - x[2]), abs(x[2] - x[0]), abs(x[0] - x[1])) >= _CF_MIN_GAP:
         return None
     e = [v + c for v in x]
-    return t, ([e[i] for i in _order_indices(e)] if ordered else e)
-
-
-def _g0_orders(t: complex, tol: Tolerances) -> bool:
-    """Whether |g0| fact_tol is at least _CF_G0_MARGIN eps, g0 = (1 + Re t) / 4, t = tr a.
-
-    With det a = 1, two eigenvalues of equal imaginary part put the
-    third at -1, where g0 = 0, and the normal kernel orders such a pair
-    by its rounding; past this gate the closed forms' roots take the
-    kernel's order (``smallmat._order_indices``).  False on NaN.
-    """
-    return abs(1.0 + t.real) / 4.0 * tol.fact_tol >= _CF_G0_MARGIN * _EPS
+    return t, ([e[i] for i in _eigen_order(e)] if ordered else e)
 
 
 def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
     """``_factor_parts`` of a from its characteristic cubic, no eigensolver; None if it declines.
 
-    The roots come in the normal kernel's order (``_cubic_eigenvalues``
-    ordered), so factor i stays factor i, and the cascade, the eigen route,
-    ``_pinned`` and ``_det_one`` run on them and tr a as on the eigen
-    path's (``_route_parts``).  The projector onto e_i is Lagrange's
+    The roots come in U's eigenvalue order (``_cubic_eigenvalues``
+    ordered), as the eigen path's eigenvalues, so factor i stays factor
+    i, and the route rule, the cascade, the eigen route, ``_pinned`` and
+    ``_det_one`` run on them and tr a as on the eigen path's
+    (``_route_parts``).  The projector onto e_i is Lagrange's
     polynomial in U (Higham, Functions of Matrices, 2008, ch. 1),
 
         P_i = (U - e_j)(U - e_k) / ((e_i - e_j)(e_i - e_k)),
@@ -717,16 +754,6 @@ def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
     None leaves a to the eigen path, which then runs as it would alone,
     so both accept the same U with the same routes and errors:
 
-    - where |g0| fact_tol < _CF_G0_MARGIN eps, g0 = (1 + Re tr a) / 4,
-      that is |g0| < 1.1e-3 at the default fact_tol.  The simple route
-      divides by g0: its closing factor carries a rounding residual of
-      up to about 3 eps / |g0|, which this keeps over 100 times under
-      fact_tol.  Nearer, the eigenvalues' rounding, not U, decides
-      whether the closing factor passes (the near-cos-zero band).  And
-      with det a = 1 two eigenvalues of equal imaginary part put the
-      third at -1, where g0 = 0; the kernel orders such a pair by its
-      rounding.  Past this gate and the next the imaginary parts are
-      at least 4e-4 apart at the default fact_tol;
     - where two roots are closer than _CF_MIN_GAP, most of them decided
       from tr a alone (``_cubic_eigenvalues``);
     - where any rule of the cascade or the eigen route raises;
@@ -787,13 +814,48 @@ def factorize(u, tol: Tolerances = DEFAULT_TOL) -> Factorization:
 
 
 def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray | None:
-    """principal_log of a unitary a as a degree-2 polynomial in a, made skew; None if not vouched for.
+    """principal_log of a unitary a from its characteristic cubic, no eigensolver; None if declined.
 
     a's eigenvalues come from its characteristic cubic
     (``_cubic_eigenvalues``), and ``_log_phases`` acts on them as on
-    the eigen path's eigenvalues.  The
-    log is sum_j i theta_j P_j with Lagrange's projectors P_j (Higham,
-    Functions of Matrices, 2008, ch. 1), which is
+    the eigen path's eigenvalues.  On those roots and phases the log is
+    taken in the monomial form (``_monomial_log``), and where its
+    coefficient gate declines, in the purified projector form
+    (``_projector_log``): one cubic per call.  At k = 0 the order of
+    the roots does not matter.
+
+    None leaves a to the eigen path (``_log_sum``): where two roots are
+    closer than _CF_MIN_GAP, where the phase rules raise, so the eigen
+    path refuses with its own error, where ``_cubic_eigenvalues``
+    cannot take dev as the proof that a is normal, and where both forms
+    decline.
+    """
+    spectrum = _log_spectrum(a, dev, tol)
+    if spectrum is None:
+        return None
+    t, e, theta = spectrum
+    m = _monomial_log(a, t, e, theta)
+    return _projector_log(a, e, theta) if m is None else m
+
+
+def _log_spectrum(a: np.ndarray, dev: float, tol: Tolerances):
+    """(tr a, a's roots, their least-norm traceless phases) for the closed log; None if declined."""
+    roots = _cubic_eigenvalues(a, dev, tol)
+    if roots is None:
+        return None
+    t, e = roots
+    try:
+        return t, e, _log_phases(e, tol)
+    except NumericalError:
+        return None
+
+
+def _monomial_log(a: np.ndarray, t: complex, e, theta) -> np.ndarray | None:
+    """sum_j i theta_j P_j as a degree-2 polynomial in a, made skew; None past its coefficient gate.
+
+    t is tr a and e its eigenvalues.  The log is sum_j i theta_j P_j
+    with Lagrange's projectors P_j (Higham, Functions of Matrices,
+    2008, ch. 1), which is
 
         r_0 (x - x_1)(x - x_2) + r_1 (x - x_0)(x - x_2) + r_2 (x - x_0)(x - x_1),
         r_j = i theta_j / ((x_j - x_k)(x_j - x_l)),
@@ -811,22 +873,10 @@ def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray |
     pi, exp_su3 then this gave B back to 3.2 eps max(1, ||B||) at
     worst, and to 11.6 unshifted.
 
-    None leaves a to the eigen path (``_log_sum``): where two roots are
-    closer than _CF_MIN_GAP, where sum |r_j| exceeds _CF_MAX_COEF
-    (two close eigenvalues on phases far apart, such as a pair near -1
-    on both sides of the cut, whose log is ill-conditioned), where the
-    phase rules raise, so the eigen path refuses with its own error,
-    and where ``_cubic_eigenvalues`` cannot take dev as the proof that
-    a is normal.
+    None where sum |r_j| exceeds _CF_MAX_COEF: two close eigenvalues
+    on phases far apart, such as a pair near -1 on both sides of the
+    cut, or cos-zero U, whose log is ill-conditioned.
     """
-    roots = _cubic_eigenvalues(a, dev, tol)
-    if roots is None:
-        return None
-    t, e = roots
-    try:
-        theta = _log_phases(e, tol)
-    except NumericalError:
-        return None
     c = t / 3.0
     # the rows of (i theta_j / 2) P_j: the log's, halved
     (r0, p0, q0), (r1, p1, q1), (r2, p2, q2) = _lagrange_rows(
@@ -865,14 +915,10 @@ def _turns(theta, k, tol: Tolerances, floor: float) -> list:
     return [0.0 + u0 - u1 - u2, 0.0 - u0 + u1 - u2, 0.0 - u0 - u1 + u2]
 
 
-def _closed_form_branch(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.ndarray | None:
-    """``_log_sum`` of a unitary a from purified Lagrange projectors, no eigensolver; None if it declines.
+def _projector_log(a: np.ndarray, e, t) -> np.ndarray | None:
+    """sum_j i t_j P_j over a's eigenvalues e from purified Lagrange projectors; None past its gate.
 
-    The roots come in the normal kernel's order (``_cubic_eigenvalues``
-    ordered), so turn k_i goes along the eigenvalue the eigen path turns it
-    along, and ``_log_phases`` and ``_turns`` give the phases t as
-    there.  The log is
-    sum_j i t_j P_j.  The projectors come as the skew involutions
+    The projectors come as the skew involutions
     Z_j = i (2 P_j - 1) of Lagrange's polynomials (``invdec._involutions``),
     purified once by McWeeny's step P <- 3 P^2 - 2 P^3 (Rev. Mod. Phys.
     32, 335, 1960), which on Z_j is Z_j (Z_j^2 + 3) / 2.  With
@@ -881,30 +927,10 @@ def _closed_form_branch(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.nda
         log = i sum t / 2 + sum_j t_j Y_j / 4,   sum_j e_j P_j = sum e / 2 - i sum_j e_j Y_j / 4,
 
     both from one (2, 4) by (4, 9) product over the Y_j and 1, and the
-    log is made exactly skew.
-
-    None leaves a to the eigen path, which then runs as it would alone,
-    so both accept the same U and refuse it with the same errors:
-
-    - where ``_g0_orders`` fails: the eigen path orders a pair of equal
-      imaginary parts by rounding;
-    - where two roots are closer than _CF_MIN_GAP, or dev is not the
-      proof that a is normal (``_cubic_eigenvalues``);
-    - where a phase rule raises, or a turn goes along a part whose sine
-      is within twice sin_zero_tol, so that the eigen path's phases,
-      not these, decide MissingDirection;
-    - where the purified projectors rebuild a to more than
-      _CF_BRANCH_MISS.  That residual vouches for the roots and the
-      projectors.
+    log is made exactly skew.  None where the purified projectors
+    rebuild a to more than _CF_BRANCH_MISS.  That residual vouches for
+    the roots and the projectors.
     """
-    roots = _cubic_eigenvalues(a, dev, tol, ordered=True)
-    if roots is None:
-        return None
-    _, e = roots
-    try:
-        t = _turns(_log_phases(e, tol), k, tol, 2.0 * tol.sin_zero_tol)
-    except NumericalError:
-        return None
     inv = _involutions(a, e, (1j, 1j, 1j))
     # rows Y_0, Y_1, Y_2 and 1, weighted by one (2, 4) row pair
     y = np.empty((4, 3, 3), dtype=np.complex128)
@@ -921,6 +947,37 @@ def _closed_form_branch(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.nda
     return m - m.conj().T
 
 
+def _closed_form_branch(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.ndarray | None:
+    """``_log_sum`` of a unitary a from purified Lagrange projectors, no eigensolver; None if it declines.
+
+    The roots come in U's eigenvalue order (``_cubic_eigenvalues``
+    ordered), as the eigen path's eigenvalues, so turn k_i goes along
+    the eigenvalue the eigen path turns it along, and ``_log_phases``
+    and ``_turns`` give the phases t as there.  The log is
+    sum_j i t_j P_j (``_projector_log``).
+
+    None leaves a to the eigen path, which then runs as it would alone,
+    so both accept the same U and refuse it with the same errors:
+
+    - where two roots are closer than _CF_MIN_GAP, or dev is not the
+      proof that a is normal (``_cubic_eigenvalues``);
+    - where a phase rule raises, or a turn goes along a part whose sine
+      is within twice sin_zero_tol, so that the eigen path's phases,
+      not these, decide MissingDirection;
+    - where the purified projectors rebuild a to more than
+      _CF_BRANCH_MISS.
+    """
+    roots = _cubic_eigenvalues(a, dev, tol, ordered=True)
+    if roots is None:
+        return None
+    _, e = roots
+    try:
+        t = _turns(_log_phases(e, tol), k, tol, 2.0 * tol.sin_zero_tol)
+    except NumericalError:
+        return None
+    return _projector_log(a, e, t)
+
+
 def _log_sum(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.ndarray:
     """The eigen path: the principal part logs plus 2 pi k_i turns along part i, made exactly skew.
 
@@ -930,10 +987,12 @@ def _log_sum(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.ndarray:
     sin_zero_tol of -1 are AmbiguousDirection (``_least_norm_phases``),
     and a det other than 1 is FactorizationFailed (``_det_one``); the
     turns' rules are ``_turns``'.  dev is a's measured unitarity
-    residual (``_normal_norm``).
+    residual (``_normal_norm``).  The eigenvalues go in U's eigenvalue
+    order (``grades._tie_order``), as the closed branch log's roots.
     """
     e, p, ph = _eigen_normal3(a, _normal_norm(a, tol, dev), tol)
-    theta = _log_phases(e.tolist(), tol)
+    e, p, ph = _tie_ordered(e.tolist(), p, ph)
+    theta = _log_phases(e, tol)
     m = (p * (1j * np.array(_turns(theta, k, tol, tol.sin_zero_tol)))) @ ph
     return (m - m.conj().T) * complex(0.5)
 
@@ -943,13 +1002,14 @@ def principal_log(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
 
     The traceless log of least norm, taken from u's eigenphases: the
     sum of the parts of the eigen route.  It is computed in closed
-    form, as a degree-2 polynomial in u whose Lagrange coefficients
-    come from the roots of u's characteristic cubic
-    (``_closed_form_log``).  Where that cannot vouch for itself (two
-    eigenvalues within _CF_MIN_GAP, coefficients above _CF_MAX_COEF, or
-    a phase rule refusing), the eigen path (``_log_sum``) runs as it
-    would alone, so both accept the same u and refuse it with the same
-    error.
+    form from the roots of u's characteristic cubic
+    (``_closed_form_log``): as a degree-2 polynomial in u whose
+    Lagrange coefficients come from those roots, or, where the
+    coefficients exceed _CF_MAX_COEF, over the purified projectors.
+    Where neither can vouch for itself (two eigenvalues within
+    _CF_MIN_GAP, the projectors' rebuild gate, or a phase rule
+    refusing), the eigen path (``_log_sum``) runs as it would alone,
+    so both accept the same u and refuse it with the same error.
     """
     a, dev = _unitary_array(u, tol)
     m = _closed_form_log(a, dev, tol)
@@ -968,7 +1028,7 @@ def branch_log(u, branch: LogBranch, tol: Tolerances = DEFAULT_TOL) -> ComplexMa
     same u and refuse it with the same error.  k = 0 is
     ``principal_log(u, tol)``: the same bytes and the same errors.
     """
-    k = (branch if isinstance(branch, LogBranch) else LogBranch(k=tuple(branch))).k
+    k = (branch if isinstance(branch, LogBranch) else LogBranch(k=branch)).k
     if not any(k):
         return principal_log(u, tol)
     a, dev = _unitary_array(u, tol)

@@ -24,7 +24,9 @@ and the real scalars h_i, s_i of H_i and S_i from tr U and e alone,
 once for ``factorlog``'s cascade and for the grades.
 ``_eigen_spectrum`` runs the normal kernel once and returns tr U, e
 and the kernel's involutions 2 p_i p_i^H - 1, what
-``split_HS`` and ``factorlog``'s eigen path run on.  ``_decomposition``
+``split_HS`` and ``factorlog``'s eigen path run on, in U's eigenvalue
+order (``_tie_order``), which ``factorlog``'s closed forms give their
+roots too, so H_i and factor i go along the same eigenvalue.  ``_decomposition``
 builds the grade matrices and the H_i/S_i from U, tr U, e and the
 three involutions 2 P_i - 1, wherever those come from: ``split_HS``
 takes the kernel's, and ``factorlog`` those of its units, on the eigen
@@ -40,7 +42,8 @@ import dataclasses
 import numpy as np
 
 from .errors import DimensionMismatch
-from .smallmat import _EYE3, ComplexMat, _as_mat, _eigen_normal3, _finite_mat, _normal_norm
+from .smallmat import (_EYE3, ComplexMat, _as_mat, _eigen_normal3, _finite_mat, _normal_norm,
+                       _order_indices)
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -141,10 +144,54 @@ def _diagonal(t: complex, e) -> tuple:
     return g0, g6, [0.5 * (x.real - z.real) for x in d], [0.5 * (x.imag - z.imag) for x in d]
 
 
+# imaginary parts of U's eigenvalues this close count as equal in their order
+_TIE_BAND = 1e-9
+
+
+def _tie_order(e, idx: list) -> list:
+    """idx, the key order of e (``smallmat._order_indices``), with U's tie band applied.
+
+    U's eigenvalues go by imaginary part descending, and where two
+    imaginary parts are within _TIE_BAND, by real part descending.  At
+    cos zero (g0 = 0) a special unitary U has the eigenvalue -1 and a
+    pair e^{ia}, e^{i(pi - a)} of equal imaginary parts, which the key
+    order would leave to rounding; in the band their real parts,
+    2 |cos a| apart, decide, the same on the kernel's eigenvalues and
+    on the closed forms' roots.  So ``split_HS``, ``factorize``'s two
+    paths and the logs' windings all take this order.  The adjacent
+    pairs (0, 1), (1, 2), (0, 1) of idx swap where they lie within the
+    band and their real parts run upward.  ``smallmat``'s public order
+    stays the key order: there the band would let rounding order
+    spectra whose real parts are noise, such as su(3) elements'.
+    """
+    i, j, k = idx
+    if e[i].imag - e[j].imag > _TIE_BAND and e[j].imag - e[k].imag > _TIE_BAND:
+        return idx  # no pair within the band: the common case, at half the cost
+    for pos in (0, 1, 0):
+        i, j = idx[pos], idx[pos + 1]
+        if abs(e[i].imag - e[j].imag) <= _TIE_BAND and e[i].real < e[j].real:
+            idx[pos], idx[pos + 1] = j, i
+    return idx
+
+
+def _eigen_order(e) -> list:
+    """The indices that put U's eigenvalues e in their order (``_tie_order``)."""
+    return _tie_order(e, _order_indices(e))
+
+
+def _tie_ordered(e: list, p: np.ndarray, ph: np.ndarray) -> tuple:
+    """The normal kernel's (e, p, p^H), e as a list, in U's eigenvalue order (``_tie_order``)."""
+    idx = _tie_order(e, [0, 1, 2])
+    if idx == [0, 1, 2]:
+        return e, p, ph
+    return [e[i] for i in idx], p[:, idx], ph[idx]
+
+
 def _eigen_spectrum(a: np.ndarray, tol: Tolerances, dev: float | None = None) -> tuple:
     """(tr a, a's eigenvalues, the involutions 2 p_i p_i^H - 1) of a 3x3 normal array.
 
-    The eigenvalues and the columns p_i are the normal kernel's.  The
+    The eigenvalues and the columns p_i are the normal kernel's, in U's
+    eigenvalue order (``_tie_order``).  The
     involutions are assembled from real and imaginary blocks: a direct
     complex outer product can pick up ~1e-20 imaginary dirt on the
     diagonal when the compiler contracts the multiply into FMAs, and
@@ -153,12 +200,13 @@ def _eigen_spectrum(a: np.ndarray, tol: Tolerances, dev: float | None = None) ->
     """
     if a.shape != (3, 3):
         raise DimensionMismatch(f"expected a 3x3 matrix, got {a.shape[0]}x{a.shape[1]}")
-    e, p, _ = _eigen_normal3(a, _normal_norm(a, tol, dev), tol)
+    e, p, ph = _eigen_normal3(a, _normal_norm(a, tol, dev), tol)
+    e, p, _ = _tie_ordered(e.tolist(), p, ph)
     # row i of vr, vi is column p_i; the stack of the p_i p_i^H
     vr, vi = p.real.T, p.imag.T
     re = vr[:, :, None] * vr[:, None, :] + vi[:, :, None] * vi[:, None, :]
     im = vi[:, :, None] * vr[:, None, :] - vr[:, :, None] * vi[:, None, :]
-    return complex(np.trace(a)), e.tolist(), 2.0 * (re + 1j * im) - _EYE3
+    return complex(np.trace(a)), e, 2.0 * (re + 1j * im) - _EYE3
 
 
 def _decomposition(a: np.ndarray, t: complex, e, involutions) -> GradeDecomposition:

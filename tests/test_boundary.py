@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from su3kit.errors import NonFiniteEntries, Overflow, Su3KitError
 from su3kit.expmap import (GroupElement, exp_simple, exp_su3, family_element,
                            invariant_combination)
-from su3kit.factorlog import (branch_log, factorize, normalize, principal_log,
+from su3kit.factorlog import (LogBranch, branch_log, factorize, normalize, principal_log,
                               principal_log_factor, rms_norm)
 from su3kit.gellmann import exp_gellmann, exp_gellmann8
 from su3kit.grades import ccos_ssin, grade0, grade2, grade4, grade6, split_HS
@@ -223,6 +223,18 @@ _SCALES = [5e-324, 1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e100, 1e150, 1e154, 1e300, _
 _EDGES = [math.nan, math.inf, -math.inf]
 
 
+_WINDING = st.integers(-1, 1)
+# branch arguments: three windings, or what is not three integers
+_BRANCHES = st.one_of(
+    st.tuples(_WINDING, _WINDING, _WINDING),
+    st.tuples(_WINDING, _WINDING, _WINDING).map(list),
+    st.integers(-2, 2), st.none(), st.text(max_size=3), st.floats(allow_nan=True),
+    st.booleans(), st.tuples(_WINDING, _WINDING), st.tuples(*4 * [_WINDING]),
+    st.tuples(st.tuples(_WINDING, _WINDING, _WINDING)),
+    st.tuples(_WINDING, st.tuples(_WINDING), _WINDING),
+    st.tuples(_WINDING, st.sampled_from([0.5, None, True, "1", 2**60]), _WINDING))
+
+
 @st.composite
 def _library_calls(draw):
     """A call of one library name on inputs from 5e-324 to 1.7e308, NaN or +-inf.
@@ -235,6 +247,9 @@ def _library_calls(draw):
     su(3) element.  An entry or an angle at times takes an edge value.
     decompose_closed_form takes the element's own lambdas where
     lambda_roots gives them, or lambdas in the scale's square.
+    branch_log and LogBranch take three windings, or a branch that is
+    not three integers: an int, None, a string, a float, a bool, a
+    nested tuple, or two or four windings.
     """
     name = draw(st.sampled_from(sorted(_LIBRARY_NAMES)))
     scale = draw(st.one_of(st.sampled_from(_SCALES), st.floats(5e-324, _BIG)))
@@ -259,7 +274,7 @@ def _library_calls(draw):
     parts = _parts(seed % 1000, draw(st.sampled_from([1e-3, 1.0, 10.0, 1e3])))
     return name, SimpleNamespace(b=b, m=m, m2=m2, lams=lams, angle=angle, parts=parts,
                                  a=1 + seed % 7, u=draw(st.sampled_from([u, m])),
-                                 k=draw(st.tuples(*3 * [st.integers(-1, 1)])))
+                                 k=draw(_BRANCHES))
 
 
 _LIBRARY_NAMES = {
@@ -277,6 +292,7 @@ _LIBRARY_NAMES = {
     "family_element": lambda x: family_element(x.parts, (x.angle, 1.0, -x.angle)),
     "principal_log": lambda x: principal_log(x.u),
     "branch_log": lambda x: branch_log(x.u, x.k),
+    "LogBranch": lambda x: LogBranch(x.k),
     "factorize": lambda x: factorize(x.u),
     "exp_su3": lambda x: exp_su3(x.b),
     "exp_simple": lambda x: exp_simple(x.parts[x.a % 3]),

@@ -187,10 +187,6 @@ def test_branch_log_agrees_with_the_eigen_path(seed, k, family):
     assert np.linalg.norm(closed - want) <= 8.0 * _EPS * scale
 
 
-def _g0_zero(rng):
-    return _group([math.pi, 1.3, -math.pi - 1.3], rng)  # cos-zero: an eigenvalue at -1
-
-
 def _near_double(rng):
     return _group([1.0, 1.0 + 1e-3, -2.0 - 1e-3], rng)
 
@@ -202,8 +198,6 @@ def _small_phase(d):
 
 # (input, winding, the gate that declines); past each gate the eigen path gives the outcome
 _DECLINES = {
-    "g0 order gate": (_g0_zero, (1, 0, -1),
-                      lambda a: not factorlog._g0_orders(np.trace(a), DEFAULT_TOL)),
     "root gap": (_near_double, (1, 0, -1), lambda a: factorlog._cubic_eigenvalues(
         a, 0.0, DEFAULT_TOL) is None),
     "direction margin, no direction": (_small_phase(1.5e-9), (0, 1, 0), None),
@@ -222,7 +216,6 @@ def test_branch_log_declines_to_the_eigen_path(case, monkeypatch):
     g = make(np.random.default_rng(5))
     a = g.mat.array
     assert gate is None or gate(a)
-    assert factorlog._g0_orders(np.trace(a), DEFAULT_TOL) or case == "g0 order gate"
     calls = []
     kernel = factorlog._eigen_normal3
     monkeypatch.setattr(factorlog, "_eigen_normal3", lambda *args: calls.append(1) or kernel(*args))
@@ -236,6 +229,48 @@ def test_branch_log_declines_to_the_eigen_path(case, monkeypatch):
         assert got.startswith("MissingDirection")
     if case == "winding miss":
         assert got.startswith("FactorizationFailed")
+
+
+def _cos_zero_groups(n):
+    """n cos-zero U (an eigenvalue at -1) and n near-cos-zero U (one 1e-8..1e-2 from -1)."""
+    rng = np.random.default_rng(23)
+    out = []
+    for d in [0.0] * n + list(10.0 ** rng.uniform(-8.0, -2.0, n)):
+        s, p = rng.choice((-1.0, 1.0)), rng.uniform(0.3, 1.4)
+        out.append(_group([s * (math.pi + d), -s * p, -s * (math.pi + d - p)], rng))
+    return out
+
+
+def test_cos_zero_logs_take_the_closed_forms(monkeypatch):
+    """cos-zero and near-cos-zero U: principal_log past the coefficient gate takes the projector
+    form, on the one cubic it solved, and both logs run no eigensolver."""
+    solved = []
+    cubic = factorlog._complex_cubic_roots
+    monkeypatch.setattr(factorlog, "_complex_cubic_roots",
+                        lambda *args: solved.append(1) or cubic(*args))
+    monkeypatch.setattr(factorlog, "_eigen_normal3", lambda *args: pytest.fail("kernel ran"))
+    projector = 0
+    for g in _cos_zero_groups(20):
+        a = g.mat.array
+        t, e, theta = factorlog._log_spectrum(a, g._dev, DEFAULT_TOL)
+        if factorlog._monomial_log(a, t, e, theta) is None:
+            projector += 1
+            want = factorlog._projector_log(a, e, theta).tobytes()
+            solved.clear()
+            assert principal_log(g).array.tobytes() == want and solved == [1]
+        assert np.array_equal(branch_log(g, (1, 0, -1)).array,
+                              factorlog._closed_form_branch(a, g._dev, (1, 0, -1), DEFAULT_TOL))
+    assert projector >= 18
+
+
+def test_branch_order_at_cos_zero_is_the_eigen_paths():
+    """The closed branch log turns the same eigenvalues as the eigen path at cos zero, where the
+    key order would leave two equal imaginary parts to rounding (``grades._tie_order``)."""
+    for g in _cos_zero_groups(20):
+        for k in ((1, 0, -1), (0, 1, 0), (1, 1, 0)):
+            closed = factorlog._closed_form_branch(g.mat.array, g._dev, k, DEFAULT_TOL)
+            want = _eigen_branch(g, k)
+            assert np.linalg.norm(closed - want) <= 8.0 * _EPS * _branch_condition(want)
 
 
 def test_branch_log_skips_the_eigensolver_on_haar_u(monkeypatch):

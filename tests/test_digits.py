@@ -11,14 +11,19 @@ The exact principal log of U is i sum theta_j P_j over U's eigenvalues
 and projectors at 40 digits, theta U's eigenphases shifted by 2 pi k,
 k in {-1, 0, 1}^3, of sum nearest 0 and, among those, of least norm:
 su3kit's traceless least-norm rule.  On random_group(0..149) the closed
-form (142 U) reached a median of 1.1 and a max of 3.7 eps
-max(1, ||L||), the eigen path (8 U) 1.5 and 2.8.  On the near-cut
+monomial form (142 U) reached a median of 1.1 and a max of 3.7 eps
+max(1, ||L||), the projector form, where the monomial form's
+coefficient gate declines (8 U), 1.0 and 2.8.  On the near-cut
 family (a pair of eigenvalues on both sides of -1, 1e-12 to 1e-1 from
 it) every U takes the eigen path.  Its log is ill-conditioned: an eps
 in U moves L by up to kappa eps, kappa = max |theta_i - theta_j| /
 |e_i - e_j|, about 2 pi over the pair's gap, so the bound there is
 multiplied by kappa; the eigen path (57 U, 3 refused) reached a median
-of 0.14 and a max of 0.6 in those units.
+of 0.14 and a max of 0.6 in those units.  The projector form is judged
+in those units too, on cos-zero U (26 of 50), the near-cos-zero stream
+(58 of 100) and random_group(0..999) (40): medians 0.22, 0.25 and
+0.13, maxima 0.67, 0.57 and 0.92, and unscaled at most 2.4, 9.3 and
+4.5 eps max(1, ||L||).
 
 A branch log turns phase j by 2 pi n_j, n_j = sum_i k_i sign(theta_i)
 sigma_ij with sigma_ij = 1 where i = j and -1 elsewhere (part i's sign
@@ -37,12 +42,13 @@ eps in U moves P_i by eps over its gap (unscaled, a vanishing-g0 U with
 a gap of 0.034 reached 31); the product against U in eps max(1, ||U||).
 Medians and maxima of the factors: random_group(0..149), all
 simple/simple/closing, 1.24 and 2.83; 150 boundary U 0.75 and 1.73;
-50 cos-zero U 1.29 and 2.61 (inv_b, 23) and 1.07 and 1.95 (simple/inv_a,
-27); the 100 near-cos-zero U 1.33 and 3.14 (eigen, 71) and 1.12 and
-2.40 (simple, 29); 50 vanishing-g0 U 1.18 and 2.91 (inv_b, 26) and
-1.11 and 2.74 (simple/inv_a, 24).  The products reached 5.93 at most.
-The figures were the same, to the two digits given, when the cascade
-still normalized and checked a candidate triple per route.
+50 cos-zero U 1.59 and 2.81 (inv_b, 23) and 1.42 and 1.99 (simple/inv_a,
+27); the 100 near-cos-zero U, all on the eigen route, 1.71 and 3.49;
+50 vanishing-g0 U 1.68 and 3.22 (inv_b, 26) and 1.27 and 2.87
+(simple/inv_a, 24).  The products reached 9.03 at most.  Most of these
+U take the closed form; when the eigen path still took the cos-zero
+families, the cascade's factors reached 2.61 and 2.91 and the products
+5.93.
 
 The closed forms' eigenvalues, the roots of the characteristic cubic of
 U - tr U / 3 (``factorlog._cubic_eigenvalues``), are judged against
@@ -80,7 +86,7 @@ from test_factor_eigenbasis import _family, near_cos_zero_stream
 from su3kit import factorlog
 from su3kit.bench import _regime_inputs
 from su3kit.errors import DegenerateLambdas, Su3KitError
-from su3kit.expmap import exp_su3
+from su3kit.expmap import GroupElement, exp_su3
 from su3kit.factorlog import factorize, principal_log
 from su3kit.invdec import decompose_closed_form, decompose_via_eigen, lambda_roots
 from su3kit.oracle import exp_reference, random_algebra, random_group
@@ -140,18 +146,33 @@ def _exact_log(u: np.ndarray) -> tuple[np.ndarray, float]:
         return np.array([[complex(log[x, y]) for y in range(3)] for x in range(3)]), kappa
 
 
-def _log_errors(groups, conditioned: bool) -> dict:
-    """Each route's errors against the 40-digit log in eps max(1, ||L||), times kappa if conditioned."""
-    errors = {"closed": [], "eigen": []}
+def _log_route(g) -> str:
+    """The form principal_log takes on g: "monomial", "projector" or "eigen"."""
+    a = g.mat.array
+    spectrum = factorlog._log_spectrum(a, g._dev, DEFAULT_TOL)
+    if spectrum is None:
+        return "eigen"
+    t, e, theta = spectrum
+    if factorlog._monomial_log(a, t, e, theta) is not None:
+        return "monomial"
+    return "eigen" if factorlog._projector_log(a, e, theta) is None else "projector"
+
+
+def _log_errors(groups, conditioned: bool, routes=("monomial", "projector", "eigen")) -> dict:
+    """The errors of the routes named against the 40-digit log, in eps max(1, ||L||), times
+    kappa if conditioned."""
+    errors = {route: [] for route in routes}
     for g in groups:
+        route = _log_route(g)
+        if route not in errors:
+            continue
         try:
             got = principal_log(g).array
         except Su3KitError:
             continue  # the refusals are the eigen path's (tests/test_closed_log.py)
-        closed = factorlog._closed_form_log(g.mat.array, g._dev, DEFAULT_TOL) is not None
         want, kappa = _exact_log(g.mat.array)
         unit = EPS * max(1.0, np.linalg.norm(want)) * (kappa if conditioned else 1.0)
-        errors["closed" if closed else "eigen"].append(np.linalg.norm(got - want) / unit)
+        errors[route].append(np.linalg.norm(got - want) / unit)
     return errors
 
 
@@ -183,8 +204,23 @@ def test_cubic_roots_within_a_few_eps_of_40_digits():
 
 def test_principal_log_within_a_few_eps_of_40_digits():
     errors = _log_errors((random_group(seed) for seed in range(150)), conditioned=False)
-    assert len(errors["closed"]) >= 140
+    assert len(errors["monomial"]) >= 140
     _check(errors)
+
+
+def test_projector_log_within_its_condition_of_40_digits():
+    """principal_log's projector form, taken where the monomial form's coefficient gate
+    declines: on cos-zero U, near-cos-zero U and the Haar U it takes, in eps max(1, ||L||)
+    kappa, kappa the log's condition, as near the cut."""
+    families = {
+        "cos_zero": [GroupElement(u) for u in _family("cos_zero")],
+        "near_cos_zero": [GroupElement(u) for u in near_cos_zero_stream()],
+        "haar": [random_group(seed) for seed in range(1000)],
+    }
+    for name, groups in families.items():
+        errors = _log_errors(groups, conditioned=True, routes=("projector",))
+        assert len(errors["projector"]) >= {"cos_zero": 20, "near_cos_zero": 50, "haar": 30}[name]
+        _check(errors)
 
 
 def test_near_cut_log_within_its_condition_of_40_digits():
@@ -254,9 +290,10 @@ def _exact_factors(u: np.ndarray, fz) -> tuple[list[np.ndarray], float]:
     arg e_m, and c_m = (theta_m - sum theta) / 2 over those phases
     theta.  The eigenvalues go in su3kit's order, taken as the one of
     the six under which the factors lie nearest: ``_order_indices``',
-    except where two imaginary parts tie (an eigenvalue at -1), which
-    rounding orders.  kappa is max(1, 1 / min |e_i - e_j|): an eps in U
-    moves P_i by up to eps over its gap.
+    except where two imaginary parts lie within ``grades._TIE_BAND``
+    (an eigenvalue at -1), where the real parts decide.  kappa is
+    max(1, 1 / min |e_i - e_j|): an eps in U moves P_i by up to eps over
+    its gap.
     """
     got = [f.array for f in fz.factors]
     with mpmath.workdps(40):

@@ -6,8 +6,9 @@ and candidate as a matrix, inverts with ``spec_inverse.inverse``, checks
 each candidate with a 3x3 unitarity residual and recovers each factor
 with ``principal_log_factor``.  Wherever it succeeds, ``factorize``
 must take the same routes and return the same factors within 1e-12.
-Where it fails, on the near-cos-zero band, the ``eigen`` route must
-return a factorization and logs within the acceptance levels.  The
+Where it fails, and on the near-cos-zero band, where it takes no
+cascade route (``spec_inverse.near_cos_zero``), the ``eigen`` route
+must return a factorization and logs within the acceptance levels.  The
 cascade no longer runs the candidate checks the spec runs, since on
 U's spectrum every route is an Euler factor by construction, so the
 spec also judges spectra that hypothesis draws, near -1 among them
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spec_inverse import inverse
+from spec_inverse import inverse, near_cos_zero
 from su3kit import factorlog, grades
 from su3kit.errors import (
     AmbiguousDirection,
@@ -91,8 +92,10 @@ def _factor_candidate(g0, g6, H, S, i, order, tol):
 
 
 def matrix_factorize(a, tol=DEFAULT_TOL):
-    """(factors, routes) of the matrix cascade; raises as it raised."""
+    """(factors, routes) of the matrix cascade; raises as it raised, and in the near-cos-zero band."""
     g = split_HS(a, tol)
+    if near_cos_zero(g.g0.array[0, 0].real, tol):
+        raise FactorizationFailed("near-cos-zero band: no cascade route applies")
     g0, g6, H, S = g.g0.array, g.g6.array, [m.array for m in g.H], [m.array for m in g.S]
     if rms_norm(g0) > tol.g0_zero_tol:
         order = ("simple", "inv_a", "inv_b", "inv2")
@@ -183,9 +186,17 @@ def near_cos_zero_stream():
 # -- tests ------------------------------------------------------------------------
 
 
+def _in_band(u) -> bool:
+    return near_cos_zero((1.0 + np.trace(u).real) / 4.0, DEFAULT_TOL)
+
+
 def _same_as_spec(u):
-    want, routes = matrix_factorize(u)
+    """The spec's routes and factors within 1e-12; in the near-cos-zero band, the eigen route."""
     fz = factorize(u)
+    if _in_band(u):
+        assert fz.routes == ("eigen",) * 3
+        return
+    want, routes = matrix_factorize(u)
     assert fz.routes == tuple(routes)
     for f, w in zip(fz.factors, want):
         assert np.linalg.norm(f.array - w) < 1e-12
@@ -372,8 +383,9 @@ def test_parts_are_the_eigen_route_selection_or_the_pinned_phases():
     assert abs(theta.sum()) < 1e-12 and compare(total, log) < 1e-12
     windings = []
     for seed in range(300):
-        routes, theta, total, log = _parts_selection(random_group(seed).mat.array)
-        assert "eigen" not in routes
+        u = random_group(seed).mat.array
+        routes, theta, total, log = _parts_selection(u)
+        assert ("eigen" in routes) == _in_band(u)
         turns = theta.sum() / (2.0 * math.pi)
         assert abs(turns - round(turns)) < 1e-12 and abs(round(turns)) <= 1
         if round(turns) == 0:
@@ -622,9 +634,11 @@ def _grade_bytes(g):
 def test_grades_built_only_on_request(monkeypatch):
     """factorize returns without the grade decomposition or a grade array.
 
-    Reading .grades of an eigen-path factorization gives split_HS's
-    bytes; the closed form's grades are checked against split_HS in
-    test_closed_factorize.
+    Reading .grades of an eigen-path factorization, here of near-double
+    spectra, which the closed form declines, gives split_HS's bytes; the
+    closed form's grades are checked against split_HS in
+    test_closed_factorize, on Haar U and, for H_i, at the near-cos-zero
+    band's edges.
     """
 
     def refuse(*args):
@@ -633,12 +647,15 @@ def test_grades_built_only_on_request(monkeypatch):
     for module in (factorlog, grades):
         monkeypatch.setattr(module, "_decomposition", refuse)
     monkeypatch.setattr(grades, "_grades", refuse)
-    haar = [random_group(seed).mat.array for seed in range(10)]
-    eigen = near_cos_zero_stream()[:10] + list(itertools.islice(_family("vanishing_g0"), 10))
-    fzs = [factorize(u) for u in haar + eigen]
+    rng = np.random.default_rng(63)
+    closed = ([random_group(seed).mat.array for seed in range(10)] + near_cos_zero_stream()[:10]
+              + list(itertools.islice(_family("vanishing_g0"), 10)))
+    eigen = [_from_phases((a, a + 1e-7, -2.0 * a - 1e-7), rng) for a in rng.uniform(-2.5, 2.5, 10)]
+    fzs = [factorize(u) for u in closed + eigen]
     assert ("eigen",) * 3 in [fz.routes for fz in fzs]
     monkeypatch.undo()
-    for u, fz in zip(eigen, fzs[len(haar):]):
+    for u, fz in zip(eigen, fzs[len(closed):]):
+        assert factorlog._closed_form_factors(u, 0.0, DEFAULT_TOL) is None
         assert _grade_bytes(fz.grades) == _grade_bytes(split_HS(u))
     for fz in fzs:
         assert fz.grades is fz.grades

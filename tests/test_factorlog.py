@@ -274,6 +274,15 @@ class TestBranchLog:
         with pytest.raises(Exception):
             LogBranch(k=(1, 2))
 
+    @pytest.mark.parametrize("branch", [5, None, "ab", "abc", 1.0, True, (1, 0), (1, 0, 0, 0),
+                                        ((1, 0, -1),), [1, [0], -1]])
+    def test_branch_not_three_integers_refused(self, branch):
+        u = random_group(3).mat
+        for call in (lambda: LogBranch(branch), lambda: branch_log(u, branch)):
+            with pytest.raises(InputError, match="three integers") as info:
+                call()
+            assert info.value.code == "invalid_input"
+
     def test_winding_bounded_by_2_53(self):
         # beyond 2**53 a winding is not exact as a float, and 2 pi k overflows from 1e308
         assert LogBranch(k=(2**53, 0, -2**53)).k == (2**53, 0, -2**53)

@@ -433,14 +433,14 @@ _DIGESTS = {
     "eigen_normal3 haar": "fc6182f552179c6d548ddfdcbae934c22dfa7eb69e596eb65027fa04787621c2",
     "eigen_normal3 algebra": "b8eb6f230b2875385eb6ccb2c60f785336911b2e428860ea018a0ed952189fcb",
     "eigen_normal3 clustered": "76d1a1b5268b3bbd08908959090bc9daa8933b1239eccfe74d94b6016f6cad07",
-    "principal_log haar": "24808fcf24707621278d6bb7d93d65273e9f03ee92189a7714a812e40e030ea2",
-    "factorize haar": "8ab06e3ef3712ee7e63f596fe4c8475289643df53ab95a657ae55d20c70ee67c",
+    "principal_log haar": "154114ecaf228ba42091c432856b604925c1eae90fbbde958901c3f427500a49",
+    "factorize haar": "16b09370c5dc3c6a5d0d5ad36e41d524f5e1c494c20291fb766d82312aa2da6f",
     "factorize parts, routes and grades haar":
-        "546fd9611bb063bcb711f070f97d1957c2c588dfee325b0010fe68eb873d60c0",
+        "7f0707a4c2bfa61fecc3e373f928867bc6200902cb08258d1a7ef7681633b0f6",
     "branch_log (1, 0, -1) haar":
-        "f293cb98caf9fada9f9664c28ae4789023ba30f0394354f2e27dde651272b092",
-    "principal_log hard": "74d68e987943fa66af50bb2ad656c9ba77d71034de758047603848d54a20749e",
-    "factorize hard": "54e866d3be6974f355c375826ca6173a4243a033c3dd80910d5c2306a5d29df3",
+        "91772cc62625253a16937def2508512efb925f60cf7824826f134cb8d2352cdb",
+    "principal_log hard": "c7e2dcc914fa918d0888b7ab879c1e913e214568e76812a84a529022a44df812",
+    "factorize hard": "a0d956ac2f9bae656f1df7b11103cc67512f5bcbf587167bf0ea5aa3e14795e9",
 }
 
 

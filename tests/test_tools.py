@@ -27,7 +27,7 @@ def test_closed_share_prints_a_row_per_family():
     assert [row.split()[0] for row in rows] == list(FAMILIES)
     for row in rows:
         n, *shares = row.split()[1:]
-        assert n == "20" and len(shares) == 4
+        assert n == "20" and len(shares) == 5
         assert all(0.0 <= float(s.rstrip("%")) <= 100.0 for s in shares)
 
 

@@ -7,11 +7,15 @@ hard-regimes stream, the near-cos-zero family from its fixed stream.
 A call takes the closed form where ``factorlog._closed_form_log``,
 ``factorlog._closed_form_branch`` or ``factorlog._closed_form_factors``
 accepts U, as ``principal_log``, ``branch_log`` and ``factorize`` call
-them; the rest run the eigen path.  The branch logs take the nonzero
+them; the rest run the eigen path.  ``principal_log`` counts as closed
+where either of its forms accepts, the monomial one or, past its
+coefficient gate, the purified projectors; the "projector" column is
+the share that takes the latter.  The branch logs take the nonzero
 windings in {-1, 0, 1}^3 in turn.  A change that moves inputs onto the
 eigen path shows up as a lower share.  The last column is the share of
 ``factorize`` calls whose ``routes`` are the ``eigen`` route's, read
-from the public ``Factorization``: where the cascade finds no factor.
+from the public ``Factorization``: in the near-cos-zero band, and where
+the cascade finds no factor.
 
     python tools/closed_share.py [--n 2000] [--seed 1]
 """
@@ -52,16 +56,29 @@ def _eigen_route(u) -> bool:
         return False
 
 
-def shares(u_list) -> tuple[float, float, float, float]:
-    """(closed log, branch log and factorize shares, eigen-route share) of the arrays in u_list."""
-    log = branch = factor = eigen = 0
-    for u, k in zip(u_list, itertools.cycle(_WINDINGS)):
-        a, dev = factorlog._unitary_array(u, DEFAULT_TOL)
-        log += factorlog._closed_form_log(a, dev, DEFAULT_TOL) is not None
-        branch += factorlog._closed_form_branch(a, dev, k, DEFAULT_TOL) is not None
-        factor += factorlog._closed_form_factors(a, dev, DEFAULT_TOL) is not None
-        eigen += _eigen_route(u)
-    return log / len(u_list), branch / len(u_list), factor / len(u_list), eigen / len(u_list)
+def _projector_log(a, dev) -> bool:
+    """Whether principal_log takes a's log over the purified projectors, its monomial form declined."""
+    spectrum = factorlog._log_spectrum(a, dev, DEFAULT_TOL)
+    if spectrum is None:
+        return False
+    t, e, theta = spectrum
+    return (factorlog._monomial_log(a, t, e, theta) is None
+            and factorlog._projector_log(a, e, theta) is not None)
+
+
+def _taken(u, k) -> tuple[bool, ...]:
+    """Whether u takes the closed log, the projector log, the closed branch log k, the closed
+    factorize and the eigen route."""
+    a, dev = factorlog._unitary_array(u, DEFAULT_TOL)
+    return (factorlog._closed_form_log(a, dev, DEFAULT_TOL) is not None, _projector_log(a, dev),
+            factorlog._closed_form_branch(a, dev, k, DEFAULT_TOL) is not None,
+            factorlog._closed_form_factors(a, dev, DEFAULT_TOL) is not None, _eigen_route(u))
+
+
+def shares(u_list) -> tuple[float, ...]:
+    """(closed log, projector log, branch log and factorize shares, eigen-route share) of u_list."""
+    rows = [_taken(u, k) for u, k in zip(u_list, itertools.cycle(_WINDINGS))]
+    return tuple(sum(col) / len(rows) for col in zip(*rows))
 
 
 def main() -> None:
@@ -69,10 +86,10 @@ def main() -> None:
     p.add_argument("--n", type=int, default=2000, help="inputs per family")
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args()
-    print("%-16s %6s %14s %11s %10s %12s"
-          % ("family", "n", "principal_log", "branch_log", "factorize", "eigen route"))
+    print("%-16s %6s %14s %10s %11s %10s %12s"
+          % ("family", "n", "principal_log", "projector", "branch_log", "factorize", "eigen route"))
     for family in ("haar",) + tuple(name for name, _ in gen.HARD_FAMILIES):
-        print("%-16s %6d %13.1f%% %10.1f%% %9.1f%% %11.1f%%"
+        print("%-16s %6d %13.1f%% %9.1f%% %10.1f%% %9.1f%% %11.1f%%"
               % (family, args.n, *(100.0 * x for x in shares(_inputs(family, args.n, args.seed)))))
 
 

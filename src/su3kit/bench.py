@@ -16,11 +16,12 @@ counted and excluded from both timing and accuracy aggregates.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _integer
 from .expmap import GroupElement, exp_su3
 from .factorlog import factorize, principal_log
 from .invdec import AlgebraElement
@@ -134,12 +135,8 @@ def run_bench(task: str, regime: str, n: int, seed: int,
         raise InputError(f"unknown task {task!r}; expected one of {TASKS}")
     if regime not in REGIMES:
         raise InputError(f"unknown regime {regime!r}; expected one of {REGIMES}")
-    n = int(n)
-    if n < 100:
-        raise InputError(f"n must be at least 100, got {n}")
-    s = int(seed)
-    if not 0 <= s < 2**63:
-        raise InputError(f"seed must be a non-negative 63-bit integer, got {seed}")
+    n = _integer(n, 100, math.inf, "n must be at least 100")
+    s = _integer(seed, 0, 2**63 - 1, "seed must be a non-negative 63-bit integer")
 
     algebra = _regime_inputs(regime, n, s, tol)
 

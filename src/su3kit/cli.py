@@ -47,7 +47,7 @@ import numpy as np
 from .bench import REGIMES, TASKS, render_table, run_bench
 from .errors import DocumentError, InputError, NumericalError
 from .expmap import _check_group, _group_residuals, exp_su3
-from .factorlog import LogBranch, branch_log, factorize, principal_log
+from .factorlog import branch_log, factorize
 from .gellmann import exp_gellmann, exp_gellmann8
 from .invdec import AlgebraElement, InvariantDecomposition, decompose_nxn, decompose_via_eigen
 from .oracle import compare, exp_reference, log_reference
@@ -385,7 +385,7 @@ def cmd_log(args, tol: Tolerances) -> str:
         branch = None
     else:
         ks = _parse_branch(args.branch) if args.branch is not None else (0, 0, 0)
-        log = principal_log(m, tol) if ks == (0, 0, 0) else branch_log(m, LogBranch(ks), tol)
+        log = branch_log(m, ks, tol)
         branch = list(ks)
     doc = {
         "method": args.method,

@@ -5,9 +5,17 @@ the required kind) and NumericalError (the data is fine but the requested
 computation is not defined or not recoverable there).  The CLI maps the
 former to exit code 2 and the latter to exit code 3; ``code`` is the
 stable machine-readable identifier used in error documents.
+
+The arguments that are not matrices (seeds, counts, scales, indices,
+angles, windings) take one rule each: an integer is any
+``numbers.Integral`` but a bool (``_is_integer``, ``_integer``), a
+real number any ``numbers.Real`` but a bool (``_is_real``).  Anything
+else is InputError, never a bare TypeError or ValueError.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class Su3KitError(Exception):
@@ -98,3 +106,34 @@ class MissingDirection(NumericalError):
 
 class FactorizationFailed(NumericalError):
     code = "factorization_failed"
+
+
+# -- arguments other than matrices --------------------------------------------
+
+def _is_integer(x) -> bool:
+    """Whether x is an integer argument: any integer but a bool."""
+    # type(x) is int first: the ABC's check alone costs about a microsecond
+    return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """Whether x is a real argument: any real number but a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _integer(x, lo: int, hi: float, what: str) -> int:
+    """x as a Python int where it is an integer (``_is_integer``) from lo to hi, else InputError.
+
+    what says what x must be; the message adds the value given.
+    """
+    if not (_is_integer(x) and lo <= x <= hi):
+        raise InputError(f"{what}, got {_shown(x)}")
+    return int(x)
+
+
+def _shown(x) -> str:
+    """repr(x) for a message; an integer past repr's digit limit by its size."""
+    try:
+        return repr(x)
+    except ValueError:  # sys.get_int_max_str_digits, 4300 by default
+        return f"an integer of {x.bit_length()} bits"

@@ -30,10 +30,11 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError, NonFiniteEntries, NotUnitary
+from .errors import DimensionMismatch, InputError, NonFiniteEntries, NotUnitary, _is_real, _shown
 from .invdec import (
     AlgebraElement,
     SimplePart,
@@ -134,9 +135,15 @@ def _factor_array(unit: np.ndarray | None, angle: float) -> np.ndarray:
 
 
 def _finite_angle(theta) -> float:
-    """theta as a float; NonFiniteEntries where it is NaN or infinite."""
-    if not math.isfinite(float(theta)):
-        raise NonFiniteEntries(f"the angle must be finite, got {theta!r}")
+    """theta as a float: InputError unless it is real, NonFiniteEntries where it is not finite.
+
+    Real is ``errors._is_real``: any real number but a bool.  NaN, +-inf
+    and an integer past a double's range are not finite.
+    """
+    if not _is_real(theta):
+        raise InputError(f"the angle must be a real number, got {_shown(theta)}")
+    if not abs(theta) <= sys.float_info.max:
+        raise NonFiniteEntries(f"the angle must be finite, got {_shown(theta)}")
     return float(theta)
 
 

@@ -33,7 +33,10 @@ its entries x (``_log_entries``).
 A factor's log is (beta, w) with unit i sum_m w_m P_m (a unit squares
 to -1); the part has a direction where sin(beta) exceeds sin_zero_tol.
 Matrices are built only for output: a unit is i w_i (2 P_i - 1), a
-factor cos(beta) 1 + sin(beta) unit.
+factor cos(beta) 1 + sin(beta) unit.  After the route rule
+(``_route_parts``) part i is one signed phase phi_i, the part
+(i phi_i / 2)(2 P_i - 1): beta_i = |phi_i| / 2 and w_i = sign(phi_i) sigma_i,
+which the factors, the parts and the grades read.
 
 So the cascade needs U's eigenvalues and, for its output, the
 involutions 2 P_i - 1, and both follow from U without an eigenbasis:
@@ -92,13 +95,16 @@ The logs do not run the cascade.  Re-signing the pinned factors' logs
 to their least-norm traceless sum gives the eigen route's selection
 over U's eigenphases, so ``principal_log`` is the sum of the eigen
 route's parts and ``branch_log`` adds 2 pi k_i turns along part i.
+Both are one construction, the log of windings k, with k = 0 for
+``principal_log``, and run through one entry (``_log``): the closed
+form (``_closed_form_log``), else the eigen path (``_log_sum``).
 U's eigenvalues alone decide which U have a log (see ``_log_sum``); a
 winding whose turns carry more rounding than fact_tol is refused.
 
 So once U's eigenvalues e_j are known, the log follows without an
 eigenbasis: log U = sum_j i theta_j P_j, and with Lagrange's projectors
-P_j that sum is one polynomial of degree 2 in U.  ``principal_log``
-first takes it in closed form, in the monomial form of the nodes
+P_j that sum is one polynomial of degree 2 in U.  The principal log
+is first taken in closed form, in the monomial form of the nodes
 shifted by c = tr U / 3 (``_closed_form_log``; Higham, Functions of
 Matrices, 2008, ch. 1; ``expmap.exp_su3`` is the same construction for
 exp):
@@ -131,10 +137,10 @@ them, and the rest the projector form.
 A branch log, of norm 9 to 20, is not taken as one polynomial: its
 error, about eps ||L||, would lie off U's eigenbasis (on 60 Haar U
 such branch logs round-tripped to 9.2e-14 at worst, against 6.8e-15 on
-the eigenbasis).  ``branch_log`` first sums i t_j P_j over the turned
-phases t (``_turns``, the eigen path's rules) and Lagrange's projectors
-P_j, built by ``invdec._involutions`` and purified once by McWeeny's
-step P <- 3 P^2 - 2 P^3 (``_closed_form_branch``).  A root off by
+the eigenbasis).  For k != 0 the closed form sums i t_j P_j over the
+turned phases t (``_turns``, the eigen path's rules) and Lagrange's
+projectors P_j, built by ``invdec._involutions`` and purified once by
+McWeeny's step P <- 3 P^2 - 2 P^3 (``_projector_log``).  A root off by
 delta leaves P_j an eigenvalue of about delta / gap on another
 eigenvector, which the turns would scale into the log; the step
 squares it away.  On the benchmark's log-haar branch logs at seeds 1
@@ -146,9 +152,11 @@ rebuild U to more than _CF_BRANCH_MISS; about 99.8% of Haar U take it,
 and cos-zero U too.
 The logs and ``factorize`` take the roots from one helper,
 ``_cubic_eigenvalues``, and decline at one root gap, _CF_MIN_GAP;
-``factorize`` and ``branch_log``, whose factor i and turn k_i go along
+``factorize`` and the branch logs, whose factor i and turn k_i go along
 eigenvalue i, take them in the eigen path's order
-(``_cubic_eigenvalues(..., ordered=True)``, ``grades._eigen_order``).
+(``_cubic_eigenvalues(..., ordered=True)``, ``grades._tie_order``), and
+both eigen paths take the kernel's in it (``grades._eigen_basis``).
+The principal log keeps Cardano's order, in which its sums round.
 
 Scalars multiply as Python complex numbers, and residual gates read
 "not x <= tol" so NaN is refused.  Public functions take a
@@ -175,7 +183,6 @@ import cmath
 import dataclasses
 import functools
 import math
-import numbers
 from collections.abc import Callable, Iterable
 
 import numpy as np
@@ -188,13 +195,14 @@ from .errors import (
     NotSimpleFactor,
     NumericalError,
     ZeroMatrix,
+    _is_integer,
 )
 from .expmap import GroupElement, _check_group, _factor_array
-from .grades import (GradeDecomposition, _decomposition, _diagonal, _eigen_order,
-                     _eigen_spectrum, _halves, _tie_ordered)
+from .grades import (GradeDecomposition, _decomposition, _diagonal, _eigen_basis, _eigen_spectrum,
+                     _halves, _tie_order)
 from .invdec import SimplePart, _involutions, _lagrange_rows
-from .smallmat import (_EPS, _EYE3, ComplexMat, _as_mat, _eigen_normal3, _finite_mat,
-                       _finite_norm, _fro, _normal_norm, _scalar_residual, _unchecked_mat)
+from .smallmat import (_EPS, _EYE3, ComplexMat, _as_mat, _finite_mat, _finite_norm, _fro,
+                       _order_indices, _scalar_residual, _unchecked_mat)
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _SQRT3 = math.sqrt(3.0)
@@ -268,9 +276,7 @@ class LogBranch:
         k = self.k
         if not isinstance(k, tuple):
             k = tuple(k) if isinstance(k, Iterable) else ()
-        # type(x) is int first: the ABC's check alone costs about a microsecond per winding
-        if len(k) != 3 or not all((type(x) is int or isinstance(x, numbers.Integral) and not
-                                   isinstance(x, bool)) and abs(x) <= 2**53 for x in k):
+        if len(k) != 3 or not all(_is_integer(x) and abs(x) <= 2**53 for x in k):
             raise InputError("branch must be three integers of magnitude at most 2**53")
         object.__setattr__(self, "k", tuple(map(int, k)))
 
@@ -526,9 +532,9 @@ def _pinned(parts, e) -> list:
     The factors' product on P is exp(i theta), theta = sum_i beta_i w_i,
     which matches U's eigenphases only to the cascade's accuracy (about
     1e-10 where a cos(beta_i) nearly vanishes).  Each phase is moved onto
-    e's; ``_phase_parts`` of theta_i - sum theta splits it again on the
-    sign patterns, since c_i = (theta_i - sum theta)/2 solves
-    sum_i c_i sigma_i = theta.  A factor keeps its route, and its angle
+    e's; the signed phases theta_i - sum theta split it again on the
+    sign patterns (``_route_parts``), since c_i = (theta_i - sum theta)/2
+    solves sum_i c_i sigma_i = theta.  A factor keeps its route, and its angle
     moves by the cascade's error.  The cascade's angles, not principal
     phases, pick the side of a phase at +-pi.
     """
@@ -549,12 +555,6 @@ def _det_one(theta, tol: Tolerances, what: str = "det u is not 1: the log's") ->
     miss = 0.5 * _SQRT3 * abs(math.remainder(sum(theta), 2.0 * math.pi))
     if not miss <= tol.fact_tol:
         raise FactorizationFailed("%s factors miss u by %.3e" % (what, miss))
-
-
-def _phase_parts(theta) -> list:
-    """The parts (|theta_i| / 2, sign(theta_i) sigma_i) of P diag(i theta) P^H: (i theta_i / 2)(2 P_i - 1)."""
-    return [(abs(t) / 2.0, [math.copysign(1.0, t) * x for x in sigma])
-            for t, sigma in zip(theta, _SIGMA)]
 
 
 def _log_phases(e, tol: Tolerances, **what) -> list:
@@ -580,7 +580,12 @@ def _near_cos_zero(t: complex, tol: Tolerances) -> bool:
 
 
 def _route_parts(e, t: complex, tol: Tolerances):
-    """(parts, routes) from U's ordered eigenvalues e and its trace t.
+    """(phi, routes) from U's ordered eigenvalues e and its trace t.
+
+    Part i is (i phi_i / 2)(2 P_i - 1): its angle is |phi_i| / 2 and
+    its sign pattern sign(phi_i) sigma_i, so the factor is
+    cos(|phi_i| / 2) 1 + sin(|phi_i| / 2) unit_i with unit i
+    i sign(phi_i) (2 P_i - 1).
 
     The route follows from tr U alone, g0 = (1 + Re t) / 4, so both
     paths of ``factorize`` take it from the same bits:
@@ -600,41 +605,41 @@ def _route_parts(e, t: complex, tol: Tolerances):
     the cascade or the selection comes first.
     """
     if _near_cos_zero(t, tol):
-        return _phase_parts(_log_phases(e, tol)), ["eigen"] * 3
+        return _log_phases(e, tol), ["eigen"] * 3
     try:
         parts, routes = _cascade(e, t, tol)
     except FactorizationFailed as exc:
-        return _phase_parts(_log_phases(e, tol, what="%s; eigen route:" % exc)), ["eigen"] * 3
+        return _log_phases(e, tol, what="%s; eigen route:" % exc), ["eigen"] * 3
     theta = _pinned(parts, e)
     _det_one(theta, tol)
     total = sum(theta)
-    return _phase_parts([t - total for t in theta]), routes
+    return [t - total for t in theta], routes
 
 
-def _stacked_factors(units: np.ndarray, parts) -> np.ndarray:
-    """The factors cos(beta_i) 1 + sin(beta_i) unit_i as one (3, 3, 3) array."""
+def _stacked_factors(units: np.ndarray, phi) -> np.ndarray:
+    """The factors cos(|phi_i| / 2) 1 + sin(|phi_i| / 2) unit_i as one (3, 3, 3) array."""
     # per factor the arithmetic of expmap._factor_array
-    cos = np.array([complex(math.cos(beta)) for beta, _ in parts])
-    sin = np.array([complex(math.sin(beta)) for beta, _ in parts])
+    cos = np.array([complex(math.cos(abs(f) / 2.0)) for f in phi])
+    sin = np.array([complex(math.sin(abs(f) / 2.0)) for f in phi])
     return _EYE3 * cos[:, None, None] + units * sin[:, None, None]
 
 
-def _unit_scales(parts, sign: complex) -> list:
-    """sign w_i over the parts (beta_i, w_i), w_i the sign of part i on its own eigenvalue."""
-    return [sign * w[i] for i, (_, w) in enumerate(parts)]
+def _unit_scales(phi, sign: complex) -> list:
+    """sign times the sign of each phi_i: unit i is i sign(phi_i) (2 P_i - 1)."""
+    return [sign * math.copysign(1.0, f) for f in phi]
 
 
 def _factor_parts(a: np.ndarray, dev: float, tol: Tolerances):
-    """(factors, units, parts, routes, (tr a, e)) of a, of unitarity residual dev, on its eigenbasis.
+    """(factors, units, phi, routes, (tr a, e)) of a, of unitarity residual dev, on its eigenbasis.
 
     The eigen path: the normal kernel's eigenvalues e and involutions
     2 p_i p_i^H - 1 (``grades._eigen_spectrum``), and the cascade on
-    tr a and e.  Unit i is i w_i (2 p_i p_i^H - 1).
+    tr a and e (``_route_parts``).  Unit i is i sign(phi_i) (2 p_i p_i^H - 1).
     """
     t, e, invols = _eigen_spectrum(a, tol, dev)
-    parts, routes = _route_parts(e, t, tol)
-    units = invols * np.array(_unit_scales(parts, 1j))[:, None, None]
-    return _stacked_factors(units, parts), units, parts, routes, (t, e)
+    phi, routes = _route_parts(e, t, tol)
+    units = invols * np.array(_unit_scales(phi, 1j))[:, None, None]
+    return _stacked_factors(units, phi), units, phi, routes, (t, e)
 
 
 # The gates of the closed forms.  All three take the roots of the shifted
@@ -711,10 +716,11 @@ def _cubic_eigenvalues(a: np.ndarray, dev: float, tol: Tolerances, ordered: bool
     the eigen path's gates refuse a, so the closed forms accept the U
     the eigen path accepts.
 
-    ordered is for ``factorize``'s and ``branch_log``'s closed forms,
+    ordered is for ``factorize``'s and the branch logs' closed forms,
     which follow the eigen path's eigenvalue order: the roots come in
-    U's eigenvalue order (``grades._eigen_order``), as the eigen path's
-    eigenvalues do.
+    U's eigenvalue order (the key order of ``smallmat._order_indices``
+    with ``grades._tie_order``'s band), as the eigen path's eigenvalues
+    do.
     """
     if not dev + 4.0 * _EPS <= 0.125 * min(tol.normal_tol, tol.eig_tol):
         return None
@@ -732,7 +738,7 @@ def _cubic_eigenvalues(a: np.ndarray, dev: float, tol: Tolerances, ordered: bool
     if not min(abs(x[1] - x[2]), abs(x[2] - x[0]), abs(x[0] - x[1])) >= _CF_MIN_GAP:
         return None
     e = [v + c for v in x]
-    return t, ([e[i] for i in _eigen_order(e)] if ordered else e)
+    return t, ([e[i] for i in _tie_order(e, _order_indices(e))] if ordered else e)
 
 
 def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
@@ -766,30 +772,29 @@ def _closed_form_factors(a: np.ndarray, dev: float, tol: Tolerances):
         return None
     t, e = roots
     try:
-        parts, routes = _route_parts(e, t, tol)
+        phi, routes = _route_parts(e, t, tol)
     except NumericalError:
         return None
-    # unit i is i w_i (2 P_i - 1), w_i the sign of part i
-    units = _involutions(a, e, _unit_scales(parts, 1j))
-    factors = _stacked_factors(units, parts)
+    units = _involutions(a, e, _unit_scales(phi, 1j))
+    factors = _stacked_factors(units, phi)
     if not _fro(factors[0] @ factors[1] @ factors[2] - a) <= _CF_FACTOR_MISS:
         return None
-    return factors, units, parts, routes, (t, e)
+    return factors, units, phi, routes, (t, e)
 
 
-def _simple_parts(units: np.ndarray, parts, tol: Tolerances) -> tuple:
-    """The parts beta_i unit_i of ``factorize``; one with no direction has no unit."""
+def _simple_parts(units: np.ndarray, phi, tol: Tolerances) -> tuple:
+    """``factorize``'s parts beta_i unit_i, beta_i = |phi_i| / 2; one with no direction has no unit."""
     return tuple(_simple_part(beta, unit if _directed(beta, tol) else None)
-                 for unit, (beta, _) in zip(units, parts))
+                 for unit, beta in zip(units, [abs(f) / 2.0 for f in phi]))
 
 
 def _unit_decomposition(a: np.ndarray, t: complex, e, units: np.ndarray,
-                        parts) -> GradeDecomposition:
+                        phi) -> GradeDecomposition:
     """The grade decomposition of a, of trace t and eigenvalues e, along 2 P_i - 1 = -i w_i unit_i.
 
     Both paths of ``factorize`` build their grades here, when read.
     """
-    signs = np.array(_unit_scales(parts, -1j))
+    signs = np.array(_unit_scales(phi, -1j))
     return _decomposition(a, t, e, units * signs[:, None, None])
 
 
@@ -806,48 +811,11 @@ def factorize(u, tol: Tolerances = DEFAULT_TOL) -> Factorization:
     decomposition the routes used, are built when read.
     """
     a, dev = _unitary_array(u, tol)
-    factors, units, parts, routes, (t, e) = (_closed_form_factors(a, dev, tol)
-                                             or _factor_parts(a, dev, tol))
+    factors, units, phi, routes, (t, e) = (_closed_form_factors(a, dev, tol)
+                                           or _factor_parts(a, dev, tol))
     return Factorization(factors=tuple(ComplexMat._wrap(f) for f in factors), routes=tuple(routes),
-                         _parts_of=functools.partial(_simple_parts, units, parts, tol),
-                         _grades_of=functools.partial(_unit_decomposition, a, t, e, units, parts))
-
-
-def _closed_form_log(a: np.ndarray, dev: float, tol: Tolerances) -> np.ndarray | None:
-    """principal_log of a unitary a from its characteristic cubic, no eigensolver; None if declined.
-
-    a's eigenvalues come from its characteristic cubic
-    (``_cubic_eigenvalues``), and ``_log_phases`` acts on them as on
-    the eigen path's eigenvalues.  On those roots and phases the log is
-    taken in the monomial form (``_monomial_log``), and where its
-    coefficient gate declines, in the purified projector form
-    (``_projector_log``): one cubic per call.  At k = 0 the order of
-    the roots does not matter.
-
-    None leaves a to the eigen path (``_log_sum``): where two roots are
-    closer than _CF_MIN_GAP, where the phase rules raise, so the eigen
-    path refuses with its own error, where ``_cubic_eigenvalues``
-    cannot take dev as the proof that a is normal, and where both forms
-    decline.
-    """
-    spectrum = _log_spectrum(a, dev, tol)
-    if spectrum is None:
-        return None
-    t, e, theta = spectrum
-    m = _monomial_log(a, t, e, theta)
-    return _projector_log(a, e, theta) if m is None else m
-
-
-def _log_spectrum(a: np.ndarray, dev: float, tol: Tolerances):
-    """(tr a, a's roots, their least-norm traceless phases) for the closed log; None if declined."""
-    roots = _cubic_eigenvalues(a, dev, tol)
-    if roots is None:
-        return None
-    t, e = roots
-    try:
-        return t, e, _log_phases(e, tol)
-    except NumericalError:
-        return None
+                         _parts_of=functools.partial(_simple_parts, units, phi, tol),
+                         _grades_of=functools.partial(_unit_decomposition, a, t, e, units, phi))
 
 
 def _monomial_log(a: np.ndarray, t: complex, e, theta) -> np.ndarray | None:
@@ -892,7 +860,8 @@ def _monomial_log(a: np.ndarray, t: complex, e, theta) -> np.ndarray | None:
 def _turns(theta, k, tol: Tolerances, floor: float) -> list:
     """The phases t of the branch k: sum_i (beta_i + 2 pi k_i) w_i over the parts (beta_i, w_i) of theta.
 
-    The parts are theta's principal parts (``_phase_parts``), so k = 0
+    The parts are theta's principal parts (i theta_i / 2)(2 P_i - 1),
+    beta_i = |theta_i| / 2 along w_i = sign(theta_i) sigma_i, so k = 0
     gives theta back.  A turn of 2 pi k_i carries an absolute error of
     about 2 pi |k_i| eps, which exp of the log passes on to u, so a
     winding whose error passes fact_tol is FactorizationFailed.  A turn
@@ -947,14 +916,20 @@ def _projector_log(a: np.ndarray, e, t) -> np.ndarray | None:
     return m - m.conj().T
 
 
-def _closed_form_branch(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.ndarray | None:
-    """``_log_sum`` of a unitary a from purified Lagrange projectors, no eigensolver; None if it declines.
+def _closed_form_log(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.ndarray | None:
+    """``_log_sum`` of a unitary a from its characteristic cubic, no eigensolver; None if declined.
 
-    The roots come in U's eigenvalue order (``_cubic_eigenvalues``
-    ordered), as the eigen path's eigenvalues, so turn k_i goes along
-    the eigenvalue the eigen path turns it along, and ``_log_phases``
-    and ``_turns`` give the phases t as there.  The log is
-    sum_j i t_j P_j (``_projector_log``).
+    a's eigenvalues come from its characteristic cubic
+    (``_cubic_eigenvalues``), and ``_log_phases`` and ``_turns`` act on
+    them as on the eigen path's eigenvalues.  For k != 0 the roots come
+    in U's eigenvalue order, so turn k_i goes along the eigenvalue the
+    eigen path turns it along, and the log is sum_j i t_j P_j over the
+    turned phases t (``_projector_log``).  At k = 0 the order does not
+    matter, and the roots stay in Cardano's: the monomial form's sum
+    r_0 + r_1 + r_2 and the projector form's rows round in root order.
+    There the log is the monomial form (``_monomial_log``), and past its
+    coefficient gate the projector form on the same roots and phases:
+    one cubic per call.
 
     None leaves a to the eigen path, which then runs as it would alone,
     so both accept the same U and refuse it with the same errors:
@@ -967,15 +942,18 @@ def _closed_form_branch(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.nda
     - where the purified projectors rebuild a to more than
       _CF_BRANCH_MISS.
     """
-    roots = _cubic_eigenvalues(a, dev, tol, ordered=True)
+    roots = _cubic_eigenvalues(a, dev, tol, ordered=any(k))
     if roots is None:
         return None
-    _, e = roots
+    t, e = roots
     try:
-        t = _turns(_log_phases(e, tol), k, tol, 2.0 * tol.sin_zero_tol)
+        theta = _log_phases(e, tol)
+        if any(k):
+            return _projector_log(a, e, _turns(theta, k, tol, 2.0 * tol.sin_zero_tol))
     except NumericalError:
         return None
-    return _projector_log(a, e, t)
+    m = _monomial_log(a, t, e, theta)
+    return _projector_log(a, e, theta) if m is None else m
 
 
 def _log_sum(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.ndarray:
@@ -987,14 +965,21 @@ def _log_sum(a: np.ndarray, dev: float, k, tol: Tolerances) -> np.ndarray:
     sin_zero_tol of -1 are AmbiguousDirection (``_least_norm_phases``),
     and a det other than 1 is FactorizationFailed (``_det_one``); the
     turns' rules are ``_turns``'.  dev is a's measured unitarity
-    residual (``_normal_norm``).  The eigenvalues go in U's eigenvalue
-    order (``grades._tie_order``), as the closed branch log's roots.
+    residual (``_normal_norm``).  The eigenvalues and columns are
+    ``grades._eigen_basis``', in U's eigenvalue order, as the ordered
+    roots of the closed branch logs.
     """
-    e, p, ph = _eigen_normal3(a, _normal_norm(a, tol, dev), tol)
-    e, p, ph = _tie_ordered(e.tolist(), p, ph)
+    e, p, ph = _eigen_basis(a, tol, dev)
     theta = _log_phases(e, tol)
     m = (p * (1j * np.array(_turns(theta, k, tol, tol.sin_zero_tol)))) @ ph
     return (m - m.conj().T) * complex(0.5)
+
+
+def _log(u, k, tol: Tolerances) -> ComplexMat:
+    """The log of u of windings k: the closed form (``_closed_form_log``), else the eigen path."""
+    a, dev = _unitary_array(u, tol)
+    m = _closed_form_log(a, dev, k, tol)
+    return ComplexMat._wrap(_log_sum(a, dev, k, tol) if m is None else m)
 
 
 def principal_log(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
@@ -1011,9 +996,7 @@ def principal_log(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
     refusing), the eigen path (``_log_sum``) runs as it would alone,
     so both accept the same u and refuse it with the same error.
     """
-    a, dev = _unitary_array(u, tol)
-    m = _closed_form_log(a, dev, tol)
-    return ComplexMat._wrap(_log_sum(a, dev, (0, 0, 0), tol) if m is None else m)
+    return _log(u, (0, 0, 0), tol)
 
 
 def branch_log(u, branch: LogBranch, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
@@ -1023,14 +1006,9 @@ def branch_log(u, branch: LogBranch, tol: Tolerances = DEFAULT_TOL) -> ComplexMa
     principal branch; asking for k != 0 there is refused.  The log is
     sum_j i t_j P_j over u's eigenprojections, t the turned phases,
     taken first from purified Lagrange projectors in u
-    (``_closed_form_branch``).  Where that cannot vouch for itself, the
+    (``_closed_form_log``).  Where that cannot vouch for itself, the
     eigen path (``_log_sum``) runs as it would alone, so both accept the
-    same u and refuse it with the same error.  k = 0 is
-    ``principal_log(u, tol)``: the same bytes and the same errors.
+    same u and refuse it with the same error.  k = 0 is the principal
+    log's path: ``principal_log(u, tol)``'s bytes and errors.
     """
-    k = (branch if isinstance(branch, LogBranch) else LogBranch(k=branch)).k
-    if not any(k):
-        return principal_log(u, tol)
-    a, dev = _unitary_array(u, tol)
-    m = _closed_form_branch(a, dev, k, tol)
-    return ComplexMat._wrap(_log_sum(a, dev, k, tol) if m is None else m)
+    return _log(u, (branch if isinstance(branch, LogBranch) else LogBranch(k=branch)).k, tol)

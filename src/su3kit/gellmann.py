@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InputError
+from .errors import _integer
 from .expmap import GroupElement, _finite_angle
 from .smallmat import _EYE3, ComplexMat, _finite_value
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -51,8 +51,7 @@ def equilibrium_point(a: int) -> ComplexMat:
     Equals (1 - rho_{+a} rho_{-a}) / 2, the axis both involutions of
     the pair leave in place.
     """
-    if not 1 <= a <= 7:
-        raise InputError(f"equilibrium_point covers a = 1..7, got {a}")
+    a = _integer(a, 1, 7, "equilibrium_point covers a = 1..7")
     return ComplexMat._wrap(_EYE3 - LAMBDAS[a - 1].array @ LAMBDAS[a - 1].array)
 
 
@@ -78,16 +77,12 @@ BASIS = GellMannBasis(lambdas=LAMBDAS, rhos=_build_rhos())
 
 
 def lam(a: int) -> ComplexMat:
-    if not 1 <= a <= 8:
-        raise InputError(f"generator index must be 1..8, got {a}")
-    return LAMBDAS[a - 1]
+    return LAMBDAS[_integer(a, 1, 8, "generator index must be 1..8") - 1]
 
 
 def rho(a: int) -> ComplexMat:
     """Involution rho_a for a in -7..7; rho(0) is diag(1, 1, -1)."""
-    if not -7 <= a <= 7:
-        raise InputError(f"involution index must be -7..7, got {a}")
-    return BASIS.rhos[a]
+    return BASIS.rhos[_integer(a, -7, 7, "involution index must be -7..7")]
 
 
 def reconstruct_lambda(a: int) -> ComplexMat:
@@ -96,8 +91,7 @@ def reconstruct_lambda(a: int) -> ComplexMat:
     lambda_a = (rho_{+a} + rho_{-a}) / 2 for a <= 7; lambda_8 needs the
     three-term combination of rho_{-3}, rho_{+3} and rho_0.
     """
-    if not 1 <= a <= 8:
-        raise InputError(f"generator index must be 1..8, got {a}")
+    a = _integer(a, 1, 8, "generator index must be 1..8")
     if a <= 7:
         return ComplexMat._wrap((rho(a).array + rho(-a).array) * complex(0.5))
     s = complex(1.0 / (2.0 * _SQRT3))
@@ -107,8 +101,7 @@ def reconstruct_lambda(a: int) -> ComplexMat:
 
 def exp_gellmann(a: int, theta: float, tol: Tolerances = DEFAULT_TOL) -> GroupElement:
     """exp(i theta lambda_a) for a = 1..7 by the cubic closed form; theta must be finite."""
-    if not 1 <= a <= 7:
-        raise InputError(f"exp_gellmann covers a = 1..7, got {a}")
+    a = _integer(a, 1, 7, "exp_gellmann covers a = 1..7")
     theta = _finite_angle(theta)
     g = LAMBDAS[a - 1].array
     gsq = g @ g

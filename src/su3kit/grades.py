@@ -22,11 +22,13 @@ skew-Hermitian S_i with sum g4 and g2 respectively.
 The arithmetic runs on complex128 arrays.  ``_diagonal`` gives g0, g6
 and the real scalars h_i, s_i of H_i and S_i from tr U and e alone,
 once for ``factorlog``'s cascade and for the grades.
-``_eigen_spectrum`` runs the normal kernel once and returns tr U, e
-and the kernel's involutions 2 p_i p_i^H - 1, what
-``split_HS`` and ``factorlog``'s eigen path run on, in U's eigenvalue
-order (``_tie_order``), which ``factorlog``'s closed forms give their
-roots too, so H_i and factor i go along the same eigenvalue.  ``_decomposition``
+``_eigen_basis`` is the one call of the normal kernel, its eigenvalues
+and columns put in U's eigenvalue order (``_tie_order``), which
+``factorlog``'s ordered roots take too, so H_i, factor i and turn k_i
+go along the same eigenvalue; ``factorlog``'s eigen log runs on it.
+``_eigen_spectrum`` returns tr U, e and the kernel's involutions
+2 p_i p_i^H - 1 from it, what ``split_HS`` and ``factorlog``'s eigen
+path run on.  ``_decomposition``
 builds the grade matrices and the H_i/S_i from U, tr U, e and the
 three involutions 2 P_i - 1, wherever those come from: ``split_HS``
 takes the kernel's, and ``factorlog`` those of its units, on the eigen
@@ -42,8 +44,7 @@ import dataclasses
 import numpy as np
 
 from .errors import DimensionMismatch
-from .smallmat import (_EYE3, ComplexMat, _as_mat, _eigen_normal3, _finite_mat, _normal_norm,
-                       _order_indices)
+from .smallmat import _EYE3, ComplexMat, _as_mat, _eigen_normal3, _finite_mat, _normal_norm
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -174,13 +175,15 @@ def _tie_order(e, idx: list) -> list:
     return idx
 
 
-def _eigen_order(e) -> list:
-    """The indices that put U's eigenvalues e in their order (``_tie_order``)."""
-    return _tie_order(e, _order_indices(e))
+def _eigen_basis(a: np.ndarray, tol: Tolerances, dev: float | None = None) -> tuple:
+    """The normal kernel's (e, p, p^H) of a, e as a list, in U's eigenvalue order (``_tie_order``).
 
-
-def _tie_ordered(e: list, p: np.ndarray, ph: np.ndarray) -> tuple:
-    """The normal kernel's (e, p, p^H), e as a list, in U's eigenvalue order (``_tie_order``)."""
+    dev is a's measured unitarity residual, if a was checked
+    (``_normal_norm``).  The one kernel call of both eigen paths:
+    ``_eigen_spectrum`` and ``factorlog._log_sum``.
+    """
+    e, p, ph = _eigen_normal3(a, _normal_norm(a, tol, dev), tol)
+    e = e.tolist()
     idx = _tie_order(e, [0, 1, 2])
     if idx == [0, 1, 2]:
         return e, p, ph
@@ -191,17 +194,15 @@ def _eigen_spectrum(a: np.ndarray, tol: Tolerances, dev: float | None = None) ->
     """(tr a, a's eigenvalues, the involutions 2 p_i p_i^H - 1) of a 3x3 normal array.
 
     The eigenvalues and the columns p_i are the normal kernel's, in U's
-    eigenvalue order (``_tie_order``).  The
-    involutions are assembled from real and imaginary blocks: a direct
-    complex outer product can pick up ~1e-20 imaginary dirt on the
-    diagonal when the compiler contracts the multiply into FMAs, and
-    this form is exactly Hermitian in IEEE arithmetic.  dev is a's
-    measured unitarity residual, if a was checked (``_normal_norm``).
+    eigenvalue order (``_eigen_basis``).  The involutions are assembled
+    from real and imaginary blocks: a direct complex outer product can
+    pick up ~1e-20 imaginary dirt on the diagonal when the compiler
+    contracts the multiply into FMAs, and this form is exactly Hermitian
+    in IEEE arithmetic.
     """
     if a.shape != (3, 3):
         raise DimensionMismatch(f"expected a 3x3 matrix, got {a.shape[0]}x{a.shape[1]}")
-    e, p, ph = _eigen_normal3(a, _normal_norm(a, tol, dev), tol)
-    e, p, _ = _tie_ordered(e.tolist(), p, ph)
+    e, p, _ = _eigen_basis(a, tol, dev)
     # row i of vr, vi is column p_i; the stack of the p_i p_i^H
     vr, vi = p.real.T, p.imag.T
     re = vr[:, :, None] * vr[:, None, :] + vi[:, :, None] * vi[:, None, :]

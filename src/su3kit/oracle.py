@@ -11,14 +11,15 @@ identical streams wherever the package runs.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .errors import InputError, NotUnitary, Overflow
+from .errors import InputError, NotUnitary, Overflow, _integer, _is_real, _shown
 from .expmap import GroupElement
 from .invdec import AlgebraElement
 from .gellmann import LAMBDAS
-from .smallmat import ComplexMat, _as_mat, _finite_value, eigen_general
+from .smallmat import ComplexMat, _as_mat, _finite_mat, _finite_value, eigen_general
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _TAYLOR_ORDER = 18
@@ -31,10 +32,7 @@ EXP_NORM_MAX = 2.0**26
 
 
 def _check_seed(seed: int) -> int:
-    s = int(seed)
-    if not 0 <= s < 2**64:
-        raise InputError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return s
+    return _integer(seed, 0, 2**64 - 1, "seed must be a 64-bit unsigned integer")
 
 
 def exp_reference(b) -> ComplexMat:
@@ -100,15 +98,21 @@ def log_reference(u, tol: Tolerances = DEFAULT_TOL) -> ComplexMat:
 
 
 def random_algebra(seed: int, scale: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> AlgebraElement:
-    """Random su(3) element i * scale * sum_a c_a lambda_a, c_a ~ N(0, 1)."""
-    if scale <= 0.0:
-        raise InputError(f"scale must be positive, got {scale}")
+    """Random su(3) element i * scale * sum_a c_a lambda_a, c_a ~ N(0, 1).
+
+    scale is a positive finite real number, checked before sampling;
+    an element that overflows is refused as Overflow.
+    """
+    if not (_is_real(scale) and 0.0 < scale <= sys.float_info.max):
+        raise InputError(f"scale must be a positive finite real number, got {_shown(scale)}")
     rng = np.random.default_rng(_check_seed(seed))
     coeffs = rng.standard_normal(8)
     total = np.zeros((3, 3), dtype=np.complex128)
     for c, g in zip(coeffs, LAMBDAS):
         total += c * g.array
-    return AlgebraElement(ComplexMat(1j * scale * total), tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = 1j * scale * total
+    return AlgebraElement(_finite_mat(mat, "the scaled element"), tol)
 
 
 def _haar_unitary(rng: np.random.Generator) -> np.ndarray:

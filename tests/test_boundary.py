@@ -15,7 +15,9 @@ from su3kit.expmap import (GroupElement, exp_simple, exp_su3, family_element,
                            invariant_combination)
 from su3kit.factorlog import (LogBranch, branch_log, factorize, normalize, principal_log,
                               principal_log_factor, rms_norm)
-from su3kit.gellmann import exp_gellmann, exp_gellmann8
+from su3kit.bench import run_bench
+from su3kit.gellmann import (equilibrium_point, exp_gellmann, exp_gellmann8, lam,
+                             reconstruct_lambda, rho)
 from su3kit.grades import ccos_ssin, grade0, grade2, grade4, grade6, split_HS
 from su3kit.invdec import (AlgebraElement, decompose_closed_form, decompose_nxn,
                            decompose_via_eigen, lambda_roots)
@@ -233,6 +235,16 @@ _BRANCHES = st.one_of(
     st.tuples(st.tuples(_WINDING, _WINDING, _WINDING)),
     st.tuples(_WINDING, st.tuples(_WINDING), _WINDING),
     st.tuples(_WINDING, st.sampled_from([0.5, None, True, "1", 2**60]), _WINDING))
+# what a seed, count, scale, index or angle may be beside its valid values: no integer, or a
+# small one (of which most counts, some indices and no scale are valid)
+_NOT_INT = st.one_of(st.booleans(), st.text(max_size=3),
+                     st.sampled_from([1.5, math.nan, math.inf, -math.inf, None, 1j, 1.0 + 0j]))
+# 10**5000 has no repr under the default digit limit, so a message must not print it whole
+_ODD = st.one_of(st.integers(-3, 3), st.sampled_from([10**5000, -10**5000]), _NOT_INT)
+# run_bench's (n, seed): an invalid n, or n = 100 and an invalid seed, so that no run is timed
+_BENCH_ARGS = st.one_of(
+    st.tuples(st.one_of(st.integers(-3, 99), _NOT_INT), st.one_of(st.integers(0, 9), _ODD)),
+    st.tuples(st.just(100), st.one_of(st.integers(-3, -1), st.integers(2**63, 2**64), _NOT_INT)))
 
 
 @st.composite
@@ -249,7 +261,11 @@ def _library_calls(draw):
     lambda_roots gives them, or lambdas in the scale's square.
     branch_log and LogBranch take three windings, or a branch that is
     not three integers: an int, None, a string, a float, a bool, a
-    nested tuple, or two or four windings.
+    nested tuple, or two or four windings.  The seeds of random_group
+    and random_algebra, the latter's scale, run_bench's n and seed, the
+    Gell-Mann indices and the angles of exp_gellmann, exp_gellmann8 and
+    family_element take valid values, or at times ints, bools, 1.5,
+    NaN, +-inf, None, strings and complex numbers (``_ODD``).
     """
     name = draw(st.sampled_from(sorted(_LIBRARY_NAMES)))
     scale = draw(st.one_of(st.sampled_from(_SCALES), st.floats(5e-324, _BIG)))
@@ -274,7 +290,12 @@ def _library_calls(draw):
     parts = _parts(seed % 1000, draw(st.sampled_from([1e-3, 1.0, 10.0, 1e3])))
     return name, SimpleNamespace(b=b, m=m, m2=m2, lams=lams, angle=angle, parts=parts,
                                  a=1 + seed % 7, u=draw(st.sampled_from([u, m])),
-                                 k=draw(_BRANCHES))
+                                 k=draw(_BRANCHES), theta=draw(st.one_of(st.just(angle), _ODD)),
+                                 index=draw(st.one_of(st.integers(-9, 9), _ODD)),
+                                 seed=draw(st.one_of(st.integers(-2, 2**64), _ODD)),
+                                 scale=draw(st.one_of(st.sampled_from(_SCALES + [0.0, -1.0]),
+                                                      _ODD)),
+                                 bench=draw(_BENCH_ARGS))
 
 
 _LIBRARY_NAMES = {
@@ -287,9 +308,16 @@ _LIBRARY_NAMES = {
     "grade6": lambda x: grade6(x.m),
     "scalar_residual": lambda x: scalar_residual(x.m),
     "compare": lambda x: compare(x.m, x.m2),
-    "exp_gellmann": lambda x: exp_gellmann(x.a, x.angle),
-    "exp_gellmann8": lambda x: exp_gellmann8(x.angle),
-    "family_element": lambda x: family_element(x.parts, (x.angle, 1.0, -x.angle)),
+    "exp_gellmann": lambda x: exp_gellmann(x.index, x.theta),
+    "exp_gellmann8": lambda x: exp_gellmann8(x.theta),
+    "family_element": lambda x: family_element(x.parts, (x.theta, 1.0, -x.angle)),
+    "lam": lambda x: lam(x.index),
+    "rho": lambda x: rho(x.index),
+    "equilibrium_point": lambda x: equilibrium_point(x.index),
+    "reconstruct_lambda": lambda x: reconstruct_lambda(x.index),
+    "random_group": lambda x: random_group(x.seed),
+    "random_algebra": lambda x: random_algebra(x.seed, x.scale),
+    "run_bench": lambda x: run_bench("exp", "generic", *x.bench),
     "principal_log": lambda x: principal_log(x.u),
     "branch_log": lambda x: branch_log(x.u, x.k),
     "LogBranch": lambda x: LogBranch(x.k),
@@ -310,7 +338,7 @@ _LIBRARY_NAMES = {
 }
 
 
-@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@settings(max_examples=620, deadline=None, database=None, derandomize=True)
 @given(_library_calls())
 def test_library_returns_or_refuses(call):
     """Each call returns, or raises an Su3KitError, and warns nothing."""

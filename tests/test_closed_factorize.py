@@ -55,11 +55,11 @@ def _outcome(f, *args):
 
 
 def _eigen_path(u):
-    """The eigen path's (factors, units, parts, routes, grades) of u, factorize's fallback."""
+    """The eigen path's (factors, units, signed phases, routes, grades) of u: the fallback."""
     a, dev = factorlog._unitary_array(u, DEFAULT_TOL)
-    factors, units, parts, routes, (t, e) = factorlog._factor_parts(a, dev, DEFAULT_TOL)
-    return (factors, units, parts, routes,
-            lambda: factorlog._unit_decomposition(a, t, e, units, parts))
+    factors, units, phi, routes, (t, e) = factorlog._factor_parts(a, dev, DEFAULT_TOL)
+    return (factors, units, phi, routes,
+            lambda: factorlog._unit_decomposition(a, t, e, units, phi))
 
 
 def _closed_form(u):
@@ -161,9 +161,9 @@ def _factorization_bytes(fz):
 
 
 def _eigen_bytes(u):
-    factors, units, parts, routes, grades_of = _eigen_path(u)
+    factors, units, phi, routes, grades_of = _eigen_path(u)
     yield from (f.tobytes() for f in factors)
-    for unit, (beta, _) in zip(units, parts):
+    for unit, beta in zip(units, [abs(f) / 2.0 for f in phi]):
         directed = factorlog._directed(beta, DEFAULT_TOL)
         yield (unit * complex(beta)).tobytes() if directed else np.zeros((3, 3), complex).tobytes()
         yield np.array([beta, complex(-beta * beta)]).tobytes()

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_closed_factorize import boundary_u
 
-from su3kit import factorlog
+from su3kit import factorlog, grades
 from su3kit.errors import AmbiguousDirection, Su3KitError
 from su3kit.expmap import GroupElement
 from su3kit.factorlog import _complex_cubic_roots, branch_log, principal_log
@@ -82,16 +82,20 @@ def test_agrees_with_the_eigen_path(seed, family):
 def test_most_haar_u_skip_the_eigensolver(monkeypatch):
     """At least 90% of seeded Haar U never reach the normal kernel."""
     calls = []
-    kernel = factorlog._eigen_normal3
+    kernel = grades._eigen_normal3
 
     def spy(*args):
         calls.append(1)
         return kernel(*args)
 
-    monkeypatch.setattr(factorlog, "_eigen_normal3", spy)
+    monkeypatch.setattr(grades, "_eigen_normal3", spy)
     for seed in range(200):
         principal_log(random_group(seed))
     assert len(calls) <= 20
+    # the spy sees the kernel: a near-double U declines the closed form
+    calls.clear()
+    principal_log(_near_double(np.random.default_rng(5)))
+    assert calls == [1]
 
 
 # a pair of eigenvalues on both sides of -1 and a third at 1, and neighbours:
@@ -108,7 +112,7 @@ def test_straddling_pair_takes_the_closed_form(phases):
         g = _group(phases, rng)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = factorlog._closed_form_log(g.mat.array, g._dev, DEFAULT_TOL)
+            got = factorlog._closed_form_log(g.mat.array, g._dev, (0, 0, 0), DEFAULT_TOL)
             want = _eigen_log(g)
         assert got is not None
         assert np.linalg.norm(got - want) <= 16.0 * _EPS * max(1.0, np.linalg.norm(want))
@@ -130,7 +134,7 @@ def test_clustered_spectra_fall_back_bit_for_bit(g):
     """1, omega 1 and (near-)doubles go to the eigen path and give its bits, with no exception."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert factorlog._closed_form_log(g.mat.array, g._dev, DEFAULT_TOL) is None
+        assert factorlog._closed_form_log(g.mat.array, g._dev, (0, 0, 0), DEFAULT_TOL) is None
         got = _outcome(lambda x: principal_log(x).array.tobytes(), g)
         assert got == _outcome(lambda x: _eigen_log(x).tobytes(), g)
 
@@ -171,7 +175,7 @@ def test_branch_log_agrees_with_the_eigen_path(seed, k, family):
     g = random_group(seed) if family == "haar" else _group(_phases(family, rng), rng)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        closed = factorlog._closed_form_branch(g.mat.array, g._dev, k, DEFAULT_TOL)
+        closed = factorlog._closed_form_log(g.mat.array, g._dev, k, DEFAULT_TOL)
         got = _outcome(lambda x: branch_log(x, k).array.tobytes(), g)
         want = _outcome(lambda x: _eigen_branch(x, k), g)
         plain = _outcome(lambda x: principal_log(x).array.tobytes(), g)
@@ -217,11 +221,11 @@ def test_branch_log_declines_to_the_eigen_path(case, monkeypatch):
     a = g.mat.array
     assert gate is None or gate(a)
     calls = []
-    kernel = factorlog._eigen_normal3
-    monkeypatch.setattr(factorlog, "_eigen_normal3", lambda *args: calls.append(1) or kernel(*args))
+    kernel = grades._eigen_normal3
+    monkeypatch.setattr(grades, "_eigen_normal3", lambda *args: calls.append(1) or kernel(*args))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert factorlog._closed_form_branch(a, g._dev, k, DEFAULT_TOL) is None
+        assert factorlog._closed_form_log(a, g._dev, k, DEFAULT_TOL) is None
         got = _outcome(lambda x: branch_log(x, k).array.tobytes(), g)
         want = _outcome(lambda x: _eigen_branch(x, k).tobytes(), g)
     assert got == want and len(calls) == 2
@@ -248,19 +252,23 @@ def test_cos_zero_logs_take_the_closed_forms(monkeypatch):
     cubic = factorlog._complex_cubic_roots
     monkeypatch.setattr(factorlog, "_complex_cubic_roots",
                         lambda *args: solved.append(1) or cubic(*args))
-    monkeypatch.setattr(factorlog, "_eigen_normal3", lambda *args: pytest.fail("kernel ran"))
+    monkeypatch.setattr(grades, "_eigen_normal3", lambda *args: pytest.fail("kernel ran"))
     projector = 0
     for g in _cos_zero_groups(20):
         a = g.mat.array
-        t, e, theta = factorlog._log_spectrum(a, g._dev, DEFAULT_TOL)
+        t, e = factorlog._cubic_eigenvalues(a, g._dev, DEFAULT_TOL)
+        theta = factorlog._log_phases(e, DEFAULT_TOL)
         if factorlog._monomial_log(a, t, e, theta) is None:
             projector += 1
             want = factorlog._projector_log(a, e, theta).tobytes()
             solved.clear()
             assert principal_log(g).array.tobytes() == want and solved == [1]
         assert np.array_equal(branch_log(g, (1, 0, -1)).array,
-                              factorlog._closed_form_branch(a, g._dev, (1, 0, -1), DEFAULT_TOL))
+                              factorlog._closed_form_log(a, g._dev, (1, 0, -1), DEFAULT_TOL))
     assert projector >= 18
+    # the spy sees the kernel: a near-double U declines the closed form
+    with pytest.raises(pytest.fail.Exception, match="kernel ran"):
+        principal_log(_near_double(np.random.default_rng(5)))
 
 
 def test_branch_order_at_cos_zero_is_the_eigen_paths():
@@ -268,7 +276,7 @@ def test_branch_order_at_cos_zero_is_the_eigen_paths():
     key order would leave two equal imaginary parts to rounding (``grades._tie_order``)."""
     for g in _cos_zero_groups(20):
         for k in ((1, 0, -1), (0, 1, 0), (1, 1, 0)):
-            closed = factorlog._closed_form_branch(g.mat.array, g._dev, k, DEFAULT_TOL)
+            closed = factorlog._closed_form_log(g.mat.array, g._dev, k, DEFAULT_TOL)
             want = _eigen_branch(g, k)
             assert np.linalg.norm(closed - want) <= 8.0 * _EPS * _branch_condition(want)
 
@@ -276,11 +284,15 @@ def test_branch_order_at_cos_zero_is_the_eigen_paths():
 def test_branch_log_skips_the_eigensolver_on_haar_u(monkeypatch):
     """At most 2 of 200 seeded Haar U, each with its own winding, reach the normal kernel."""
     calls = []
-    kernel = factorlog._eigen_normal3
-    monkeypatch.setattr(factorlog, "_eigen_normal3", lambda *args: calls.append(1) or kernel(*args))
+    kernel = grades._eigen_normal3
+    monkeypatch.setattr(grades, "_eigen_normal3", lambda *args: calls.append(1) or kernel(*args))
     for seed in range(200):
         branch_log(random_group(seed), _WINDINGS[seed % 27])
     assert len(calls) <= 2
+    # the spy sees the kernel: a near-double U declines the closed form
+    calls.clear()
+    branch_log(_near_double(np.random.default_rng(5)), (1, 0, -1))
+    assert calls == [1]
 
 
 def test_branch_log_takes_the_closed_form_on_boundary_u():
@@ -289,7 +301,7 @@ def test_branch_log_takes_the_closed_form_on_boundary_u():
     taken = 0
     for seed in range(400):
         g = GroupElement(boundary_u(seed))
-        taken += factorlog._closed_form_branch(g.mat.array, g._dev, _WINDINGS[seed % 27],
+        taken += factorlog._closed_form_log(g.mat.array, g._dev, _WINDINGS[seed % 27],
                                                DEFAULT_TOL) is not None
     assert taken >= 396
 
@@ -326,7 +338,7 @@ def test_near_doubles_decline_before_the_cubic(monkeypatch):
     for _ in range(20):
         a, gap = rng.uniform(-2.5, 2.5), 10.0 ** rng.uniform(-12.0, -5.0)
         g = _group([a, a + gap, -2.0 * a - gap], rng)
-        assert factorlog._closed_form_log(g.mat.array, g._dev, DEFAULT_TOL) is None
+        assert factorlog._closed_form_log(g.mat.array, g._dev, (0, 0, 0), DEFAULT_TOL) is None
 
 
 def _unit_triple(kind, rng):

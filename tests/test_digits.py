@@ -149,10 +149,14 @@ def _exact_log(u: np.ndarray) -> tuple[np.ndarray, float]:
 def _log_route(g) -> str:
     """The form principal_log takes on g: "monomial", "projector" or "eigen"."""
     a = g.mat.array
-    spectrum = factorlog._log_spectrum(a, g._dev, DEFAULT_TOL)
-    if spectrum is None:
+    roots = factorlog._cubic_eigenvalues(a, g._dev, DEFAULT_TOL)
+    if roots is None:
         return "eigen"
-    t, e, theta = spectrum
+    t, e = roots
+    try:
+        theta = factorlog._log_phases(e, DEFAULT_TOL)
+    except Su3KitError:
+        return "eigen"
     if factorlog._monomial_log(a, t, e, theta) is not None:
         return "monomial"
     return "eigen" if factorlog._projector_log(a, e, theta) is None else "projector"
@@ -256,7 +260,7 @@ def test_branch_logs_within_a_few_eps_of_40_digits():
         a = g.mat.array
         for k, want in _exact_branches(a).items():
             unit = EPS * max(1.0, np.linalg.norm(want))
-            routes = {"closed": factorlog._closed_form_branch(a, g._dev, k, DEFAULT_TOL)}
+            routes = {"closed": factorlog._closed_form_log(a, g._dev, k, DEFAULT_TOL)}
             try:
                 routes["eigen"] = factorlog._log_sum(a, g._dev, k, DEFAULT_TOL)
             except Su3KitError:

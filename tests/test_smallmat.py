@@ -537,8 +537,8 @@ def _normal_tols(a, dev, edge, c):
     return np.nextafter(x, np.inf if c >= 1.0 else 0.0)
 
 
-def _factor_key(factors, units, parts, routes, spectrum):
-    return tuple(routes), [beta for beta, _ in parts], factors.tobytes()
+def _factor_key(factors, units, phi, routes, spectrum):
+    return tuple(routes), [abs(f) / 2.0 for f in phi], factors.tobytes()
 
 
 def _check_shortcut(seed, frac, grp_tol, kind, edge, c):
@@ -601,7 +601,8 @@ class TestNanBasisRefused:
         # the logs and factorize reach the kernel only where their closed
         # forms decline, as near the identity
         near_one = exp_su3(random_algebra(1, scale=1e-3))
-        assert factorlog._closed_form_log(near_one.mat.array, near_one._dev, DEFAULT_TOL) is None
+        assert factorlog._closed_form_log(near_one.mat.array, near_one._dev, (0, 0, 0),
+                                          DEFAULT_TOL) is None
         assert factorlog._closed_form_factors(near_one.mat.array, near_one._dev,
                                               DEFAULT_TOL) is None
         with np.errstate(invalid="ignore"):

@@ -1,9 +1,9 @@
 """The scripts under tools/ run and print what their docstrings promise.
 
-Two reach private names of su3kit (``factorlog._closed_form_log`` and
-its siblings, the package's file layout), so a refactor that moves
-those names breaks them; this runs each in a subprocess, as from the
-command line.
+Two reach private names of su3kit (``factorlog._closed_form_log``, the
+one closed log of both logs, and its siblings, the package's file
+layout), so a refactor that moves those names breaks them; this runs
+each in a subprocess, as from the command line.
 """
 
 import pathlib

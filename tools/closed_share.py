@@ -4,10 +4,10 @@ The inputs are the benchmark's kinds of U, drawn with ``perfbench.gen``:
 Haar SU(3) from the log-haar stream, and each of the four hard families
 (near-degenerate, boundary, cos-zero, near-cos-zero) from the
 hard-regimes stream, the near-cos-zero family from its fixed stream.
-A call takes the closed form where ``factorlog._closed_form_log``,
-``factorlog._closed_form_branch`` or ``factorlog._closed_form_factors``
-accepts U, as ``principal_log``, ``branch_log`` and ``factorize`` call
-them; the rest run the eigen path.  ``principal_log`` counts as closed
+A call takes the closed form where ``factorlog._closed_form_log`` (at
+k = 0 for ``principal_log``, at the winding k for ``branch_log``) or
+``factorlog._closed_form_factors`` accepts U, as the logs and
+``factorize`` call them; the rest run the eigen path.  ``principal_log`` counts as closed
 where either of its forms accepts, the monomial one or, past its
 coefficient gate, the purified projectors; the "projector" column is
 the share that takes the latter.  The branch logs take the nonzero
@@ -32,7 +32,7 @@ sys.path[0:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import gen  # noqa: E402  (numpy only, no su3kit)
 from su3kit import factorlog  # noqa: E402
-from su3kit.errors import Su3KitError  # noqa: E402
+from su3kit.errors import NumericalError, Su3KitError  # noqa: E402
 from su3kit.tolerances import DEFAULT_TOL  # noqa: E402
 
 
@@ -58,10 +58,14 @@ def _eigen_route(u) -> bool:
 
 def _projector_log(a, dev) -> bool:
     """Whether principal_log takes a's log over the purified projectors, its monomial form declined."""
-    spectrum = factorlog._log_spectrum(a, dev, DEFAULT_TOL)
-    if spectrum is None:
+    roots = factorlog._cubic_eigenvalues(a, dev, DEFAULT_TOL)
+    if roots is None:
         return False
-    t, e, theta = spectrum
+    t, e = roots
+    try:
+        theta = factorlog._log_phases(e, DEFAULT_TOL)
+    except NumericalError:
+        return False
     return (factorlog._monomial_log(a, t, e, theta) is None
             and factorlog._projector_log(a, e, theta) is not None)
 
@@ -70,8 +74,8 @@ def _taken(u, k) -> tuple[bool, ...]:
     """Whether u takes the closed log, the projector log, the closed branch log k, the closed
     factorize and the eigen route."""
     a, dev = factorlog._unitary_array(u, DEFAULT_TOL)
-    return (factorlog._closed_form_log(a, dev, DEFAULT_TOL) is not None, _projector_log(a, dev),
-            factorlog._closed_form_branch(a, dev, k, DEFAULT_TOL) is not None,
+    return (factorlog._closed_form_log(a, dev, (0, 0, 0), DEFAULT_TOL) is not None,
+            _projector_log(a, dev), factorlog._closed_form_log(a, dev, k, DEFAULT_TOL) is not None,
             factorlog._closed_form_factors(a, dev, DEFAULT_TOL) is not None, _eigen_route(u))
 
 
